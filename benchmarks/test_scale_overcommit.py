@@ -8,7 +8,8 @@ replacement-policy ordering EXPERIMENTS.md records.  The committed
 BENCH_SCALE.json holds the full 1:1 → 64:1 sweep.
 """
 
-from repro.scale import ScaleCellConfig, run_cell, run_sweep
+from repro.api import run_bench
+from repro.scale import ScaleCellConfig, run_cell
 
 
 def test_overcommit_degrades_gracefully(once, benchmark):
@@ -16,24 +17,25 @@ def test_overcommit_degrades_gracefully(once, benchmark):
     never reaches zero — every endpoint keeps taking its turn."""
 
     def sweep():
-        return run_sweep(
-            ["random"], [1, 4, 8, 32],
+        return run_bench(
+            "scale", policies=["random"], ratios=[1, 4, 8, 32],
             frames=8, duration_ms=40.0, warmup_ms=20.0, client_nodes=8,
         )
 
-    report = once(sweep)
-    cells = {c.ratio: c for c in report.cells}
+    doc = once(sweep)
+    cells = {c["ratio"]: c for c in
+             (cell["observables"] for cell in doc["cells"].values())}
     benchmark.extra_info.update(
-        {f"x{r}_goodput": round(c.goodput_msgs_s) for r, c in cells.items()}
+        {f"x{r}_goodput": round(c["goodput_msgs_s"]) for r, c in cells.items()}
     )
-    assert not report.collapsed_cells()
+    assert doc["failures"] == []  # no zero-goodput cell
     # 1:1 fits in the frames: no evictions, full service
-    assert cells[1].evictions == 0
-    assert cells[1].goodput_msgs_s > 10 * cells[32].goodput_msgs_s
+    assert cells[1]["evictions"] == 0
+    assert cells[1]["goodput_msgs_s"] > 10 * cells[32]["goodput_msgs_s"]
     # overcommitted cells still deliver and still remap continuously
     for ratio in (4, 8, 32):
-        assert cells[ratio].completed > 0
-        assert cells[ratio].remaps_per_s > 100
+        assert cells[ratio]["completed"] > 0
+        assert cells[ratio]["remaps_per_s"] > 100
 
 
 def test_remap_rate_in_paper_band(once, benchmark):

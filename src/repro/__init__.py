@@ -25,9 +25,6 @@ from .am import (
     Endpoint,
     NameService,
     VirtualNetwork,
-    build_parallel_vnet,
-    build_star_vnet,
-    create_endpoint,
     new_endpoint,
     parallel_vnet,
     star_vnet,
@@ -46,9 +43,5 @@ __all__ = [
     "new_endpoint",
     "parallel_vnet",
     "star_vnet",
-    # deprecated spellings (warning shims)
-    "build_parallel_vnet",
-    "build_star_vnet",
-    "create_endpoint",
     "__version__",
 ]

@@ -1,81 +1,33 @@
-"""``python -m repro`` — the umbrella CLI over every suite.
+"""``python -m repro bench <suite> [--smoke] [--out PATH] [--check]``.
 
-One front door instead of four ``python -m repro.<pkg>`` spellings:
-
-    python -m repro bench [perf-args...]     # perf regression harness
-    python -m repro chaos [chaos-args...]    # chaos smoke matrix
-    python -m repro calib [calib-args...]    # LogP calibration sweep
-    python -m repro scale [scale-args...]    # overcommit sweep
-    python -m repro tenant [tenant-args...]  # tenant interference matrix
-
-Each subcommand delegates to the existing suite ``main(argv)`` with the
-remaining arguments, so every per-suite flag keeps working unchanged.
-The old per-package entrypoints remain functional.
+One front door over every registered benchmark suite
+(:mod:`repro.bench.harness`).  Suite parameters are not flags: call
+``repro.api.run_bench(suite, **params)`` for a non-default matrix.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import Optional, Sequence
 
 
-def _cmd_bench(argv):
-    # `bench collectives ...` routes to the collective-strategy suite;
-    # everything else stays with the perf regression harness.
-    if argv and argv[0] == "collectives":
-        from .bench.collectives import main as coll_main
-
-        return coll_main(argv[1:])
-    from .bench.perf import main
-
-    return main(argv)
-
-
-def _cmd_chaos(argv):
-    from .bench.chaos import main
-
-    return main(argv)
-
-
-def _cmd_calib(argv):
-    from .calib.sweep import main
-
-    return main(argv)
-
-
-def _cmd_scale(argv):
-    from .scale.sweep import main
-
-    return main(argv)
-
-
-def _cmd_tenant(argv):
-    from .tenant.bench import main
-
-    return main(argv)
-
-
-COMMANDS = {
-    "bench": _cmd_bench,
-    "chaos": _cmd_chaos,
-    "calib": _cmd_calib,
-    "scale": _cmd_scale,
-    "tenant": _cmd_tenant,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    cmd = argv[0]
-    fn = COMMANDS.get(cmd)
-    if fn is None:
-        print(f"unknown command {cmd!r}; choose from: "
-              f"{' '.join(sorted(COMMANDS))}", file=sys.stderr)
-        return 2
-    return int(fn(argv[1:]) or 0)
+    from .bench.harness import cli, suites
+
+    ap = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    bench = sub.add_parser("bench", help="run one benchmark suite")
+    bench.add_argument("suite", choices=sorted(suites()))
+    bench.add_argument("--smoke", action="store_true",
+                       help="reduced matrix, every cell run twice")
+    bench.add_argument("--out", default=None,
+                       help="output JSON (default: the suite's BENCH file)")
+    bench.add_argument("--check", action="store_true",
+                       help="fail if a gated ratio fell >20%% below the "
+                            "committed BENCH file")
+    args = ap.parse_args(sys.argv[1:] if argv is None else argv)
+    return cli(args.suite, smoke=args.smoke, out=args.out, check=args.check)
 
 
 if __name__ == "__main__":

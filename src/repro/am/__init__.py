@@ -6,9 +6,6 @@ from .errors import AmError, BadTranslationError, EndpointFreedError
 from .names import NameService
 from .vnet import (
     VirtualNetwork,
-    build_parallel_vnet,
-    build_star_vnet,
-    create_endpoint,
     new_endpoint,
     parallel_vnet,
     star_vnet,
@@ -27,8 +24,4 @@ __all__ = [
     "new_endpoint",
     "parallel_vnet",
     "star_vnet",
-    # deprecated spellings (warning shims)
-    "build_parallel_vnet",
-    "build_star_vnet",
-    "create_endpoint",
 ]

@@ -8,7 +8,6 @@ support waiting for activity on *any* member endpoint.
 
 from __future__ import annotations
 
-import warnings
 from typing import Generator, Optional
 
 from ..osim.threads import CondVar, Thread
@@ -38,7 +37,7 @@ class Bundle:
     def __iter__(self):
         return iter(self.endpoints)
 
-    def poll_all(self, thr: Thread, limit: int = 8, limit_per_ep: Optional[int] = None) -> Generator:
+    def poll_all(self, thr: Thread, limit: int = 8) -> Generator:
         """Poll every endpoint once, round-robin; returns total processed.
 
         Each poll touches the endpoint (uncacheable when resident), so a
@@ -47,16 +46,7 @@ class Bundle:
         as one lump-sum computation up front (one kernel event instead of
         one per endpoint), then each endpoint is drained in rotation
         order.
-
-        ``limit_per_ep`` is the deprecated spelling of ``limit``.
         """
-        if limit_per_ep is not None:
-            warnings.warn(
-                "Bundle.poll_all(limit_per_ep=...) is deprecated; use limit=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            limit = limit_per_ep
         n = len(self.endpoints)
         if n == 0:
             return 0

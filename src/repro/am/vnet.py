@@ -11,7 +11,6 @@ star pattern for client/server use.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from ..sim.rng import RngStreams
@@ -26,10 +25,6 @@ __all__ = [
     "parallel_vnet",
     "star_vnet",
     "VirtualNetwork",
-    # deprecated spellings, kept as warning shims
-    "create_endpoint",
-    "build_parallel_vnet",
-    "build_star_vnet",
 ]
 
 
@@ -103,32 +98,3 @@ def star_vnet(cluster: "Cluster", server_node: int, client_nodes: Sequence[int],
         sep.map(len(clients), cep.name, cep.tag)
         clients.append(cep)
     return servers, clients
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old}() is deprecated; use repro.api or repro.am.{new}()",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-# The shims are plain functions (not generators) so the warning fires at
-# call time, before the first yield; they return the canonical generator,
-# so old and new call paths execute identically from the kernel's view.
-def create_endpoint(node: "Node", tag: Optional[int] = None, rngs: Optional[RngStreams] = None) -> Generator:
-    """Deprecated spelling of :func:`new_endpoint`."""
-    _deprecated("create_endpoint", "new_endpoint")
-    return new_endpoint(node, tag=tag, rngs=rngs)
-
-
-def build_parallel_vnet(cluster: "Cluster", nodes: Sequence[int]) -> Generator:
-    """Deprecated spelling of :func:`parallel_vnet`."""
-    _deprecated("build_parallel_vnet", "parallel_vnet")
-    return parallel_vnet(cluster, nodes)
-
-
-def build_star_vnet(cluster: "Cluster", server_node: int, client_nodes: Sequence[int], shared_server_ep: bool = True) -> Generator:
-    """Deprecated spelling of :func:`star_vnet`."""
-    _deprecated("build_star_vnet", "star_vnet")
-    return star_vnet(cluster, server_node, client_nodes, shared_server_ep=shared_server_ep)

@@ -18,9 +18,8 @@ How simulated time executes is an *engine* (:mod:`repro.api.engine`):
 ordering oracle, ``engine="sharded"`` selects the conservative-window
 PDES kernel of :mod:`repro.sim.sharded` (shard-partitionable workloads;
 a monolithic Session accepts it only at ``num_shards == 1``).  The same
-spec threads through every harness via :func:`run_bench`, which fronts
-the perf/calib/scale/tenant suites under one name registry — also
-reachable as ``python -m repro bench|calib|scale|tenant``.
+spec threads through every benchmark suite via :func:`run_bench`, the
+Python face of ``python -m repro bench <suite>``.
 
 :class:`Cluster` here is the builder's cluster plus context management,
 for callers that want the machine without a pre-built virtual network.
@@ -28,15 +27,10 @@ The stable types — :class:`Endpoint`, :class:`Bundle`,
 :class:`VirtualNetwork`, :class:`NameService`, the error hierarchy under
 :class:`AmError`/:class:`SimError` — are re-exported so applications
 import only :mod:`repro.api`.
-
-The pre-engine entrypoints (``run_calibration``, ``run_interference_bench``,
-``replacement_policies``) survive as :class:`DeprecationWarning` shims
-delegating to :func:`run_bench`/:func:`describe`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Generator, Optional, Sequence, Union
 
 from ..am.bundle import Bundle
@@ -51,8 +45,7 @@ from ..osim.segdriver import REPLACEMENT_POLICIES, ResidencyScoreboard
 from ..sim.core import Interrupted, SimError
 from ..tenant import Tenant, TenantRegistry, TenantSpec
 from .engine import (ENGINE_NAMES, Engine, EngineError, ReferenceEngine,
-                     SequentialEngine, ShardedEngine, resolve_engine,
-                     resolve_kernel)
+                     SequentialEngine, ShardedEngine, resolve_engine)
 
 __all__ = [
     "Cluster",
@@ -87,130 +80,39 @@ __all__ = [
     "VirtualNetwork",
     "new_endpoint",
     "parallel_vnet",
-    "replacement_policies",
-    "run_calibration",
-    "run_interference_bench",
     "star_vnet",
 ]
 
 
-# --------------------------------------------------------------------------
-# the bench registry behind Session.run_bench / `python -m repro`
-# --------------------------------------------------------------------------
-def _bench_perf(engine, **opts):
-    from ..bench.perf import run_suite
-
-    return run_suite(reference=(getattr(engine, "name", None) == "reference"),
-                     **opts)
-
-
-def _bench_calib(engine, **opts):
-    from ..calib.sweep import run_calibration as _run
-
-    smoke = opts.pop("smoke", False)
-    return _run(smoke, engine=engine, **opts)
-
-
-def _bench_tenant(engine, **opts):
-    from ..tenant.bench import run_interference_bench as _run
-
-    return _run(engine=engine, **opts)
-
-
-def _bench_scale(engine, **opts):
-    from ..scale.sweep import run_sweep as _run
-
-    return _run(engine=engine, **opts)
-
-
-def _bench_fleet(engine, **opts):
-    from ..scale.fleet import run_fleet_sweep as _run
-
-    # The fleet macro-model is engine-independent (it runs the residency
-    # components directly, not the event kernel), so the engine spec is
-    # accepted and ignored for signature parity with the other benches.
-    return _run(**opts)
-
-
-def _bench_shard_scaling(engine, **opts):
-    from ..bench.perf import run_shard_scaling
-
-    if engine is not None and getattr(engine, "name", None) != "sharded":
-        raise EngineError("shard_scaling only runs on the sharded engine")
-    return run_shard_scaling(**opts)
-
-
-def _bench_collectives(engine, **opts):
-    from ..bench.collectives import run_collectives
-
-    return run_collectives(engine=engine, **opts)
-
-
-BENCHES = {
-    "perf": _bench_perf,
-    "calib": _bench_calib,
-    "scale": _bench_scale,
-    "fleet": _bench_fleet,
-    "tenant": _bench_tenant,
-    "shard_scaling": _bench_shard_scaling,
-    "collectives": _bench_collectives,
-}
-
-
 def run_bench(name: str, *, engine: Union[None, str, Engine] = None,
-              **opts):
-    """Run a registered benchmark/harness under one roof.
+              **opts) -> dict:
+    """Run a registered benchmark suite and return its BENCH document.
 
-    ``name`` is one of :data:`BENCHES` (``perf``, ``calib``, ``scale``,
-    ``fleet``, ``tenant``, ``shard_scaling``); ``engine`` is any
-    :func:`resolve_engine` spec.  Keyword options pass straight through
-    to the underlying suite (each of which documents its own knobs).
+    ``name`` is any suite of :func:`repro.bench.harness.suites` (``perf``,
+    ``shard_scaling``, ``collectives``, ``chaos``, ``calib``, ``scale``,
+    ``fleet``, ``tenant``); ``engine`` is any :func:`resolve_engine`
+    spec.  ``smoke=True`` selects the reduced matrix with every cell run
+    twice; every other keyword is a suite parameter.
     """
-    fn = BENCHES.get(name)
-    if fn is None:
+    from ..bench import harness
+
+    if name not in harness.suites():
         raise AmError(
-            f"unknown bench {name!r}; registered: {sorted(BENCHES)}")
+            f"unknown bench {name!r}; registered: {sorted(harness.suites())}")
     eng = None if engine is None else resolve_engine(engine)
-    return fn(eng, **opts)
+    return harness.run(name, engine=eng, **opts)
 
 
 def describe() -> dict:
     """One queryable map of the public surface: engines, benches, and
     endpoint-frame replacement policies."""
+    from ..bench.harness import suites
+
     return {
         "engines": list(ENGINE_NAMES),
-        "benches": sorted(BENCHES),
+        "benches": sorted(suites()),
         "replacement_policies": sorted(REPLACEMENT_POLICIES),
     }
-
-
-# --------------------------------------------------------------------------
-# deprecated pre-engine entrypoints (PR 3 shim pattern)
-# --------------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated; use {new}",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_calibration(smoke: bool = False, **kwargs):
-    """Deprecated: use ``run_bench('calib', smoke=...)``."""
-    _deprecated("run_calibration(...)", "repro.api.run_bench('calib', ...)")
-    return run_bench("calib", smoke=smoke, **kwargs)
-
-
-def run_interference_bench(**kwargs):
-    """Deprecated: use ``run_bench('tenant', ...)``."""
-    _deprecated("run_interference_bench(...)",
-                "repro.api.run_bench('tenant', ...)")
-    return run_bench("tenant", **kwargs)
-
-
-def replacement_policies() -> list[str]:
-    """Deprecated: use ``describe()['replacement_policies']``."""
-    _deprecated("replacement_policies()",
-                "repro.api.describe()['replacement_policies']")
-    return sorted(REPLACEMENT_POLICIES)
 
 
 class Cluster(_BuilderCluster):

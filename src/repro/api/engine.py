@@ -1,8 +1,8 @@
 """Engine abstraction: callers never construct kernels by hand.
 
 Every harness in the tree (Session/Cluster, chaos, scale, calib,
-tenant, the perf suite) used to take a raw ``sim_factory=`` callable;
-this module replaces that with a single resolvable notion of *engine*:
+tenant, the perf suite) picks its kernel through one resolvable notion
+of *engine*:
 
 ``"sequential"``
     the optimized pooled-entry kernel (:class:`repro.sim.core.Simulator`)
@@ -16,12 +16,10 @@ this module replaces that with a single resolvable notion of *engine*:
     degrades to the sequential kernel so any harness can be pointed at
     it without code changes.
 
-Resolution accepts a name, an :class:`Engine` instance, a raw kernel
-callable (legacy ``sim_factory``), or ``None`` (fall back to
-``cfg.engine``).  Harnesses call :func:`resolve_kernel` to turn
-whatever they were given into the kernel-factory callable they always
-wanted; anything needing the full sharded runner goes through
-:meth:`ShardedEngine.simulator`.
+Resolution accepts a name, an :class:`Engine` instance, or ``None``
+(fall back to ``cfg.engine``).  Harnesses call :func:`resolve_kernel` to
+turn that into a kernel-factory callable; anything needing the full
+sharded runner goes through :meth:`ShardedEngine.simulator`.
 """
 
 from __future__ import annotations
@@ -91,22 +89,21 @@ class ShardedEngine(Engine):
 
     name = "sharded"
 
-    def __init__(self, num_shards: int = 1, workers: str = "inprocess",
-                 lookahead_us: float = 0.0, trunk_latency_us: float = 25.0):
+    def __init__(self, num_shards: int = 1, lookahead_us: float = 0.0,
+                 trunk_latency_us: float = 25.0):
         self.num_shards = num_shards
-        self.workers = workers
         self.lookahead_us = lookahead_us
         self.trunk_latency_us = trunk_latency_us
 
     @classmethod
     def from_config(cls, cfg) -> "ShardedEngine":
-        return cls(num_shards=cfg.num_shards, workers=cfg.shard_workers,
+        return cls(num_shards=cfg.num_shards,
                    lookahead_us=cfg.shard_lookahead_us,
                    trunk_latency_us=cfg.shard_trunk_latency_us)
 
     def describe(self) -> str:
-        return (f"sharded x{self.num_shards} ({self.workers}, "
-                f"trunk {self.trunk_latency_us}us)")
+        return (f"sharded x{self.num_shards} "
+                f"(trunk {self.trunk_latency_us}us)")
 
     def kernel_factory(self) -> Callable:
         if self.num_shards == 1:
@@ -126,7 +123,6 @@ class ShardedEngine(Engine):
         from ..sim.sharded import ShardedSimulator
 
         cfg = cfg.with_(engine="sharded", num_shards=self.num_shards,
-                        shard_workers=self.workers,
                         shard_lookahead_us=self.lookahead_us,
                         shard_trunk_latency_us=self.trunk_latency_us)
         return ShardedSimulator(cfg, scenario=scenario, params=params)
@@ -161,11 +157,6 @@ def resolve_engine(spec: Union[None, str, Engine], cfg=None) -> Engine:
     return cls()
 
 
-def resolve_kernel(engine: Union[None, str, Engine], cfg=None,
-                   sim_factory: Optional[Callable] = None) -> Callable:
-    """The harness-side shim: honor an explicit legacy ``sim_factory``
-    when no engine was named, otherwise resolve the engine and hand
-    back its kernel factory."""
-    if engine is None and sim_factory is not None:
-        return sim_factory
+def resolve_kernel(engine: Union[None, str, Engine], cfg=None) -> Callable:
+    """Resolve ``engine`` and hand back its kernel factory."""
     return resolve_engine(engine, cfg).kernel_factory()

@@ -86,19 +86,17 @@ class ContentionResult:
         return max(self.per_client_msgs_s) if self.per_client_msgs_s else 0.0
 
 
-def run_contention(ccfg: ContentionConfig, *, engine=None,
-                   sim_factory=None) -> ContentionResult:
+def run_contention(ccfg: ContentionConfig, *,
+                   engine=None) -> ContentionResult:
     """Run one configuration and return throughput/robustness metrics.
 
-    ``engine`` selects the event kernel by name/instance;
-    ``sim_factory`` swaps in a raw kernel class (see :mod:`repro.bench.perf`,
-    which replays the same configuration on the optimized and reference
-    kernels and requires identical results).
+    ``engine`` selects the event kernel by name/instance (see
+    :mod:`repro.bench.perf`, which replays the same configuration on the
+    optimized and reference kernels and requires identical results).
     """
     if ccfg.mode not in CONFIG_NAMES:
         raise ValueError(f"unknown mode {ccfg.mode!r}")
-    cluster = Cluster(ccfg.cluster_config(), sim_factory=sim_factory,
-                      engine=engine)
+    cluster = Cluster(ccfg.cluster_config(), engine=engine)
     sim = cluster.sim
     server_node = cluster.node(0)
     client_nodes = list(range(1, ccfg.nclients + 1))

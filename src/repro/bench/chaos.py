@@ -1,4 +1,4 @@
-"""Chaos matrix runner + availability benchmark.
+"""Chaos matrix + availability benchmark.
 
 Executes a seed × scenario × workload matrix of deterministic chaos runs
 (:func:`repro.chaos.run_chaos`), audits every run against the delivery
@@ -6,14 +6,14 @@ contract, and reports the availability picture the paper's robustness
 story implies (Section 3.2 / 5.1): how much goodput survives *during* a
 crash outage, and how quickly traffic involving a rebooted node resumes.
 
-Run as a module::
+Run through the harness::
 
-    PYTHONPATH=src python -m repro.bench.chaos --smoke
-    PYTHONPATH=src python -m repro.bench.chaos --seeds 1 2 3 4 5 \\
-        --profile brutal --trace-dir /tmp/chaos-traces
+    PYTHONPATH=src python -m repro bench chaos --smoke
+    PYTHONPATH=src python -c "from repro.api import run_bench; \\
+        run_bench('chaos', seeds=(1, 2, 3), profile='brutal')"
 
-Exit status is non-zero if any run violated an invariant; with
-``--trace-dir`` each failing run's full timeline is exported there as
+Any run that violates an invariant fails the suite, and its full
+timeline is exported under ``trace_dir`` (default ``chaos-traces/``) as
 Chrome ``trace_event`` JSON (load in ``chrome://tracing`` or Perfetto)
 so the failure can be inspected event by event — and, runs being
 bit-deterministic, replayed exactly.
@@ -21,133 +21,64 @@ bit-deterministic, replayed exactly.
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 from typing import Optional, Sequence
 
-from ..chaos import SCENARIO_FAMILIES, ChaosReport, ScheduleGenerator, run_chaos
-from .reporting import print_table
+from ..chaos import SCENARIO_FAMILIES, ScheduleGenerator, run_chaos
+from .harness import Suite, register
 
-__all__ = ["run_matrix", "main"]
+__all__ = ["CHAOS"]
 
-#: (workload, kwargs) pairs exercised by the full matrix
 _WORKLOADS = ("pairwise", "bulk", "client_server", "collective")
 
 
-def run_matrix(
-    seeds: Sequence[int],
-    scenarios: Sequence[str] = SCENARIO_FAMILIES,
-    workloads: Sequence[str] = _WORKLOADS,
-    profile: str = "rough",
-    num_hosts: int = 8,
-    duration_ns: int = 20_000_000,
-    trace_dir: Optional[str] = None,
-) -> list[ChaosReport]:
-    """Run the full matrix; returns one report per (seed, scenario, workload)."""
-    reports: list[ChaosReport] = []
+def _run(scenario, workload: str, num_hosts: int, engine,
+         trace_dir: Optional[str]) -> dict:
+    trace_path = trace_dir and os.path.join(
+        trace_dir, f"chaos-{scenario.name}-{workload}-s{scenario.seed}-"
+        f"{scenario.profile}.json")
+    r = run_chaos(scenario, workload, num_hosts=num_hosts, engine=engine,
+                  trace_path=trace_path)
+    return {"observables": {
+        "digest": r.digest, "sim_ns": r.sim_ns, "events": r.events,
+        "accepted": r.accepted, "delivered": r.delivered,
+        "returned": r.returned, "duplicates": r.duplicates,
+        "faults_injected": r.faults_injected,
+        "goodput_clear_msg_s": r.goodput_clear_msg_s,
+        "goodput_outage_msg_s": r.goodput_outage_msg_s,
+        "recovery_ns": r.recovery_ns,
+        "violations": [str(v) for v in r.violations],
+    }}
+
+
+def _cells(engine=None, seeds: Sequence[int] = (1, 2, 3, 4, 5),
+           scenarios: Sequence[str] = SCENARIO_FAMILIES,
+           workloads: Sequence[str] = _WORKLOADS, profile: str = "rough",
+           num_hosts: int = 8, duration_ns: int = 20_000_000,
+           trace_dir: Optional[str] = "chaos-traces"):
+    cells = []
     for seed in seeds:
-        gen = ScheduleGenerator(
-            seed,
-            num_hosts=num_hosts,
-            num_spines=max(1, num_hosts // 4),
-            num_procs=4,
-            num_eps=4,
-            duration_ns=duration_ns,
-            profile=profile,
-        )
+        gen = ScheduleGenerator(seed, num_hosts=num_hosts,
+                                num_spines=max(1, num_hosts // 4),
+                                num_procs=4, num_eps=4,
+                                duration_ns=duration_ns, profile=profile)
         for name in scenarios:
             scenario = gen.generate(name)
             for wl in workloads:
-                trace_path = None
-                if trace_dir:
-                    os.makedirs(trace_dir, exist_ok=True)
-                    trace_path = os.path.join(
-                        trace_dir, f"chaos-{name}-{wl}-s{seed}-{profile}.json")
-                reports.append(run_chaos(scenario, wl, num_hosts=num_hosts,
-                                         trace_path=trace_path))
-    return reports
+                cells.append((f"{name}/{wl}/s{seed}",
+                              lambda s=scenario, wl=wl: _run(
+                                  s, wl, num_hosts, engine, trace_dir)))
+    return cells
 
 
-def _report_rows(reports: list[ChaosReport]) -> list[list]:
-    rows = []
-    for r in reports:
-        rows.append([
-            r.scenario, r.workload, r.seed,
-            r.accepted, r.delivered, r.returned, r.faults_injected,
-            f"{r.goodput_clear_msg_s / 1e3:.1f}",
-            (f"{r.goodput_outage_msg_s / 1e3:.1f}"
-             if r.goodput_outage_msg_s is not None else "-"),
-            (f"{r.recovery_ns / 1e6:.2f}" if r.recovery_ns is not None else "-"),
-            "ok" if r.ok else f"{len(r.violations)} VIOL",
-        ])
-    return rows
+def _delivery_contract(cells: dict) -> list[str]:
+    return [f"{key}: {v}" for key, c in cells.items()
+            for v in c["observables"]["violations"][:8]]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5],
-                    help="schedule-generator seeds (one matrix slice per seed)")
-    ap.add_argument("--profile", choices=("mild", "rough", "brutal"),
-                    default="rough", help="fault intensity profile")
-    ap.add_argument("--scenarios", nargs="+", default=list(SCENARIO_FAMILIES),
-                    choices=SCENARIO_FAMILIES, metavar="SCENARIO",
-                    help="scenario families to run")
-    ap.add_argument("--workloads", nargs="+", default=list(_WORKLOADS),
-                    choices=_WORKLOADS, metavar="WORKLOAD")
-    ap.add_argument("--hosts", type=int, default=8)
-    ap.add_argument("--duration-ms", type=float, default=20.0,
-                    help="scenario length in simulated milliseconds")
-    ap.add_argument("--trace-dir", default=None,
-                    help="export Chrome trace JSON here for each failing run")
-    ap.add_argument("--smoke", action="store_true",
-                    help="small fixed matrix for CI: 2 seeds x 4 scenarios")
-    args = ap.parse_args(argv)
-
-    if args.smoke:
-        args.seeds = [1, 2]
-        args.scenarios = ["loss_ramp", "crash_storm", "kill_storm", "mixed",
-                          "collective_storm"]
-
-    reports = run_matrix(
-        args.seeds,
-        scenarios=args.scenarios,
-        workloads=args.workloads,
-        profile=args.profile,
-        num_hosts=args.hosts,
-        duration_ns=round(args.duration_ms * 1e6),
-        trace_dir=args.trace_dir,
-    )
-
-    print_table(
-        ["scenario", "workload", "seed", "accept", "deliver", "return",
-         "faults", "clear K/s", "outage K/s", "recov ms", "status"],
-        _report_rows(reports),
-        title=f"chaos matrix: profile={args.profile}, "
-              f"{len(reports)} runs, all invariants audited",
-    )
-
-    bad = [r for r in reports if not r.ok]
-    if bad:
-        print(f"{len(bad)} run(s) violated the delivery contract:", file=sys.stderr)
-        for r in bad:
-            print(f"  {r.summary()}", file=sys.stderr)
-            for v in r.violations[:8]:
-                print(f"    {v}", file=sys.stderr)
-        if args.trace_dir:
-            print(f"  Chrome traces exported under {args.trace_dir}", file=sys.stderr)
-        return 1
-    outages = [r for r in reports if r.goodput_outage_msg_s is not None]
-    if outages:
-        avg_out = sum(r.goodput_outage_msg_s for r in outages) / len(outages)
-        avg_clear = sum(r.goodput_clear_msg_s for r in outages) / len(outages)
-        recs = [r.recovery_ns for r in outages if r.recovery_ns is not None]
-        rec = f", worst recovery {max(recs) / 1e6:.2f} ms" if recs else ""
-        print(f"availability: goodput during outage {avg_out / 1e3:.1f} K msg/s "
-              f"vs {avg_clear / 1e3:.1f} K msg/s clear{rec}")
-    print(f"all {len(reports)} runs satisfied the delivery contract")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+CHAOS = register(Suite(
+    "chaos", _cells,
+    smoke={"seeds": (1, 2),
+           "scenarios": ("loss_ramp", "crash_storm", "kill_storm", "mixed",
+                         "collective_storm")},
+    gates=(_delivery_contract,)))

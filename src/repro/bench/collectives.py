@@ -14,30 +14,23 @@ the strategy comparison is gateable in CI:
   multicast over the precomputed spanning tree.
 
 The committed gate: at 128 nodes the express tree must beat the host
-tree by ``EXPRESS_GATE``x on every operation.  Results merge into
-``BENCH_PERF.json`` under the ``collectives`` key (``--out`` elsewhere
-for CI artifacts); ``--smoke`` shrinks the sizes and runs the whole
-suite twice, asserting bit-identical digests.
-
-Run as a module::
+tree by ``EXPRESS_GATE``x on every operation.  Results land in
+``BENCH_COLLECTIVES.json``::
 
     PYTHONPATH=src python -m repro bench collectives --smoke
-    PYTHONPATH=src python -m repro.bench.collectives --sizes 32 128 512
+    PYTHONPATH=src python -c "from repro.api import run_bench; \
+        run_bench('collectives', sizes=(32, 128))"
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import time
 from typing import Optional, Sequence
 
 from ..cluster.config import ClusterConfig
-from ..sim.core import SimError
-from .reporting import print_table
+from .harness import Suite, digest, register
 
-__all__ = ["EXPRESS_GATE", "STRATEGIES", "run_cell", "run_collectives", "main"]
+__all__ = ["EXPRESS_GATE", "STRATEGIES", "run_cell"]
 
 STRATEGIES = ("host", "firmware", "express")
 OPS = ("barrier", "bcast", "reduce")
@@ -51,7 +44,8 @@ BCAST_BYTES = 1024
 
 def run_cell(size: int, strategy: str, engine=None,
              cfg: Optional[ClusterConfig] = None) -> dict:
-    """One (size, strategy) cell; returns op makespans + digest."""
+    """One (size, strategy) cell: op makespans, semantics and a digest
+    over every rank's (op, start, end, result) record."""
     from ..api import Cluster
     from ..lib.mpi import build_world
 
@@ -98,119 +92,56 @@ def run_cell(size: int, strategy: str, engine=None,
     ok = ok and spans[0][2][3] == total
     ok = ok and all(spans[r][2][3] is None for r in range(1, size))
 
-    h = hashlib.sha256()
-    for r in range(size):
-        h.update(repr((r, spans[r])).encode())
     return {
-        "size": size,
-        "strategy": strategy,
-        "latency_ns": latency,
-        "semantics_ok": ok,
-        "events": events,
-        "sim_ns": sim_ns,
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
-        "digest": h.hexdigest(),
+        "observables": {
+            "latency_ns": latency,
+            "semantics_ok": ok,
+            "events": events,
+            "sim_ns": sim_ns,
+            "digest": digest(*((r, spans[r]) for r in range(size))),
+        },
+        "measured": {
+            "wall_s": round(wall, 4),
+            "events_per_sec": round(events / wall) if wall > 0 else 0,
+        },
     }
 
 
-def run_collectives(sizes: Sequence[int] = SIZES,
-                    strategies: Sequence[str] = STRATEGIES,
-                    engine=None) -> dict:
-    """The full size x strategy matrix plus the express-vs-host gate."""
-    cells = {}
-    for size in sizes:
-        for strategy in strategies:
-            cells[f"{strategy}@{size}"] = run_cell(size, strategy, engine)
-    out: dict = {"sizes": list(sizes), "strategies": list(strategies),
-                 "cells": cells}
+def _cells(engine=None, sizes: Sequence[int] = SIZES,
+           strategies: Sequence[str] = STRATEGIES):
+    return [(f"{strategy}@{size}",
+             lambda size=size, strategy=strategy: run_cell(size, strategy,
+                                                           engine))
+            for size in sizes for strategy in strategies]
+
+
+def _semantics(cells: dict) -> list[str]:
+    return [f"{key}: a collective returned wrong results"
+            for key, c in cells.items()
+            if not c["observables"]["semantics_ok"]]
+
+
+def _express_vs_host(cells: dict) -> list[str]:
+    """Express must beat host by EXPRESS_GATE on every op at the gate
+    size (the largest size run when 128 is not in the matrix)."""
+    sizes = {int(k.split("@")[1]) for k in cells}
+    if not sizes:
+        return []
     gate = GATE_SIZE if GATE_SIZE in sizes else max(sizes)
     host = cells.get(f"host@{gate}")
     express = cells.get(f"express@{gate}")
-    if host is not None and express is not None:
-        ratios = {op: round(host["latency_ns"][op] / express["latency_ns"][op], 2)
-                  for op in OPS}
-        out["gate"] = {
-            "size": gate,
-            "required_speedup": EXPRESS_GATE,
-            "express_vs_host": ratios,
-            "ok": min(ratios.values()) >= EXPRESS_GATE,
-        }
-    out["semantics_ok"] = all(c["semantics_ok"] for c in cells.values())
-    h = hashlib.sha256()
-    for key in sorted(cells):
-        h.update(cells[key]["digest"].encode())
-    out["digest"] = h.hexdigest()
-    return out
+    if host is None or express is None:
+        return []
+    failures = []
+    for op in OPS:
+        ratio = (host["observables"]["latency_ns"][op]
+                 / express["observables"]["latency_ns"][op])
+        if ratio < EXPRESS_GATE:
+            failures.append(f"express@{gate} {op}: {ratio:.2f}x host, "
+                            f"need >= {EXPRESS_GATE}x")
+    return failures
 
 
-def _print(result: dict) -> None:
-    rows = []
-    for key in sorted(result["cells"], key=lambda k: (int(k.split("@")[1]), k)):
-        c = result["cells"][key]
-        rows.append([
-            c["size"], c["strategy"],
-            *(f"{c['latency_ns'][op] / 1000:.1f}" for op in OPS),
-            "ok" if c["semantics_ok"] else "FAIL",
-            f"{c['events_per_sec']:,}/s",
-        ])
-    print_table(["nodes", "strategy", "barrier us", "bcast us", "reduce us",
-                 "semantics", "throughput"], rows,
-                title="collective strategies (simulated makespan)")
-    gate = result.get("gate")
-    if gate:
-        status = "PASS" if gate["ok"] else "FAIL"
-        print(f"express-vs-host gate at {gate['size']} nodes "
-              f"(need >= {gate['required_speedup']}x): "
-              f"{gate['express_vs_host']} -> {status}")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    ap.add_argument("--strategies", nargs="+", default=list(STRATEGIES),
-                    choices=STRATEGIES, metavar="STRATEGY")
-    ap.add_argument("--engine", default=None,
-                    choices=("sequential", "reference", "sharded"))
-    ap.add_argument("--smoke", action="store_true",
-                    help="CI sizes plus a second full pass asserting "
-                         "bit-identical digests (determinism gate)")
-    ap.add_argument("--out", default="BENCH_PERF.json",
-                    help="JSON to merge the 'collectives' section into "
-                         "(created if missing; other keys preserved)")
-    args = ap.parse_args(argv)
-
-    sizes = list(SMOKE_SIZES) if args.smoke else args.sizes
-    result = run_collectives(sizes, args.strategies, engine=args.engine)
-    _print(result)
-    if args.smoke:
-        again = run_collectives(sizes, args.strategies, engine=args.engine)
-        if again["digest"] != result["digest"]:
-            raise SimError(
-                f"collectives smoke is nondeterministic: "
-                f"{result['digest'][:12]} != {again['digest'][:12]}")
-        print(f"double-run digest match: {result['digest'][:16]}")
-
-    try:
-        with open(args.out) as f:
-            doc = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError):
-        doc = {"schema": 1}
-    doc["collectives"] = result
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {args.out}")
-
-    if not result["semantics_ok"]:
-        print("SEMANTIC FAILURE: a collective returned wrong results")
-        return 1
-    gate = result.get("gate")
-    if gate is not None and not gate["ok"]:
-        print(f"GATE FAILURE: express tree under {EXPRESS_GATE}x vs host")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+COLLECTIVES = register(Suite(
+    "collectives", _cells, smoke={"sizes": SMOKE_SIZES},
+    gates=(_semantics, _express_vs_host)))

@@ -13,8 +13,8 @@ CI-gated correctness property.
 
 Quickstart::
 
-    PYTHONPATH=src python -m repro.calib --smoke    # CI gate
-    PYTHONPATH=src python -m repro.calib            # full sweep
+    PYTHONPATH=src python -m repro bench calib --smoke   # CI gate
+    PYTHONPATH=src python -m repro bench calib           # full sweep
 
 Alongside the sweep, :mod:`repro.calib.workloads` adds the datacenter
 traffic shapes the chaos suite lacked — incast (N→1 synchronized
@@ -25,7 +25,7 @@ with the express path on or off (bit-identical observables either way).
 
 from .fitter import LogPFit, Observation, fit_constants
 from .model import ConfiguredLogP, configured_model
-from .sweep import CalibCell, CalibReport, run_calibration, run_cell
+from .sweep import CalibCell, fit_cells, run_cell
 
 __all__ = [
     "Observation",
@@ -34,7 +34,6 @@ __all__ = [
     "ConfiguredLogP",
     "configured_model",
     "CalibCell",
-    "CalibReport",
+    "fit_cells",
     "run_cell",
-    "run_calibration",
 ]

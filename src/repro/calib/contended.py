@@ -25,10 +25,12 @@ rewound per cell, digest over the probe's raw span timestamps.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 from ..am.vnet import parallel_vnet
+from ..bench.harness import digest
 from ..chaos.runner import reset_global_ids
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
@@ -36,8 +38,7 @@ from ..obs import message_spans
 from ..sim.core import ms
 from ..tenant.core import TenantRegistry
 
-__all__ = ["ContendedCellResult", "CONTENDED_VARIANTS", "run_contended_cell",
-           "run_contended_cells"]
+__all__ = ["ContendedCellResult", "CONTENDED_VARIANTS", "run_contended_cell"]
 
 #: background-tenant variants: label -> rate cap (msgs/s; None = unlimited)
 CONTENDED_VARIANTS: dict[str, Optional[float]] = {
@@ -94,9 +95,6 @@ def run_contended_cell(pattern: str, *, variant: str = "unlimited",
     sources on nodes 2 and 3 stream bulk requests into a sink endpoint
     on node 1 for the whole measurement window.
     """
-    import hashlib
-    import time
-
     rate = CONTENDED_VARIANTS[variant]
     reset_global_ids()
     cfg = ClusterConfig(num_hosts=4, seed=seed)
@@ -213,24 +211,6 @@ def run_contended_cell(pattern: str, *, variant: str = "unlimited",
         res.headline_ns = (delivers[hi] - delivers[lo]) / (hi - lo)
         material = (res.label, delivers)
 
-    h = hashlib.sha256()
-    h.update(repr((material, res.sim_ns, res.events,
-                   res.bulk_serviced, res.bulk_throttled)).encode())
-    res.digest = h.hexdigest()
+    res.digest = digest((material, res.sim_ns, res.events,
+                         res.bulk_serviced, res.bulk_throttled))
     return res
-
-
-def run_contended_cells(*, smoke: bool = False,
-                        seed: int = 1999) -> list[ContendedCellResult]:
-    """The contended matrix: (pingpong, flood) x background variants."""
-    results = []
-    pp_rounds = 12 if smoke else 24
-    flood_rounds = 120 if smoke else 240
-    for variant in CONTENDED_VARIANTS:
-        results.append(run_contended_cell(
-            "pingpong", variant=variant, nbytes=16, rounds=pp_rounds,
-            seed=seed))
-        results.append(run_contended_cell(
-            "flood", variant=variant, nbytes=16, rounds=flood_rounds,
-            seed=seed))
-    return results

@@ -20,41 +20,36 @@ length diversity across topologies is what makes the per-link latency
 term identifiable), and :func:`~repro.calib.model.round_trip` compares
 the fit against the closed-form configured model — on every canonical
 cell for L, and globally for the scalar constants.  Divergence beyond
-tolerance is a hard failure (exit 1 from the CLI).
+tolerance fails the suite.
 
 Determinism: each cell rewinds the global id counters, uses a fixed
 seed, and digests only integer observables, so the ``--smoke`` double
-run must be bit-identical (the repro.scale digest-gate pattern).
+run must be bit-identical.
 
-Run as a module::
+Run through the harness::
 
-    PYTHONPATH=src python -m repro.calib --smoke     # CI gate
-    PYTHONPATH=src python -m repro.calib             # full sweep
+    PYTHONPATH=src python -m repro bench calib --smoke   # CI gate
+    PYTHONPATH=src python -m repro bench calib           # -> BENCH_CALIB.json
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from ..am.vnet import parallel_vnet
-from ..bench.reporting import print_table
+from ..bench.harness import Suite, digest, register
 from ..chaos.runner import reset_global_ids
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
 from ..obs import message_spans
-from ..sim.core import Simulator, ms
-from .fitter import LogPFit, Observation, fit_constants
-from .model import ConfiguredLogP, configured_model, round_trip
+from ..sim.core import ms
+from .fitter import Observation, fit_constants
+from .model import configured_model, round_trip
 
-__all__ = ["TOPOLOGIES", "CalibCell", "CalibCellResult", "CalibReport",
-           "route_links", "default_cells", "run_cell", "run_calibration",
-           "main"]
+__all__ = ["TOPOLOGIES", "CalibCell", "CalibCellResult", "route_links",
+           "default_cells", "run_cell", "fit_cells"]
 
 #: canonical topologies: name -> hosts (switch_radix 8 => 4 hosts/leaf;
 #: leaf4 is a single leaf, the larger ones are two-level Clos fabrics)
@@ -120,12 +115,6 @@ class CalibCellResult:
         }
 
 
-def _digest(parts) -> str:
-    h = hashlib.sha256()
-    h.update(repr(parts).encode())
-    return h.hexdigest()
-
-
 def default_cells(smoke: bool) -> list[CalibCell]:
     """The canonical cell matrix (reduced under ``--smoke``)."""
     cells: list[CalibCell] = []
@@ -156,16 +145,12 @@ def default_cells(smoke: bool) -> list[CalibCell]:
     return cells
 
 
-def run_cell(cell: CalibCell, *, seed: int = 1999, engine=None,
-             sim_factory: Callable = Simulator) -> CalibCellResult:
+def run_cell(cell: CalibCell, *, seed: int = 1999,
+             engine=None) -> CalibCellResult:
     """Execute one cell deterministically and reduce it to observations."""
-    if engine is not None:
-        from ..api.engine import resolve_kernel
-
-        sim_factory = resolve_kernel(engine)
     reset_global_ids()
     cfg = ClusterConfig(num_hosts=TOPOLOGIES[cell.topology], seed=seed)
-    cluster = Cluster(cfg, sim_factory=sim_factory)
+    cluster = Cluster(cfg, engine=engine)
     sim = cluster.sim
     a, b = cell.pair
     res = CalibCellResult(cell=cell, links=route_links(cfg, a, b))
@@ -275,272 +260,96 @@ def run_cell(cell: CalibCell, *, seed: int = 1999, engine=None,
         res.observations.append(Observation(kind, spacing, nbytes=cell.nbytes))
         res.headline_ns = spacing
         material = (cell.label, delivers)
-    res.digest = _digest((material, res.sim_ns, res.events))
+    res.digest = digest((material, res.sim_ns, res.events))
     return res
 
 
-@dataclass
-class CalibReport:
-    """One calibration run: cells, fit, round trip, workload bench."""
-
-    seed: int
-    smoke: bool
-    tolerance: float
-    cells: list[CalibCellResult] = field(default_factory=list)
-    fit: Optional[LogPFit] = None
-    configured: Optional[ConfiguredLogP] = None
-    comparisons: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-    nondeterministic: list[str] = field(default_factory=list)
-    workloads: list = field(default_factory=list)  # WorkloadBenchResult
-    contended: list = field(default_factory=list)  # ContendedCellResult
-
-    @property
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for c in self.cells:
-            h.update(c.digest.encode())
-        for w in self.workloads:
-            h.update(w.digest.encode())
-        for c in self.contended:
-            h.update(c.digest.encode())
-        return h.hexdigest()
-
-    def _idle_headline(self, pattern: str, nbytes: int) -> Optional[float]:
-        """The matching idle leaf4/(0,1) cell's headline, if it ran."""
-        for c in self.cells:
-            if (c.cell.topology == "leaf4" and c.cell.pair == (0, 1)
-                    and c.cell.pattern == pattern
-                    and c.cell.nbytes == nbytes):
-                return c.headline_ns
-        return None
-
-    def contended_rows(self) -> list[dict]:
-        """Contended L/g next to the idle baseline, with inflation."""
-        rows = []
-        for c in self.contended:
-            idle = self._idle_headline(c.pattern, c.nbytes)
-            row = c.to_dict()
-            row["idle_ns"] = round(idle, 3) if idle is not None else None
-            row["inflation"] = (round(c.headline_ns / idle, 3)
-                                if idle else None)
-            rows.append(row)
-        return rows
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and not self.nondeterministic
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "seed": self.seed,
-            "smoke": self.smoke,
-            "tolerance": self.tolerance,
-            "digest": self.digest,
-            "fitted": self.fit.to_json() if self.fit else None,
-            "configured": self.configured.to_json() if self.configured else None,
-            "comparisons": self.comparisons,
-            "failures": self.failures,
-            "nondeterministic": self.nondeterministic,
-            "cells": [c.to_dict() for c in self.cells],
-            "workloads": [w.to_dict() for w in self.workloads],
-            "contended": self.contended_rows(),
-        }
-
-
-def run_calibration(smoke: bool = False, *, seed: int = 1999,
-                    tolerance: float = 0.10,
-                    cells: Optional[Sequence[CalibCell]] = None,
-                    verify_determinism: bool = False,
-                    include_workloads: bool = True,
-                    include_contended: bool = True,
-                    engine=None,
-                    sim_factory: Callable = Simulator,
-                    progress=None) -> CalibReport:
-    """Run the sweep, fit, round-trip, and (optionally) the bench table.
-
-    ``verify_determinism`` runs every cell — and every workload bench
-    shape, express on and off — twice and records digest mismatches
-    (the ``--smoke`` gate).  Round-trip failures land in
-    ``report.failures``.
-    """
-    if engine is not None:
-        from ..api.engine import resolve_kernel
-
-        sim_factory = resolve_kernel(engine)
-    report = CalibReport(seed=seed, smoke=smoke, tolerance=tolerance)
-    for cell in (list(cells) if cells is not None else default_cells(smoke)):
-        res = run_cell(cell, seed=seed, sim_factory=sim_factory)
-        if verify_determinism:
-            res2 = run_cell(cell, seed=seed, sim_factory=sim_factory)
-            if res2.digest != res.digest:
-                report.nondeterministic.append(
-                    f"{cell.label}: digests differ: "
-                    f"{res.digest[:12]} vs {res2.digest[:12]}")
-        report.cells.append(res)
-        if progress is not None:
-            progress(f"  {cell.label:>30}  {res.headline_ns / 1e3:8.2f} us  "
-                     f"({res.samples} samples, {res.wall_s:.2f}s wall)")
-
-    observations = [ob for c in report.cells for ob in c.observations]
-    report.fit = fit_constants(observations)
-    report.configured = configured_model(
+def fit_cells(results: Sequence[CalibCellResult], *, seed: int = 1999,
+              tolerance: float = 0.10):
+    """One global least-squares fit over every cell's observations,
+    round-tripped against the configured model.  Returns ``(fit,
+    configured, comparisons, failures)``."""
+    fit = fit_constants([ob for r in results for ob in r.observations])
+    configured = configured_model(
         ClusterConfig(num_hosts=TOPOLOGIES["clos16"], seed=seed))
-    geometry = [(c.cell.label, c.links, c.cell.nbytes)
-                for c in report.cells if c.cell.pattern == "pingpong"]
-    report.comparisons, report.failures = round_trip(
-        report.fit, report.configured, geometry, tolerance=tolerance)
+    geometry = [(r.cell.label, r.links, r.cell.nbytes)
+                for r in results if r.cell.pattern == "pingpong"]
+    comparisons, failures = round_trip(fit, configured, geometry,
+                                       tolerance=tolerance)
+    return fit, configured, comparisons, failures
 
+
+# ------------------------------------------------------------------ suite
+def _cells(engine=None, small: bool = False, seed: int = 1999,
+           tolerance: float = 0.10, include_workloads: bool = True,
+           include_contended: bool = True):
+    """Sweep cells, then the fit over all of them, then the workload
+    bench (express on and off) and the contended cells, which report
+    their inflation over the matching idle sweep cell."""
+    from .contended import CONTENDED_VARIANTS, run_contended_cell
+    from .workloads import WORKLOAD_BENCH, run_workload_bench
+
+    runs: dict[str, CalibCellResult] = {}
+
+    def sweep(cell):
+        runs[cell.label] = res = run_cell(cell, seed=seed, engine=engine)
+        return {"observables": res.to_dict(),
+                "measured": {"wall_s": round(res.wall_s, 4)}}
+
+    def fit():
+        fitted, configured, comparisons, failures = fit_cells(
+            list(runs.values()), seed=seed, tolerance=tolerance)
+        return {"observables": {"fitted": fitted.to_json(),
+                                "configured": configured.to_json(),
+                                "comparisons": comparisons,
+                                "failures": failures}}
+
+    def workload(name, express):
+        obs = run_workload_bench(name, express=express, seed=seed % 1009,
+                                 engine=engine).to_dict()
+        return {"observables": obs,
+                "measured": {"wall_s": obs.pop("wall_s")}}
+
+    def contended(pattern, variant, rounds):
+        c = run_contended_cell(pattern, variant=variant, nbytes=16,
+                               rounds=rounds, seed=seed)
+        idle = runs.get(f"leaf4/0-1/{pattern}/16B")
+        idle_ns = idle.headline_ns if idle else None
+        obs = c.to_dict()
+        obs["idle_ns"] = round(idle_ns, 3) if idle_ns is not None else None
+        obs["inflation"] = round(c.headline_ns / idle_ns, 3) if idle_ns else None
+        return {"observables": obs,
+                "measured": {"wall_s": round(c.wall_s, 4)}}
+
+    cells = [(c.label, lambda c=c: sweep(c)) for c in default_cells(small)]
+    cells.append(("fit", fit))
     if include_workloads:
-        from .workloads import WORKLOAD_BENCH, run_workload_bench
-
-        for name in WORKLOAD_BENCH:
-            on = run_workload_bench(name, express=True, seed=seed % 1009,
-                                    sim_factory=sim_factory)
-            off = run_workload_bench(name, express=False, seed=seed % 1009,
-                                     sim_factory=sim_factory)
-            if on.digest != off.digest:
-                report.failures.append(
-                    f"workload {name}: express on/off observables diverged "
-                    f"({on.digest[:12]} vs {off.digest[:12]})")
-            if verify_determinism:
-                again = run_workload_bench(name, express=True,
-                                           seed=seed % 1009,
-                                           sim_factory=sim_factory)
-                if again.digest != on.digest:
-                    report.nondeterministic.append(
-                        f"workload {name}: digests differ across runs")
-            report.workloads.append(on)
-            report.workloads.append(off)
-            if progress is not None:
-                progress(f"  workload {name:>12}  "
-                         f"{on.goodput_msgs_s / 1e3:7.1f} K msg/s  "
-                         f"p50 {on.p50_us:8.1f} us  p99 {on.p99_us:8.1f} us  "
-                         f"express on/off match")
-
+        cells += [(f"workload/{name}/{'on' if x else 'off'}",
+                   lambda name=name, x=x: workload(name, x))
+                  for name in WORKLOAD_BENCH for x in (True, False)]
     if include_contended:
-        from .contended import run_contended_cell, run_contended_cells
-
-        report.contended = run_contended_cells(smoke=smoke, seed=seed)
-        if verify_determinism:
-            for c in report.contended:
-                again = run_contended_cell(
-                    c.pattern, variant=c.variant, nbytes=c.nbytes,
-                    rounds=c.samples, seed=seed)
-                if again.digest != c.digest:
-                    report.nondeterministic.append(
-                        f"{c.label}: digests differ across runs")
-        if progress is not None:
-            for row in report.contended_rows():
-                infl = (f"{row['inflation']:.2f}x idle"
-                        if row["inflation"] else "no idle baseline")
-                progress(f"  {row['cell']:>34}  "
-                         f"{row['headline_ns'] / 1e3:8.2f} us  ({infl}, "
-                         f"bulk {row['bulk_serviced']} msgs)")
-    return report
+        rounds = {"pingpong": 12 if small else 24,
+                  "flood": 120 if small else 240}
+        cells += [(f"contended/{p}/16B/{v}",
+                   lambda p=p, v=v: contended(p, v, rounds[p]))
+                  for v in CONTENDED_VARIANTS for p in ("pingpong", "flood")]
+    return cells
 
 
-# --------------------------------------------------------------------- CLI
-def _cell_rows(report: CalibReport) -> list[list]:
-    return [[c.cell.topology, f"{c.cell.pair[0]}-{c.cell.pair[1]}", c.links,
-             c.cell.pattern, c.cell.nbytes, c.samples,
-             f"{c.headline_ns / 1e3:.2f}", c.digest[:12]]
-            for c in report.cells]
+def _round_trip(cells: dict) -> list[str]:
+    fit = cells.get("fit")
+    return [] if fit is None else list(fit["observables"]["failures"])
 
 
-def _comparison_rows(report: CalibReport) -> list[list]:
-    return [[r["constant"], f"{r['fitted_ns']:.2f}", f"{r['configured_ns']:.2f}",
-             f"{r['rel_err'] * 100.0:.2f}%", "ok" if r["ok"] else "FAIL"]
-            for r in report.comparisons]
+def _express_parity(cells: dict) -> list[str]:
+    """Workload-bench observables must not depend on the express path."""
+    failures = []
+    for key, on in cells.items():
+        off = cells.get(key[:-3] + "/off") if key.endswith("/on") else None
+        if off and on["observables"]["digest"] != off["observables"]["digest"]:
+            failures.append(f"{key[:-3]}: express on/off observables diverged")
+    return failures
 
 
-def _workload_rows(report: CalibReport) -> list[list]:
-    return [[w.name, "on" if w.express else "off", w.sent, w.handled, w.ops,
-             f"{w.p50_us:.1f}", f"{w.p99_us:.1f}",
-             f"{w.goodput_msgs_s / 1e3:.1f}", w.digest[:12]]
-            for w in report.workloads]
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--smoke", action="store_true",
-                    help="reduced CI matrix; every cell and workload run "
-                         "twice with digests compared")
-    ap.add_argument("--seed", type=int, default=1999)
-    ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="round-trip tolerance (fraction; default 0.10)")
-    ap.add_argument("--skip-workloads", action="store_true",
-                    help="sweep + fit only, no diversity bench table")
-    ap.add_argument("--verify-determinism", action="store_true",
-                    help="double-run every cell (implied by --smoke)")
-    ap.add_argument("--out", default="BENCH_CALIB.json",
-                    help="write the full report here as JSON")
-    args = ap.parse_args(argv)
-
-    verify = args.verify_determinism or args.smoke
-    print(f"calibration sweep: seed={args.seed}, "
-          f"tolerance={args.tolerance * 100.0:.0f}%"
-          + (" [smoke: every cell run twice]" if args.smoke else ""))
-    report = run_calibration(
-        smoke=args.smoke, seed=args.seed, tolerance=args.tolerance,
-        verify_determinism=verify,
-        include_workloads=not args.skip_workloads, progress=print)
-
-    print_table(
-        ["topology", "pair", "links", "pattern", "bytes", "samples",
-         "headline us", "digest"],
-        _cell_rows(report),
-        title=f"calibration cells (seed {args.seed}, "
-              f"digest {report.digest[:16]})")
-    print_table(
-        ["constant", "fitted ns", "configured ns", "rel err", "status"],
-        _comparison_rows(report),
-        title="fitted vs configured LogP constants (round trip)")
-    if report.workloads:
-        print_table(
-            ["workload", "express", "sent", "handled", "ops", "p50 us",
-             "p99 us", "good K/s", "digest"],
-            _workload_rows(report),
-            title="workload-diversity bench (incast / fan-out / streaming)")
-    if report.contended:
-        print_table(
-            ["pattern", "variant", "contended us", "idle us", "inflation",
-             "bulk msgs", "throttled", "digest"],
-            [[r["pattern"], r["variant"], f"{r['headline_ns'] / 1e3:.2f}",
-              (f"{r['idle_ns'] / 1e3:.2f}" if r["idle_ns"] else "-"),
-              (f"{r['inflation']:.2f}x" if r["inflation"] else "-"),
-              r["bulk_serviced"], r["bulk_throttled"], r["digest"][:12]]
-             for r in report.contended_rows()],
-            title="contended L and g under a background bulk tenant")
-
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.out}")
-
-    status = 0
-    if report.nondeterministic:
-        print("DETERMINISM FAILURE: digests differed between runs:",
-              file=sys.stderr)
-        for line in report.nondeterministic:
-            print(f"  {line}", file=sys.stderr)
-        status = 1
-    if report.failures:
-        print("CALIBRATION FAILURE: fitted constants diverged from the "
-              "configured cost model:", file=sys.stderr)
-        for line in report.failures:
-            print(f"  {line}", file=sys.stderr)
-        status = 1
-    if status == 0:
-        worst = max(report.comparisons, key=lambda r: r["rel_err"])
-        print(f"calibration ok: {len(report.cells)} cells, worst constant "
-              f"{worst['constant']} off by {worst['rel_err'] * 100.0:.2f}%"
-              + (" — determinism verified (double runs matched)"
-                 if verify else ""))
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+CALIB = register(Suite("calib", _cells, smoke={"small": True},
+                       gates=(_round_trip, _express_parity)))

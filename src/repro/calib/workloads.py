@@ -32,7 +32,6 @@ digests, which the perf harness's ``calib_workloads`` scenario and
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -40,11 +39,12 @@ from typing import Callable, Generator
 
 from ..am.errors import EndpointFreedError
 from ..am.vnet import parallel_vnet, star_vnet
+from ..bench.harness import digest
 from ..chaos.runner import reset_global_ids
 from ..chaos.workloads import _IDLE_NS, WORKLOADS, ChaosWorkload
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
-from ..sim.core import AllOf, Simulator, ms
+from ..sim.core import AllOf, ms
 
 __all__ = ["IncastWorkload", "FanoutWorkload", "StreamingWorkload",
            "WORKLOAD_BENCH", "WorkloadBenchResult", "run_workload_bench",
@@ -431,9 +431,7 @@ def _bench_workload(name: str, **kwargs) -> ChaosWorkload:
 
 
 def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
-                       engine=None,
-                       sim_factory: Callable = Simulator,
-                       **kwargs) -> WorkloadBenchResult:
+                       engine=None, **kwargs) -> WorkloadBenchResult:
     """Run one diversity shape standalone and reduce it to observables.
 
     Untraced (so the express path may engage when ``express`` is on) and
@@ -442,10 +440,6 @@ def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
     express-on and express-off runs of the same seed must match bit for
     bit.
     """
-    if engine is not None:
-        from ..api.engine import resolve_kernel
-
-        sim_factory = resolve_kernel(engine)
     reset_global_ids()
     wl = _bench_workload(name, **kwargs)
     cfg = ClusterConfig(
@@ -454,7 +448,7 @@ def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
         express_path=express,
         dead_timeout_ms=8.0,
     )
-    cluster = Cluster(cfg, sim_factory=sim_factory)
+    cluster = Cluster(cfg, engine=engine)
     sim = cluster.sim
     sim.run_process(wl.build(cluster), name="calib.wl.setup")
     wl.give_up_ns = 3 * cfg.dead_timeout_ns
@@ -482,8 +476,6 @@ def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
     res.p50_us = percentile_ns(lats, 50) / 1e3
     res.p99_us = percentile_ns(lats, 99) / 1e3
     res.goodput_msgs_s = wl.handled * 1e9 / max(1, sim.now)
-    h = hashlib.sha256()
-    h.update(repr((name, seed, wl.sent, wl.handled, wl.returned_seen,
-                   tuple(lats), sim.now)).encode())
-    res.digest = h.hexdigest()
+    res.digest = digest((name, seed, wl.sent, wl.handled, wl.returned_seen,
+                         tuple(lats), sim.now))
     return res

@@ -16,17 +16,18 @@ a chaos failure found in CI replays locally.  Two things make that true:
   labels, but they appear in trace events, so a previous run in the same
   process would otherwise shift the digest.
 
-The timeline digest is a SHA-256 over the normalized event lines;
+The timeline digest is the canonical digest over the normalized events;
 ``tests/test_chaos_determinism.py`` pins the bit-identical guarantee.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from ..bench.harness import digest
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
 from ..sim.core import AllOf, SimError
@@ -75,12 +76,11 @@ def chaos_config(seed: int, num_hosts: int = 8, **overrides) -> ClusterConfig:
 
 
 def timeline_digest(events) -> str:
-    """SHA-256 over normalized event lines — the bit-identity witness."""
-    h = hashlib.sha256()
-    for ev in events:
-        args = sorted(ev.args.items()) if ev.args else []
-        h.update(f"{ev.ts}|{ev.kind}|{ev.node}|{args!r}\n".encode())
-    return h.hexdigest()
+    """The canonical digest over normalized ``(ts, kind, node, args)``
+    event records — the bit-identity witness."""
+    return digest(*((ev.ts, ev.kind, ev.node,
+                     sorted(ev.args.items()) if ev.args else [])
+                    for ev in events))
 
 
 @dataclass
@@ -202,7 +202,6 @@ def run_chaos(
     trace_path: Optional[str] = None,
     keep: bool = False,
     engine=None,
-    sim_factory=None,
     **workload_kwargs,
 ) -> ChaosReport:
     """Execute one (scenario, workload) chaos run and audit it.
@@ -212,16 +211,15 @@ def run_chaos(
     the run fails; never otherwise).  ``keep=True`` attaches the live
     ``cluster``/``bus``/``workload`` to the report for tests.
     ``engine`` selects the event kernel through
-    :func:`repro.api.engine.resolve_engine`; ``sim_factory`` still
-    swaps in a raw kernel class (the perf harness runs the same chaos
-    scenario on the optimized and reference kernels and compares
-    digests).
+    :func:`repro.api.engine.resolve_engine` (the perf harness runs the
+    same chaos scenario on the optimized and reference kernels and
+    compares digests).
     """
     scenario.validate()
     reset_global_ids()
     if cfg is None:
         cfg = chaos_config(scenario.seed, num_hosts=num_hosts)
-    cluster = Cluster(cfg, sim_factory=sim_factory, engine=engine)
+    cluster = Cluster(cfg, engine=engine)
     bus = cluster.enable_tracing()
     wl = workload if isinstance(workload, ChaosWorkload) \
         else make_workload(workload, **workload_kwargs)
@@ -285,6 +283,7 @@ def run_chaos(
     if trace_path and not report.ok:
         from ..obs.export import write_chrome_trace
 
+        os.makedirs(os.path.dirname(trace_path) or ".", exist_ok=True)
         write_chrome_trace(bus, trace_path,
                            label=f"chaos:{scenario.name}:{wl.name}:{scenario.seed}")
     if keep:

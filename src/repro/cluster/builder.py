@@ -8,7 +8,7 @@ single deterministic simulator.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from ..hw.host import Cpu
 from ..myrinet.fault import FaultInjector
@@ -50,7 +50,6 @@ class Cluster:
     def __init__(
         self,
         cfg: Optional[ClusterConfig] = None,
-        sim_factory: Optional[Callable[[], Simulator]] = None,
         *,
         engine=None,
         **overrides,
@@ -63,15 +62,11 @@ class Cluster:
         self.cfg = cfg
         #: kernel selection goes through :mod:`repro.api.engine` — pass
         #: ``engine=`` (a name, an Engine, or None to consult
-        #: ``cfg.engine``).  A raw ``sim_factory`` callable is still
-        #: honored for in-tree harnesses that drive a specific kernel
-        #: class (e.g. the perf harness's reference oracle); everything
-        #: else is kernel-agnostic.
-        from ..api.engine import resolve_engine, resolve_kernel
+        #: ``cfg.engine``).
+        from ..api.engine import resolve_engine
 
-        self.engine = (engine if not isinstance(engine, (str, type(None)))
-                       else resolve_engine(engine, cfg))
-        self.sim = resolve_kernel(engine, cfg, sim_factory)()
+        self.engine = resolve_engine(engine, cfg)
+        self.sim = self.engine.kernel_factory()()
         self.rngs = RngStreams(cfg.seed)
         self.network = Network(self.sim, cfg, self.rngs)
         self.nodes = [Node(self.sim, cfg, i, self.network, self.rngs) for i in range(cfg.num_hosts)]

@@ -323,10 +323,6 @@ class ClusterConfig:
     #: shards for the PDES kernel (1 = degenerate, bit-identical to the
     #: sequential kernel by construction)
     num_shards: int = 1
-    #: sharded executor: "inprocess" (deterministic round-robin, the
-    #: tests/debug scheduler) or "mp" (one ``multiprocessing`` worker
-    #: per shard with batched cross-shard handoff)
-    shard_workers: str = "inprocess"
     #: one-way latency of the inter-shard trunk (store-and-forward at
     #: the boundary NI plus the inter-rack spine crossing).  This is the
     #: conservative lookahead budget: no shard can affect another in
@@ -474,8 +470,6 @@ class ClusterConfig:
             )
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_workers not in ("inprocess", "mp"):
-            raise ValueError("shard_workers must be 'inprocess' or 'mp'")
         if self.shard_trunk_base_ns < self.shard_min_trunk_ns():
             raise ValueError(
                 "shard_trunk_latency_us undercuts the fat-tree minimum "

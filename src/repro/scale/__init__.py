@@ -12,23 +12,21 @@ relationship:
   stream request bursts at a dedicated server endpoint, client/server
   style (:mod:`repro.apps.clientserver`), so the server NI is the only
   node under residency pressure;
-* :mod:`repro.scale.sweep` — the (policy × overcommit-ratio) sweep:
-  goodput, p50/p99 request latency, remap rate and the residency
-  scoreboard's thrash score per cell, JSON output (``BENCH_SCALE.json``)
-  and a ``--smoke`` CI mode that runs every cell twice and insists on
-  bit-identical digests;
-* :mod:`repro.scale.fleet` — the fleet-scale macro-model: hundreds of
-  hosts × several server NIs × 10^5–10^6 endpoints on struct-of-arrays
-  endpoint tables, driven by diurnal/bursty arrival models against the
-  *production* replacement policies, with a tracemalloc peak-memory
-  budget gate (``BENCH_FLEET.json``).
+* :mod:`repro.scale.sweep` — the ``scale`` bench suite, the (policy ×
+  overcommit-ratio) sweep: goodput, p50/p99 request latency, remap rate
+  and the residency scoreboard's thrash score per cell
+  (``BENCH_SCALE.json``);
+* :mod:`repro.scale.fleet` — the ``fleet`` suite, a fleet-scale
+  macro-model: hundreds of hosts × several server NIs × 10^5–10^6
+  endpoints on struct-of-arrays endpoint tables, driven by
+  diurnal/bursty arrival models against the *production* replacement
+  policies, with a tracemalloc peak-memory budget gate
+  (``BENCH_FLEET.json``).
 
-Run as a module::
+Run through the harness::
 
-    PYTHONPATH=src python -m repro.scale --smoke
-    PYTHONPATH=src python -m repro.scale --policies random active-preference \\
-        --ratios 1 8 32 --out BENCH_SCALE.json
-    PYTHONPATH=src python -m repro.scale --fleet --smoke
+    PYTHONPATH=src python -m repro bench scale --smoke
+    PYTHONPATH=src python -m repro bench fleet --smoke
 
 Every run is deterministic: the same ``(policy, ratio, seed)`` cell
 produces a bit-identical result digest (and, with tracing on, a
@@ -40,18 +38,11 @@ from .fleet import (
     DEFAULT_FLEET_RATIOS,
     FleetCellConfig,
     FleetCellResult,
-    FleetReport,
     run_fleet_cell,
-    run_fleet_sweep,
+    run_memcheck,
 )
 from .loadgen import ARRIVAL_MODELS, ArrivalModel, ScaleCellConfig, ScaleCellResult, run_cell
-from .sweep import (
-    DEFAULT_POLICIES,
-    DEFAULT_RATIOS,
-    ScaleReport,
-    main,
-    run_sweep,
-)
+from .sweep import DEFAULT_POLICIES, DEFAULT_RATIOS
 
 __all__ = [
     "ARRIVAL_MODELS",
@@ -62,13 +53,9 @@ __all__ = [
     "DEFAULT_RATIOS",
     "FleetCellConfig",
     "FleetCellResult",
-    "FleetReport",
     "ScaleCellConfig",
     "ScaleCellResult",
-    "ScaleReport",
-    "main",
     "run_cell",
     "run_fleet_cell",
-    "run_fleet_sweep",
-    "run_sweep",
+    "run_memcheck",
 ]

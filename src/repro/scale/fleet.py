@@ -31,30 +31,27 @@ directly on the production residency components:
 
 Each (hosts × ratio × policy) cell costs O(arrivals + remaps + frames)
 per tick — independent of the endpoint count — and digests its integer
-observables; ``--smoke`` runs every cell twice and fails on any digest
-mismatch, any zero-goodput cell, or a tracemalloc peak above the
-documented budget at the 10^5-endpoint cell.
+observables; the suite fails on any zero-goodput cell or a tracemalloc
+peak above the documented budget at the 10^5-endpoint cell, and
+``--smoke`` also runs every cell twice and fails on any digest mismatch.
 
-Run as a module::
+Run through the harness::
 
-    PYTHONPATH=src python -m repro.scale --fleet --smoke
-    PYTHONPATH=src python -m repro.scale --fleet --hosts 64 256 \\
-        --ratios 16 98 --out BENCH_FLEET.json
+    PYTHONPATH=src python -m repro bench fleet --smoke
+    PYTHONPATH=src python -m repro bench fleet           # -> BENCH_FLEET.json
+    PYTHONPATH=src python -c "from repro.api import run_bench; \\
+        run_bench('fleet', hosts_list=(64, 256), ratios=(16, 98))"
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import random
-import sys
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..bench.reporting import print_table
+from ..bench.harness import Suite, digest, register
 from ..nic.endpoint_state import (
     F_MR_REQUESTED,
     F_REFERENCED,
@@ -64,16 +61,15 @@ from ..nic.endpoint_state import (
 )
 from ..osim.segdriver import REPLACEMENT_POLICIES
 from .loadgen import ARRIVAL_MODELS
+from .sweep import zero_goodput
 
 __all__ = [
     "DEFAULT_FLEET_POLICIES",
     "DEFAULT_FLEET_RATIOS",
     "FleetCellConfig",
     "FleetCellResult",
-    "FleetReport",
     "run_fleet_cell",
-    "run_fleet_sweep",
-    "main",
+    "run_memcheck",
 ]
 
 DEFAULT_FLEET_POLICIES = ("random", "lru", "clock", "active-preference")
@@ -278,14 +274,6 @@ class _NiSim:
         return served
 
 
-def _digest(parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
 def run_fleet_cell(fcfg: FleetCellConfig, *,
                    measure_memory: bool = False) -> FleetCellResult:
     """Run one fleet cell; returns its :class:`FleetCellResult`.
@@ -358,246 +346,71 @@ def run_fleet_cell(fcfg: FleetCellConfig, *,
     res.table_bytes = sum(ni.table.nbytes() for ni in nis)
     res.bytes_per_endpoint = res.table_bytes / max(1, fcfg.total_endpoints)
     res.tracemalloc_peak_bytes = mem_peak
-    res.digest = _digest([
+    res.digest = digest(
         ("fleet", *fcfg.key()),
         ("per_ni", [(ni.goodput, ni.deferred, ni.remaps, ni.evictions,
                      ni.bounces) for ni in nis]),
         ("floor", res.tick_goodput_min, backlog_peak),
-    ])
+    )
     res.wall_s = time.perf_counter() - wall0
     return res
 
 
-@dataclass
-class FleetReport:
-    """One fleet sweep: the (hosts × ratio × policy) grid + aggregate digest."""
-
-    arrival: str
-    seed: int
-    cells: list[FleetCellResult] = field(default_factory=list)
-    #: digest mismatches found by --smoke's double runs
-    nondeterministic: list[str] = field(default_factory=list)
-    #: failures of the tracemalloc budget gate at the 10^5 cell
-    memory_violations: list[str] = field(default_factory=list)
-
-    @property
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for c in self.cells:
-            h.update(c.digest.encode())
-        return h.hexdigest()
-
-    def collapsed_cells(self) -> list[FleetCellResult]:
-        """Cells that violate graceful degradation (zero goodput)."""
-        return [c for c in self.cells if c.completed == 0]
-
-    def to_json(self) -> dict:
-        return {
-            "arrival": self.arrival,
-            "seed": self.seed,
-            "digest": self.digest,
-            "nondeterministic": self.nondeterministic,
-            "memory_violations": self.memory_violations,
-            "cells": [c.to_dict() for c in self.cells],
-        }
+def run_memcheck(*, policy: str = "lru", arrival: str = "diurnal",
+                 ticks: int = 24, seed: int = 1999) -> FleetCellResult:
+    """The 10^5-endpoint acceptance cell, run under tracemalloc."""
+    return run_fleet_cell(
+        FleetCellConfig(policy=policy, arrival=arrival, ticks=ticks,
+                        seed=seed, **MEMCHECK_CELL),
+        measure_memory=True)
 
 
-def run_fleet_sweep(
-    policies: Sequence[str] = DEFAULT_FLEET_POLICIES,
-    ratios: Sequence[int] = DEFAULT_FLEET_RATIOS,
-    hosts_list: Sequence[int] = (64,),
-    *,
-    nis_per_host: int = 2,
-    frames: int = 8,
-    arrival: str = "diurnal",
-    ticks: int = 192,
-    seed: int = 1999,
-    verify_determinism: bool = False,
-    progress=None,
-) -> FleetReport:
-    """Run the grid; one :class:`FleetCellResult` per (hosts, ratio, policy).
+# ------------------------------------------------------------------ suite
+def _run(fcfg: Optional[FleetCellConfig], arrival: str, seed: int) -> dict:
+    res = (run_fleet_cell(fcfg) if fcfg is not None
+           else run_memcheck(arrival=arrival, seed=seed))
+    obs = res.to_dict()
+    measured = {"wall_s": obs.pop("wall_s"),
+                "tracemalloc_peak_bytes": obs.pop("tracemalloc_peak_bytes")}
+    return {"observables": obs, "measured": measured}
 
-    ``verify_determinism`` re-runs every cell and records digest
-    mismatches in ``report.nondeterministic`` (the ``--smoke`` gate).
-    """
-    report = FleetReport(arrival=arrival, seed=seed)
+
+def _cells(engine=None, policies: Sequence[str] = DEFAULT_FLEET_POLICIES,
+           ratios: Sequence[int] = DEFAULT_FLEET_RATIOS,
+           hosts_list: Sequence[int] = (64,), nis_per_host: int = 2,
+           frames: int = 8, arrival: str = "diurnal", ticks: int = 192,
+           seed: int = 1999, memcheck: bool = True):
+    """The (hosts × policy × ratio) grid plus the memcheck cell.  The
+    macro-model runs the residency components directly, not the event
+    kernel, so ``engine`` is accepted and ignored."""
+    cells = []
     for hosts in hosts_list:
         for policy in policies:
             for ratio in ratios:
                 fcfg = FleetCellConfig(
                     policy=policy, hosts=hosts, nis_per_host=nis_per_host,
                     endpoint_frames=frames, ratio=ratio, arrival=arrival,
-                    ticks=ticks, seed=seed,
-                )
-                res = run_fleet_cell(fcfg)
-                if verify_determinism:
-                    res2 = run_fleet_cell(fcfg)
-                    if res2.digest != res.digest:
-                        report.nondeterministic.append(
-                            f"{policy}@{hosts}h/{ratio}:1 digests differ: "
-                            f"{res.digest[:12]} vs {res2.digest[:12]}"
-                        )
-                report.cells.append(res)
-                if progress is not None:
-                    progress(
-                        f"  {policy:>18} {hosts:>4}h {ratio:>3}:1  "
-                        f"{res.total_endpoints:>7} eps  "
-                        f"{res.goodput_msgs_s / 1e3:9.1f} K msg/s  "
-                        f"floor {res.tick_goodput_min:>5}/tick  "
-                        f"thrash {res.thrash_score:.2f}  "
-                        f"{res.table_bytes / 1e6:6.1f} MB  "
-                        f"[{res.wall_s:.1f}s wall]"
-                    )
-    return report
+                    ticks=ticks, seed=seed)
+                cells.append((f"{policy}@{hosts}h/{ratio}:1",
+                              lambda fcfg=fcfg: _run(fcfg, arrival, seed)))
+    if memcheck:
+        cells.append(("memcheck", lambda: _run(None, arrival, seed)))
+    return cells
 
 
-def run_memcheck(report: FleetReport, *, policy: str = "lru",
-                 arrival: str = "diurnal", ticks: int = 24,
-                 seed: int = 1999, budget_mb: float = MEMCHECK_BUDGET_MB,
-                 progress=None) -> FleetCellResult:
-    """The 10^5-endpoint acceptance cell under the tracemalloc budget.
-
-    Appends the cell to ``report`` and records a violation if the
-    measured peak exceeds ``budget_mb``.
-    """
-    fcfg = FleetCellConfig(policy=policy, arrival=arrival, ticks=ticks,
-                           seed=seed, **MEMCHECK_CELL)
-    res = run_fleet_cell(fcfg, measure_memory=True)
-    report.cells.append(res)
-    peak_mb = res.tracemalloc_peak_bytes / 1e6
-    if peak_mb > budget_mb:
-        report.memory_violations.append(
-            f"{fcfg.total_endpoints} endpoints peaked at {peak_mb:.1f} MB "
-            f"(budget {budget_mb:.0f} MB)"
-        )
-    if progress is not None:
-        progress(
-            f"  memcheck: {res.total_endpoints} endpoints over "
-            f"{fcfg.hosts} hosts -> tracemalloc peak {peak_mb:.1f} MB "
-            f"(budget {budget_mb:.0f} MB), tables {res.table_bytes / 1e6:.1f} MB "
-            f"({res.bytes_per_endpoint:.0f} B/endpoint), "
-            f"goodput {res.completed} msgs"
-        )
-    return res
+def _memory_budget(cells: dict) -> list[str]:
+    cell = cells.get("memcheck")
+    if cell is None:
+        return []
+    peak_mb = cell["measured"]["tracemalloc_peak_bytes"] / 1e6
+    if peak_mb <= MEMCHECK_BUDGET_MB:
+        return []
+    return [f"memcheck: {cell['observables']['total_endpoints']} endpoints "
+            f"peaked at {peak_mb:.1f} MB (budget {MEMCHECK_BUDGET_MB:.0f} MB)"]
 
 
-def _report_rows(report: FleetReport) -> list[list]:
-    rows = []
-    for c in report.cells:
-        rows.append([
-            c.policy, c.hosts, f"{c.ratio}:1", c.total_endpoints,
-            f"{c.goodput_msgs_s / 1e3:.1f}",
-            c.tick_goodput_min,
-            f"{c.remaps}", f"{c.thrash_score:.2f}",
-            f"{c.table_bytes / 1e6:.1f}",
-            f"{c.bytes_per_endpoint:.0f}",
-        ])
-    return rows
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        description="fleet-scale overcommit sweep (hosts x ratio x policy)")
-    ap.add_argument("--policies", nargs="+",
-                    default=list(DEFAULT_FLEET_POLICIES), metavar="POLICY")
-    ap.add_argument("--ratios", type=int, nargs="+",
-                    default=list(DEFAULT_FLEET_RATIOS), metavar="R",
-                    help="endpoints-per-frame overcommit ratios")
-    ap.add_argument("--hosts", type=int, nargs="+", default=[64],
-                    metavar="H", help="fleet sizes to sweep")
-    ap.add_argument("--nis-per-host", type=int, default=2)
-    ap.add_argument("--frames", type=int, default=8,
-                    help="endpoint frames per server NI (8 = LANai 4.3)")
-    ap.add_argument("--arrival", default="diurnal",
-                    choices=sorted(ARRIVAL_MODELS))
-    ap.add_argument("--ticks", type=int, default=192)
-    ap.add_argument("--seed", type=int, default=1999)
-    ap.add_argument("--out", default="BENCH_FLEET.json",
-                    help="write the full report here as JSON")
-    ap.add_argument("--verify-determinism", action="store_true",
-                    help="run every cell twice and require identical digests")
-    ap.add_argument("--budget-mb", type=float, default=MEMCHECK_BUDGET_MB,
-                    help="tracemalloc budget for the 10^5-endpoint cell")
-    ap.add_argument("--no-memcheck", action="store_true",
-                    help="skip the 10^5-endpoint memory gate cell")
-    ap.add_argument("--smoke", action="store_true",
-                    help="reduced CI matrix: 8 hosts x 1 NI x 4 frames, "
-                         "ratios 4/16, every cell run twice, plus the "
-                         "10^5-endpoint tracemalloc budget cell")
-    args = ap.parse_args(argv)
-
-    nis_per_host = args.nis_per_host
-    frames = args.frames
-    if args.smoke:
-        args.hosts = [8]
-        nis_per_host = 1
-        frames = 4
-        args.ratios = [4, 16]
-        args.ticks = 96
-        args.verify_determinism = True
-
-    print(f"fleet sweep: hosts={args.hosts}, nis/host={nis_per_host}, "
-          f"frames={frames}, policies={args.policies}, ratios={args.ratios}, "
-          f"arrival={args.arrival}, seed={args.seed}"
-          + (" [smoke: every cell run twice]" if args.smoke else ""))
-    report = run_fleet_sweep(
-        args.policies,
-        args.ratios,
-        args.hosts,
-        nis_per_host=nis_per_host,
-        frames=frames,
-        arrival=args.arrival,
-        ticks=args.ticks,
-        seed=args.seed,
-        verify_determinism=args.verify_determinism,
-        progress=print,
-    )
-    if not args.no_memcheck:
-        run_memcheck(report, arrival=args.arrival, seed=args.seed,
-                     budget_mb=args.budget_mb, progress=print)
-
-    print_table(
-        ["policy", "hosts", "ratio", "endpoints", "good K/s", "floor/tick",
-         "remaps", "thrash", "table MB", "B/ep"],
-        _report_rows(report),
-        title=f"fleet overcommit sweep: arrival={args.arrival}, "
-              f"seed {args.seed}, digest {report.digest[:16]}",
-    )
-
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-
-    status = 0
-    if report.nondeterministic:
-        print("DETERMINISM FAILURE: cell digests differed between runs:",
-              file=sys.stderr)
-        for line in report.nondeterministic:
-            print(f"  {line}", file=sys.stderr)
-        status = 1
-    if report.memory_violations:
-        print("MEMORY-BUDGET FAILURE:", file=sys.stderr)
-        for line in report.memory_violations:
-            print(f"  {line}", file=sys.stderr)
-        status = 1
-    collapsed = report.collapsed_cells()
-    if collapsed:
-        print("GRACEFUL-DEGRADATION FAILURE: cells with zero goodput:",
-              file=sys.stderr)
-        for c in collapsed:
-            print(f"  {c.policy}@{c.hosts}h/{c.ratio}:1", file=sys.stderr)
-        status = 1
-    if status == 0:
-        worst = min(report.cells, key=lambda c: c.completed)
-        print(f"all {len(report.cells)} cells serviceable; worst cell "
-              f"{worst.policy}@{worst.hosts}h/{worst.ratio}:1 still "
-              f"delivered {worst.completed} msgs "
-              f"(floor {worst.tick_goodput_min}/tick)"
-              + (" — determinism verified (double runs matched)"
-                 if args.verify_determinism else ""))
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+FLEET = register(Suite(
+    "fleet", _cells,
+    smoke={"hosts_list": (8,), "nis_per_host": 1, "frames": 4,
+           "ratios": (4, 16), "ticks": 96},
+    gates=(zero_goodput, _memory_budget)))

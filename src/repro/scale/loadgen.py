@@ -18,7 +18,7 @@ Two deliberate asymmetries keep the measurement honest:
   cell instead of wedging a client for the default 50 ms.
 
 Determinism: a cell is a pure function of its config.  The result digest
-is a SHA-256 over the integer observables (per-client reply/undeliverable
+is the canonical digest over the integer observables (per-client reply/undeliverable
 counts, driver and scoreboard counters, NACK counts, latency samples in
 ns) — two runs of the same cell must produce the same digest bit for
 bit, which ``--smoke`` and ``tests/test_scale_policies.py`` enforce.
@@ -26,7 +26,6 @@ bit, which ``--smoke`` and ``tests/test_scale_policies.py`` enforce.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from typing import Optional
 
 from ..am.bundle import Bundle
 from ..am.vnet import new_endpoint
+from ..bench.harness import digest
 from ..chaos import reset_global_ids, timeline_digest
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
@@ -225,14 +225,6 @@ class ScaleCellResult:
         return d
 
 
-def _digest(parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
 def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
              engine=None) -> ScaleCellResult:
     """Run one overcommit cell; returns its :class:`ScaleCellResult`.
@@ -390,7 +382,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
     res.sim_ns = sim.now
     res.events_dispatched = sim.events_dispatched
     res.latencies_ns = lat
-    res.digest = _digest([
+    res.digest = digest(
         ("cell", ccfg.policy, ccfg.ratio, ccfg.endpoint_frames, ccfg.seed),
         ("replies", replies),
         ("undeliverable", undeliv),
@@ -398,7 +390,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
         ("nacks", notres_d, over_d),
         ("sim", sim.now, sim.events_dispatched),
         ("latencies", lat),
-    ])
+    )
     if bus is not None:
         res.timeline_digest = timeline_digest(bus.events)
         bus.detach()

@@ -1,236 +1,68 @@
-"""The (replacement policy × overcommit ratio) sweep and its CLI.
+"""The (replacement policy × overcommit ratio) sweep suite.
 
 Regenerates the Section 6.4 scaling relationship: goodput per cell as
 the server NI's eight endpoint frames are overcommitted 1:1 → 64:1,
 for every registered replacement policy.  The paper's claim — and this
-harness's acceptance bar — is *graceful* degradation: past 8:1 goodput
+suite's acceptance bar — is *graceful* degradation: past 8:1 goodput
 falls, but no policy collapses to zero while the re-mapping machinery
 (200-300 remaps/s) migrates endpoints under the load.
 
-Run as a module::
+Run through the harness::
 
-    PYTHONPATH=src python -m repro.scale --smoke          # CI gate
-    PYTHONPATH=src python -m repro.scale                  # full sweep
-    PYTHONPATH=src python -m repro.scale --policies random active-preference \\
-        --ratios 1 8 32 --duration-ms 40 --out BENCH_SCALE.json
+    PYTHONPATH=src python -m repro bench scale --smoke   # CI gate
+    PYTHONPATH=src python -m repro bench scale           # -> BENCH_SCALE.json
+    PYTHONPATH=src python -c "from repro.api import run_bench; \\
+        run_bench('scale', policies=('random', 'lru'), ratios=(1, 8, 32))"
 
-``--smoke`` runs a reduced matrix with every cell executed **twice**,
-failing (exit 1) unless both runs produce bit-identical digests — the
-determinism gate — and no cell's goodput is zero — the graceful-
-degradation gate.  The full sweep applies the same zero-goodput check.
+``--smoke`` runs a reduced matrix with every cell executed twice (the
+determinism gate); any cell with zero goodput fails the suite (the
+graceful-degradation gate).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..bench.reporting import print_table
-from .loadgen import ScaleCellConfig, ScaleCellResult, run_cell
+from ..bench.harness import Suite, register
+from .loadgen import ScaleCellConfig, run_cell
 
-__all__ = ["DEFAULT_POLICIES", "DEFAULT_RATIOS", "ScaleReport", "run_sweep", "main"]
+__all__ = ["DEFAULT_POLICIES", "DEFAULT_RATIOS", "SCALE"]
 
 DEFAULT_POLICIES = ("random", "lru", "clock", "active-preference")
 DEFAULT_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 
 
-@dataclass
-class ScaleReport:
-    """One sweep: a grid of cells plus the aggregate digest."""
-
-    frames: int
-    seed: int
-    cells: list[ScaleCellResult] = field(default_factory=list)
-    #: digest mismatches found by --smoke's double runs
-    nondeterministic: list[str] = field(default_factory=list)
-
-    @property
-    def digest(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for c in self.cells:
-            h.update(c.digest.encode())
-        return h.hexdigest()
-
-    def cell(self, policy: str, ratio: int) -> Optional[ScaleCellResult]:
-        for c in self.cells:
-            if c.policy == policy and c.ratio == ratio:
-                return c
-        return None
-
-    def collapsed_cells(self) -> list[ScaleCellResult]:
-        """Cells that violate graceful degradation (zero goodput)."""
-        return [c for c in self.cells if c.completed == 0]
-
-    def to_json(self) -> dict:
-        return {
-            "frames": self.frames,
-            "seed": self.seed,
-            "digest": self.digest,
-            "nondeterministic": self.nondeterministic,
-            "cells": [c.to_dict() for c in self.cells],
-        }
+def _run(ccfg: ScaleCellConfig, engine) -> dict:
+    obs = run_cell(ccfg, engine=engine).to_dict()
+    return {"observables": obs, "measured": {"wall_s": obs.pop("wall_s")}}
 
 
-def run_sweep(
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    ratios: Sequence[int] = DEFAULT_RATIOS,
-    *,
-    frames: int = 8,
-    duration_ms: float = 60.0,
-    warmup_ms: float = 30.0,
-    seed: int = 1999,
-    client_nodes: int = 8,
-    eviction_hysteresis_us: float = 0.0,
-    engine=None,
-    verify_determinism: bool = False,
-    progress=None,
-) -> ScaleReport:
-    """Run the grid; one :class:`ScaleCellResult` per (policy, ratio).
-
-    ``verify_determinism`` re-runs every cell and records digest
-    mismatches in ``report.nondeterministic`` (the ``--smoke`` gate).
-    """
-    report = ScaleReport(frames=frames, seed=seed)
+def _cells(engine=None, policies: Sequence[str] = DEFAULT_POLICIES,
+           ratios: Sequence[int] = DEFAULT_RATIOS, frames: int = 8,
+           duration_ms: float = 60.0, warmup_ms: float = 30.0,
+           seed: int = 1999, client_nodes: int = 8,
+           eviction_hysteresis_us: float = 0.0):
+    cells = []
     for policy in policies:
         for ratio in ratios:
             ccfg = ScaleCellConfig(
-                policy=policy,
-                ratio=ratio,
-                endpoint_frames=frames,
-                client_nodes=client_nodes,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-                seed=seed,
-                eviction_hysteresis_us=eviction_hysteresis_us,
-            )
-            res = run_cell(ccfg, engine=engine)
-            if verify_determinism:
-                res2 = run_cell(ccfg, engine=engine)
-                if res2.digest != res.digest:
-                    report.nondeterministic.append(
-                        f"{policy}@{ratio}:1 digests differ: "
-                        f"{res.digest[:12]} vs {res2.digest[:12]}"
-                    )
-            report.cells.append(res)
-            if progress is not None:
-                progress(
-                    f"  {policy:>18} {ratio:>3}:1  "
-                    f"{res.goodput_msgs_s / 1e3:7.1f} K msg/s  "
-                    f"p50 {res.p50_us:8.1f} us  "
-                    f"{res.remaps_per_s:6.1f} remaps/s  "
-                    f"thrash {res.thrash_score:.2f}  "
-                    f"[{res.wall_s:.1f}s wall]"
-                )
-    return report
+                policy=policy, ratio=ratio, endpoint_frames=frames,
+                client_nodes=client_nodes, duration_ms=duration_ms,
+                warmup_ms=warmup_ms, seed=seed,
+                eviction_hysteresis_us=eviction_hysteresis_us)
+            cells.append((f"{policy}@{ratio}:1",
+                          lambda ccfg=ccfg: _run(ccfg, engine)))
+    return cells
 
 
-def _report_rows(report: ScaleReport) -> list[list]:
-    rows = []
-    for c in report.cells:
-        rows.append([
-            c.policy, f"{c.ratio}:1", c.nclients,
-            f"{c.goodput_msgs_s / 1e3:.1f}",
-            f"{c.failed_msgs_s / 1e3:.1f}",
-            f"{c.p50_us:.0f}", f"{c.p99_us:.0f}",
-            f"{c.remaps_per_s:.0f}",
-            f"{c.eviction_remap_ratio:.2f}",
-            f"{c.thrash_score:.2f}",
-            c.not_resident_nacks,
-        ])
-    return rows
+def zero_goodput(cells: dict) -> list[str]:
+    """Graceful degradation: every cell must complete some work."""
+    return [f"{key}: zero goodput" for key, c in cells.items()
+            if c["observables"]["completed"] == 0]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--policies", nargs="+", default=list(DEFAULT_POLICIES),
-                    metavar="POLICY",
-                    help=f"replacement policies to sweep (default: {' '.join(DEFAULT_POLICIES)})")
-    ap.add_argument("--ratios", type=int, nargs="+", default=list(DEFAULT_RATIOS),
-                    metavar="R", help="endpoints-per-frame overcommit ratios")
-    ap.add_argument("--frames", type=int, default=8,
-                    help="endpoint frames on every server NI (8 = LANai 4.3)")
-    ap.add_argument("--duration-ms", type=float, default=60.0,
-                    help="measured window per cell (simulated ms)")
-    ap.add_argument("--warmup-ms", type=float, default=30.0)
-    ap.add_argument("--seed", type=int, default=1999)
-    ap.add_argument("--client-nodes", type=int, default=8,
-                    help="client endpoints are spread over this many nodes")
-    ap.add_argument("--hysteresis-us", type=float, default=0.0,
-                    help="eviction hysteresis window (0 = paper behaviour)")
-    ap.add_argument("--out", default="BENCH_SCALE.json",
-                    help="write the full report here as JSON")
-    ap.add_argument("--verify-determinism", action="store_true",
-                    help="run every cell twice and require identical digests")
-    ap.add_argument("--smoke", action="store_true",
-                    help="reduced CI matrix: frames=2, ratios 2/8/16, every "
-                         "cell run twice with digests compared")
-    args = ap.parse_args(argv)
-
-    if args.smoke:
-        args.frames = 2
-        args.ratios = [2, 8, 16]
-        args.duration_ms = 25.0
-        args.warmup_ms = 15.0
-        args.client_nodes = 4
-        args.verify_determinism = True
-
-    print(f"scale sweep: frames={args.frames}, policies={args.policies}, "
-          f"ratios={args.ratios}, seed={args.seed}"
-          + (" [smoke: every cell run twice]" if args.smoke else ""))
-    report = run_sweep(
-        args.policies,
-        args.ratios,
-        frames=args.frames,
-        duration_ms=args.duration_ms,
-        warmup_ms=args.warmup_ms,
-        seed=args.seed,
-        client_nodes=args.client_nodes,
-        eviction_hysteresis_us=args.hysteresis_us,
-        verify_determinism=args.verify_determinism,
-        progress=print,
-    )
-
-    print_table(
-        ["policy", "ratio", "clients", "good K/s", "fail K/s", "p50 us",
-         "p99 us", "remap/s", "evict/remap", "thrash", "NR nacks"],
-        _report_rows(report),
-        title=f"overcommit sweep: {args.frames} frames, seed {args.seed}, "
-              f"digest {report.digest[:16]}",
-    )
-
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-
-    status = 0
-    if report.nondeterministic:
-        print("DETERMINISM FAILURE: cell digests differed between runs:",
-              file=sys.stderr)
-        for line in report.nondeterministic:
-            print(f"  {line}", file=sys.stderr)
-        status = 1
-    collapsed = report.collapsed_cells()
-    if collapsed:
-        print("GRACEFUL-DEGRADATION FAILURE: cells with zero goodput:",
-              file=sys.stderr)
-        for c in collapsed:
-            print(f"  {c.policy}@{c.ratio}:1", file=sys.stderr)
-        status = 1
-    if status == 0:
-        worst = min(report.cells, key=lambda c: c.goodput_msgs_s)
-        print(f"all {len(report.cells)} cells serviceable; worst cell "
-              f"{worst.policy}@{worst.ratio}:1 still delivered "
-              f"{worst.goodput_msgs_s / 1e3:.1f} K msg/s"
-              + (" — determinism verified (double runs matched)"
-                 if args.verify_determinism else ""))
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+SCALE = register(Suite(
+    "scale", _cells,
+    smoke={"frames": 2, "ratios": (2, 8, 16), "duration_ms": 25.0,
+           "warmup_ms": 15.0, "client_nodes": 4},
+    gates=(zero_goodput,)))

@@ -16,21 +16,17 @@ no cross-shard record can arrive sooner than the trunk base latency
 time) without hearing from its peers.  Between windows the runner
 exchanges batched trunk records and recomputes the horizon.
 
-Three executors share the exact same :class:`Shard` build:
+Two executors share the exact same :class:`Shard` build:
 
 ``sequential``
     all shards share one heap — the single-kernel baseline the digests
     are gated against;
 ``inprocess``
     per-shard heaps stepped round-robin by window in one process — the
-    deterministic scheduler used by tests and debugging;
-``mp``
-    one ``multiprocessing`` worker per shard, batched record handoff
-    over pipes — the executor that actually overlaps shard compute on
-    multi-core hosts.
+    windowed schedule whose critical path gives the parallelism figure.
 
 **Determinism is the contract** (DESIGN.md §13 carries the full
-argument): all three executors must produce bit-identical
+argument): both executors must produce bit-identical
 :meth:`ShardRunResult.digest` values.  The argument rests on (a)
 shard-local state being touched only by shard-local events, (b) trunk
 ingress delivering in the canonical ``(arrive, src_shard, seq)`` order
@@ -41,13 +37,12 @@ inject local-fabric traffic (their replies re-enter ``Network.send``
 and exit through the boundary before any stats or RNG state is
 touched).
 
-Because a 1-CPU runner cannot show wall-clock parallelism, the
-machine-independent scaling figure is **critical-path parallelism**:
-``total_events / Σ_windows max_per_shard_events`` — the events-per-
-second multiple a perfectly parallel executor extracts from the actual
-windowed schedule, including every synchronization barrier.  The perf
-harness gates that ratio (and the cross-executor digests); measured
-walls for all three executors are reported alongside, untrusted.
+The scaling figure is **critical-path parallelism**: ``total_events /
+Σ_windows max_per_shard_events`` — the events-per-second multiple a
+perfectly parallel executor could extract from the actual windowed
+schedule, including every synchronization barrier.  The
+``shard_scaling`` bench suite gates that ratio (and the cross-executor
+digests); measured walls are reported alongside, untrusted.
 """
 
 from __future__ import annotations
@@ -132,8 +127,7 @@ class TrunkIngress:
 # --------------------------------------------------------------------------
 @dataclass
 class ShardSpec:
-    """Everything needed to (re)build one shard — picklable, so the mp
-    executor ships it to a fresh worker process."""
+    """Everything needed to (re)build one shard."""
 
     shard_id: int
     num_shards: int
@@ -424,18 +418,16 @@ class ShardRunResult:
     shard_events: List[int] = field(default_factory=list)
 
     def digest(self) -> str:
-        """sha256 over everything mode-invariant: the sorted delivery
-        timeline, per-shard NetworkStats and boundary stats, and the
-        merged counters.  ExpressStats stay out, as everywhere else."""
-        import hashlib
+        """The canonical digest over everything mode-invariant: the
+        sorted delivery timeline, per-shard NetworkStats and boundary
+        stats, and the merged counters.  ExpressStats stay out, as
+        everywhere else."""
+        from ..bench.harness import digest
 
-        h = hashlib.sha256()
-        for rec in sorted(self.deliveries):
-            h.update(repr(rec).encode())
-        h.update(repr([sorted(s.items()) for s in self.shard_stats]).encode())
-        h.update(repr([sorted(b.items()) for b in self.boundary_stats]).encode())
-        h.update(repr(sorted(self.counters.items())).encode())
-        return h.hexdigest()
+        return digest(*sorted(self.deliveries),
+                      [sorted(s.items()) for s in self.shard_stats],
+                      [sorted(b.items()) for b in self.boundary_stats],
+                      sorted(self.counters.items()))
 
     @property
     def checks(self) -> dict:
@@ -456,7 +448,7 @@ class ShardRunResult:
 # executors
 # --------------------------------------------------------------------------
 class ShardedSimulator:
-    """Build + run a sharded scenario under any of the three executors."""
+    """Build + run a sharded scenario under either executor."""
 
     def __init__(self, cfg: Optional[ClusterConfig] = None, *,
                  scenario: str = "uniform",
@@ -479,16 +471,13 @@ class ShardedSimulator:
                          self.scenario, self.params, self.cfg)
 
     # ------------------------------------------------------------ running
-    def run(self, mode: Optional[str] = None) -> ShardRunResult:
-        mode = mode or self.cfg.shard_workers
+    def run(self, mode: str = "inprocess") -> ShardRunResult:
         if mode == "sequential":
             return self._run_sequential()
         if mode == "inprocess":
-            return self._run_windowed(_InprocessStepper, "inprocess")
-        if mode == "mp":
-            return self._run_windowed(_MpStepper, "mp")
+            return self._run_windowed()
         raise SimError(f"unknown shard executor {mode!r}; "
-                       "expected sequential | inprocess | mp")
+                       "expected sequential | inprocess")
 
     def _run_sequential(self) -> ShardRunResult:
         from ..chaos.runner import reset_global_ids
@@ -510,53 +499,54 @@ class ShardedSimulator:
                           events=sim.events_dispatched, sim_ns=sim.now,
                           wall_s=wall)
 
-    def _run_windowed(self, stepper_cls, mode: str) -> ShardRunResult:
+    def _run_windowed(self) -> ShardRunResult:
         from ..chaos.runner import reset_global_ids
         reset_global_ids()
         n = self.cfg.num_shards
         hps = self.cfg.num_hosts // n
         lookahead = self.cfg.shard_lookahead_ns
-        specs = [self._spec(sid) for sid in range(n)]
-        stepper = stepper_cls(specs)
+        shards = [Shard(self._spec(sid)) for sid in range(n)]
         t0 = time.perf_counter()
-        try:
-            next_whens = stepper.start()
-            inboxes: List[List[TrunkRecord]] = [[] for _ in range(n)]
-            barriers = total_events = crit_events = 0
-            crit_wall = 0.0
-            shard_events = [0] * n
-            horizon = 0
-            while True:
-                cands = [w for w in next_whens if w is not None]
-                cands += [rec[0] for box in inboxes for rec in box]
-                if not cands:
-                    break
-                t_min = min(cands)
-                until = t_min + lookahead - 1
-                horizon = until
-                active = [i for i in range(n)
-                          if inboxes[i] or (next_whens[i] is not None
-                                            and next_whens[i] <= until)]
-                results = stepper.step(active, until, inboxes)
-                for i in active:
-                    inboxes[i] = []
-                barriers += 1
-                crit_events += max(ev for _, _, ev, _ in results)
-                crit_wall += max(wl for _, _, _, wl in results)
-                for i, (out, nxt, ev, _wl) in zip(active, results):
-                    total_events += ev
-                    shard_events[i] += ev
-                    next_whens[i] = nxt
-                    for rec in out:
-                        inboxes[rec[4] // hps].append(rec)
-            payloads = stepper.finish()
-        finally:
-            stepper.close()
+        next_whens = [sh.next_when() for sh in shards]
+        inboxes: List[List[TrunkRecord]] = [[] for _ in range(n)]
+        barriers = total_events = crit_events = 0
+        crit_wall = 0.0
+        shard_events = [0] * n
+        horizon = 0
+        while True:
+            cands = [w for w in next_whens if w is not None]
+            cands += [rec[0] for box in inboxes for rec in box]
+            if not cands:
+                break
+            t_min = min(cands)
+            until = t_min + lookahead - 1
+            horizon = until
+            active = [i for i in range(n)
+                      if inboxes[i] or (next_whens[i] is not None
+                                        and next_whens[i] <= until)]
+            # Step every active shard on its window-start inbox; records
+            # emitted this window are routed only after the barrier.
+            outs = []
+            window_events = window_wall = 0
+            for i in active:
+                w0 = time.perf_counter()
+                out, next_whens[i], ev = shards[i].step(until, inboxes[i])
+                window_wall = max(window_wall, time.perf_counter() - w0)
+                window_events = max(window_events, ev)
+                inboxes[i] = []
+                total_events += ev
+                shard_events[i] += ev
+                outs += out
+            for rec in outs:
+                inboxes[rec[4] // hps].append(rec)
+            barriers += 1
+            crit_events += window_events
+            crit_wall += window_wall
         wall = time.perf_counter() - t0
-        return self._fold(mode, payloads, events=total_events,
-                          sim_ns=horizon, wall_s=wall, barriers=barriers,
-                          crit_events=crit_events, crit_wall_s=crit_wall,
-                          shard_events=shard_events)
+        return self._fold("inprocess", [sh.payload() for sh in shards],
+                          events=total_events, sim_ns=horizon, wall_s=wall,
+                          barriers=barriers, crit_events=crit_events,
+                          crit_wall_s=crit_wall, shard_events=shard_events)
 
     def _fold(self, mode: str, payloads: List[dict], **kw) -> ShardRunResult:
         deliveries: List[Tuple] = []
@@ -569,93 +559,3 @@ class ShardedSimulator:
             boundary_stats=[p["boundary"] for p in payloads],
             counters=merge_counter_snapshots(p["counters"] for p in payloads),
             express=[p["express"] for p in payloads], **kw)
-
-
-class _InprocessStepper:
-    """Deterministic single-process executor (tests/debug)."""
-
-    def __init__(self, specs: List[ShardSpec]):
-        self.shards = [Shard(s) for s in specs]
-
-    def start(self) -> List[Optional[int]]:
-        return [sh.next_when() for sh in self.shards]
-
-    def step(self, active, until, inboxes):
-        out = []
-        for i in active:
-            t0 = time.perf_counter()
-            o, nxt, ev = self.shards[i].step(until, inboxes[i])
-            out.append((o, nxt, ev, time.perf_counter() - t0))
-        return out
-
-    def finish(self) -> List[dict]:
-        return [sh.payload() for sh in self.shards]
-
-    def close(self) -> None:
-        pass
-
-
-def _shard_worker(spec: ShardSpec, conn) -> None:
-    """Worker main: build the shard, then serve step/finish requests."""
-    shard = Shard(spec)
-    conn.send(shard.next_when())
-    while True:
-        msg = conn.recv()
-        if msg[0] == "step":
-            _, until, inbox = msg
-            t0 = time.perf_counter()
-            out, nxt, ev = shard.step(until, inbox)
-            conn.send((out, nxt, ev, time.perf_counter() - t0))
-        else:
-            conn.send(shard.payload())
-            conn.close()
-            return
-
-
-class _MpStepper:
-    """One worker process per shard, batched handoff over pipes.
-
-    The parent sends every active shard its window before collecting
-    any reply, so shard compute genuinely overlaps on multi-core hosts;
-    per-window worker walls come back with each reply so the runner can
-    report compute-only critical-path time separately from pipe/fork
-    overhead.
-    """
-
-    def __init__(self, specs: List[ShardSpec]):
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        self.conns = []
-        self.procs = []
-        for spec in specs:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_shard_worker, args=(spec, child),
-                               daemon=True)
-            proc.start()
-            child.close()
-            self.conns.append(parent)
-            self.procs.append(proc)
-
-    def start(self) -> List[Optional[int]]:
-        return [conn.recv() for conn in self.conns]
-
-    def step(self, active, until, inboxes):
-        for i in active:
-            self.conns[i].send(("step", until, inboxes[i]))
-        return [self.conns[i].recv() for i in active]
-
-    def finish(self) -> List[dict]:
-        for conn in self.conns:
-            conn.send(("finish",))
-        return [conn.recv() for conn in self.conns]
-
-    def close(self) -> None:
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()

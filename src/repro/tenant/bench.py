@@ -4,7 +4,7 @@ Runs :class:`repro.tenant.interference.InterferenceWorkload` across a
 (policy x chaos-profile x seed) matrix and gates the tenant layer's
 whole promise:
 
-* **determinism** — every traced cell runs twice and the two timeline
+* **determinism** — under ``--smoke`` every cell runs twice and the two
   digests must be bit-identical (a failing cell replays exactly);
 * **contract** — every cell satisfies the delivery contract (I1-I3,
   drop accounting, quiescence);
@@ -29,24 +29,20 @@ bucket) outlasts the chaos harness's hard quiescence deadline, so the
 supervisor kills the run mid-flight — a harness artifact, not an
 isolation result.
 
-Run as a module::
+Run through the harness::
 
-    PYTHONPATH=src python -m repro.tenant.bench --smoke
-    PYTHONPATH=src python -m repro.tenant.bench --out BENCH_TENANT.json
+    PYTHONPATH=src python -m repro bench tenant --smoke
+    PYTHONPATH=src python -m repro bench tenant          # -> BENCH_TENANT.json
 
-Exit status is non-zero if any gate fails.  The JSON artifact contains
-no wall-clock times, so re-running on the same tree reproduces it byte
-for byte.
+The suite fails if any gate fails.  Its cells measure no wall-clock
+times, so every observable reproduces bit for bit on the same tree.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
+from ..bench.harness import Suite, digest, register
 from ..chaos.invariants import IsolationSLO, check_isolation
 from ..chaos.runner import chaos_config, reset_global_ids, run_chaos
 from ..chaos.schedule import Scenario, ScheduleGenerator
@@ -55,7 +51,7 @@ from ..cluster.config import ClusterConfig
 from ..sim.core import AllOf
 from .interference import InterferenceWorkload
 
-__all__ = ["POLICIES", "run_interference_bench", "main"]
+__all__ = ["POLICIES", "TENANT"]
 
 #: tenant-mix policies: kwargs layered onto InterferenceWorkload
 POLICIES: dict[str, dict] = {
@@ -151,201 +147,108 @@ def _untraced_digest(policy: str, seed: int, express: bool,
     sim.run_process(supervise(), name="tenant.bench.supervisor",
                     until=sim.now + 10_000_000_000)
 
-    h = hashlib.sha256()
-    h.update(repr((policy, seed, wl.sent, wl.handled, wl.returned_seen,
+    return digest((policy, seed, wl.sent, wl.handled, wl.returned_seen,
                    wl.quiet_answered, wl.quiet_returned,
                    tuple(wl.bench_latencies_ns()), sim.now,
-                   sorted(wl.registry.snapshot().items()))).encode())
-    return h.hexdigest()
+                   sorted(wl.registry.snapshot().items())))
 
 
-def run_interference_bench(
-    seeds: Sequence[int] = (11, 23),
-    policies: Sequence[str] = tuple(POLICIES),
-    profile: str = "brutal",
-    engine=None,
-    max_p99_inflation: float = 3.0,
-    min_goodput_frac: float = 0.5,
-) -> dict:
-    """Run the full matrix; returns the gated result document.
+def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
+            baseline_p99: dict, max_p99_inflation: float,
+            min_goodput_frac: float) -> dict:
+    """One calm or storm cell.  The calm cell records the quiet tenant's
+    p99 in ``baseline_p99``; the storm cell of the same policy and seed
+    is audited against an SLO built on it."""
+    report, wl = _traced_cell(policy, seed, storm, profile, engine=engine)
+    p50, p99 = _quiet_percentiles(wl)
+    obs = {
+        "ok": report.ok,
+        "digest": report.digest,
+        "sim_ms": round(report.sim_ns / 1e6, 3),
+        "faults_injected": report.faults_injected,
+        "accepted": report.accepted,
+        "delivered": report.delivered,
+        "returned": report.returned,
+        "quiet": {
+            "answered": wl.quiet_answered,
+            "returned": wl.quiet_returned,
+            "pings": wl.pings,
+            "p50_us": round(p50 / 1e3, 1),
+            "p99_us": round(p99 / 1e3, 1),
+        },
+        "tenants": wl.registry.snapshot(),
+        "violations": [str(v) for v in report.violations],
+    }
+    if not storm:
+        baseline_p99[policy, seed] = p99
+    else:
+        base = baseline_p99[policy, seed]
+        slo = IsolationSLO(baseline_p99_ns=max(1, base),
+                           max_p99_inflation=max_p99_inflation,
+                           min_goodput_frac=min_goodput_frac)
+        bound = round(base * max_p99_inflation)
+        obs["slo"] = {
+            "baseline_p99_us": round(base / 1e3, 1),
+            "p99_bound_us": round(bound / 1e3, 1),
+            "p99_margin_us": round((bound - p99) / 1e3, 1),
+            "violations": [str(v) for v in
+                           check_isolation(report.bus.events, wl, slo)],
+        }
+    return {"observables": obs}
 
-    For each (policy, seed): a fault-free *calm* cell establishes the
-    admitted-contention baseline, a *storm* cell runs a ``tenant_storm``
-    scoped to the noisy tenant's fault domain, and both are run twice
-    for the digest gate.  One express-parity check per (policy, seed)
-    rides along.  ``result["ok"]`` aggregates every gate.
-    """
+
+def _parity(policy: str, seed: int, engine) -> dict:
+    return {"observables": {
+        "digest_on": _untraced_digest(policy, seed, True, engine=engine),
+        "digest_off": _untraced_digest(policy, seed, False, engine=engine)}}
+
+
+def _cells(engine=None, seeds: Sequence[int] = (11, 23),
+           policies: Sequence[str] = tuple(POLICIES), profile: str = "brutal",
+           max_p99_inflation: float = 3.0, min_goodput_frac: float = 0.5):
+    """Per (policy, seed): a fault-free *calm* cell establishing the
+    admitted-contention baseline, a *storm* cell running a
+    ``tenant_storm`` scoped to the noisy tenant's fault domain, and one
+    express-parity check."""
+    baseline_p99: dict = {}
     cells = []
-    express_checks = []
-    gates = {"determinism": True, "contract": True, "isolation": True,
-             "goodput_floor": True, "express_parity": True}
-
     for policy in policies:
         for seed in seeds:
-            baseline_p99 = None
-            for kind in ("calm", "storm"):
-                storm = kind == "storm"
-                report, wl = _traced_cell(policy, seed, storm, profile,
-                                          engine=engine)
-                repeat, _ = _traced_cell(policy, seed, storm, profile,
-                                         engine=engine)
-                p50, p99 = _quiet_percentiles(wl)
-                report.bus.publish_tenants(wl.registry)
-
-                cell = {
-                    "policy": policy,
-                    "profile": report.profile if storm else "none",
-                    "kind": kind,
-                    "seed": seed,
-                    "ok": report.ok,
-                    "digest": report.digest,
-                    "digest_repeat_ok": report.digest == repeat.digest,
-                    "sim_ms": round(report.sim_ns / 1e6, 3),
-                    "faults_injected": report.faults_injected,
-                    "accepted": report.accepted,
-                    "delivered": report.delivered,
-                    "returned": report.returned,
-                    "quiet": {
-                        "answered": wl.quiet_answered,
-                        "returned": wl.quiet_returned,
-                        "pings": wl.pings,
-                        "p50_us": round(p50 / 1e3, 1),
-                        "p99_us": round(p99 / 1e3, 1),
-                    },
-                    "tenants": wl.registry.snapshot(),
-                    "violations": [str(v) for v in report.violations],
-                }
-
-                if not cell["digest_repeat_ok"]:
-                    gates["determinism"] = False
-                if not report.ok:
-                    gates["contract"] = False
-                if wl.quiet_answered == 0:
-                    gates["goodput_floor"] = False
-
-                if not storm:
-                    baseline_p99 = p99
-                else:
-                    slo = IsolationSLO(
-                        baseline_p99_ns=max(1, baseline_p99),
-                        max_p99_inflation=max_p99_inflation,
-                        min_goodput_frac=min_goodput_frac,
-                    )
-                    iso = check_isolation(report.bus.events, wl, slo)
-                    bound = round(baseline_p99 * max_p99_inflation)
-                    cell["slo"] = {
-                        "baseline_p99_us": round(baseline_p99 / 1e3, 1),
-                        "p99_bound_us": round(bound / 1e3, 1),
-                        "p99_margin_us": round((bound - p99) / 1e3, 1),
-                        "violations": [str(v) for v in iso],
-                    }
-                    report.bus.metrics.gauge(
-                        "tenant.slo.p99_margin_ns", tenant="quiet").set(
-                            bound - p99)
-                    if iso:
-                        gates["isolation"] = False
-                cells.append(cell)
-
-            on = _untraced_digest(policy, seed, express=True, engine=engine)
-            off = _untraced_digest(policy, seed, express=False, engine=engine)
-            express_checks.append({
-                "policy": policy, "seed": seed,
-                "digest_on": on, "digest_off": off, "ok": on == off,
-            })
-            if on != off:
-                gates["express_parity"] = False
-
-    return {
-        "generated_by": "repro.tenant.bench",
-        "config": {
-            "seeds": list(seeds),
-            "policies": list(policies),
-            "profile": profile,
-            "duration_ms": _DURATION_NS / 1e6,
-            "num_hosts": _NUM_HOSTS,
-            "slo": {"max_p99_inflation": max_p99_inflation,
-                    "min_goodput_frac": min_goodput_frac},
-        },
-        "gates": gates,
-        "ok": all(gates.values()),
-        "cells": cells,
-        "express_checks": express_checks,
-    }
+            for storm in (False, True):
+                cells.append((f"{policy}/{'storm' if storm else 'calm'}/s{seed}",
+                              lambda policy=policy, seed=seed, storm=storm:
+                              _traced(policy, seed, storm, profile, engine,
+                                      baseline_p99, max_p99_inflation,
+                                      min_goodput_frac)))
+            cells.append((f"{policy}/express/s{seed}",
+                          lambda policy=policy, seed=seed:
+                          _parity(policy, seed, engine)))
+    return cells
 
 
-def _print_summary(result: dict) -> None:
-    from ..bench.reporting import print_table
-
-    rows = []
-    for c in result["cells"]:
-        slo = c.get("slo")
-        rows.append([
-            c["policy"], c["kind"], c["seed"], c["faults_injected"],
-            f"{c['quiet']['answered']}/{c['quiet']['pings']}",
-            c["quiet"]["p50_us"], c["quiet"]["p99_us"],
-            (f"+{slo['p99_margin_us']}" if slo else "-"),
-            "ok" if c["ok"] and c["digest_repeat_ok"]
-            and not (slo and slo["violations"]) else "FAIL",
-        ])
-    print_table(
-        ["policy", "cell", "seed", "faults", "answered", "p50 us",
-         "p99 us", "SLO margin", "status"],
-        rows,
-        title="tenant interference matrix (quiet-tenant view)",
-    )
-    xp = result["express_checks"]
-    good = sum(1 for x in xp if x["ok"])
-    print(f"express parity: {good}/{len(xp)} policy/seed pairs bit-equal")
-    print("gates: " + ", ".join(
-        f"{k}={'ok' if v else 'FAIL'}" for k, v in result["gates"].items()))
+def _contract(cells: dict) -> list[str]:
+    return [f"{key}: {v}" for key, c in cells.items()
+            for v in c["observables"].get("violations", [])]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[11, 23])
-    ap.add_argument("--policies", nargs="+", default=list(POLICIES),
-                    choices=list(POLICIES), metavar="POLICY")
-    ap.add_argument("--profile", choices=("mild", "rough", "brutal"),
-                    default="brutal", help="storm intensity")
-    ap.add_argument("--max-p99-inflation", type=float, default=3.0)
-    ap.add_argument("--min-goodput-frac", type=float, default=0.5)
-    ap.add_argument("--out", default=None,
-                    help="write the JSON artifact here")
-    ap.add_argument("--smoke", action="store_true",
-                    help="small fixed matrix for CI: 1 seed, 2 policies")
-    args = ap.parse_args(argv)
-
-    if args.smoke:
-        args.seeds = [11]
-        args.policies = ["baseline", "rate2k"]
-
-    result = run_interference_bench(
-        seeds=args.seeds,
-        policies=args.policies,
-        profile=args.profile,
-        max_p99_inflation=args.max_p99_inflation,
-        min_goodput_frac=args.min_goodput_frac,
-    )
-    _print_summary(result)
-
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(result, f, indent=1, sort_keys=False)
-            f.write("\n")
-        print(f"wrote {args.out}")
-
-    if not result["ok"]:
-        bad = [c for c in result["cells"]
-               if not c["ok"] or not c["digest_repeat_ok"]
-               or c.get("slo", {}).get("violations")]
-        for c in bad:
-            print(f"FAIL {c['policy']}/{c['kind']} seed={c['seed']}: "
-                  f"{c['violations'] or c.get('slo', {}).get('violations')}",
-                  file=sys.stderr)
-        return 1
-    print("all tenant isolation gates passed")
-    return 0
+def _isolation(cells: dict) -> list[str]:
+    return [f"{key}: {v}" for key, c in cells.items()
+            for v in c["observables"].get("slo", {}).get("violations", [])]
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def _goodput_floor(cells: dict) -> list[str]:
+    return [f"{key}: the quiet tenant got no answers"
+            for key, c in cells.items() if "quiet" in c["observables"]
+            and c["observables"]["quiet"]["answered"] == 0]
+
+
+def _express_parity(cells: dict) -> list[str]:
+    return [f"{key}: express on/off observables diverged"
+            for key, c in cells.items() if "digest_on" in c["observables"]
+            and c["observables"]["digest_on"] != c["observables"]["digest_off"]]
+
+
+TENANT = register(Suite(
+    "tenant", _cells,
+    smoke={"seeds": (11,), "policies": ("baseline", "rate2k")},
+    gates=(_contract, _isolation, _goodput_floor, _express_parity)))

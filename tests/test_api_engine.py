@@ -1,13 +1,13 @@
 """The engine facade: resolution, Session threading, bench registry.
 
-``repro.api`` is the stable surface; these tests pin the redesigned
-contract — every harness reaches its kernel through
+``repro.api`` is the stable surface; these tests pin the contract —
+every harness reaches its kernel through
 :func:`resolve_engine`/:func:`resolve_kernel`, a Session accepts any
-engine spec, the bench registry fronts every suite under one name, the
-umbrella CLI dispatches, and the pre-engine entrypoints warn loudly
-while still working.
+engine spec, :func:`run_bench` fronts every harness suite under one
+name, and the ``python -m repro bench`` CLI dispatches.
 """
 
+import json
 import warnings
 
 import pytest
@@ -26,6 +26,7 @@ def test_resolve_engine_by_name_and_passthrough():
     assert isinstance(resolve_engine("reference"), ReferenceEngine)
     eng = ShardedEngine(num_shards=4)
     assert resolve_engine(eng) is eng
+    assert resolve_kernel("reference") is ReferenceSimulator
 
 
 def test_resolve_engine_none_consults_config():
@@ -35,10 +36,10 @@ def test_resolve_engine_none_consults_config():
 
 
 def test_resolve_engine_sharded_picks_up_config_knobs():
-    cfg = ClusterConfig(num_hosts=8, num_shards=2, shard_workers="mp",
+    cfg = ClusterConfig(num_hosts=8, num_shards=2,
                         shard_trunk_latency_us=30.0)
     eng = resolve_engine("sharded", cfg)
-    assert (eng.num_shards, eng.workers, eng.trunk_latency_us) == (2, "mp", 30.0)
+    assert (eng.num_shards, eng.trunk_latency_us) == (2, 30.0)
 
 
 def test_resolve_engine_rejects_unknowns():
@@ -46,13 +47,6 @@ def test_resolve_engine_rejects_unknowns():
         resolve_engine("quantum")
     with pytest.raises(EngineError, match="not an engine spec"):
         resolve_engine(42)
-
-
-def test_resolve_kernel_honors_legacy_sim_factory():
-    assert resolve_kernel(None, sim_factory=ReferenceSimulator) is ReferenceSimulator
-    # a named engine wins over cfg defaults
-    assert resolve_kernel("sequential", sim_factory=None) is Simulator
-    assert resolve_kernel("reference") is ReferenceSimulator
 
 
 def test_sharded_engine_kernel_factory_degenerates_at_one_shard():
@@ -98,7 +92,8 @@ def test_session_engine_via_config_field():
 def test_describe_lists_the_surface():
     d = describe()
     assert d["engines"] == list(ENGINE_NAMES)
-    assert {"perf", "calib", "scale", "tenant", "shard_scaling"} <= set(d["benches"])
+    assert d["benches"] == ["calib", "chaos", "collectives", "fleet", "perf",
+                            "scale", "shard_scaling", "tenant"]
     assert "lru" in d["replacement_policies"]
 
 
@@ -108,52 +103,26 @@ def test_run_bench_unknown_name_raises():
 
 
 def test_run_bench_shard_scaling_smoke():
-    out = run_bench("shard_scaling", engine="sharded", shard_counts=(1, 2),
-                    mp_counts=(), quick=True)
-    assert set(out["shards"]) == {"1", "2"}
-    for entry in out["shards"].values():
-        assert entry["digest_match"]
+    doc = run_bench("shard_scaling", engine="sharded", shard_counts=(1, 2),
+                    quick=True)
+    assert list(doc["cells"]) == ["uniform@1", "uniform@2"]
+    assert doc["failures"] == []
+    assert doc["cells"]["uniform@2"]["observables"]["parallelism_events"] > 1
     with pytest.raises(EngineError, match="only runs on the sharded"):
         run_bench("shard_scaling", engine="reference")
 
 
 def test_session_run_bench_uses_session_engine():
     with Session(nodes=[0, 1], num_hosts=4, engine="sharded") as s:
-        out = s.run_bench("shard_scaling", shard_counts=(1,), mp_counts=(),
-                          quick=True)
-    assert out["shards"]["1"]["digest_match"]
-
-
-# ------------------------------------------------------- deprecated shims
-def test_deprecated_replacement_policies_warns_and_matches_describe():
-    from repro.api import replacement_policies
-
-    with pytest.warns(DeprecationWarning, match="replacement_policies"):
-        pols = replacement_policies()
-    assert pols == describe()["replacement_policies"]
-
-
-def test_deprecated_run_calibration_warns():
-    from repro.api import run_calibration
-
-    with pytest.warns(DeprecationWarning, match="run_bench"):
-        out = run_calibration(smoke=True)
-    assert out.cells
-
-
-def test_deprecated_run_interference_bench_warns():
-    from repro.api import run_interference_bench
-
-    with pytest.warns(DeprecationWarning, match="run_bench"):
-        out = run_interference_bench(seeds=(11,), policies=("weighted",))
-    assert out["ok"] and out["cells"]
+        doc = s.run_bench("shard_scaling", shard_counts=(1,), quick=True)
+    assert list(doc["cells"]) == ["uniform@1"] and doc["failures"] == []
 
 
 def test_new_paths_are_warning_clean():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         describe()
-        run_bench("calib", smoke=True)
+        assert run_bench("calib", smoke=True)["failures"] == []
         with Session(nodes=[0, 1], num_hosts=4, engine="sequential"):
             pass
 
@@ -162,12 +131,18 @@ def test_new_paths_are_warning_clean():
 def test_umbrella_cli_dispatch(capsys, tmp_path):
     from repro.__main__ import main
 
-    assert main([]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
     assert "python -m repro" in capsys.readouterr().out
-    assert main(["-h"]) == 0
+    for argv in ([], ["frobnicate"], ["bench", "nope"],
+                 ["bench", "scale", "--frames", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
-    assert main(["frobnicate"]) == 2
-    assert "unknown command" in capsys.readouterr().err
     out = tmp_path / "shard.json"
-    assert main(["bench", "--shard-smoke", "--out", str(out)]) == 0
-    assert out.exists()
+    assert main(["bench", "shard_scaling", "--smoke", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["suite"] == "shard_scaling" and doc["failures"] == []
+    assert len(doc["cells"]) == 6

@@ -1,20 +1,18 @@
-"""The repro.api session facade: lifecycle, shims, and path equivalence.
+"""The repro.api session facade: lifecycle and path equivalence.
 
 Three contracts from the API redesign:
 
 * a :class:`~repro.api.Session` (the ``AM_Init``/``AM_Terminate``
   analog) frees each of its endpoints through the segment driver
   exactly once, no matter how it is closed or how many times;
-* the deprecated builder names (``build_parallel_vnet`` & co.) warn but
-  keep working — and, being thin shims over the canonical generators,
-  drive the simulation through a bit-identical timeline;
+* a Session drives the simulation through the same bit-identical
+  timeline as the canonical generators it wraps;
 * misuse fails inside the :class:`AmError`/:class:`SimError` hierarchy.
 """
 
 import pytest
 
-from repro.am import (build_parallel_vnet, build_star_vnet, create_endpoint,
-                      new_endpoint, parallel_vnet)
+from repro.am import new_endpoint, parallel_vnet
 from repro.api import AmError, Cluster, Session
 from repro.chaos import reset_global_ids, timeline_digest
 from repro.cluster import Cluster as BuilderCluster
@@ -83,26 +81,6 @@ def test_cluster_context_manager_frees_everything():
     assert cluster.node(1).driver.stats.frees == 1
 
 
-# ------------------------------------------------------------ deprecated shims
-def test_deprecated_builders_warn_and_work():
-    cluster = BuilderCluster(ClusterConfig(num_hosts=4))
-    with pytest.warns(DeprecationWarning, match="parallel_vnet"):
-        vnet = cluster.run_process(build_parallel_vnet(cluster, [0, 1]), "setup")
-    assert len(vnet.endpoints) == 2
-
-    cluster2 = BuilderCluster(ClusterConfig(num_hosts=4))
-    with pytest.warns(DeprecationWarning, match="star_vnet"):
-        servers, clients = cluster2.run_process(
-            build_star_vnet(cluster2, 0, [1, 2]), "setup")
-    assert len(clients) == 2
-
-    cluster3 = BuilderCluster(ClusterConfig(num_hosts=4))
-    with pytest.warns(DeprecationWarning, match="new_endpoint"):
-        ep = cluster3.run_process(
-            create_endpoint(cluster3.node(0), rngs=cluster3.rngs), "e")
-    assert ep.node.node_id == 0
-
-
 # ------------------------------------------------- old/new path equivalence
 def _pingpong_digest(build):
     """Run a small request/reply workload; return the timeline digest.
@@ -143,16 +121,10 @@ def _pingpong_digest(build):
 
 
 def test_old_and_new_call_paths_identical_digest():
-    # process names show up in the trace, so all three paths must name the
+    # process names show up in the trace, so both paths must name the
     # setup process identically ("s.setup") for the digests to be comparable
     def via_canonical(cluster):
         vnet = cluster.run_process(parallel_vnet(cluster, [0, 1]), "s.setup")
-        return vnet[0], vnet[1]
-
-    def via_deprecated(cluster):
-        with pytest.warns(DeprecationWarning):
-            vnet = cluster.run_process(build_parallel_vnet(cluster, [0, 1]),
-                                       "s.setup")
         return vnet[0], vnet[1]
 
     def via_session(cluster):
@@ -160,8 +132,5 @@ def test_old_and_new_call_paths_identical_digest():
         return s.endpoints
 
     d_new = _pingpong_digest(via_canonical)
-    d_old = _pingpong_digest(via_deprecated)
-    assert d_new == d_old, "deprecated shim changed the timeline"
-
     d_session = _pingpong_digest(via_session)
     assert d_new == d_session, "Session facade changed the timeline"

@@ -14,9 +14,11 @@ Three acceptance properties:
 
 import pytest
 
+from repro.api import run_bench
+from repro.bench.harness import validate
 from repro.calib.model import configured_model, round_trip
-from repro.calib.sweep import (CalibCell, default_cells, route_links,
-                               run_calibration, run_cell)
+from repro.calib.sweep import (CalibCell, default_cells, fit_cells,
+                               route_links, run_cell)
 from repro.cluster.config import ClusterConfig
 
 GOLDEN = CalibCell("leaf4", (0, 1), "pingpong", 16, 12)
@@ -59,39 +61,47 @@ def test_smoke_matrix_is_smaller_than_full():
 
 
 @pytest.fixture(scope="module")
-def smoke_report():
-    # one shared smoke sweep (cells only; the workload bench has its own
-    # test module) — module-scoped because the sweep is the slow part
-    return run_calibration(smoke=True, include_workloads=False)
+def smoke_doc():
+    # one shared smoke sweep, every cell run twice (cells + fit only; the
+    # workload bench has its own test module) — module-scoped because
+    # the sweep is the slow part
+    return run_bench("calib", smoke=True, include_workloads=False,
+                     include_contended=False)
 
 
-def test_smoke_round_trip_within_tolerance(smoke_report):
-    assert smoke_report.failures == []
-    assert smoke_report.fit is not None
+def test_smoke_round_trip_within_tolerance(smoke_doc):
+    assert smoke_doc["failures"] == []
+    assert smoke_doc["gates"] == {"round_trip": True, "express_parity": True}
+    fit = smoke_doc["cells"]["fit"]["observables"]
     # every compared constant inside the CI gate's ±10%
-    assert all(row["ok"] for row in smoke_report.comparisons)
+    assert fit["comparisons"] and all(row["ok"] for row in fit["comparisons"])
 
 
-def test_smoke_report_serializes(smoke_report):
-    doc = smoke_report.to_json()
-    assert doc["fitted"]["os_ns"] == smoke_report.fit.os_ns
-    assert len(doc["cells"]) == len(default_cells(True))
-    assert doc["digest"] == smoke_report.digest
+def test_smoke_report_serializes(smoke_doc):
+    assert validate(smoke_doc) == []
+    labels = [c.label for c in default_cells(True)]
+    assert list(smoke_doc["cells"]) == labels + ["fit"]
+    fit = smoke_doc["cells"]["fit"]["observables"]
+    assert fit["fitted"]["os_ns"] == fit["configured"]["os_ns"]
 
 
-def test_round_trip_flags_divergence(smoke_report):
+def test_round_trip_flags_divergence():
     # shrink the tolerance to something impossible: the comparison must
     # fail loudly, proving the gate actually bites
-    rows, failures = round_trip(smoke_report.fit, smoke_report.configured,
-                                [("golden", 2, 16)], tolerance=0.0)
+    fit, configured, _, _ = fit_cells([run_cell(c)
+                                       for c in default_cells(True)])
+    rows, failures = round_trip(fit, configured, [("golden", 2, 16)],
+                                tolerance=0.0)
     assert failures, "zero tolerance must produce failures"
     assert any(not r["ok"] for r in rows)
 
 
-def test_smoke_sweep_double_run_is_bit_identical(smoke_report):
-    # the --smoke CI gate's core property, asserted directly: the same
-    # reduced matrix twice -> identical aggregate digests
-    again = run_calibration(smoke=True, include_workloads=False)
-    assert again.digest == smoke_report.digest
-    assert ([c.digest for c in again.cells]
-            == [c.digest for c in smoke_report.cells])
+def test_smoke_sweep_double_run_is_bit_identical(smoke_doc):
+    # the --smoke CI gate's core property: every cell ran twice with
+    # matching digests (a mismatch would be a failure), and a fresh
+    # sweep reproduces every cell digest
+    again = run_bench("calib", small=True, include_workloads=False,
+                      include_contended=False)
+    assert again["digest"] == smoke_doc["digest"]
+    assert ([c["digest"] for c in again["cells"].values()]
+            == [c["digest"] for c in smoke_doc["cells"].values()])

@@ -171,13 +171,14 @@ def test_frame_rows_mirror_and_resident_count():
 _TINY = dict(ratio=4, endpoint_frames=2, client_nodes=2,
              duration_ms=10.0, warmup_ms=5.0, seed=11)
 
-#: digests captured from the pre-SoA object-based build — the
-#: integer-indexed victim path must reproduce them bit for bit
+#: digests of the pre-SoA object-based build's observables (re-expressed
+#: in the canonical digest of repro.bench.harness) — the integer-indexed
+#: victim path must reproduce them bit for bit
 _PINNED = {
-    "random": "a85008f6dac5782a1fbdd8314715bf59654cac57cc13d4cf79b60892983640b5",
-    "lru": "057edde0df65ca71a2f1887d8b73c3cf7bdbcbd02e06d268f47274891e8553e6",
-    "clock": "d74e55ee454e685d2e5e2aac05c2cc2693c470f18bf965e33787e13322f50399",
-    "active-preference": "01cc26a94c0b2d477721f94cbc1044ef4ee0403f678dd04f8d77525a33a4a929",
+    "random": "888e81b715a7d0798ab6f616ffd2590067ba54dc58dc32c8285df158c88e95e1",
+    "lru": "f75afce2d3eefd8a03eb4c83a1797abda359f6a8aca02eadcb5332e17d278bb6",
+    "clock": "0accec750fecbfc83d79857931adead6c1251ad77faff8f8b5f2657ac02fdbfe",
+    "active-preference": "46ddd11f55495c53e8403b21933da98ae3b0e2ebdc5b93906cffda6aa779598c",
 }
 
 

@@ -17,14 +17,16 @@ Tiny cells here; the committed ``BENCH_FLEET.json`` holds the full
 
 import pytest
 
+from repro.api import run_bench
+from repro.bench.harness import validate
 from repro.scale import (
     ARRIVAL_MODELS,
     DEFAULT_FLEET_POLICIES,
     FleetCellConfig,
     run_fleet_cell,
-    run_fleet_sweep,
+    run_memcheck,
 )
-from repro.scale.fleet import MEMCHECK_BUDGET_MB, MEMCHECK_CELL, run_memcheck
+from repro.scale.fleet import MEMCHECK_BUDGET_MB, MEMCHECK_CELL
 
 #: small-but-real fleet: 4 hosts x 1 NI x 4 frames at 8:1 overcommit
 TINY = dict(hosts=4, nis_per_host=1, endpoint_frames=4, ratio=8, ticks=48)
@@ -75,17 +77,15 @@ def test_overcommit_pressure_shows_up_as_remap_work():
 
 
 def test_sweep_grid_digest_and_json():
-    report = run_fleet_sweep(
-        ["random", "lru"], [4, 16], [4],
-        nis_per_host=1, frames=4, ticks=48,
-        verify_determinism=True,
+    doc = run_bench(
+        "fleet", policies=["random", "lru"], ratios=[4, 16], hosts_list=[4],
+        nis_per_host=1, frames=4, ticks=48, memcheck=False,
+        smoke=True,  # every cell twice; the explicit matrix wins
     )
-    assert len(report.cells) == 4
-    assert not report.nondeterministic
-    assert not report.collapsed_cells()
-    j = report.to_json()
-    assert j["digest"] == report.digest
-    assert len(j["cells"]) == 4
+    assert list(doc["cells"]) == ["random@4h/4:1", "random@4h/16:1",
+                                  "lru@4h/4:1", "lru@4h/16:1"]
+    assert doc["failures"] == []  # deterministic, no zero-goodput cell
+    assert validate(doc) == []
 
 
 def test_memcheck_cell_is_the_acceptance_shape():
@@ -98,13 +98,9 @@ def test_memory_budget_at_acceptance_cell():
     """The acceptance gate itself: 10^5 endpoints across 64 hosts,
     tracemalloc peak under the documented budget (short run — table
     build dominates the peak, not tick count)."""
-    from repro.scale.fleet import FleetReport
-
-    report = FleetReport(arrival="diurnal", seed=1999)
-    res = run_memcheck(report, ticks=6)
+    res = run_memcheck(ticks=6)
     assert res.total_endpoints >= 100_000
     assert res.tracemalloc_peak_bytes > 0
-    assert not report.memory_violations, report.memory_violations
     assert res.tracemalloc_peak_bytes < MEMCHECK_BUDGET_MB * 1e6
 
 

@@ -22,12 +22,13 @@ the full-size sweep.
 
 import pytest
 
+from repro.api import run_bench
+from repro.bench.harness import validate
 from repro.scale import (
     DEFAULT_POLICIES,
     DEFAULT_RATIOS,
     ScaleCellConfig,
     run_cell,
-    run_sweep,
 )
 
 #: small-but-real cell: 2 frames, 4:1 overcommit, 8 clients
@@ -88,22 +89,19 @@ def test_hysteresis_window_engages():
 
 
 def test_sweep_grid_and_digest():
-    report = run_sweep(
-        ["random", "lru"], [1, 4],
+    doc = run_bench(
+        "scale", policies=["random", "lru"], ratios=[1, 4],
         frames=2, duration_ms=8.0, warmup_ms=4.0, client_nodes=2,
-        verify_determinism=True,
+        smoke=True,  # every cell twice; the explicit matrix wins
     )
-    assert len(report.cells) == 4
-    assert not report.nondeterministic
-    assert not report.collapsed_cells()
-    assert report.cell("lru", 4) is not None
-    assert report.cell("lru", 64) is None
-    j = report.to_json()
-    assert j["digest"] == report.digest
-    assert len(j["cells"]) == 4
+    assert list(doc["cells"]) == ["random@1:1", "random@4:1",
+                                  "lru@1:1", "lru@4:1"]
+    assert doc["failures"] == []  # deterministic, no zero-goodput cell
+    assert doc["gates"] == {"zero_goodput": True}
+    assert validate(doc) == []
     # at 1:1 nothing competes for frames: no evictions at all
     for policy in ("random", "lru"):
-        assert report.cell(policy, 1).evictions == 0
+        assert doc["cells"][f"{policy}@1:1"]["observables"]["evictions"] == 0
 
 
 def test_default_grid_covers_issue_matrix():

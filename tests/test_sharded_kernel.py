@@ -1,9 +1,9 @@
 """The sharded PDES kernel: determinism contract, windowing, ingress.
 
 DESIGN.md §13 promises bit-identical :meth:`ShardRunResult.checks`
-(digest + delivery count + dispatched events) across all three
-executors — the shared-heap sequential baseline, the in-process
-windowed scheduler, and the multiprocessing workers.  These tests pin
+(digest + delivery count + dispatched events) across both executors —
+the shared-heap sequential baseline and the in-process windowed
+scheduler.  These tests pin
 that contract across seeds, scenarios and shard counts, then unit-test
 the load-bearing pieces: canonical trunk ingress ordering, same-host
 serialization, the conservative-window violation guard, and the
@@ -58,14 +58,12 @@ def test_windowed_matches_sequential(scenario, shards):
 
 def test_four_shard_chaos_storm_replay_bit_identity():
     """The flagship gate: 4-shard chaos storm — link flaps, express
-    demotions, trunk replies — is bit-identical across sequential,
-    inprocess and mp executors, and replays to the same digest."""
+    demotions, trunk replies — is bit-identical across the sequential
+    and windowed executors, and replays to the same digest."""
     ss = make_sharded(4, "chaos_storm", seed=11)
     seq = ss.run("sequential")
     win = ss.run("inprocess")
-    mp = ss.run("mp")
     assert win.checks == seq.checks
-    assert mp.checks == seq.checks
     # replay: a fresh build of the same spec reproduces the digest
     replay = make_sharded(4, "chaos_storm", seed=11).run("inprocess")
     assert replay.checks == seq.checks
@@ -186,8 +184,6 @@ def test_lookahead_defaults_to_trunk_base():
     assert cfg2.shard_lookahead_ns == 10_000
 
 
-def test_validate_rejects_bad_shard_counts_and_workers():
+def test_validate_rejects_bad_shard_counts():
     with pytest.raises(ValueError, match="num_shards"):
         ClusterConfig(num_shards=0).validate()
-    with pytest.raises(ValueError, match="shard_workers"):
-        ClusterConfig(shard_workers="threads").validate()
