@@ -10,8 +10,8 @@ the strategy comparison is gateable in CI:
 * ``host``     — the dissemination/binomial message patterns over AM;
 * ``firmware`` — NI-forwarded k-ary spanning trees (one descriptor per
   host, all interior steps in LANai firmware);
-* ``express``  — the same up tree, down phase posted as one fabric
-  multicast over the precomputed spanning tree.
+* ``express``  — the same up tree, down phase posted as one wormhole
+  fabric multicast over the precomputed spanning tree.
 
 The committed gate: at 128 nodes the express tree must beat the host
 tree by ``EXPRESS_GATE``x on every operation.  Results land in

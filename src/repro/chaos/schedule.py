@@ -406,12 +406,12 @@ class ScheduleGenerator:
     def _gen_collective_storm(self) -> Scenario:
         """Tree-hostile faults aimed at in-flight collectives.
 
-        Host-link flaps sever spanning-tree edges mid-broadcast (an
-        express multicast flight crossing the flapped link must demote
-        to the store-and-forward path and replay), and a crash/reboot
-        takes out a tree-interior NI so its per-(root, vnet) collective
-        state is dropped and the survivors' operations time out instead
-        of deadlocking.  Composed purely from name-keyed RNG streams so
+        Host-link flaps sever spanning-tree edges mid-broadcast (the
+        fabric multicast crossing the flapped link drops the branches
+        below it), and a crash/reboot takes out a tree-interior NI so
+        its per-(root, vnet) collective state is dropped and the
+        survivors' operations time out instead of deadlocking.
+        Composed purely from name-keyed RNG streams so
         every previously pinned schedule digest is unchanged.
         """
         pieces: list[FaultAction] = []

@@ -236,7 +236,7 @@ class CollectiveWorkload(PairwiseWorkload):
     (barrier / bcast / reduce, rotating roots) through
     :meth:`~repro.am.endpoint.Endpoint.collective` with the *express*
     strategy, so chaos schedules hit spanning-tree state in NI SRAM and
-    in-flight express multicast down-phases.  A round that times out
+    in-flight fabric multicast down-phases.  A round that times out
     (tree member crashed or unreachable) abandons the remaining rounds on
     that rank — :class:`~repro.nic.collective.CollectiveTimeout` is the
     expected fault answer, never a hang — while the inherited pairwise

@@ -110,8 +110,8 @@ class ClusterConfig:
     ni_coll_combine_instr: int = 28
     #: which tree walks the collective: "host" (lib.mpi point-to-point
     #: trees, the baseline), "firmware" (k-ary NI spanning tree), or
-    #: "express" (flat firmware tree whose fan-out rides the fabric's
-    #: express multicast path)
+    #: "express" (the firmware up tree, whose down phase is one wormhole
+    #: fabric multicast from the root's NI)
     collective_strategy: str = "host"
     #: interior fan-out of the firmware spanning tree
     coll_fanout: int = 4
@@ -297,20 +297,6 @@ class ClusterConfig:
     #: timelines are bit-identical either way, which repro.bench.perf's
     #: net_burst oracle enforces in CI.
     express_path: bool = True
-    #: allow back-to-back same-route sends to *join* a committed express
-    #: flight as train members (one pooled callback re-armed member to
-    #: member) instead of revoking it and sending both down the wormhole
-    #: path.  Same bit-identical-timeline contract as ``express_path``;
-    #: off reproduces the old revoke-on-second-send behaviour.
-    express_trains: bool = True
-    #: quiet period after the most recent fault injection (or direct
-    #: link/switch flip) before the express path re-arms, provided every
-    #: link and switch is back up.  0 restores the old sticky behaviour:
-    #: the first fault demotes the whole rest of the run.  Re-arming is
-    #: sound because loss/corruption are applied before the express
-    #: attempt and route caching degrades to per-send recomputation once
-    #: the fabric has ever been reconfigured.
-    express_reenable_quiet_us: float = 200.0
 
     # --------------------------------------------------------------- engine
     #: which event kernel executes the model — resolved through
@@ -438,8 +424,6 @@ class ClusterConfig:
             )
         if self.eviction_hysteresis_us < 0:
             raise ValueError("eviction_hysteresis_us must be >= 0")
-        if self.express_reenable_quiet_us < 0:
-            raise ValueError("express_reenable_quiet_us must be >= 0")
         if self.thrash_window < 1:
             raise ValueError("thrash_window must be >= 1")
         if self.thrash_bounce_us < 0:

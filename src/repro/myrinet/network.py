@@ -23,16 +23,14 @@ whenever all of the following hold:
 
 * ``cfg.express_path`` is on and the path is currently armed: any
   fault injection, or any direct flip of a link/switch ``up``
-  attribute, disarms it and demotes committed flights.  Disarming is
-  no longer sticky for the whole run: once every link and switch is
-  back up and ``cfg.express_reenable_quiet_us`` has elapsed since the
-  most recent fault event, the next send re-arms the path (0 restores
-  the old permanent disable);
+  attribute, disarms it and demotes committed flights.  Once every link
+  and switch is back up and :data:`EXPRESS_REARM_QUIET_NS` has elapsed
+  since the most recent fault event, the next send re-arms the path;
 * hop-level tracing is off (``sim.trace.enabled``), so the elided
   ``sim.spawn``/``sim.exit`` events are unobservable;
 * no wormhole process is in flight *on any link of this route*
   (per-link ``slow_refs`` — a slow packet crossing a disjoint part of
-  the fabric no longer forces a fallback), and every link on the
+  the fabric does not force a fallback), and every link on the
   (cached) route is idle with no express occupancy claim.
 
 Soundness rests on *revocation*: a committed flight's timeline is only
@@ -40,28 +38,16 @@ valid while its links stay untouched, so any later send whose route
 intersects a flight's links first **revokes** the flight — the delivery
 callback is canceled and the flight is replayed as a wormhole process
 holding exactly the links, accounting and pending releases the slow path
-would have at that instant (`_revoke`/`_resume_traverse`).  Because
-revocation runs before the new packet touches any port, FIFO acquisition
-order is preserved and the flight's links are guaranteed re-acquirable.
-Delivery timestamps, ``NetworkStats`` and per-link accounting are
-bit-identical between modes; ``repro.bench.perf``'s net_burst oracle
-enforces this in CI.  Express bookkeeping lives in the separate
-:class:`ExpressStats` so ``NetworkStats`` stays mode-invariant.
-
-Express trains (DESIGN.md §11 residual, closed)
------------------------------------------------
-
-One revocation case used to be self-inflicted: a *same-route* follow-up
-send — the common back-to-back burst from one source — demoted the
-committed flight and sent both packets down the wormhole path, even
-though the pair contends only in the trivially precomputable FIFO way.
-With ``cfg.express_trains`` on, such a send instead **joins** the
-committed flight as a train member: its schedule is derived from its
-predecessor's release times (exactly the slow path's FIFO handoff on an
-otherwise idle route), and the whole train keeps ONE pending delivery
-callback, re-armed member-to-member, so n back-to-back packets cost n
-events instead of n·(2L+1).  Every unicast flight is a train; a train
-of one reproduces the original flight behaviour bit for bit.
+would have at that instant (`_revoke`/`_resume_traverse`).  This holds for
+every send, express or not: a traced send and every multicast fan-out
+(which always takes the wormhole path) revoke the flights on their links
+too.  Because revocation runs before the new packet touches any port,
+FIFO acquisition order is preserved and the flight's links are
+guaranteed re-acquirable.  Delivery timestamps, ``NetworkStats`` and
+per-link accounting are bit-identical between modes;
+``repro.bench.perf``'s net_burst oracle enforces this in CI.  Express
+bookkeeping lives in the separate :class:`ExpressStats` so
+``NetworkStats`` stays mode-invariant.
 """
 
 from __future__ import annotations
@@ -76,7 +62,14 @@ from .link import DirectedLink
 from .packet import Packet
 from .topology import FatTreeTopology, McastTree
 
-__all__ = ["Network", "NetworkStats", "ExpressStats"]
+__all__ = ["Network", "NetworkStats", "ExpressStats", "EXPRESS_REARM_QUIET_NS"]
+
+#: quiet period after the most recent fault injection (or direct
+#: link/switch flip) before the express path re-arms, provided every link
+#: and switch is back up.  Re-arming is sound because loss/corruption are
+#: applied before the express attempt and route caching degrades to
+#: per-send recomputation once the fabric has ever been reconfigured.
+EXPRESS_REARM_QUIET_NS = 200_000
 
 
 @dataclass
@@ -109,132 +102,49 @@ class ExpressStats:
     #: sends that fell back because a wormhole process was in flight on
     #: a link of *this* route (or not yet attributable to its links)
     fallback_active: int = 0
-    #: same-route sends that joined a committed flight as train members
-    #: instead of revoking it (``cfg.express_trains``)
-    train_joins: int = 0
     #: times the path re-armed after a quiet period following a fault
     reenabled: int = 0
     #: sends whose destination lay across a shard boundary: never
     #: expressible (the cached-route commit cannot span fabrics), always
     #: demoted to the store-and-forward trunk handoff
     boundary_demotions: int = 0
-    #: multicast trees committed as pooled-callback-batch flights
-    mcast_commits: int = 0
-    #: pooled callback batches fired (one per distinct tail time)
-    mcast_batches: int = 0
-    #: multicast flights fully delivered un-revoked
-    mcast_delivered: int = 0
-    #: multicast flights demoted to the wormhole fan-out
-    mcast_revoked: int = 0
-    #: multicast sends that fell back to the wormhole fan-out at commit
-    mcast_fallbacks: int = 0
 
     def hits(self) -> int:
-        return self.commits + self.train_joins + self.loopback
+        return self.commits + self.loopback
 
     def fallbacks(self) -> int:
         return self.fallback_busy + self.fallback_active
 
 
-class _TrainMember:
-    """One packet riding an express train, with its frozen schedule:
-    ``acq[j]`` / ``free[j]`` reproduce exactly when the slow path would
-    acquire and release link ``j`` for this packet."""
+class _ExpressFlight:
+    """A committed express delivery: a precomputed wormhole timeline.
 
-    __slots__ = ("pkt", "nbytes", "acq", "free")
-
-    def __init__(self, pkt: Packet, nbytes: int,
-                 acq: list[int], free: list[int]):
-        self.pkt = pkt
-        self.nbytes = nbytes
-        self.acq = acq
-        self.free = free
-
-
-class _ExpressTrain:
-    """A committed express delivery *train*: one or more same-route
-    packets sharing a single pending pooled callback.
-
-    The leader's schedule is the uncontended wormhole timeline; each
-    follower acquires link ``j`` at ``max(prev hop + hop_ns,
-    predecessor frees j)`` — the FIFO handoff the slow path would
-    produce for back-to-back packets on an otherwise idle route.  Only
-    one delivery callback is pending at a time: firing member k re-arms
-    it for member k+1.  :meth:`Network._revoke` uses the per-member
-    schedules to reconstruct mid-flight wormhole state on demotion.
+    ``acquire_at(j)`` / ``free_at(j)`` reproduce exactly when the slow
+    path would acquire and release link ``j`` on an uncontended route;
+    :meth:`Network._revoke` uses them to reconstruct mid-flight wormhole
+    state when the flight must be demoted.
     """
 
-    __slots__ = ("route", "hop_ns", "members", "next_up", "entry")
+    __slots__ = ("pkt", "route", "nbytes", "t0", "hop_ns", "tail_at", "entry")
 
-    def __init__(self, route: list[DirectedLink], hop_ns: int):
-        self.route = route
-        self.hop_ns = hop_ns
-        self.members: list[_TrainMember] = []
-        #: index of the next member to deliver
-        self.next_up = 0
-        #: the one pending delivery heap entry (cancelable)
-        self.entry: Optional[list] = None
-
-    def append(self, pkt: Packet, nbytes: int, now: int) -> _TrainMember:
-        route, hop = self.route, self.hop_ns
-        last = len(route) - 1
-        acq = [0] * (last + 1)
-        free = [0] * (last + 1)
-        prev = self.members[-1] if self.members else None
-        if prev is None:
-            acq[0] = now
-            for j in range(1, last + 1):
-                acq[j] = acq[j - 1] + hop
-        else:
-            acq[0] = max(now, prev.free[0])
-            for j in range(1, last + 1):
-                acq[j] = max(acq[j - 1] + hop, prev.free[j])
-        free[last] = acq[last] + route[last].wire_ns(nbytes)
-        for j in range(last - 1, -1, -1):
-            free[j] = max(acq[j + 1], acq[j] + route[j].wire_ns(nbytes))
-        m = _TrainMember(pkt, nbytes, acq, free)
-        self.members.append(m)
-        return m
-
-
-class _McastFlight:
-    """A committed express *multicast*: one precomputed wormhole fan-out.
-
-    The head wave crosses one tree level per hop time, so a link at level
-    ``j`` is acquired at ``t0 + j*hop_ns`` — exactly the unicast timing to
-    each destination.  Deliveries are grouped into **pooled callback
-    batches**, one per distinct terminal tail time (same-leaf terminals
-    land one batch earlier than remote ones); :meth:`Network._revoke_mcast`
-    reconstructs mid-fan-out wormhole state when the flight is demoted.
-    """
-
-    __slots__ = ("tree", "pkts", "nbytes", "t0", "hop_ns", "batches",
-                 "entries")
-
-    def __init__(self, tree: McastTree, pkts: dict, nbytes: int,
+    def __init__(self, pkt: Packet, route: list[DirectedLink], nbytes: int,
                  t0: int, hop_ns: int):
-        self.tree = tree
-        self.pkts = pkts  # local dst -> Packet
+        self.pkt = pkt
+        self.route = route
         self.nbytes = nbytes
         self.t0 = t0
         self.hop_ns = hop_ns
-        tails: dict[int, list] = {}
-        for dst, lvl, link in tree.terminals:
-            tail = t0 + lvl * hop_ns + link.wire_ns(nbytes)
-            tails.setdefault(tail, []).append((dst, lvl, link))
-        self.batches: list[tuple[int, list]] = sorted(tails.items())
-        #: pending delivery heap entries, one per batch (None = fired or
-        #: canceled)
-        self.entries: list[Optional[list]] = [None] * len(self.batches)
+        self.tail_at = t0 + (len(route) - 1) * hop_ns + route[-1].wire_ns(nbytes)
+        self.entry: Optional[list] = None  # delivery heap entry (cancelable)
 
-    def acquire_at(self, lvl: int) -> int:
-        return self.t0 + lvl * self.hop_ns
+    def acquire_at(self, j: int) -> int:
+        return self.t0 + j * self.hop_ns
 
-    def free_at(self, lvl: int, link: DirectedLink) -> int:
-        if link in self.tree.terminal_links:
-            return self.acquire_at(lvl) + link.wire_ns(self.nbytes)
-        return max(self.acquire_at(lvl + 1),
-                   self.acquire_at(lvl) + link.wire_ns(self.nbytes))
+    def free_at(self, j: int) -> int:
+        if j == len(self.route) - 1:
+            return self.tail_at
+        return max(self.acquire_at(j + 1),
+                   self.acquire_at(j) + self.route[j].wire_ns(self.nbytes))
 
 
 class Network:
@@ -257,16 +167,15 @@ class Network:
         #: per-hop head advance: cut-through + cable + header serialization
         self._hop_ns = (cfg.switch_latency_ns + cfg.cable_latency_ns
                         + round(cfg.packet_header_bytes * cfg.link_byte_ns))
-        #: express engages while armed; faults disarm it (and, with a
-        #: nonzero quiet window, a healthy fabric re-arms it later)
+        #: express engages while armed; faults disarm it and a healthy,
+        #: quiet fabric re-arms it later
         self._express_configured = bool(cfg.express_path)
         self._express_enabled = self._express_configured
-        self._reenable_ns = round(cfg.express_reenable_quiet_us * 1_000.0)
         #: earliest time the path may re-arm (None = nothing pending)
         self._rearm_at: Optional[int] = None
         #: id()s of links/switches currently administratively down
         self._down: set[int] = set()
-        self._flights: list = []
+        self._flights: list[_ExpressFlight] = []
         #: slow sends spawned but not yet attributed to their route's
         #: links (the window between send() and the process's first step)
         self._slow_pending = 0
@@ -319,17 +228,17 @@ class Network:
         """Any fault injection disarms the express path and demotes
         committed flights to wormhole processes (conservative: the
         equivalence argument then holds trivially for everything after
-        the injection).  With ``cfg.express_reenable_quiet_us`` > 0 the
-        disarm is hysteretic rather than sticky: a quiet period after
-        the *latest* fault, with every link and switch back up, re-arms
-        the path on the next send — so one transient flap no longer
-        demotes the remainder of a long run."""
-        if self._express_configured and self._reenable_ns > 0:
-            self._rearm_at = self.sim.now + self._reenable_ns
+        the injection).  The disarm is hysteretic rather than sticky: a
+        quiet period of :data:`EXPRESS_REARM_QUIET_NS` after the *latest*
+        fault, with every link and switch back up, re-arms the path on
+        the next send — so one transient flap does not demote the
+        remainder of a long run."""
+        if self._express_configured:
+            self._rearm_at = self.sim.now + EXPRESS_REARM_QUIET_NS
         if self._express_enabled:
             self._express_enabled = False
             while self._flights:
-                self._revoke_any(self._flights[0])
+                self._revoke(self._flights[0])
 
     def _fabric_changed(self, obj) -> None:
         # A switch or link flipped state (fault injector or a test poking
@@ -341,6 +250,19 @@ class Network:
         else:
             self._down.add(id(obj))
         self.on_fault()
+
+    def _express_ready(self) -> bool:
+        """Whether a send made now may commit an express flight.
+
+        Re-arms a disarmed path first once its quiet window has passed
+        on a healthy fabric; tracing keeps every hop observable, so a
+        traced send never commits."""
+        if (self._rearm_at is not None and not self._down
+                and self.sim.now >= self._rearm_at):
+            self._express_enabled = True
+            self._rearm_at = None
+            self.express.reenabled += 1
+        return self._express_enabled and not self.sim.trace.enabled
 
     # ------------------------------------------------------------- sending
     def install_boundary(self, boundary) -> None:
@@ -363,7 +285,7 @@ class Network:
                 # demoted to the wormhole-style trunk handoff.  This
                 # precedes the loss/corrupt draws deliberately — the
                 # local RNG stream must not see remote traffic.
-                if self._express_enabled and not self.sim.trace.enabled:
+                if self._express_ready():
                     self.express.boundary_demotions += 1
                 b.handoff(pkt, self.sim.now)
                 return
@@ -378,24 +300,7 @@ class Network:
             return
         if self.cfg.packet_corrupt_prob and self.rng.random() < self.cfg.packet_corrupt_prob:
             pkt.corrupted = True
-        if (not self._express_enabled and self._rearm_at is not None
-                and not self._down and self.sim.now >= self._rearm_at):
-            self._express_enabled = True
-            self._rearm_at = None
-            self.express.reenabled += 1
-        if self._express_enabled and not self.sim.trace.enabled and self._try_express(pkt):
-            return
-        self._dispatch_slow(pkt)
-
-    def _dispatch_slow(self, pkt: Packet) -> None:
-        if pkt.src_nic == pkt.dst_nic:
-            self.sim.spawn(self._traverse_loopback(pkt), name=f"pkt{pkt.xmit_id}")
-            return
-        # Counted *before* the process first runs so a same-tick express
-        # attempt cannot miss it; the process converts the pending count
-        # into per-link slow_refs once it knows its route.
-        self._slow_pending += 1
-        self.sim.spawn(self._traverse(pkt), name=f"pkt{pkt.xmit_id}")
+        self._launch(pkt, self._express_ready())
 
     def send_multicast(self, src: int, dsts, make_pkt: Callable[[int], Packet],
                        channel: int = 0) -> None:
@@ -404,18 +309,18 @@ class Network:
         ``make_pkt(dst)`` constructs the per-destination packet; all
         packets of one fan-out must have the same wire size (collective
         descriptors do).  When a spanning tree exists the whole fan-out
-        traverses shared links once — and, on an idle fabric with the
-        express path armed, delivers as pooled callback batches (one per
-        distinct terminal tail time).  Per-destination delivery timing is
-        identical to unicast either way.  With a shard boundary
-        installed, cross-shard destinations are demoted to the trunk
-        packet-by-packet before any stats or RNG state is touched.
+        traverses shared links once as a single wormhole fan-out, after
+        revoking any committed unicast flight that claims a tree link.
+        Per-destination delivery timing is identical to unicast.  With a
+        shard boundary installed, cross-shard destinations are demoted to
+        the trunk packet-by-packet before any stats or RNG state is
+        touched.
         """
         b = self.boundary
         if b is not None:
             remote = [d for d in dsts if not b.is_local(d)]
             if remote:
-                if self._express_enabled and not self.sim.trace.enabled:
+                if self._express_ready():
                     self.express.boundary_demotions += len(remote)
                 for d in remote:
                     b.handoff(make_pkt(d), self.sim.now)
@@ -448,71 +353,70 @@ class Network:
         if self.cfg.packet_corrupt_prob and self.rng.random() < self.cfg.packet_corrupt_prob:
             for pkt in pkts.values():
                 pkt.corrupted = True
-        if (not self._express_enabled and self._rearm_at is not None
-                and not self._down and self.sim.now >= self._rearm_at):
-            self._express_enabled = True
-            self._rearm_at = None
-            self.express.reenabled += 1
+        express = self._express_ready()
         tree = self.topology.multicast_tree(src_l, list(pkts), channel)
         if tree is None:
             # No single spanning tree covers the set (a needed link or
             # spine is down): degrade to independent unicasts, each with
             # its own express attempt and noroute/linkdown accounting.
             for dst in sorted(pkts):
-                pkt = pkts[dst]
-                if (self._express_enabled and not self.sim.trace.enabled
-                        and self._try_express(pkt)):
-                    continue
-                self._dispatch_slow(pkt)
+                self._launch(pkts[dst], express)
             return
-        nbytes = next(iter(pkts.values())).wire_bytes(self.cfg.packet_header_bytes)
-        if (self._express_enabled and not self.sim.trace.enabled
-                and self._try_express_mcast(tree, pkts, nbytes)):
-            return
+        if self._flights:
+            self._revoke_claims(tree.all_links)
         for link in tree.all_links:
             link.slow_refs += 1
+        nbytes = next(iter(pkts.values())).wire_bytes(self.cfg.packet_header_bytes)
         self.sim.spawn(self._traverse_mcast(tree, pkts, nbytes),
                        name=f"mcast{next(iter(pkts.values())).xmit_id}")
 
-    # ------------------------------------------------------- express path
-    def _try_express(self, pkt: Packet) -> bool:
+    def _launch(self, pkt: Packet, express: bool) -> None:
+        """Put one fabric-local packet on the wire: an express flight if
+        ``express`` allows and the route is free, else a wormhole
+        process — after demoting any committed flight that claims a link
+        of its route, whichever way it goes."""
         sim = self.sim
         if pkt.src_nic == pkt.dst_nic:
-            sim.call_after(self.loopback_ns, self._express_loopback, pkt)
-            self.express.loopback += 1
-            return True
-        route = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
-        if route is None:
-            return False  # slow path owns the noroute drop accounting
-        # A back-to-back send down the *same* route joins the committed
-        # train instead of revoking it: the follower's schedule is the
-        # FIFO handoff the slow path would produce, and the train still
-        # keeps only one pending callback (re-armed member-to-member).
-        head = route[0].express_flight
-        if (head is not None and self.cfg.express_trains
-                and not self._slow_pending
-                and isinstance(head, _ExpressTrain) and head.route == route
-                and all(link.express_flight is head and not link.slow_refs
-                        for link in route)):
-            nbytes = pkt.wire_bytes(self.cfg.packet_header_bytes)
-            m = head.append(pkt, nbytes, sim.now)
-            for j, link in enumerate(route):
-                link.busy_until = m.free[j]
-            self.express.train_joins += 1
-            return True
-        # A committed flight claiming any link on this route must be
-        # demoted first: the new packet may contend, which its frozen
-        # timeline cannot absorb.  Revoking *before* this packet touches
-        # any port preserves FIFO acquisition order.
-        for link in route:
+            if express:
+                # A blocked receive FIFO has no upstream link to
+                # backpressure on loopback, so a pending waitable is
+                # simply not waited on — the slow path's waiting process
+                # has no further effects either.
+                sim.call_after(self.loopback_ns, self._deliver, pkt)
+                self.express.loopback += 1
+            else:
+                sim.spawn(self._traverse_loopback(pkt), name=f"pkt{pkt.xmit_id}")
+            return
+        if express or self._flights:
+            route = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
+            # no route: the slow path owns the noroute drop accounting
+            if route is not None:
+                self._revoke_claims(route)
+                if express and self._try_commit(pkt, route):
+                    return
+        # Counted *before* the process first runs so a same-tick express
+        # attempt cannot miss it; the process converts the pending count
+        # into per-link slow_refs once it knows its route.
+        self._slow_pending += 1
+        sim.spawn(self._traverse(pkt), name=f"pkt{pkt.xmit_id}")
+
+    # ------------------------------------------------------- express path
+    def _revoke_claims(self, links) -> None:
+        # A committed flight claiming any of these links must be demoted
+        # first: the new packet may contend, which its frozen timeline
+        # cannot absorb.  Revoking *before* this packet touches any port
+        # preserves FIFO acquisition order.
+        for link in links:
             if link.express_flight is not None:
-                self._revoke_any(link.express_flight)
+                self._revoke(link.express_flight)
+
+    def _try_commit(self, pkt: Packet, route: list[DirectedLink]) -> bool:
         if self._slow_pending:
             # A slow send was just spawned and has not yet published its
             # route; it could be headed for any link, so be conservative.
             self.express.fallback_active += 1
             return False
-        now = sim.now
+        now = self.sim.now
         for link in route:
             if link.slow_refs:
                 self.express.fallback_active += 1
@@ -521,359 +425,143 @@ class Network:
                 self.express.fallback_busy += 1
                 return False
         nbytes = pkt.wire_bytes(self.cfg.packet_header_bytes)
-        tr = _ExpressTrain(route, self._hop_ns)
-        m = tr.append(pkt, nbytes, now)
+        fl = _ExpressFlight(pkt, route, nbytes, now, self._hop_ns)
         for j, link in enumerate(route):
-            link.express_flight = tr
-            link.busy_until = m.free[j]
-        tr.entry = sim.call_after(m.free[-1] - now, self._express_fire, tr)
-        self._flights.append(tr)
+            link.express_flight = fl
+            link.busy_until = fl.free_at(j)
+        fl.entry = self.sim.call_after(fl.tail_at - now, self._express_fire, fl)
+        self._flights.append(fl)
         self.express.commits += 1
         return True
 
-    def _express_loopback(self, pkt: Packet) -> None:
-        # A blocked receive FIFO has no upstream link to backpressure on
-        # loopback, so a pending waitable is simply not waited on — the
-        # slow path's waiting process has no further effects either.
-        self._deliver(pkt)
-
-    def _express_fire(self, tr: _ExpressTrain) -> None:
-        """The train's pooled delivery callback: delivers one member,
-        then re-arms itself for the next member (if any)."""
-        sim = self.sim
-        route = tr.route
-        m = tr.members[tr.next_up]
-        tr.next_up += 1
+    def _express_fire(self, fl: _ExpressFlight) -> None:
+        """The single delivery callback of an un-revoked flight."""
+        self._flights.remove(fl)
+        route, nbytes = fl.route, fl.nbytes
+        for link in route:
+            link.express_flight = None
+            link.busy_until = 0
         last_j = len(route) - 1
-        done = tr.next_up == len(tr.members)
-        if done:
-            self._flights.remove(tr)
-            tr.entry = None
-            for link in route:
-                link.express_flight = None
-                link.busy_until = 0
         # Per-link accounting in exactly the slow path's amounts.
         for j in range(last_j):
-            route[j].account(m.nbytes, m.free[j] - m.acq[j])
-        pending = self._deliver(m.pkt)
+            route[j].account(nbytes, fl.free_at(j) - fl.acquire_at(j))
+        pending = self._deliver(fl.pkt)
         last = route[last_j]
         if pending is None:
-            last.account(m.nbytes, sim.now - m.acq[last_j])
-            if not done:
-                nxt = tr.members[tr.next_up]
-                tr.entry = sim.call_after(nxt.free[last_j] - sim.now,
-                                          self._express_fire, tr)
+            last.account(nbytes, self.sim.now - fl.acquire_at(last_j))
         else:
             # Receive FIFO full: hold the last link for real until the
             # NIC drains, so congestion backs into the fabric exactly
             # like the wormhole path ("congestion rapidly spreads").
-            # Followers' frozen schedules assumed the link frees on
-            # time, so they demote to wormhole processes queueing
-            # behind the drain in FIFO order.
             if not last.try_acquire():
                 raise SimError(f"express flight lost its tail link {last.name}")
-            sim.spawn(self._express_drain(m, last, pending),
-                      name=f"pkt{m.pkt.xmit_id}")
-            if not done:
-                self._flights.remove(tr)
-                tr.entry = None
-                for link in route:
-                    link.express_flight = None
-                    link.busy_until = 0
-                self._demote_members(tr)
+            self.sim.spawn(self._express_drain(fl, last, pending),
+                           name=f"pkt{fl.pkt.xmit_id}")
         self.express.delivered += 1
 
-    def _express_drain(self, m: _TrainMember, last: DirectedLink, pending):
+    def _express_drain(self, fl: _ExpressFlight, last: DirectedLink, pending):
         yield pending
-        last.account(m.nbytes, self.sim.now - m.acq[-1])
+        last.account(fl.nbytes, self.sim.now - fl.acquire_at(len(fl.route) - 1))
         last.release()
 
-    def _revoke(self, tr: _ExpressTrain) -> None:
-        """Demote a committed train to wormhole processes, reconstructing
-        exactly the state the slow path would be in right now for every
-        undelivered member: links a virtual head has exited are accounted
-        (and, while still inside their occupancy window, re-held with
-        their release pre-scheduled); the link each head currently
-        occupies is re-acquired and a continuation process resumes the
-        traversal mid-hop.  Members not yet on the wire re-enter as
-        ordinary slow sends, behind their predecessors in FIFO order."""
-        if tr.entry is not None:
-            tr.entry[3] = None  # cancel the pending delivery callback
-            tr.entry = None
-        self._flights.remove(tr)
-        for link in tr.route:
+    def _revoke(self, fl: _ExpressFlight) -> None:
+        """Demote a committed flight to a wormhole process, reconstructing
+        exactly the state the slow path would be in right now: links the
+        virtual head has exited are accounted (and, while still inside
+        their occupancy window, re-held with their release pre-scheduled);
+        the link the head currently occupies is re-acquired and a
+        continuation process resumes the traversal mid-hop."""
+        sim = self.sim
+        fl.entry[3] = None  # cancel the pending delivery callback
+        fl.entry = None
+        self._flights.remove(fl)
+        route, nbytes = fl.route, fl.nbytes
+        for link in route:
             link.express_flight = None
             link.busy_until = 0
-        self._demote_members(tr)
-
-    def _demote_members(self, tr: _ExpressTrain) -> None:
-        sim = self.sim
-        route = tr.route
         now = sim.now
-        for m in tr.members[tr.next_up:]:
-            # Head index: a grant strictly before `now` is certainly
-            # real; a grant scheduled at exactly `now` is real only if
-            # the link is actually free right now (a blocked delivery
-            # or a just-demoted predecessor can hold a link past the
-            # frozen schedule) — ``try_acquire`` is the probe *and* the
-            # re-hold.
-            mi = len(route) - 1
-            while mi >= 0 and m.acq[mi] > now:
-                mi -= 1
-            while mi >= 0 and not route[mi].try_acquire():
-                if m.acq[mi] != now:
-                    raise SimError(
-                        f"express train lost head link {route[mi].name}")
-                mi -= 1
-            if mi < 0:
-                # Not on the wire yet: the slow path's process would be
-                # queued on the first link; re-inject it whole.  Counted
-                # pending until the process publishes its slow_refs,
-                # like _dispatch_slow.
-                self._slow_pending += 1
-                self.express.revoked += 1
-                sim.spawn(self._restart_member(tr, m),
-                          name=f"pkt{m.pkt.xmit_id}")
-                continue
-            for j in range(mi):
-                fa = m.free[j]
-                route[j].account(m.nbytes, fa - m.acq[j])
-                if fa > now:
-                    if not route[j].try_acquire():
-                        raise SimError(
-                            f"express flight lost held link {route[j].name}")
-                    sim.call_after(fa - now, route[j].release)
-            # The resumed wormhole can still contend on the links it has
-            # not exited yet; links already fully freed stay unmarked.
-            for link in route[mi:]:
-                link.slow_refs += 1
-            self.express.revoked += 1
-            sim.spawn(self._resume_traverse(tr, m, mi),
-                      name=f"pkt{m.pkt.xmit_id}")
-
-    def _restart_member(self, tr: _ExpressTrain, m: _TrainMember):
-        route = tr.route
-        for link in route:
+        m = min((now - fl.t0) // fl.hop_ns, len(route) - 1)
+        acquired_at = [fl.acquire_at(j) for j in range(m + 1)]
+        for j in range(m):
+            fa = fl.free_at(j)
+            route[j].account(nbytes, fa - fl.acquire_at(j))
+            if fa > now:
+                if not route[j].try_acquire():
+                    raise SimError(f"express flight lost held link {route[j].name}")
+                sim.call_after(fa - now, route[j].release)
+        if not route[m].try_acquire():
+            raise SimError(f"express flight lost head link {route[m].name}")
+        # The resumed wormhole can still contend on the links it has not
+        # exited yet; links already fully freed stay unmarked.
+        for link in route[m:]:
             link.slow_refs += 1
-        self._slow_pending -= 1
-        try:
-            yield from self._run_route(m.pkt, route, m.nbytes, 0, [], [])
-        finally:
-            for link in route:
-                link.slow_refs -= 1
+        self.express.revoked += 1
+        sim.spawn(self._resume_traverse(fl, m, acquired_at), name=f"pkt{fl.pkt.xmit_id}")
 
-    def _resume_traverse(self, tr: _ExpressTrain, m: _TrainMember, mi: int):
-        route = tr.route
-        held = [route[mi]]
+    def _resume_traverse(self, fl: _ExpressFlight, m: int, acquired_at: list[int]):
+        route = fl.route
+        held = [route[m]]
         try:
-            if mi < len(route) - 1:
+            if m < len(route) - 1:
                 # The wormhole would be mid-hop: inside the timeout begun
-                # when link mi was acquired.
-                wake = m.acq[mi] + tr.hop_ns
+                # when link m was acquired.
+                wake = fl.acquire_at(m) + fl.hop_ns
                 if wake > self.sim.now:
                     yield self.sim.timeout(wake - self.sim.now)
-            yield from self._run_route(m.pkt, route, m.nbytes, mi + 1,
-                                       m.acq[:mi + 1], held)
+            yield from self._run_route(fl.pkt, route, fl.nbytes, m + 1,
+                                       acquired_at, held)
         finally:
-            for link in route[mi:]:
-                link.slow_refs -= 1
-
-    def _revoke_any(self, fl) -> None:
-        if isinstance(fl, _McastFlight):
-            self._revoke_mcast(fl)
-        else:
-            self._revoke(fl)
-
-    # -------------------------------------------------- express multicast
-    def _try_express_mcast(self, tree: McastTree, pkts: dict, nbytes: int) -> bool:
-        sim = self.sim
-        for link in tree.all_links:
-            if link.express_flight is not None:
-                self._revoke_any(link.express_flight)
-        if self._slow_pending:
-            self.express.mcast_fallbacks += 1
-            return False
-        now = sim.now
-        for link in tree.all_links:
-            if link.slow_refs or not link._port.idle or link.busy_until > now:
-                self.express.mcast_fallbacks += 1
-                return False
-        fl = _McastFlight(tree, pkts, nbytes, now, self._hop_ns)
-        for lvl, links in enumerate(tree.levels):
-            for link in links:
-                link.express_flight = fl
-                link.busy_until = fl.free_at(lvl, link)
-        for i, (tail, _terms) in enumerate(fl.batches):
-            fl.entries[i] = sim.call_after(tail - now, self._express_fire_mcast, fl, i)
-        self._flights.append(fl)
-        self.express.mcast_commits += 1
-        return True
-
-    def _express_fire_mcast(self, fl: _McastFlight, i: int) -> None:
-        """One pooled callback batch: every terminal with this tail time."""
-        sim = self.sim
-        _tail, terms = fl.batches[i]
-        fl.entries[i] = None
-        self.express.mcast_batches += 1
-        for dst, lvl, link in terms:
-            link.express_flight = None
-            link.busy_until = 0
-            pending = self._deliver(fl.pkts[dst])
-            if pending is None:
-                link.account(fl.nbytes, sim.now - fl.acquire_at(lvl))
-            else:
-                # Receive FIFO full: hold this terminal link for real
-                # until the NIC drains, like the unicast express path.
-                if not link.try_acquire():
-                    raise SimError(f"express mcast lost terminal link {link.name}")
-                sim.spawn(self._express_mcast_drain(fl, lvl, link, pending),
-                          name=f"mc{fl.pkts[dst].xmit_id}")
-        if all(e is None for e in fl.entries):
-            self._flights.remove(fl)
-            term = fl.tree.terminal_links
-            for lvl, links in enumerate(fl.tree.levels):
-                for link in links:
-                    if link in term:
-                        continue
-                    link.express_flight = None
-                    link.busy_until = 0
-                    link.account(fl.nbytes, fl.free_at(lvl, link) - fl.acquire_at(lvl))
-            self.express.mcast_delivered += 1
-
-    def _express_mcast_drain(self, fl: _McastFlight, lvl: int,
-                             link: DirectedLink, pending):
-        yield pending
-        link.account(fl.nbytes, self.sim.now - fl.acquire_at(lvl))
-        link.release()
-
-    def _revoke_mcast(self, fl: _McastFlight) -> None:
-        """Demote a committed multicast flight to the wormhole fan-out,
-        reconstructing the level-synchronous wave state the slow path
-        would be in right now: levels the wave has exited are accounted
-        (non-terminals re-held with releases pre-scheduled, unfired
-        terminals handed to per-terminal finishers), the current wave
-        level is re-acquired, and a continuation resumes mid-hop."""
-        sim = self.sim
-        pending_terms: list[tuple[int, int, DirectedLink]] = []
-        for i, e in enumerate(fl.entries):
-            if e is not None:
-                e[3] = None  # cancel the pending batch callback
-                fl.entries[i] = None
-                pending_terms.extend(fl.batches[i][1])
-        self._flights.remove(fl)
-        tree, nbytes = fl.tree, fl.nbytes
-        term = tree.terminal_links
-        pending_links = {link for _d, _l, link in pending_terms}
-        for link in tree.all_links:
-            if link.express_flight is fl:
-                link.express_flight = None
-                link.busy_until = 0
-        now = sim.now
-        m = min((now - fl.t0) // fl.hop_ns, tree.num_levels - 1)
-        acq: dict[DirectedLink, int] = {}
-        for lvl in range(m):
-            for link in tree.levels[lvl]:
-                if link in term:
-                    if link not in pending_links:
-                        continue  # its batch already fired and cleaned up
-                    if not link.try_acquire():
-                        raise SimError(f"express mcast lost terminal {link.name}")
-                    dst = tree.downstream[link][0]
-                    sim.spawn(self._mcast_finish(link, fl.pkts[dst], nbytes,
-                                                 fl.acquire_at(lvl)),
-                              name=f"mc{fl.pkts[dst].xmit_id}")
-                else:
-                    fa = fl.free_at(lvl, link)
-                    link.account(nbytes, fa - fl.acquire_at(lvl))
-                    if fa > now:
-                        if not link.try_acquire():
-                            raise SimError(f"express mcast lost held link {link.name}")
-                        sim.call_after(fa - now, link.release)
-        for link in tree.levels[m]:
-            if link in term and link not in pending_links:
-                continue
-            if not link.try_acquire():
-                raise SimError(f"express mcast lost head link {link.name}")
-            acq[link] = fl.acquire_at(m)
-        for link in [lk for lvl in tree.levels[m:] for lk in lvl]:
-            link.slow_refs += 1
-        self.express.mcast_revoked += 1
-        sim.spawn(self._resume_mcast(fl, m, acq, pending_terms),
-                  name=f"mcast{next(iter(fl.pkts.values())).xmit_id}")
-
-    def _resume_mcast(self, fl: _McastFlight, m: int,
-                      acq: dict, pending_terms: list):
-        sim = self.sim
-        tree, nbytes = fl.tree, fl.nbytes
-        marked = [lk for lvl in tree.levels[m:] for lk in lvl]
-        try:
-            # Terminals on the current wave level serialize on their own
-            # clock; deeper terminals are reached by the resumed wave.
-            for dst, lvl, link in pending_terms:
-                if lvl == m:
-                    sim.spawn(self._mcast_finish(link, fl.pkts[dst], nbytes,
-                                                 fl.acquire_at(m)),
-                              name=f"mc{fl.pkts[dst].xmit_id}")
-            if m < tree.num_levels - 1:
-                wake = fl.acquire_at(m) + fl.hop_ns
-                if wake > sim.now:
-                    yield sim.timeout(wake - sim.now)
-                yield from self._run_mcast(tree, fl.pkts, nbytes, m + 1, acq)
-        finally:
-            for link in marked:
+            for link in route[m:]:
                 link.slow_refs -= 1
 
     # ---------------------------------------------------- wormhole mcast
     def _traverse_mcast(self, tree: McastTree, pkts: dict, nbytes: int):
-        try:
-            yield from self._run_mcast(tree, pkts, nbytes, 0, {})
-        finally:
-            for link in tree.all_links:
-                link.slow_refs -= 1
-
-    def _run_mcast(self, tree: McastTree, pkts: dict, nbytes: int,
-                   start: int, acq: dict):
-        """The level-synchronous wormhole fan-out from tree level
-        ``start``; ``acq`` carries acquired-at times of already-held
-        upstream links so a revoked flight can resume mid-wave."""
+        """The level-synchronous wormhole fan-out: each tree level's
+        links are acquired one hop time after their parents', and each
+        terminal hop is finished by its own :meth:`_mcast_finish`."""
         sim = self.sim
         hop_ns = self._hop_ns
         term = tree.terminal_links
+        acq: dict[DirectedLink, int] = {}
         dead: set = set()
-        for j in range(start, tree.num_levels):
-            for link in tree.levels[j]:
-                parent = tree.parent.get(link)
-                if parent is not None and parent in dead:
-                    dead.add(link)
-                    continue
-                yield link.acquire()
-                if not link.up:
-                    link.release()
-                    dead.add(link)
-                    self.stats.dropped_linkdown += len(tree.downstream[link])
-                    if sim.trace.enabled:
-                        for d in tree.downstream[link]:
-                            sim.trace.emit("net.drop", d, msg=pkts[d].msg_id,
-                                           src=pkts[d].src_nic, reason="linkdown")
-                    continue
-                acq[link] = sim.now
-            if j > 0:
-                # Children acquired: the previous level's interior links
-                # free once their serialization completes (terminals are
-                # owned by their finishers instead).
-                for plink in tree.levels[j - 1]:
-                    if plink in term or plink in dead or plink not in acq:
+        try:
+            for j in range(tree.num_levels):
+                for link in tree.levels[j]:
+                    parent = tree.parent.get(link)
+                    if parent is not None and parent in dead:
+                        dead.add(link)
                         continue
-                    free_at = max(sim.now, acq[plink] + plink.wire_ns(nbytes))
-                    plink.account(nbytes, free_at - acq[plink])
-                    sim.schedule(free_at - sim.now, plink.release)
-            for dst, lvl, tlink in tree.terminals:
-                if lvl != j or tlink in dead:
-                    continue
-                sim.spawn(self._mcast_finish(tlink, pkts[dst], nbytes, acq[tlink]),
-                          name=f"mc{pkts[dst].xmit_id}")
-            if j < tree.num_levels - 1:
-                yield sim.timeout(hop_ns)
+                    yield link.acquire()
+                    if not link.up:
+                        link.release()
+                        dead.add(link)
+                        self.stats.dropped_linkdown += len(tree.downstream[link])
+                        if sim.trace.enabled:
+                            for d in tree.downstream[link]:
+                                sim.trace.emit("net.drop", d, msg=pkts[d].msg_id,
+                                               src=pkts[d].src_nic, reason="linkdown")
+                        continue
+                    acq[link] = sim.now
+                if j > 0:
+                    # Children acquired: the previous level's interior
+                    # links free once their serialization completes
+                    # (terminals are owned by their finishers instead).
+                    for plink in tree.levels[j - 1]:
+                        if plink in term or plink in dead or plink not in acq:
+                            continue
+                        free_at = max(sim.now, acq[plink] + plink.wire_ns(nbytes))
+                        plink.account(nbytes, free_at - acq[plink])
+                        sim.schedule(free_at - sim.now, plink.release)
+                for dst, lvl, tlink in tree.terminals:
+                    if lvl != j or tlink in dead:
+                        continue
+                    sim.spawn(self._mcast_finish(tlink, pkts[dst], nbytes, acq[tlink]),
+                              name=f"mc{pkts[dst].xmit_id}")
+                if j < tree.num_levels - 1:
+                    yield sim.timeout(hop_ns)
+        finally:
+            for link in tree.all_links:
+                link.slow_refs -= 1
 
     def _mcast_finish(self, link: DirectedLink, pkt: Packet, nbytes: int,
                       t_acq: int):

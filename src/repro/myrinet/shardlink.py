@@ -28,7 +28,7 @@ Determinism hinges on two properties enforced here:
 
 Express-path interaction: a cached route can never span shards (routes
 are computed on the local fabric), but the *attempt* would — so the
-boundary check precedes :meth:`Network._try_express` entirely and the
+boundary check precedes the express attempt in :meth:`Network.send` and the
 demotion is counted in ``ExpressStats.boundary_demotions``.
 """
 

@@ -45,8 +45,7 @@ class McastTree:
     """
 
     __slots__ = ("root", "dsts", "levels", "terminals", "downstream",
-                 "all_links", "num_levels", "terminal_links", "level_of",
-                 "parent")
+                 "all_links", "num_levels", "terminal_links", "parent")
 
     def __init__(self, root: int, dsts: tuple, levels: list,
                  terminals: list, downstream: dict):
@@ -62,7 +61,6 @@ class McastTree:
         self.all_links = [lk for lvl in levels for lk in lvl]
         self.num_levels = len(levels)
         self.terminal_links = {lk for _, _, lk in terminals}
-        self.level_of = {lk: j for j, lvl in enumerate(levels) for lk in lvl}
         #: link -> the upstream link feeding it (None for the root uplink)
         self.parent: dict = {levels[0][0]: None}
         for j in range(1, len(levels)):

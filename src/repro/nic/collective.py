@@ -23,10 +23,9 @@ pure down phase.  Two tree shapes exist:
 * ``firmware``: interior fan-out ``cfg.coll_fanout``; the down phase is
   forwarded hop-by-hop through the tree.
 * ``express``: the same up tree, but the root's NI posts the whole down
-  fan-out as a single :meth:`~repro.myrinet.network.Network.send_multicast`
-  so an idle fabric delivers it as one pooled callback batch over the
-  precomputed fabric spanning tree (and a busy or faulted fabric demotes
-  it to the wormhole fan-out with the PR-5 revocation rules).
+  fan-out as a single :meth:`~repro.myrinet.network.Network.send_multicast`:
+  one wormhole fan-out over the precomputed fabric spanning tree, which
+  crosses the shared links (root uplink, spine) once for the whole set.
 
 ``COLL`` packets carry no flow-control channel and are never
 retransmitted: a lost or corrupted step surfaces as a clean host-side
@@ -85,7 +84,7 @@ class CollStats:
     completed: int = 0
     #: pending operations failed by a crash/reboot reset
     aborted: int = 0
-    #: fan-outs posted as one express multicast
+    #: down phases posted as one fabric multicast
     mcast_fanouts: int = 0
 
 
@@ -358,8 +357,7 @@ class CollectiveEngine:
             return
         if op.strategy == "express":
             # One NI posting, the fabric replicates: the whole fan-out
-            # rides the precomputed spanning tree as pooled callback
-            # batches (or the wormhole fan-out when contended/faulted).
+            # rides the precomputed spanning tree as one wormhole worm.
             yield self._charge("coll_down", nic.cfg.ni_coll_down_instr)
             self.stats.down_sent += len(others)
             self.stats.mcast_fanouts += 1

@@ -198,9 +198,9 @@ class Shard:
                          kind: int = KIND_REQ) -> None:
         """Fan one payload out to every destination in one tree send.
 
-        Shard-local branches ride the fabric spanning tree (one pooled
-        express commit on an idle fabric); cross-shard tree edges are
-        demoted packet-by-packet to the trunk by the boundary inside
+        Shard-local branches ride the fabric spanning tree as one
+        wormhole fan-out; cross-shard tree edges are demoted
+        packet-by-packet to the trunk by the boundary inside
         :meth:`~repro.myrinet.network.Network.send_multicast`, before any
         local stats or RNG state is touched — so the digest contract
         holds with collective traffic exactly as with unicast.
@@ -365,9 +365,9 @@ def _build_collective(shard: Shard) -> None:
     plus a stride of counterpart hosts one shard over: the local
     branches exercise the fabric spanning tree while the cross-shard
     tree edges traverse the trunk.  Scheduled between the uniform waves
-    so some fan-outs meet an idle fabric (express batches) and some
-    collide with unicast traffic (wormhole fallback) — both must fold
-    into identical digests across executors.
+    so some fan-outs meet an idle fabric and some collide with unicast
+    traffic (revoking its express flights) — both must fold into
+    identical digests across executors.
     """
     _build_uniform(shard)
     p = _params(shard, dict(_UNIFORM_DEFAULTS, coll_waves=4,

@@ -12,9 +12,10 @@ same up tree, down phase as one fabric multicast) — must agree on
 * each (strategy, engine) cell is bit-deterministic, and the three
   engines (sequential / reference / sharded-at-one) produce identical
   digests for the same strategy;
-* express-tree and host-tree *paths* are unobservable: the express
-  multicast machinery must be bit-equal to the wormhole twin on every
-  mode-invariant stat (mirroring the express-path equivalence tests);
+* the express *path* is unobservable under the express strategy: a
+  fabric multicast that revokes committed unicast flights must be
+  bit-equal to the express-off run on every mode-invariant stat
+  (mirroring the express-path equivalence tests);
 * faults demote, never deadlock: a crashed tree node bounds every
   survivor at :class:`~repro.nic.collective.CollectiveTimeout`, and
   ``crash``/``reboot`` drop the per-(root, vnet) tree state in NI SRAM
@@ -179,7 +180,7 @@ def test_reduce_matches_pure_python_fold(strategy, op_name):
 def test_property_random_membership_and_express_equivalence(seed):
     """Random membership subsets, random roots/ops, concurrent
     point-to-point background traffic: collectives complete and never
-    deadlock, and the express multicast path is unobservable — the
+    deadlock, and the express path is unobservable — the
     express-on and express-off runs of the *same* express-tree program
     are bit-equal on results, timestamps, and network stats."""
     rng = random.Random(seed)
@@ -256,11 +257,12 @@ def test_collective_storm_chaos_contract():
         assert wl.coll_completed + wl.coll_timeouts > 0
 
 
-def test_mid_flight_fault_demotes_express_multicast():
-    """A fault injected while an express multicast flight is committed
-    must demote it to the store-and-forward twin without shifting any
-    delivery — the PR-5 revocation rule extended to fan-outs."""
-    from repro.myrinet import FaultInjector, Network, Packet, PacketType
+def test_multicast_tree_revokes_committed_unicast_flight():
+    """A fan-out whose spanning tree crosses a committed unicast express
+    flight (here: the flight's tail link into host 5) revokes that flight
+    before touching any port, so neither delivery shifts: the timeline,
+    NetworkStats and link ledger match the express-off run exactly."""
+    from repro.myrinet import Network, Packet, PacketType
     from repro.sim import Simulator
 
     def drive(express):
@@ -270,29 +272,28 @@ def test_mid_flight_fault_demotes_express_multicast():
         log = []
         for i in range(8):
             net.attach(i, lambda p: log.append((sim.now, p.dst_nic, p.msg_id)))
-        dsts = [d for d in range(8) if d != 0]
-        sim.schedule(0, net.send_multicast, 0, dsts,
-                     lambda d: Packet(0, d, PacketType.DATA,
+        sim.schedule(0, net.send, Packet(0, 5, PacketType.DATA,
+                                         payload_bytes=2048, msg_id=100))
+        sim.schedule(600, net.send_multicast, 2, [1, 3, 5, 6],
+                     lambda d: Packet(2, d, PacketType.DATA,
                                       payload_bytes=512, msg_id=d))
-        fi = FaultInjector(sim, net)
-        sim.schedule(600, fi.set_corruption, 0.0)  # benign, mid-flight
         sim.run()
         return net, sorted(log)
 
     net1, log1 = drive(True)
     net2, log2 = drive(False)
-    assert net1.express.mcast_commits == 1
-    assert net1.express.mcast_revoked == 1
-    assert log1 == log2 and len(log1) == 7
+    assert net1.express.commits == 1 and net1.express.revoked == 1
+    assert log1 == log2 and len(log1) == 5
+    assert net1.stats == net2.stats
     ledger = lambda n: {l.name: (l.bytes_carried, l.packets_carried, l.busy_ns)
                         for l in n.topology.all_links}
     assert ledger(net1) == ledger(net2)
 
 
 def test_link_flap_mid_broadcast_demotes_and_delivers():
-    """A link flap while the broadcast's express multicast flight is in
-    the air: the fault demotes the flight (revocation + wormhole
-    replay), and every rank still receives the payload exactly once.
+    """A link flap while the broadcast's fabric multicast is in the air:
+    the fault disarms the express path and demotes any committed
+    flight, and every rank still receives the payload exactly once.
     The flapped link is off the tree route, so demotion — not loss — is
     what the protocol must survive; a severed tree edge is the
     CollectiveTimeout case covered by the chaos storm."""
@@ -300,12 +301,12 @@ def test_link_flap_mid_broadcast_demotes_and_delivers():
     cfg = ClusterConfig(num_hosts=8, collective_strategy="express")
     cluster = Cluster(cfg)
     world = cluster.run_process(build_world(cluster, list(range(nranks))), "mpi")
-    net = cluster.network
+    root_coll = cluster.node(0).nic.coll
 
     def flapper():
-        # wait for the down-phase fan-out to commit, then flap host
-        # link 7 (no rank lives there) while the flight is in the air
-        while net.express.mcast_commits == 0:
+        # wait for the root NI to post the down-phase fan-out, then flap
+        # host link 7 (no rank lives there) while it is in the air
+        while root_coll.stats.mcast_fanouts == 0:
             yield cluster.sim.timeout(200)
         cluster.faults.set_host_link(7, False)
         yield cluster.sim.timeout(30_000)
@@ -322,8 +323,8 @@ def test_link_flap_mid_broadcast_demotes_and_delivers():
     for t in threads:
         assert t.finished, f"{t.name} did not finish"
     assert [t.result for t in threads] == ["storm"] * nranks
-    assert net.express.mcast_commits >= 1
-    assert net.express.mcast_revoked >= 1
+    assert root_coll.stats.mcast_fanouts >= 1
+    assert not cluster.network._flights
 
 
 def test_crash_at_root_times_out_survivors():

@@ -134,19 +134,6 @@ def test_fault_injection_disables_express_until_quiet_period():
     assert net.express.hits() == 0  # slow path until the window elapses
 
 
-def test_sticky_disable_with_zero_quiet_window():
-    from repro.myrinet import FaultInjector
-
-    sim, net, _ = make_net(8, express_reenable_quiet_us=0.0)
-    FaultInjector(sim, net).set_loss(0.0)
-    net.attach(0, lambda p: None)
-    net.attach(5, lambda p: None)
-    sim.schedule(10_000_000, net.send, Packet(0, 5, PacketType.DATA))
-    sim.run()
-    assert net.express.hits() == 0 and net.express.reenabled == 0
-    assert not net.express_active  # the pre-hysteresis behaviour
-
-
 def test_transient_flap_rearms_express():
     """Satellite regression: one transient link flap must not demote the
     remainder of a long run — after the quiet period (fabric healthy),
@@ -240,6 +227,43 @@ def test_tracing_disables_express():
     assert net.stats.delivered == 1
 
 
+@pytest.mark.parametrize("second", ["unicast", "multicast"])
+def test_tracing_attached_mid_run_still_revokes_flights(second):
+    """Regression: a send made after a bus attaches mid-run never
+    commits express, but it must still revoke the committed flight
+    claiming its links — else it acquires the flight's tail link
+    unopposed and overtakes it (2->5 landed at 15,463 ns instead of
+    29,126 ns), and attaching tracing changes simulated time."""
+
+    def run(express):
+        sim, net, _ = make_net(8, express=express)
+        log = []
+        for i in range(8):
+            net.attach(i, lambda p: log.append((sim.now, p.src_nic,
+                                                p.dst_nic, p.msg_id)))
+        sim.schedule(0, net.send, Packet(0, 5, PacketType.DATA,
+                                         payload_bytes=2048, msg_id=1))
+        sim.schedule(100, TraceBus.attach, sim)
+        if second == "unicast":
+            sim.schedule(150, net.send, Packet(2, 5, PacketType.DATA,
+                                               payload_bytes=2048, msg_id=2))
+        else:
+            sim.schedule(150, net.send_multicast, 2, [3, 5, 6],
+                         lambda d: Packet(2, d, PacketType.DATA,
+                                          payload_bytes=2048, msg_id=d))
+        sim.run()
+        return net, log
+
+    n1, log1 = run(True)
+    n2, log2 = run(False)
+    assert log1 == log2
+    if second == "unicast":
+        assert log1[-1] == (29_126, 2, 5, 2)
+    assert n1.express.commits == 1 and n1.express.revoked == 1
+    assert n1.stats == n2.stats
+    assert link_ledger(n1) == link_ledger(n2)
+
+
 def test_express_stats_are_not_part_of_network_stats():
     from dataclasses import asdict
 
@@ -279,51 +303,27 @@ def test_shard_boundary_demotes_before_express_and_local_stats():
     assert (dict(vars(net.stats)), net.express.hits()) == before
 
 
-# --------------------------------------------------------- express trains
+# ------------------------------------------------ back-to-back same route
 def test_back_to_back_same_route_joins_train():
-    """DESIGN.md §11 residual, closed: a same-route follow-up send used
-    to revoke the committed flight (both packets went slow); it now
-    joins as a train member sharing the one pooled callback — and
-    everything observable is still identical to the express-off run."""
+    """A same-route follow-up send revokes the committed flight (the
+    pair contends FIFO on every link) and both continue as wormhole
+    processes — everything observable matches the express-off run."""
     sends = [(0, 0, 5, 256), (200, 0, 5, 512), (400, 0, 5, 64)]
     (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
     assert n1.express.commits == 1
-    assert n1.express.train_joins == 2
-    assert n1.express.revoked == 0
-    assert n1.express.delivered == 3
+    assert n1.express.revoked == 1
     assert log1 == log2
     assert n1.stats == n2.stats
     assert link_ledger(n1) == link_ledger(n2)
-    # the elision is real: one pending callback per member, not a
-    # wormhole process per packet
-    assert s1.events_dispatched < s2.events_dispatched
-
-
-def test_express_trains_off_reproduces_revoke_behaviour():
-    sims = []
-    for trains in (True, False):
-        cfg = ClusterConfig(num_hosts=8, express_path=True,
-                            express_trains=trains)
-        sim = Simulator()
-        net = Network(sim, cfg)
-        log = drive(net, sim, [(0, 0, 5, 256), (200, 0, 5, 512)])
-        sims.append((net, log))
-    (n_on, log_on), (n_off, log_off) = sims
-    assert n_on.express.train_joins == 1 and n_on.express.revoked == 0
-    assert n_off.express.train_joins == 0 and n_off.express.revoked == 1
-    assert log_on == log_off  # the knob may never shift a timestamp
-    assert n_on.stats == n_off.stats
-    assert link_ledger(n_on) == link_ledger(n_off)
 
 
 def test_train_demoted_by_intersecting_send():
-    # a committed train (leader + 2 joins) is crossed mid-flight by a
-    # send sharing its downstream link: every undelivered member must
-    # replay as a wormhole process with identical timing
+    # back-to-back same-route sends, then a send sharing their
+    # downstream link: every demoted flight must replay as a wormhole
+    # process with identical timing
     sends = [(0, 0, 5, 2048), (150, 0, 5, 2048), (300, 0, 5, 64),
              (700, 2, 5, 128)]
     (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
-    assert n1.express.train_joins >= 1
     assert n1.express.revoked >= 1
     assert log1 == log2
     assert n1.stats == n2.stats
@@ -332,14 +332,11 @@ def test_train_demoted_by_intersecting_send():
 
 
 def test_train_blocked_delivery_demotes_followers():
-    """A member delivered into a full receive FIFO holds the tail link
-    for real; the followers' frozen schedules are then invalid and they
-    demote, queueing behind the drain in FIFO order."""
-    def run(express, trains=True):
-        cfg = ClusterConfig(num_hosts=8, express_path=express,
-                            express_trains=trains)
-        sim = Simulator()
-        net = Network(sim, cfg)
+    """The first of four back-to-back packets is delivered into a full
+    receive FIFO and holds the tail link until it drains; the followers
+    queue behind it in FIFO order, and no link keeps a stale claim."""
+    def run(express):
+        sim, net, _ = make_net(8, express=express)
         log, blockers = [], []
 
         def rx(p):
@@ -365,7 +362,7 @@ def test_train_blocked_delivery_demotes_followers():
 
     n1, log1, clean1 = run(express=True)
     n2, log2, clean2 = run(express=False)
-    assert n1.express.train_joins >= 1 and n1.express.revoked >= 1
+    assert n1.express.revoked >= 1
     assert log1 == log2
     assert clean1 and clean2
     assert n1.stats == n2.stats
@@ -373,6 +370,8 @@ def test_train_blocked_delivery_demotes_followers():
 
 
 def test_fault_mid_train_demotes_every_member():
+    # the follow-up send demotes the first flight; the fault then lands
+    # on two wormhole packets and must not disturb either
     sends = [(0, 0, 5, 2048), (150, 0, 5, 2048)]
     sim1, net1, _ = make_net(8)
     from repro.myrinet import FaultInjector
@@ -380,8 +379,7 @@ def test_fault_mid_train_demotes_every_member():
     fi = FaultInjector(sim1, net1)
     sim1.schedule(600, fi.set_corruption, 0.0)  # benign fault event
     log1 = drive(net1, sim1, sends)
-    assert net1.express.train_joins == 1
-    assert net1.express.revoked == 2  # leader and follower both replayed
+    assert net1.express.commits == 1 and net1.express.revoked == 1
 
     sim2, net2, _ = make_net(8, express=False)
     log2 = drive(net2, sim2, sends)
