@@ -22,7 +22,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument("--smoke", action="store_true",
                        help="reduced matrix, every cell run twice")
     bench.add_argument("--out", default=None,
-                       help="output JSON (default: the suite's BENCH file)")
+                       help="output JSON (default: the suite's BENCH file; "
+                            "none under --smoke)")
     bench.add_argument("--check", action="store_true",
                        help="fail if a gated ratio fell >20%% below the "
                             "committed BENCH file")

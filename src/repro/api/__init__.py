@@ -15,11 +15,9 @@ exit:
 
 How simulated time executes is an *engine* (:mod:`repro.api.engine`):
 ``Session(engine="reference")`` replays on the pre-optimization
-ordering oracle, ``engine="sharded"`` selects the conservative-window
-PDES kernel of :mod:`repro.sim.sharded` (shard-partitionable workloads;
-a monolithic Session accepts it only at ``num_shards == 1``).  The same
-spec threads through every benchmark suite via :func:`run_bench`, the
-Python face of ``python -m repro bench <suite>``.
+ordering oracle instead of the default ``"sequential"`` kernel.  The
+same name threads through every benchmark suite via :func:`run_bench`,
+the Python face of ``python -m repro bench <suite>``.
 
 :class:`Cluster` here is the builder's cluster plus context management,
 for callers that want the machine without a pre-built virtual network.
@@ -31,7 +29,7 @@ import only :mod:`repro.api`.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Union
+from typing import Generator, Optional, Sequence
 
 from ..am.bundle import Bundle
 from ..am.endpoint import AmStats, Endpoint, Token
@@ -44,20 +42,15 @@ from ..cluster.config import ClusterConfig
 from ..osim.segdriver import REPLACEMENT_POLICIES, ResidencyScoreboard
 from ..sim.core import Interrupted, SimError
 from ..tenant import Tenant, TenantRegistry, TenantSpec
-from .engine import (ENGINE_NAMES, Engine, EngineError, ReferenceEngine,
-                     SequentialEngine, ShardedEngine, resolve_engine)
+from .engine import ENGINE_NAMES, EngineError, resolve_kernel
 
 __all__ = [
     "Cluster",
     "Session",
     # engine surface
     "ENGINE_NAMES",
-    "Engine",
     "EngineError",
-    "ReferenceEngine",
-    "SequentialEngine",
-    "ShardedEngine",
-    "resolve_engine",
+    "resolve_kernel",
     "run_bench",
     "describe",
     # stable re-exports
@@ -84,23 +77,23 @@ __all__ = [
 ]
 
 
-def run_bench(name: str, *, engine: Union[None, str, Engine] = None,
-              **opts) -> dict:
+def run_bench(name: str, *, engine: Optional[str] = None, **opts) -> dict:
     """Run a registered benchmark suite and return its BENCH document.
 
     ``name`` is any suite of :func:`repro.bench.harness.suites` (``perf``,
-    ``shard_scaling``, ``collectives``, ``chaos``, ``calib``, ``scale``,
-    ``fleet``, ``tenant``); ``engine`` is any :func:`resolve_engine`
-    spec.  ``smoke=True`` selects the reduced matrix with every cell run
-    twice; every other keyword is a suite parameter.
+    ``collectives``, ``chaos``, ``calib``, ``scale``, ``fleet``,
+    ``tenant``); ``engine`` is an engine name (:data:`ENGINE_NAMES`).
+    ``smoke=True`` selects the reduced matrix with every cell run twice;
+    every other keyword is a suite parameter.
     """
     from ..bench import harness
 
     if name not in harness.suites():
         raise AmError(
             f"unknown bench {name!r}; registered: {sorted(harness.suites())}")
-    eng = None if engine is None else resolve_engine(engine)
-    return harness.run(name, engine=eng, **opts)
+    if engine is not None:
+        resolve_kernel(engine)  # reject an unknown name before any cell runs
+    return harness.run(name, engine=engine, **opts)
 
 
 def describe() -> dict:
@@ -163,8 +156,8 @@ class Session:
         ``.endpoints`` is their concatenation.  ``shared_server_ep``
         selects the OneVN (shared) vs per-client configuration.
 
-    ``engine=`` selects the event kernel (any :func:`resolve_engine`
-    spec); the resolved :class:`Engine` is exposed as ``.engine``.
+    ``engine=`` names the event kernel (:data:`ENGINE_NAMES`; ``None``
+    consults the config); the resolved name is exposed as ``.engine``.
 
     Pass ``cluster=`` to join an existing machine (the session then
     frees only its own endpoints on close and leaves the cluster up);
@@ -180,7 +173,7 @@ class Session:
         *,
         cluster: Optional[_BuilderCluster] = None,
         cfg: Optional[ClusterConfig] = None,
-        engine: Union[None, str, Engine] = None,
+        engine: Optional[str] = None,
         shared_server_ep: bool = True,
         name: str = "session",
         **overrides,
@@ -191,7 +184,8 @@ class Session:
         self._owns_cluster = cluster is None
         if cluster is not None:
             self.cluster = cluster
-            self.engine = resolve_engine(engine, cluster.cfg)
+            self.engine = engine or cluster.engine
+            resolve_kernel(self.engine)  # reject an unknown name
         else:
             self.cluster = _BuilderCluster(cfg, engine=engine, **overrides)
             self.engine = self.cluster.engine

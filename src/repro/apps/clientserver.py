@@ -90,7 +90,7 @@ def run_contention(ccfg: ContentionConfig, *,
                    engine=None) -> ContentionResult:
     """Run one configuration and return throughput/robustness metrics.
 
-    ``engine`` selects the event kernel by name/instance (see
+    ``engine`` names the event kernel (see
     :mod:`repro.bench.perf`, which replays the same configuration on the
     optimized and reference kernels and requires identical results).
     """

@@ -31,8 +31,10 @@ Run any suite with::
     PYTHONPATH=src python -m repro bench <suite> [--smoke] [--out PATH] [--check]
 
 ``--smoke`` runs the suite's reduced matrix with every cell executed
-twice (digests must match); ``--check`` compares the gated ratios with
-the committed file.  The exit status is 1 when anything failed.
+twice (digests must match) and writes a file only when ``--out`` is
+given; a full run without ``--out`` rewrites the committed file.
+``--check`` compares the gated ratios with the committed file.  The
+exit status is 1 when anything failed.
 """
 
 from __future__ import annotations
@@ -213,12 +215,15 @@ def cli(name: str, *, smoke: bool = False, out: Optional[str] = None,
     doc = run(name, smoke=smoke, progress=print)
     if baseline is not None:
         doc["failures"] += check_ratios(doc, baseline, suite.ratios)
-    out = out or suite.path
-    with open(out, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-    print(f"wrote {out} (digest {doc['digest'][:16]}, "
-          f"{len(doc['cells'])} cells)")
+    # A smoke matrix never replaces the committed full-matrix file.
+    if out is None and not smoke:
+        out = suite.path
+    if out is not None:
+        with open(out, "w") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
+        print(f"wrote {out}")
+    print(f"digest {doc['digest'][:16]}, {len(doc['cells'])} cells")
     for gate, ok in doc["gates"].items():
         print(f"  gate {gate}: {'ok' if ok else 'FAIL'}")
     if doc["failures"]:

@@ -47,14 +47,10 @@ behaviour.  ``net_burst`` reports the express speedup as an
 events-per-second figure (baseline event count over express wall), and
 ``--check`` applies the same >20%-regression rule to it.
 
-A second suite, ``shard_scaling``, measures the sharded PDES kernel
-(:mod:`repro.sim.sharded`) against its sequential oracle.
-
 Run through the harness::
 
     PYTHONPATH=src python -m repro bench perf                # -> BENCH_PERF.json
     PYTHONPATH=src python -m repro bench perf --smoke --check  # CI gate
-    PYTHONPATH=src python -m repro bench shard_scaling
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..am.vnet import parallel_vnet
-from ..api.engine import EngineError, resolve_kernel
+from ..api.engine import resolve_kernel
 from ..apps.clientserver import ContentionConfig, run_contention
 from ..chaos import (ScheduleGenerator, chaos_config, reset_global_ids,
                      run_chaos, timeline_digest)
@@ -92,8 +88,6 @@ class Scale:
     burst_hosts: int = 32
     burst_waves: int = 60
     calib_rounds: int = 6
-    shard_hosts_per_shard: int = 8
-    shard_waves: int = 40
 
     def shrunk(self) -> "Scale":
         """A reduced-scale variant for the tracemalloc (peak-heap) pass."""
@@ -105,14 +99,12 @@ class Scale:
             burst_hosts=self.burst_hosts,
             burst_waves=max(8, self.burst_waves // 4),
             calib_rounds=max(2, self.calib_rounds // 2),
-            shard_hosts_per_shard=self.shard_hosts_per_shard,
-            shard_waves=max(6, self.shard_waves // 4),
         )
 
 
 QUICK = Scale(pingpong_rounds=200, contention_warmup_ms=20.0,
               contention_duration_ms=25.0, chaos_duration_ns=4_000_000,
-              burst_waves=20, calib_rounds=4, shard_waves=12)
+              burst_waves=20, calib_rounds=4)
 
 
 # --------------------------------------------------------------- scenarios
@@ -450,65 +442,3 @@ PERF = register(Suite(
     "perf", _perf_cells, smoke={"quick": True},
     ratios=[(name, "speedup_vs_reference") for name in SCENARIOS]
     + [("net_burst", "speedup_express")]))
-
-
-# ----------------------------------------------------------- shard scaling
-def _shard_cell(scenario: str, n: int, scale: Scale, seed: int) -> dict:
-    """One shard count: the sequential kernel (one merged heap — the
-    oracle) and the in-process windowed executor must agree on digest,
-    delivery count and dispatched events.
-
-    The scaling figure is ``parallelism_events`` — the machine-
-    independent critical-path ratio ``total_events /
-    sum_over_windows(max_per_shard_events)``, i.e. the events/s multiple
-    the windowed schedule itself exposes, barriers included.  Walls are
-    reported alongside, unchecked.
-    """
-    from ..sim.sharded import ShardedSimulator
-
-    hps = scale.shard_hosts_per_shard
-    cfg = ClusterConfig(num_hosts=n * hps, num_shards=n, seed=seed,
-                        engine="sharded")
-    sharded = ShardedSimulator(cfg, scenario=scenario,
-                               params={"waves": scale.shard_waves})
-    seq = sharded.run("sequential")
-    inp = sharded.run("inprocess")
-    if seq.checks != inp.checks:
-        raise RuntimeError(
-            f"sequential and windowed runs diverged:\n"
-            f"  sequential: {seq.checks}\n  inprocess:  {inp.checks}")
-    return {
-        "observables": {
-            "events": seq.events,
-            "delivered": len(seq.deliveries),
-            "digest": seq.checks["digest"],
-            "barriers": inp.barriers,
-            "crit_events": inp.crit_events,
-            "parallelism_events": round(inp.parallelism(), 3),
-        },
-        "measured": {
-            "sequential_wall_s": round(seq.wall_s, 4),
-            "sequential_events_per_sec": round(seq.events / seq.wall_s),
-            "inprocess_wall_s": round(inp.wall_s, 4),
-            "crit_wall_s": round(inp.crit_wall_s, 4),
-        },
-    }
-
-
-def _shard_cells(engine=None, scenarios=("uniform",),
-                 shard_counts=(1, 2, 4, 8), quick: bool = False,
-                 seed: int = 7):
-    if engine is not None and getattr(engine, "name", None) != "sharded":
-        raise EngineError("shard_scaling only runs on the sharded engine")
-    scale = QUICK if quick else Scale()
-    return [(f"{scenario}@{n}",
-             lambda scenario=scenario, n=n: _shard_cell(scenario, n, scale,
-                                                        seed))
-            for scenario in scenarios for n in shard_counts]
-
-
-SHARD_SCALING = register(Suite(
-    "shard_scaling", _shard_cells,
-    smoke={"scenarios": ("uniform", "hotspot", "chaos_storm"),
-           "shard_counts": (1, 2), "quick": True},
-    ratios=[("uniform@4", "parallelism_events")]))

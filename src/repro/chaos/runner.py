@@ -210,10 +210,9 @@ def run_chaos(
     Chrome trace JSON (always exported when ``trace_path`` is set and
     the run fails; never otherwise).  ``keep=True`` attaches the live
     ``cluster``/``bus``/``workload`` to the report for tests.
-    ``engine`` selects the event kernel through
-    :func:`repro.api.engine.resolve_engine` (the perf harness runs the
-    same chaos scenario on the optimized and reference kernels and
-    compares digests).
+    ``engine`` names the event kernel (:mod:`repro.api.engine`; the
+    perf harness runs the same chaos scenario on the optimized and
+    reference kernels and compares digests).
     """
     scenario.validate()
     reset_global_ids()

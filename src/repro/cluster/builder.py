@@ -60,13 +60,12 @@ class Cluster:
             cfg = cfg.with_(**overrides)
         cfg.validate()
         self.cfg = cfg
-        #: kernel selection goes through :mod:`repro.api.engine` — pass
-        #: ``engine=`` (a name, an Engine, or None to consult
-        #: ``cfg.engine``).
-        from ..api.engine import resolve_engine
+        #: the engine name (:mod:`repro.api.engine`): ``engine=``, or
+        #: ``cfg.engine`` when None
+        from ..api.engine import resolve_kernel
 
-        self.engine = resolve_engine(engine, cfg)
-        self.sim = self.engine.kernel_factory()()
+        self.engine = engine or cfg.engine
+        self.sim = resolve_kernel(self.engine)()
         self.rngs = RngStreams(cfg.seed)
         self.network = Network(self.sim, cfg, self.rngs)
         self.nodes = [Node(self.sim, cfg, i, self.network, self.rngs) for i in range(cfg.num_hosts)]

@@ -302,25 +302,8 @@ class ClusterConfig:
     #: which event kernel executes the model — resolved through
     #: :mod:`repro.api.engine`.  "sequential" is the optimized
     #: single-heap kernel, "reference" the pre-optimization ordering
-    #: oracle, and "sharded" the conservative-window PDES kernel of
-    #: :mod:`repro.sim.sharded` (shard-partitionable scenarios only;
-    #: see DESIGN.md §13).
+    #: oracle (see DESIGN.md §13).
     engine: str = "sequential"
-    #: shards for the PDES kernel (1 = degenerate, bit-identical to the
-    #: sequential kernel by construction)
-    num_shards: int = 1
-    #: one-way latency of the inter-shard trunk (store-and-forward at
-    #: the boundary NI plus the inter-rack spine crossing).  This is the
-    #: conservative lookahead budget: no shard can affect another in
-    #: less than this, so shards may run that far ahead unsynchronized.
-    #: Must be at least the fat-tree minimum cross-shard latency
-    #: (:meth:`shard_min_trunk_ns`) — the fabric cannot be beaten by
-    #: its own trunk.
-    shard_trunk_latency_us: float = 25.0
-    #: conservative window size; 0 derives it as the full trunk latency
-    #: (the maximum sound value).  Smaller windows are always sound and
-    #: only add barriers.
-    shard_lookahead_us: float = 0.0
 
     # --------------------------------------------------------------- faults
     #: transient packet loss probability (transmission errors are rare on
@@ -359,30 +342,6 @@ class ClusterConfig:
         """Host programmed-I/O time for ``nbytes`` (64-byte lines)."""
         lines = max(1, (nbytes + 63) // 64)
         return lines * self.pio_line_ns
-
-    @property
-    def shard_trunk_base_ns(self) -> int:
-        """One-way inter-shard trunk latency in ns (before wire time)."""
-        return us(self.shard_trunk_latency_us)
-
-    @property
-    def shard_lookahead_ns(self) -> int:
-        """Conservative window size in ns (derived when unset).
-
-        A shard may execute events up to ``t_min + lookahead - 1``
-        without hearing from its peers because every cross-shard record
-        takes at least the trunk base latency to arrive.
-        """
-        return us(self.shard_lookahead_us) or self.shard_trunk_base_ns
-
-    def shard_min_trunk_ns(self) -> int:
-        """Fat-tree floor for cross-shard latency: host → leaf → spine →
-        leaf → host, four store-and-forward hop endpoints.  The trunk
-        models a *longer* path than any intra-shard route, so its base
-        latency must not undercut this."""
-        hop = (self.switch_latency_ns + self.cable_latency_ns
-               + self.wire_ns(self.packet_header_bytes))
-        return 4 * hop
 
     @property
     def retrans_timeout_ns(self) -> int:
@@ -451,22 +410,6 @@ class ClusterConfig:
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; registered: {sorted(ENGINE_NAMES)}"
-            )
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if self.shard_trunk_base_ns < self.shard_min_trunk_ns():
-            raise ValueError(
-                "shard_trunk_latency_us undercuts the fat-tree minimum "
-                f"cross-shard latency ({self.shard_min_trunk_ns()} ns); "
-                "the trunk cannot be faster than the fabric it bypasses"
-            )
-        if self.shard_lookahead_us < 0:
-            raise ValueError("shard_lookahead_us must be >= 0")
-        if self.shard_lookahead_ns > self.shard_trunk_base_ns:
-            raise ValueError(
-                "shard_lookahead_us must not exceed shard_trunk_latency_us: "
-                "the window is only conservative if no cross-shard record "
-                "can arrive inside it"
             )
 
 

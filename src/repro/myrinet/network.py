@@ -104,10 +104,6 @@ class ExpressStats:
     fallback_active: int = 0
     #: times the path re-armed after a quiet period following a fault
     reenabled: int = 0
-    #: sends whose destination lay across a shard boundary: never
-    #: expressible (the cached-route commit cannot span fabrics), always
-    #: demoted to the store-and-forward trunk handoff
-    boundary_demotions: int = 0
 
     def hits(self) -> int:
         return self.commits + self.loopback
@@ -160,8 +156,6 @@ class Network:
         self._dead_nics: set[int] = set()
         self.stats = NetworkStats()
         self.express = ExpressStats()
-        #: installed by the sharded kernel; None on a monolithic fabric
-        self.boundary = None
         #: loopback delivery cost (NI-internal, no wire)
         self.loopback_ns = cfg.lanai_ns(40)
         #: per-hop head advance: cut-through + cable + header serialization
@@ -265,32 +259,8 @@ class Network:
         return self._express_enabled and not self.sim.trace.enabled
 
     # ------------------------------------------------------------- sending
-    def install_boundary(self, boundary) -> None:
-        """Attach a :class:`~repro.myrinet.shardlink.ShardBoundary`.
-
-        With a boundary installed, packets enter :meth:`send` carrying
-        *global* NIC ids; local traffic is translated to fabric-local
-        ids here, cross-shard traffic is handed to the trunk before any
-        stats or RNG state is touched.
-        """
-        self.boundary = boundary
-
     def send(self, pkt: Packet) -> None:
         """Inject a packet; returns immediately (transit is asynchronous)."""
-        b = self.boundary
-        if b is not None:
-            if not b.is_local(pkt.dst_nic):
-                # Cross-shard: a cached express route cannot span
-                # fabrics, so the would-be single-callback commit is
-                # demoted to the wormhole-style trunk handoff.  This
-                # precedes the loss/corrupt draws deliberately — the
-                # local RNG stream must not see remote traffic.
-                if self._express_ready():
-                    self.express.boundary_demotions += 1
-                b.handoff(pkt, self.sim.now)
-                return
-            pkt.src_nic = b.to_local(pkt.src_nic)
-            pkt.dst_nic = b.to_local(pkt.dst_nic)
         self.stats.sent += 1
         if self.cfg.packet_loss_prob and self.rng.random() < self.cfg.packet_loss_prob:
             self.stats.dropped_loss += 1
@@ -311,34 +281,15 @@ class Network:
         descriptors do).  When a spanning tree exists the whole fan-out
         traverses shared links once as a single wormhole fan-out, after
         revoking any committed unicast flight that claims a tree link.
-        Per-destination delivery timing is identical to unicast.  With a
-        shard boundary installed, cross-shard destinations are demoted to
-        the trunk packet-by-packet before any stats or RNG state is
-        touched.
+        Per-destination delivery timing is identical to unicast.
         """
-        b = self.boundary
-        if b is not None:
-            remote = [d for d in dsts if not b.is_local(d)]
-            if remote:
-                if self._express_ready():
-                    self.express.boundary_demotions += len(remote)
-                for d in remote:
-                    b.handoff(make_pkt(d), self.sim.now)
-                dsts = [d for d in dsts if b.is_local(d)]
         loop = [d for d in dsts if d == src]
         dsts = [d for d in dsts if d != src]
         for d in loop:
             self.send(make_pkt(d))
         if not dsts:
             return
-        pkts: dict[int, Packet] = {}
-        for d in dsts:
-            pkt = make_pkt(d)
-            if b is not None:
-                pkt.src_nic = b.to_local(pkt.src_nic)
-                pkt.dst_nic = b.to_local(pkt.dst_nic)
-            pkts[pkt.dst_nic] = pkt
-        src_l = b.to_local(src) if b is not None else src
+        pkts = {d: make_pkt(d) for d in dsts}
         self.stats.sent += len(pkts)
         # One loss draw and one corruption draw for the whole fan-out:
         # the tree is a single worm, so it is lost or corrupted as a unit
@@ -354,7 +305,7 @@ class Network:
             for pkt in pkts.values():
                 pkt.corrupted = True
         express = self._express_ready()
-        tree = self.topology.multicast_tree(src_l, list(pkts), channel)
+        tree = self.topology.multicast_tree(src, list(pkts), channel)
         if tree is None:
             # No single spanning tree covers the set (a needed link or
             # spine is down): degrade to independent unicasts, each with

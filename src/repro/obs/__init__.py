@@ -21,8 +21,7 @@ from .events import KINDS, TraceEvent
 from .export import metrics_snapshot, to_chrome_trace, write_chrome_trace
 from .logp import (MessageSpan, PhaseStats, breakdown_rows, message_spans,
                    phase_breakdown)
-from .metrics import (Counter, Gauge, Histogram, MetricRegistry,
-                      merge_counter_snapshots)
+from .metrics import Counter, Gauge, Histogram, MetricRegistry
 
 __all__ = [
     "TraceBus",
@@ -32,7 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "merge_counter_snapshots",
     "to_chrome_trace",
     "write_chrome_trace",
     "metrics_snapshot",

@@ -115,6 +115,7 @@ class TraceBus:
         m.counter("net.express.revoked").value = x.revoked
         m.counter("net.express.fallback.busy").value = x.fallback_busy
         m.counter("net.express.fallback.active").value = x.fallback_active
+        m.counter("net.express.reenabled").value = x.reenabled
 
     def publish_tenants(self, registry) -> None:
         """Snapshot per-tenant isolation counters into the metric registry.

@@ -17,24 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry",
-           "merge_counter_snapshots"]
-
-
-def merge_counter_snapshots(snapshots) -> dict[str, float]:
-    """Merge per-shard :meth:`MetricRegistry.flat` snapshots deterministically.
-
-    Values are summed per key and the result is built in sorted key
-    order, so the merged dict — and anything digested from it — is
-    independent of shard count, executor, and arrival order of the
-    snapshots.  Used by :mod:`repro.sim.sharded` to fold worker-local
-    counters into one mode-invariant view.
-    """
-    total: dict[str, float] = {}
-    for snap in snapshots:
-        for key, value in snap.items():
-            total[key] = total.get(key, 0) + value
-    return {k: total[k] for k in sorted(total)}
+__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
 
 
 class Counter:

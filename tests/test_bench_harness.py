@@ -131,6 +131,22 @@ def test_cli_check_reads_the_committed_file(fake, tmp_path, monkeypatch):
     assert main(["bench", "fake", "--check", "--out", "cur.json"]) == 1
 
 
+def test_smoke_without_out_leaves_the_committed_file_alone(fake, tmp_path,
+                                                           monkeypatch):
+    def cells(size=100):
+        return [(f"c{size}", lambda: {"observables": {"size": size},
+                                      "measured": {"r": 2.0}})]
+
+    fake(cells, smoke={"size": 3}, ratios=[("c3", "r")])
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "fake"]) == 0  # writes BENCH_FAKE.json
+    committed = (tmp_path / "BENCH_FAKE.json").read_bytes()
+    assert main(["bench", "fake", "--smoke"]) == 0
+    assert main(["bench", "fake", "--smoke", "--check"]) == 0
+    assert (tmp_path / "BENCH_FAKE.json").read_bytes() == committed
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_FAKE.json"]
+
+
 # ------------------------------------------------------- committed files
 @pytest.mark.parametrize("name", sorted(suites()))
 def test_committed_bench_file_validates(name):

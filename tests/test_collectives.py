@@ -9,9 +9,9 @@ same up tree, down phase as one fabric multicast) — must agree on
   message is delivered before every rank arrived);
 * broadcast delivers the root payload exactly once per rank, in order;
 * reduce matches a pure-Python fold for every firmware combine op;
-* each (strategy, engine) cell is bit-deterministic, and the three
-  engines (sequential / reference / sharded-at-one) produce identical
-  digests for the same strategy;
+* each (strategy, engine) cell is bit-deterministic, and the two
+  engines (sequential / reference) produce identical digests for the
+  same strategy;
 * the express *path* is unobservable under the express strategy: a
   fabric multicast that revokes committed unicast flights must be
   bit-equal to the express-off run on every mode-invariant stat
@@ -34,7 +34,7 @@ from repro.nic.collective import COMBINE_OPS, CollectiveTimeout
 from repro.sim import ms
 
 STRATEGIES = ("host", "firmware", "express")
-ENGINES = ("sequential", "reference", "sharded")
+ENGINES = ("sequential", "reference")
 OPS = ("barrier", "bcast", "reduce")
 
 
@@ -92,7 +92,6 @@ def _check_semantics(records, nranks):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_conformance_matrix_engines_digest_identical(strategy):
     """Every engine runs the same collective program bit-identically:
-    the sharded engine degrades to the monolithic kernel at one shard,
     the reference engine is the pre-optimization ordering oracle — a
     digest split would mean a strategy leaks kernel-dependent order."""
     nranks = 6
@@ -221,23 +220,6 @@ def test_property_random_membership_and_express_equivalence(seed):
         stats[express] = dict(vars(cluster.network.stats))
     assert recs[True] == recs[False]
     assert stats[True] == stats[False]
-
-
-# ------------------------------------------------- sharded kernel crossing
-def test_sharded_collective_scenario_crosses_trunk_digest_identical():
-    """The sharded 'collective' scenario fans out across the shard
-    boundary: cross-shard tree edges traverse the trunk, and the
-    windowed executor reproduces the shared-heap baseline bit-for-bit."""
-    from repro.sim.sharded import ShardedSimulator
-
-    cfg = ClusterConfig(num_hosts=8, num_shards=2, seed=3, engine="sharded")
-    ss = ShardedSimulator(cfg, scenario="collective",
-                          params=dict(waves=3, stagger_ns=4_000, pad_ns=12_000))
-    seq = ss.run("sequential")
-    win = ss.run("inprocess")
-    assert win.checks == seq.checks
-    assert any(rec[0] == "T" for rec in win.deliveries), \
-        "no cross-shard tree edge traversed the trunk"
 
 
 # ----------------------------------------------------------- chaos coverage

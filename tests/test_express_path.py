@@ -154,6 +154,9 @@ def test_transient_flap_rearms_express():
     assert net1.express.commits == 2
     assert net1.express.reenabled == 1
     assert net1.express_active
+    bus = TraceBus(sim1)  # unattached: publishing only reads counters
+    bus.publish_network(net1)
+    assert bus.metrics.counter("net.express.reenabled").value == 1
 
     sim2, net2, _ = make_net(8, express=False)
     flap(net2, sim2)
@@ -271,40 +274,8 @@ def test_express_stats_are_not_part_of_network_stats():
     assert "commits" not in asdict(net.stats)
 
 
-def test_shard_boundary_demotes_before_express_and_local_stats():
-    """A cached route can never span shards: with a boundary installed,
-    a cross-shard send is demoted to a trunk handoff *before* express
-    lookup, stats updates, or any RNG draw — and the demotion is
-    counted separately so the express hit rate stays honest."""
-    from repro.myrinet.shardlink import ShardBoundary
-
-    sim, net, cfg = make_net(4, express=True)
-    records = []
-    # this fabric owns global hosts 4..7 (shard 1 of 2)
-    net.install_boundary(ShardBoundary(1, 4, 4, cfg, records.append))
-    log = []
-    net.attach(0, lambda p: log.append(p))  # local host, global id 4
-
-    # warm an express route on local traffic (global ids 4 -> 5)
-    net.send(Packet(4, 5, PacketType.DATA, payload_bytes=64, msg_id=1))
-    sim.run()
-    assert net.stats.sent == 1
-    before = dict(vars(net.stats)), net.express.hits()
-
-    # now a cross-shard destination: global host 1 lives on shard 0
-    net.send(Packet(4, 1, PacketType.DATA, payload_bytes=64, msg_id=2))
-    sim.run()
-    assert net.express.boundary_demotions == 1
-    assert len(records) == 1
-    arrive, src_shard, seq, src_g, dst_g, mid, nbytes, _kind = records[0]
-    assert (src_shard, src_g, dst_g, mid, nbytes) == (1, 4, 1, 2, 64)
-    assert arrive >= cfg.shard_trunk_base_ns
-    # the local fabric never saw the packet: no stats, no express hit
-    assert (dict(vars(net.stats)), net.express.hits()) == before
-
-
 # ------------------------------------------------ back-to-back same route
-def test_back_to_back_same_route_joins_train():
+def test_back_to_back_same_route_send_revokes_committed_flight():
     """A same-route follow-up send revokes the committed flight (the
     pair contends FIFO on every link) and both continue as wormhole
     processes — everything observable matches the express-off run."""
@@ -317,7 +288,7 @@ def test_back_to_back_same_route_joins_train():
     assert link_ledger(n1) == link_ledger(n2)
 
 
-def test_train_demoted_by_intersecting_send():
+def test_same_route_revocation_then_intersecting_send_matches_express_off():
     # back-to-back same-route sends, then a send sharing their
     # downstream link: every demoted flight must replay as a wormhole
     # process with identical timing
@@ -331,7 +302,7 @@ def test_train_demoted_by_intersecting_send():
     assert not n1._flights
 
 
-def test_train_blocked_delivery_demotes_followers():
+def test_blocked_delivery_queues_same_route_followers_as_express_off():
     """The first of four back-to-back packets is delivered into a full
     receive FIFO and holds the tail link until it drains; the followers
     queue behind it in FIFO order, and no link keeps a stale claim."""
@@ -369,7 +340,7 @@ def test_train_blocked_delivery_demotes_followers():
     assert link_ledger(n1) == link_ledger(n2)
 
 
-def test_fault_mid_train_demotes_every_member():
+def test_fault_after_same_route_revocation_matches_express_off():
     # the follow-up send demotes the first flight; the fault then lands
     # on two wormhole packets and must not disturb either
     sends = [(0, 0, 5, 2048), (150, 0, 5, 2048)]
