@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..osim.threads import CondVar, Thread
-from ..sim.core import AnyOf
-from .endpoint import Endpoint
+from ..osim.threads import Thread
+from .endpoint import Endpoint, two_phase_wait
 
 __all__ = ["Bundle"]
 
@@ -69,29 +68,20 @@ class Bundle:
     def wait_any(self, thr: Thread, timeout_ns: Optional[int] = None) -> Generator:
         """Block until any member endpoint has work (or timeout).
 
-        Returns True when work is pending.  Uses each endpoint's event
-        mask; the caller then runs :meth:`poll_all`.
+        Like :meth:`Endpoint.wait`: True once work is pending or a
+        member's event fired, False on timeout; raises
+        :class:`~repro.am.errors.EndpointFreedError` if a member is freed
+        meanwhile.  Uses each endpoint's event mask (default ``recv``);
+        the caller then runs :meth:`poll_all`.
         """
         if not self.endpoints:
             raise ValueError("wait on an empty bundle")
-        sim = self.endpoints[0].node.sim
-        spin_ns = round(self.endpoints[0].cfg.spin_before_block_us * 1_000)
-        spin_end = sim.now + spin_ns
-        while sim.now < spin_end:
-            if self.has_pending():
-                return True
-            # Pending work is checked once per sweep, so charging the
-            # sweep as one computation is exactly equivalent to the
-            # per-endpoint charges it replaces.
-            yield from thr.compute(sum(ep._poll_touch_ns() for ep in self.endpoints))
-        if self.has_pending():
-            return True
-        waits = []
         for ep in self.endpoints:
             if not ep.state.event_mask:
                 ep.set_event_mask({"recv"})
-            waits.append(ep._event_cv.wait())
-        if timeout_ns is not None:
-            waits.append(sim.timeout(timeout_ns, "timeout"))
-        yield from thr.block(AnyOf(sim, waits))
-        return self.has_pending()
+        # Pending work is checked once per sweep, so charging the sweep as
+        # one computation is exactly equivalent to per-endpoint charges.
+        return two_phase_wait(
+            thr, self.endpoints[0].cfg, self.has_pending,
+            lambda: sum(ep._poll_touch_ns() for ep in self.endpoints),
+            [ep._event_cv for ep in self.endpoints], timeout_ns, eps=self.endpoints)

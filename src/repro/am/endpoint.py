@@ -30,25 +30,81 @@ which is where the LogP overheads of Figure 3 come from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..nic.endpoint_state import EndpointState, Residency
 from ..nic.message import Message, MsgKind
 from ..osim.threads import CondVar, Thread
-from ..sim.core import AnyOf, Event
+from ..sim.core import AnyOf
 from .errors import AmError, BadTranslationError, EndpointFreedError
 
 if TYPE_CHECKING:
     from ..cluster.builder import Node
 
-__all__ = ["Endpoint", "Token", "AmStats"]
+__all__ = ["Endpoint", "Token", "AmStats", "poll_until", "two_phase_wait"]
 
 _transfer_ids = itertools.count(1)
+
+#: block between empty polls of a poll-then-block spin (``then_block``)
+BLOCK_NS = 2_000_000
+#: an idle server thread's block between re-checks of its stop flag
+SERVE_BLOCK_NS = 5_000_000
+#: back-off between send-ring retries while the ring is full
+RING_RETRY_NS = 1_000
 
 #: handler signature: handler(token, *args) -> Optional[int]
 #: (an int return value is charged to the polling thread as handler ns)
 Handler = Callable[..., Optional[int]]
+
+
+def poll_until(thr: Thread, ready: Callable[[], Any], poll: Callable, idle: Callable[[], Generator],
+               limit: int = 8, deadline: Optional[int] = None) -> Generator:
+    """The one poll-then-idle loop (DESIGN §16): returns ``ready()``
+    once truthy, or None once ``deadline`` has passed (checked before each
+    poll); runs ``idle()`` (a compute or a block) after each empty poll."""
+    sim = thr.sim
+    while True:
+        value = ready()
+        if value:
+            return value
+        if deadline is not None and sim.now >= deadline:
+            return None
+        n = yield from poll(thr, limit)
+        if n == 0:
+            yield from idle()
+
+
+def two_phase_wait(thr: Thread, cfg, ready: Callable[[], Any], touch_ns: Callable[[], int], cvs,
+                   timeout_ns: Optional[int] = None, deadline: Optional[int] = None,
+                   eps=()) -> Generator:
+    """Section 6.3's two-phase wait (DESIGN §16): spin ``touch_ns()``
+    until ``ready()`` or ``spin_before_block_us``, then block once on
+    ``cvs`` plus ``timeout_ns`` (or until ``deadline``).  The endpoints
+    ``eps`` must be alive on blocking and on waking.  Returns True when
+    ``ready()`` held or a CondVar, not the timeout, woke it."""
+    sim = thr.sim
+    spin_end = sim.now + round(cfg.spin_before_block_us * 1_000)
+    while sim.now < spin_end:
+        if ready():
+            return True
+        yield from thr.compute(touch_ns())
+    if ready():
+        return True
+    if deadline is not None:
+        timeout_ns = deadline - sim.now
+        if timeout_ns <= 0:
+            return False
+    for ep in eps:
+        ep._check_alive()
+    waits = [cv.wait() for cv in cvs]
+    if timeout_ns is not None:
+        waits.append(sim.timeout(timeout_ns, "timeout"))
+    idx, _ = yield from thr.block(AnyOf(sim, waits))
+    for ep in eps:
+        ep._check_alive()
+    return bool(ready()) or idx < len(cvs)
 
 
 @dataclass
@@ -213,7 +269,9 @@ class Endpoint:
                 body=body,
             )
             msg.on_resolved = self._request_resolved
-            yield from self._acquire_credit(thr, index)
+            if self._credits.get(index, 0) <= 0:
+                yield from self.spin(thr, partial(self._credit_ready, index),
+                                     period=self.cfg.poll_host_ns, limit=4)
             self._outstanding[msg.msg_id] = index
             self._credits[index] -= 1
             yield from self._enqueue(thr, msg)
@@ -226,13 +284,12 @@ class Endpoint:
                 self.stats.bulk_bytes_sent += frag_bytes
         return None
 
-    def _acquire_credit(self, thr: Thread, index: int) -> Generator:
-        """Spin (polling to drain replies) until a credit is available."""
-        while self._credits.get(index, 0) <= 0:
-            self.stats.credit_stalls += 1
-            processed = yield from self.poll(thr, limit=4)
-            if processed == 0:
-                yield from thr.compute(self.cfg.poll_host_ns)
+    def _credit_ready(self, index: int) -> bool:
+        """Spin predicate of :meth:`request`: counts each stalled check."""
+        if self._credits.get(index, 0) > 0:
+            return True
+        self.stats.credit_stalls += 1
+        return False
 
     def _enqueue(self, thr: Thread, msg: Message) -> Generator:
         """Charge Os, write the descriptor, fault if non-resident."""
@@ -245,7 +302,7 @@ class Endpoint:
             self.stats.ring_stalls += 1
             processed = yield from self.poll(thr, limit=4)
             if processed == 0:
-                yield from thr.compute(1_000)  # brief spin between polls
+                yield from thr.compute(RING_RETRY_NS)
         if not self.state.resident:
             # Write fault path: on-host r/o -> r/w + schedule re-mapping
             # (Figure 2); blocks here only under the §6.4.1 ablation.
@@ -409,7 +466,7 @@ class Endpoint:
             # NACKs: Figure 6b).
             self._check_alive()
             self.stats.ring_stalls += 1
-            yield from thr.compute(1_000)
+            yield from thr.compute(RING_RETRY_NS)
         if not self.state.resident:
             yield from self.driver.write_fault(self.state, owner=thr)
 
@@ -439,25 +496,37 @@ class Endpoint:
     def wait(self, thr: Thread, timeout_ns: Optional[int] = None) -> Generator:
         """Block until a masked event fires (two-phase: spin, then sleep).
 
-        Returns True if work is pending, False on timeout.  The spin phase
-        implements the implicit co-scheduling behaviour of Section 6.3.
+        Returns True if work is pending, False on timeout; raises
+        :class:`EndpointFreedError` if the endpoint is freed meanwhile.
+        The spin phase implements the implicit co-scheduling of §6.3.
         """
         self._check_alive()
         if not self.state.event_mask:
             self.set_event_mask({"recv"})
-        spin_ns = round(self.cfg.spin_before_block_us * 1_000)
-        spin_end = self.node.sim.now + spin_ns
-        while self.node.sim.now < spin_end:
-            if self.has_pending():
-                return True
-            yield from thr.compute(self._poll_touch_ns())
-        if self.has_pending():
-            return True
-        waits = [self._event_cv.wait()]
-        if timeout_ns is not None:
-            waits.append(self.node.sim.timeout(timeout_ns, "timeout"))
-        idx, _ = yield from thr.block(AnyOf(self.node.sim, waits))
-        return self.has_pending() or idx == 0
+        return two_phase_wait(thr, self.cfg, self.has_pending, self._poll_touch_ns,
+                              (self._event_cv,), timeout_ns, eps=(self,))
+
+    def spin(self, thr: Thread, ready: Callable[[], Any], *, period: Optional[int] = None,
+             limit: int = 8, deadline: Optional[int] = None, then_block: bool = False) -> Generator:
+        """Poll this endpoint until ``ready()`` (:func:`poll_until`), idling
+        ``period`` ns (None: the touch cost, re-read each time) or, with
+        ``then_block``, in :meth:`wait` for up to :data:`BLOCK_NS`."""
+        if then_block:
+            idle = partial(self.wait, thr, timeout_ns=BLOCK_NS)
+        elif period is None:
+            idle = lambda: thr.compute(self._poll_touch_ns())  # noqa: E731
+        else:
+            idle = partial(thr.compute, period)
+        return poll_until(thr, ready, self.poll, idle, limit, deadline)
+
+    def serve(self, thr: Thread, stop: dict, timeout_ns: int = SERVE_BLOCK_NS,
+              limit: int = 8) -> Generator:
+        """Event-driven service loop: wait, drain until empty, repeat
+        until ``stop["flag"]`` (a server thread body)."""
+        self.set_event_mask({"recv"})
+        yield from self.wait(thr, timeout_ns=timeout_ns)
+        yield from poll_until(thr, lambda: stop.get("flag"), self.poll,
+                              partial(self.wait, thr, timeout_ns=timeout_ns), limit)
 
     # ============================================================ collectives
     def collective(
@@ -501,17 +570,8 @@ class Endpoint:
             op, coll_id, members, root, value=value, op_name=op_name,
             payload_bytes=nbytes, strategy=strategy)
         deadline = sim.now + round(self.cfg.coll_timeout_ms * 1_000_000)
-        spin_end = sim.now + round(self.cfg.spin_before_block_us * 1_000)
-        while sim.now < spin_end:
-            if handle.done or handle.failed:
-                break
-            yield from thr.compute(self._poll_touch_ns())
-        while not (handle.done or handle.failed):
-            remaining = deadline - sim.now
-            if remaining <= 0:
-                break
-            waits = [handle.cv.wait(), sim.timeout(remaining, "timeout")]
-            yield from thr.block(AnyOf(sim, waits))
+        yield from two_phase_wait(thr, self.cfg, lambda: handle.done or handle.failed,
+                                  self._poll_touch_ns, (handle.cv,), deadline=deadline)
         if handle.done:
             return handle.value
         from ..nic.collective import CollectiveTimeout

@@ -33,6 +33,7 @@ from ..osim.threads import Thread
 from ..sim.core import Simulator
 from ..sim.resources import Gate
 from ..sim.rng import RngStreams
+from .endpoint import poll_until
 
 __all__ = ["GamNic", "GamEndpoint", "GamNode", "GamCluster"]
 
@@ -164,11 +165,8 @@ class GamEndpoint:
         for frag in range(nfrags):
             frag_bytes = min(mtu, nbytes - sent) if is_bulk else nbytes
             sent += frag_bytes
-            while self._window.get(dst, 0) >= GAM_WINDOW:
-                self.stats.window_stalls += 1
-                processed = yield from self.poll(thr, limit=4)
-                if processed == 0:
-                    yield from thr.compute(self.cfg.poll_host_ns)
+            yield from poll_until(thr, lambda: self._window_ready(dst), self.poll,
+                                  lambda: thr.compute(cfg.poll_host_ns), limit=4)
             self._window[dst] = self._window.get(dst, 0) + 1
             meta = {"frag": (tid, frag, nfrags) if is_bulk else None, "auto": False}
             msg = _GamMsg(dst, False, frag_bytes, is_bulk, (handler, args, meta))
@@ -176,6 +174,13 @@ class GamEndpoint:
             self.stats.requests_sent += 1
             if is_bulk:
                 self.stats.bulk_bytes_sent += frag_bytes
+
+    def _window_ready(self, dst: int) -> bool:
+        """Window-stall predicate of :meth:`request` (counts each stall)."""
+        if self._window.get(dst, 0) < GAM_WINDOW:
+            return True
+        self.stats.window_stalls += 1
+        return False
 
     def _enqueue(self, thr: Thread, msg: _GamMsg):
         while True:

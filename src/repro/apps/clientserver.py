@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..am.bundle import Bundle
+from ..am.endpoint import poll_until
 from ..am.vnet import star_vnet
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
@@ -33,6 +34,8 @@ from ..sim.core import ms
 __all__ = ["ContentionConfig", "ContentionResult", "run_contention", "CONFIG_NAMES"]
 
 CONFIG_NAMES = ["one_vn", "st", "mt"]
+#: the single-threaded server's spin between empty bundle sweeps
+SWEEP_IDLE_NS = 200
 
 
 @dataclass
@@ -135,25 +138,14 @@ def run_contention(ccfg: ContentionConfig, *,
         bundle = Bundle(servers)
 
         def st_body(thr):
-            while not stop["flag"]:
-                n = yield from bundle.poll_all(thr, limit=8)
-                if n == 0:
-                    yield from thr.compute(200)
+            return poll_until(thr, lambda: stop["flag"], bundle.poll_all,
+                              lambda: thr.compute(SWEEP_IDLE_NS))
 
         sproc.spawn_thread(st_body, name="server-st")
     else:  # mt: one thread per endpoint, event driven
         for k, sep in enumerate(servers):
-
-            def mt_body(thr, sep=sep):
-                sep.set_event_mask({"recv"})
-                while not stop["flag"]:
-                    ok = yield from sep.wait(thr, timeout_ns=ms(10))
-                    while not stop["flag"]:
-                        n = yield from sep.poll(thr, limit=16)
-                        if n == 0:
-                            break
-
-            sproc.spawn_thread(mt_body, name=f"server-mt{k}")
+            sproc.spawn_thread(lambda thr, sep=sep: sep.serve(thr, stop, timeout_ns=ms(10), limit=16),
+                               name=f"server-mt{k}")
 
     # ---- measure ---------------------------------------------------------
     cluster.run(until=sim.now + ms(ccfg.warmup_ms))

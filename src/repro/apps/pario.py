@@ -66,13 +66,7 @@ class StorageServer:
         return server.disk.access_ns(nbytes)
 
     def serve_loop(self, thr: Thread, stop: dict) -> Generator:
-        self.endpoint.set_event_mask({"recv"})
-        while not stop.get("flag"):
-            yield from self.endpoint.wait(thr, timeout_ns=5_000_000)
-            while True:
-                n = yield from self.endpoint.poll(thr, limit=8)
-                if n == 0:
-                    break
+        return self.endpoint.serve(thr, stop)
 
 
 class StripedFile:
@@ -129,23 +123,18 @@ class StripedFile:
             offset += chunk
         parts = []
         for req_id in reqs:
-            while req_id not in self._pending_reads:
-                processed = yield from self.endpoint.poll(thr, limit=8)
-                if processed == 0:
-                    yield from self.endpoint.wait(thr, timeout_ns=2_000_000)
+            yield from self.endpoint.spin(thr, lambda: req_id in self._pending_reads,
+                                          then_block=True)
             parts.append(self._pending_reads.pop(req_id))
         data = b"".join(parts)
         self.bytes_read += len(data)
         return data
 
     def _drain(self, thr: Thread) -> Generator:
-        while any(
-            self.endpoint.credits_available(i) < self.endpoint.cfg.user_credits
-            for i in range(self.nservers)
-        ):
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from self.endpoint.wait(thr, timeout_ns=2_000_000)
+        ep = self.endpoint
+        full = ep.cfg.user_credits
+        return ep.spin(thr, lambda: all(ep.credits_available(i) >= full for i in range(self.nservers)),
+                       then_block=True)
 
 
 def build_pario(cluster: Cluster, client_node: int, server_nodes: Sequence[int],

@@ -22,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..am.endpoint import Endpoint
@@ -76,9 +77,11 @@ class Comm:
             expected += 1
         self._recv_next[src] = expected
 
-    def _match(self, source: int, tag: Any) -> Optional[tuple]:
+    def _match(self, source: int, tag: Any, t0: int) -> Optional[tuple]:
+        """:meth:`recv`'s spin predicate; charges the wait since ``t0``."""
         for i, (src, t, payload, nbytes) in enumerate(self._inbox):
             if (source == ANY or src == source) and (tag == ANY or t == tag):
+                self.comm_ns += self.world.sim.now - t0
                 return self._inbox.pop(i)
         return None
 
@@ -98,15 +101,7 @@ class Comm:
 
     def recv(self, thr: Thread, source: int = ANY, tag: Any = ANY) -> Generator:
         """Blocking receive; returns (src, tag, payload, nbytes)."""
-        t0 = self.world.sim.now
-        while True:
-            found = self._match(source, tag)
-            if found is not None:
-                self.comm_ns += self.world.sim.now - t0
-                return found
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.compute(self.endpoint._poll_touch_ns())
+        return self.endpoint.spin(thr, partial(self._match, source, tag, self.world.sim.now))
 
     def sendrecv(self, thr: Thread, dest: int, source: int, tag: Any, nbytes: int, payload: Any = None) -> Generator:
         """Exchange: send to ``dest`` while receiving from ``source``."""

@@ -45,13 +45,7 @@ class RpcServer:
 
     def serve_loop(self, thr: Thread, stop: dict) -> Generator:
         """Event-driven service loop (run as a thread body)."""
-        self.endpoint.set_event_mask({"recv"})
-        while not stop.get("flag"):
-            yield from self.endpoint.wait(thr, timeout_ns=5_000_000)
-            while True:
-                n = yield from self.endpoint.poll(thr, limit=8)
-                if n == 0:
-                    break
+        return self.endpoint.serve(thr, stop)
 
 
 class RpcClient:
@@ -78,11 +72,7 @@ class RpcClient:
         yield from self.endpoint.request(
             thr, self.server_index, server._dispatch, name, args
         )
-        while self._completion is None:
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.compute(self.endpoint._poll_touch_ns())
-        result, error = self._completion
+        result, error = yield from self.endpoint.spin(thr, lambda: self._completion)
         if error is not None:
             raise RpcError(error)
         return result

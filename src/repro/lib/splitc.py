@@ -87,10 +87,7 @@ class SplitCContext:
         mask) — the implicit co-scheduling mechanism of Section 6.3.
         """
         c0 = thr.cpu_ns
-        while self._pending > 0:
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from self.endpoint.wait(thr, timeout_ns=2_000_000)
+        yield from self.endpoint.spin(thr, lambda: self._pending <= 0, then_block=True)
         # communication time is CPU time spent communicating; waiting
         # blocked (or descheduled) is not -- which is why the paper sees
         # it stay nearly constant when time-shared (Section 6.3)
@@ -111,12 +108,10 @@ class SplitCContext:
             dest = (self.rank + dist) % n
             partner = self.world.contexts[dest]
             yield from self.endpoint.request(thr, dest, partner._barrier_handler, seq, k)
-            while (seq, k) not in self._barrier_inbox:
-                processed = yield from self.endpoint.poll(thr, limit=8)
-                if processed == 0:
-                    # spin-then-block: lets a co-resident application run
-                    # while we wait (implicit co-scheduling, Section 6.3)
-                    yield from self.endpoint.wait(thr, timeout_ns=2_000_000)
+            # spin-then-block: lets a co-resident application run while
+            # we wait (implicit co-scheduling, Section 6.3)
+            yield from self.endpoint.spin(thr, lambda: (seq, k) in self._barrier_inbox,
+                                          then_block=True)
             self._barrier_inbox.discard((seq, k))
         self.comm_ns += thr.cpu_ns - c0
 

@@ -30,6 +30,8 @@ _conn_ids = itertools.count(1)
 SEGMENT_BYTES = 4096
 #: receive window, in segments, advertised to the peer
 WINDOW_SEGMENTS = 8
+#: library back-off between empty polls while a send window is closed
+BACKOFF_NS = 2_000
 
 
 class StreamSocket:
@@ -95,10 +97,8 @@ class StreamSocket:
             self.bytes_sent += len(chunk)
 
     def _send_segment(self, thr: Thread, chunk: bytes, fin: bool) -> Generator:
-        while self._inflight >= WINDOW_SEGMENTS:
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.compute(2_000)
+        yield from self.endpoint.spin(thr, lambda: self._inflight < WINDOW_SEGMENTS,
+                                      period=BACKOFF_NS)
         self._inflight += 1
         seq = self._tx_seq
         self._tx_seq += 1
@@ -109,20 +109,15 @@ class StreamSocket:
 
     def recv(self, thr: Thread, max_bytes: int) -> Generator:
         """Receive up to ``max_bytes`` (generator; b"" means peer closed)."""
-        while True:
-            if self._rx:
-                chunk = self._rx.popleft()
-                if len(chunk) > max_bytes:
-                    keep = chunk[max_bytes:]
-                    self._rx.appendleft(keep)
-                    chunk = chunk[:max_bytes]
-                self._rx_bytes -= len(chunk)
-                return chunk
-            if self.peer_closed:
-                return b""
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from self.endpoint.wait(thr, timeout_ns=2_000_000)
+        yield from self.endpoint.spin(thr, lambda: self._rx or self.peer_closed, then_block=True)
+        if not self._rx:
+            return b""
+        chunk = self._rx.popleft()
+        if len(chunk) > max_bytes:
+            self._rx.appendleft(chunk[max_bytes:])
+            chunk = chunk[:max_bytes]
+        self._rx_bytes -= len(chunk)
+        return chunk
 
     def recv_exact(self, thr: Thread, nbytes: int) -> Generator:
         """Receive exactly ``nbytes`` (generator; raises on early close)."""
@@ -147,11 +142,8 @@ class StreamSocket:
             return
         self.closed = True
         yield from self._send_segment(thr, b"", fin=True)
-        deadline = self.endpoint.node.sim.now + linger_ns
-        while self._inflight > 0 and self.endpoint.node.sim.now < deadline:
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.compute(10_000)
+        yield from self.endpoint.spin(thr, lambda: self._inflight <= 0, period=10_000,
+                                      deadline=self.endpoint.node.sim.now + linger_ns)
 
 
 class Listener:
@@ -174,12 +166,9 @@ class Listener:
     def accept(self, thr: Thread, cluster: Cluster, timeout_ns: Optional[int] = None) -> Generator:
         """Wait for a connection; returns a new StreamSocket (or None)."""
         deadline = None if timeout_ns is None else self.node.sim.now + timeout_ns
-        while not self._pending:
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                if deadline is not None and self.node.sim.now >= deadline:
-                    return None
-                yield from self.endpoint.wait(thr, timeout_ns=2_000_000)
+        if not (yield from self.endpoint.spin(thr, lambda: self._pending, deadline=deadline,
+                                              then_block=True)):
+            return None
         conn_id, client_name, client_key = self._pending.popleft()
         # dedicated endpoint per accepted connection (its own virtual net)
         ep = yield from new_endpoint(self.node, rngs=cluster.rngs)
@@ -193,10 +182,9 @@ class Listener:
             thr, tmp_index, _synack_handler, conn_id, ep.name, ep.tag
         )
         # wait for the handshake credit before retiring the translation
-        while self.endpoint.credits_available(tmp_index) < self.endpoint.cfg.user_credits:
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.compute(2_000)
+        yield from self.endpoint.spin(
+            thr, lambda: self.endpoint.credits_available(tmp_index) >= self.endpoint.cfg.user_credits,
+            period=BACKOFF_NS)
         self.endpoint.unmap(tmp_index)
         return sock
 
@@ -228,8 +216,5 @@ def stream_connect(thr: Thread, cluster: Cluster, node_id: int, label: str, name
     # temporary mapping to the listener for the handshake
     ep.map(0, listener_name, listener_key)
     yield from ep.request(thr, 0, Listener._syn_handler, conn_id, ep.name, ep.tag)
-    while not sock._established:
-        processed = yield from ep.poll(thr, limit=8)
-        if processed == 0:
-            yield from ep.wait(thr, timeout_ns=2_000_000)
+    yield from ep.spin(thr, lambda: sock._established, then_block=True)
     return sock

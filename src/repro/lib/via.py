@@ -25,10 +25,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Generator, Optional, Sequence
 
-from ..am.endpoint import Endpoint
+from ..am.bundle import Bundle
+from ..am.endpoint import Endpoint, poll_until
 from ..am.vnet import new_endpoint
 from ..cluster.builder import Cluster, Node
-from ..osim.threads import CondVar, Thread
+from ..osim.threads import Thread
 
 __all__ = ["Completion", "CompletionQueue", "Vi", "create_vi", "connect_vis", "full_mesh_vis"]
 
@@ -58,55 +59,41 @@ class CompletionQueue:
         self.node = node
         self.name = name
         self._entries: list[Completion] = []
-        self._cv = CondVar(node.sim, name=f"{name}.cv")
+        #: the member VIs' endpoints, serviced together by poll and wait
+        self._bundle = Bundle()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def push(self, completion: Completion) -> None:
         self._entries.append(completion)
-        self._cv.broadcast()
+
+    def _pop(self) -> Optional[Completion]:
+        return self._entries.pop(0) if self._entries else None
 
     def poll(self, thr: Thread) -> Generator:
         """Non-blocking pop (generator; returns Completion or None).
 
         Also services the member VIs' endpoints so completions surface.
         """
-        seen = set()
-        for vi in list(self._vis()):
-            ep = vi.endpoint
-            if id(ep) not in seen:
-                seen.add(id(ep))
-                yield from ep.poll(thr, limit=8)
-        if self._entries:
-            return self._entries.pop(0)
-        return None
+        yield from self._bundle.poll_all(thr)
+        return self._pop()
 
     def wait(self, thr: Thread, timeout_ns: Optional[int] = None) -> Generator:
-        """Blocking pop (generator; returns Completion or None on timeout)."""
-        deadline = None if timeout_ns is None else self.node.sim.now + timeout_ns
-        while True:
-            completion = yield from self.poll(thr)
-            if completion is not None:
-                return completion
-            if deadline is not None and self.node.sim.now >= deadline:
-                return None
-            waits = [self._cv.wait()]
-            if deadline is not None:
-                waits.append(self.node.sim.timeout(max(1, deadline - self.node.sim.now)))
-            from ..sim.core import AnyOf
+        """Blocking pop (generator; returns Completion or None on timeout).
 
-            yield from thr.block(AnyOf(self.node.sim, waits))
-
-    _registered: list = None
-
-    def _vis(self):
-        return self._registered or []
+        Between empty sweeps it waits (spin, then block) until a member
+        endpoint has work or the deadline passes.
+        """
+        sim = self.node.sim
+        deadline = None if timeout_ns is None else sim.now + timeout_ns
+        idle = lambda: self._bundle.wait_any(  # noqa: E731
+            thr, None if deadline is None else max(1, deadline - sim.now))
+        return poll_until(thr, self._pop, self._bundle.poll_all, idle, deadline=deadline)
 
     def register(self, vi: "Vi") -> None:
-        if self._registered is None:
-            self._registered = []
-        self._registered.append(vi)
+        if vi.endpoint not in self._bundle.endpoints:
+            self._bundle.add(vi.endpoint)
 
 
 class Vi:
@@ -123,6 +110,8 @@ class Vi:
         self.recvs_completed = 0
         cq.register(self)
         endpoint.undeliverable_handler = self._undeliverable
+        # completions surface from receipts and returned messages alike
+        endpoint.set_event_mask({"recv", "returned"})
 
     # ---------------------------------------------------------- connection
     def connect(self, peer_name: tuple[int, int], peer_key: int) -> None:

@@ -397,10 +397,12 @@ class SegmentDriver:
         ep.residency = Residency.FREED
         ep.generation += 1  # stale NI notifications now discarded
         # An endpoint can never become resident after this point, so any
-        # thread parked in wait_resident must be released now — leaving
-        # it parked would be a lost wakeup (a free racing a write fault
-        # under the enable_onhost_rw=False ablation, or an am_wait).
+        # thread parked on it must be released now — leaving it parked
+        # would be a lost wakeup (a free racing a write fault under the
+        # enable_onhost_rw=False ablation, or an Endpoint.wait/wait_any).
         self._wake_resident_waiters(ep)
+        if ep.event_callback is not None:
+            ep.event_callback("freed")
         done = Event(self.sim)
         self.nic.driver_request(DriverOp("free", ep, done, clock=self.clock.tick()))
         yield done

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..am.bundle import Bundle
+from ..am.endpoint import poll_until
 from ..am.vnet import new_endpoint
+from ..apps.clientserver import SWEEP_IDLE_NS
 from ..bench.harness import digest
 from ..chaos import reset_global_ids, timeline_digest
 from ..cluster.builder import Cluster
@@ -274,10 +276,8 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
     sproc = server_node.start_process("scale.server")
 
     def server_body(thr):
-        while not stop["flag"]:
-            n = yield from bundle.poll_all(thr, limit=8)
-            if n == 0:
-                yield from thr.compute(200)
+        return poll_until(thr, lambda: stop["flag"], bundle.poll_all,
+                          lambda: thr.compute(SWEEP_IDLE_NS))
 
     sproc.spawn_thread(server_body, name="scale.server")
 
@@ -302,18 +302,12 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
                         break
                     yield from cep.request(thr, 0, None, nbytes=ccfg.msg_bytes)
                     sent += 1
-                deadline = sim.now + cap_ns
                 spin_until = sim.now + spin_ns
-                while (stats.replies_handled - base_r) + (stats.undeliverable - base_u) < sent:
-                    if stop["flag"] or sim.now >= deadline:
-                        break
-                    n = yield from cep.poll(thr, limit=8)
-                    if n:
-                        continue
-                    if sim.now < spin_until:
-                        yield from thr.compute(spin_step_ns)
-                    else:
-                        yield from thr.sleep(backoff_ns)
+                done = lambda: stop["flag"] or (  # noqa: E731
+                    (stats.replies_handled - base_r) + (stats.undeliverable - base_u) >= sent)
+                idle = lambda: (thr.compute(spin_step_ns) if sim.now < spin_until  # noqa: E731
+                                else thr.sleep(backoff_ns))
+                yield from poll_until(thr, done, cep.poll, idle, deadline=sim.now + cap_ns)
                 if measuring["on"] and sent and stats.replies_handled - base_r == sent:
                     latencies.append((sim.now - t0) // sent)
                 yield from thr.sleep(think_ns)

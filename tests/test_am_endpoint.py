@@ -3,6 +3,7 @@
 import pytest
 
 from repro.am import BadTranslationError, Bundle, parallel_vnet, star_vnet, new_endpoint
+from repro.am.endpoint import BLOCK_NS, poll_until
 from repro.cluster import Cluster, ClusterConfig
 from repro.nic import Residency
 from repro.sim import ms, us
@@ -248,6 +249,90 @@ def test_wait_times_out_when_silent():
     t = proc.spawn_thread(body)
     cluster.run(until=ms(100))
     assert t.result is False
+
+
+# ------------------------------------------------------- the one spin loop
+def test_spin_returns_the_ready_value_without_polling():
+    cluster = build()
+    ep0, _ = pair(cluster)
+
+    def body(thr):
+        polls = ep0.stats.polls
+        value = yield from ep0.spin(thr, lambda: ("match", 7))
+        return value, ep0.stats.polls - polls
+
+    (t,) = run_threads(cluster, (0, body), until_ms=1)
+    assert t.result == (("match", 7), 0)
+
+
+def test_poll_until_stops_at_deadline_without_polling_again():
+    cluster = build()
+    sim = cluster.sim
+    polled_at = []
+
+    def poll(thr, limit):
+        polled_at.append(sim.now)
+        yield from thr.compute(500)
+        return 0
+
+    def body(thr):
+        t0 = sim.now
+        value = yield from poll_until(thr, lambda: False, poll,
+                                      lambda: thr.compute(1_000), deadline=t0 + 4_000)
+        return value, [t - t0 for t in polled_at], sim.now - t0
+
+    (t,) = run_threads(cluster, (0, body), until_ms=1)
+    # polls at 0, 1.5 and 3 us; the idle after the third ends past the
+    # deadline, so the loop returns there instead of polling a fourth time
+    assert t.result == (None, [0, 1_500, 3_000], 4_500)
+
+
+def test_spin_then_block_hands_off_to_wait():
+    cluster = build()
+    sim = cluster.sim
+    ep0, _ = pair(cluster)
+    waits = []
+    real_wait = ep0.wait
+
+    def recording_wait(thr, timeout_ns=None):
+        waits.append(timeout_ns)
+        return real_wait(thr, timeout_ns=timeout_ns)
+
+    ep0.wait = recording_wait
+
+    def body(thr):
+        t0 = sim.now
+        value = yield from ep0.spin(thr, lambda: False, deadline=t0 + ms(3), then_block=True)
+        return value, thr.cpu_ns
+
+    (t,) = run_threads(cluster, (0, body), until_ms=20)
+    value, cpu_ns = t.result
+    assert value is None
+    assert waits == [BLOCK_NS, BLOCK_NS]
+    # the thread slept through the blocks rather than spinning on the CPU
+    assert cpu_ns < us(200)
+
+
+def test_credit_stall_counts_once_per_not_ready_iteration():
+    cluster = build()
+    sim = cluster.sim
+    ep0, _ = pair(cluster)
+    ep0._credits[1] = 0  # window exhausted: request must spin
+
+    def refund():
+        yield sim.timeout(us(20))
+        ep0._credits[1] = 1
+
+    def body(thr):
+        polls, stalls = ep0.stats.polls, ep0.stats.credit_stalls
+        yield from ep0.request(thr, 1, None)
+        return ep0.stats.polls - polls, ep0.stats.credit_stalls - stalls
+
+    sim.spawn(refund())
+    (t,) = run_threads(cluster, (0, body), until_ms=1)
+    polls, stalls = t.result
+    assert stalls > 1
+    assert stalls == polls  # one stall per not-ready check, each followed by one poll
 
 
 def test_shared_endpoint_charges_lock_cost():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.am import Bundle, parallel_vnet, new_endpoint
+from repro.am import Bundle, EndpointFreedError, parallel_vnet, new_endpoint
 from repro.cluster import Cluster, ClusterConfig
 from repro.sim import ms, us
 
@@ -131,3 +131,34 @@ def test_bundle_remove_and_empty_wait_rejected():
     t = cluster.node(0).start_process().spawn_thread(body)
     cluster.run(until=cluster.sim.now + ms(10))
     assert t.result == "rejected"
+
+
+@pytest.mark.parametrize("timeout_ns", [None, ms(5)], ids=["no_timeout", "timeout_5ms"])
+@pytest.mark.parametrize("call", ["wait", "wait_any"])
+def test_free_wakes_a_thread_blocked_on_the_endpoint(call, timeout_ns):
+    """Freeing an endpoint releases a thread blocked on it in
+    Endpoint.wait or Bundle.wait_any: it raises EndpointFreedError at
+    once instead of hanging or sleeping out its timeout (a lost wakeup)."""
+    cluster = build(2)
+    sim = cluster.sim
+    ep = cluster.run_process(new_endpoint(cluster.node(0), rngs=cluster.rngs), "e")
+    wait = ep.wait if call == "wait" else Bundle([ep]).wait_any
+    seen = {}
+
+    def waiter(thr):
+        try:
+            seen["returned"] = yield from wait(thr, timeout_ns=timeout_ns)
+        except EndpointFreedError:
+            seen["raised_at"] = sim.now
+
+    def freer():
+        yield sim.timeout(ms(1))
+        yield from cluster.node(0).driver.free_endpoint(ep.state)
+        seen["freed_at"] = sim.now
+
+    t = cluster.node(0).start_process().spawn_thread(waiter)
+    sim.spawn(freer())
+    cluster.run(until=sim.now + ms(100))
+    assert t.finished, "waiter never woke after the free"
+    assert "returned" not in seen
+    assert seen["raised_at"] <= seen["freed_at"]

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.am import NameService
+from repro.am.endpoint import BLOCK_NS
 from repro.cluster import Cluster, ClusterConfig
 from repro.lib.streams import SEGMENT_BYTES, stream_connect, stream_listen
-from repro.sim import ms
+from repro.sim import ms, us
 
 
 def build(n=4, **kw):
@@ -156,3 +157,48 @@ def test_two_concurrent_connections():
     cluster.node(2).start_process().spawn_thread(make_client(2, b"BBBB"))
     cluster.run(until=cluster.sim.now + ms(4_000))
     assert sorted(results.values()) == [b"AAAA", b"BBBB"]
+
+
+def test_accept_times_out_when_nobody_connects():
+    """Listener.accept(timeout_ns=...) gives up by its deadline plus at
+    most one poll-then-block wait (spin phase + one BLOCK_NS block)."""
+    cluster = build()
+    sim = cluster.sim
+    names = NameService()
+    listener = cluster.run_process(stream_listen(cluster, 0, "svc", names), "listen")
+    timeout = ms(5)
+    one_wait = us(cluster.cfg.spin_before_block_us) + BLOCK_NS + us(5)
+
+    def server(thr):
+        t0 = sim.now
+        sock = yield from listener.accept(thr, cluster, timeout_ns=timeout)
+        return sock, sim.now - t0
+
+    t = cluster.node(0).start_process().spawn_thread(server)
+    cluster.run(until=sim.now + ms(50))
+    sock, elapsed = t.result
+    assert sock is None
+    assert timeout <= elapsed <= timeout + one_wait
+
+
+def test_close_linger_returns_by_deadline_when_peer_stops_polling():
+    """The FIN's credit never comes back from a peer that stopped
+    polling, so close returns once its linger deadline has passed (at
+    most one poll and one 10 us back-off later)."""
+    cluster = build()
+    sim = cluster.sim
+    linger = ms(4)
+
+    def server(thr, listener):
+        yield from listener.accept(thr, cluster)
+        return None  # the accepted endpoint is never polled again
+
+    def client(thr, names):
+        sock = yield from stream_connect(thr, cluster, 1, "svc", names)
+        t0 = sim.now
+        yield from sock.close(thr, linger_ns=linger)
+        return sock._inflight, sim.now - t0
+
+    _, (inflight, elapsed) = run_client_server(cluster, server, client, until_ms=100)
+    assert inflight == 1  # the FIN was never acknowledged
+    assert linger <= elapsed <= linger + us(20)
