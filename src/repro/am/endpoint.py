@@ -539,7 +539,6 @@ class Endpoint:
         value: Any = None,
         op_name: str = "sum",
         nbytes: int = 8,
-        strategy: Optional[str] = None,
     ) -> Generator:
         """Initiate a firmware collective and block for its completion.
 
@@ -553,25 +552,27 @@ class Endpoint:
         everything else.  Completion follows the same spin-then-block
         discipline as :meth:`wait`.  Raises
         :class:`~repro.nic.collective.CollectiveTimeout` after
-        ``cfg.coll_timeout_ms`` or when the local NI resets mid-flight.
+        ``cfg.coll_timeout_ms`` or when the local NI resets mid-flight,
+        and :class:`EndpointFreedError` if the endpoint is freed meanwhile.
         """
         self._check_alive()
         sim = self.node.sim
         members = tuple(sorted(members))
-        if strategy is None:
-            strategy = self.cfg.collective_strategy
-            if strategy == "host":
-                strategy = "firmware"
         if len(members) < 2:
             # Degenerate single-member vnet: nothing to synchronize.
             return value if op in ("bcast", "reduce") else None
         yield from thr.compute(self._send_overhead_ns() + self._lock_cost())
         handle = self.nic.coll.host_initiate(
             op, coll_id, members, root, value=value, op_name=op_name,
-            payload_bytes=nbytes, strategy=strategy)
+            payload_bytes=nbytes)
         deadline = sim.now + round(self.cfg.coll_timeout_ms * 1_000_000)
-        yield from two_phase_wait(thr, self.cfg, lambda: handle.done or handle.failed,
-                                  self._poll_touch_ns, (handle.cv,), deadline=deadline)
+        finished = lambda: handle.done or handle.failed  # noqa: E731
+        # The event CondVar wakes the wait on a free; any other endpoint
+        # event just re-enters it.
+        while not finished() and sim.now < deadline:
+            yield from two_phase_wait(thr, self.cfg, finished, self._poll_touch_ns,
+                                      (handle.cv, self._event_cv), deadline=deadline,
+                                      eps=(self,))
         if handle.done:
             return handle.value
         from ..nic.collective import CollectiveTimeout

@@ -406,9 +406,9 @@ class ScheduleGenerator:
     def _gen_collective_storm(self) -> Scenario:
         """Tree-hostile faults aimed at in-flight collectives.
 
-        Host-link flaps sever spanning-tree edges mid-broadcast (the
-        fabric multicast crossing the flapped link drops the branches
-        below it), and a crash/reboot takes out a tree-interior NI so
+        Host-link flaps sever spanning-tree edges mid-broadcast (a down
+        step crossing the flapped link is lost, and with it the subtree
+        below that NI), and a crash/reboot takes out a tree-interior NI so
         its per-(root, vnet) collective state is dropped and the
         survivors' operations time out instead of deadlocking.
         Composed purely from name-keyed RNG streams so

@@ -234,11 +234,10 @@ class CollectiveWorkload(PairwiseWorkload):
 
     Each rank additionally runs a round-loop of NI-offloaded collectives
     (barrier / bcast / reduce, rotating roots) through
-    :meth:`~repro.am.endpoint.Endpoint.collective` with the *express*
-    strategy, so chaos schedules hit spanning-tree state in NI SRAM and
-    in-flight fabric multicast down-phases.  A round that times out
-    (tree member crashed or unreachable) abandons the remaining rounds on
-    that rank — :class:`~repro.nic.collective.CollectiveTimeout` is the
+    :meth:`~repro.am.endpoint.Endpoint.collective`, so chaos schedules hit
+    spanning-tree state in NI SRAM and down phases forwarded NI-to-NI.  A
+    round that times out (tree member crashed or unreachable) abandons the
+    remaining rounds on that rank — :class:`~repro.nic.collective.CollectiveTimeout` is the
     expected fault answer, never a hang — while the inherited pairwise
     traffic keeps the AM-level delivery contract auditable (COLL control
     packets are invisible to it by design).
@@ -247,11 +246,9 @@ class CollectiveWorkload(PairwiseWorkload):
     name = "collective"
 
     def __init__(self, ranks: int = 4, requests: int = 40, payload: int = 16,
-                 rounds: int = 6, strategy: str = "express",
-                 round_gap_ns: int = 2_500_000):
+                 rounds: int = 6, round_gap_ns: int = 2_500_000):
         super().__init__(ranks=ranks, requests=requests, payload=payload)
         self.rounds = rounds
-        self.strategy = strategy
         #: inter-round spacing: collectives are us-scale, fault schedules
         #: ms-scale, so unpaced rounds would all finish before the first
         #: injection; the gap spreads them across the scenario window.
@@ -276,7 +273,7 @@ class CollectiveWorkload(PairwiseWorkload):
                         yield from ep.collective(
                             thr, op, 1000 + r, members, root,
                             value=(rank + 1) if op != "barrier" else None,
-                            op_name="sum", strategy=self.strategy)
+                            op_name="sum")
                         self.coll_completed += 1
                     except CollectiveTimeout:
                         # A member died or the tree never healed in time:

@@ -109,9 +109,7 @@ class ClusterConfig:
     #: folding one child contribution into the partial reduce value:
     ni_coll_combine_instr: int = 28
     #: which tree walks the collective: "host" (lib.mpi point-to-point
-    #: trees, the baseline), "firmware" (k-ary NI spanning tree), or
-    #: "express" (the firmware up tree, whose down phase is one wormhole
-    #: fabric multicast from the root's NI)
+    #: trees, the baseline) or "firmware" (k-ary NI spanning tree)
     collective_strategy: str = "host"
     #: interior fan-out of the firmware spanning tree
     coll_fanout: int = 4
@@ -395,10 +393,10 @@ class ClusterConfig:
             raise ValueError("need at least one flow-control channel")
         if self.dup_window < 1:
             raise ValueError("duplicate-suppression window must be positive")
-        if self.collective_strategy not in ("host", "firmware", "express"):
+        if self.collective_strategy not in ("host", "firmware"):
             raise ValueError(
                 f"unknown collective strategy {self.collective_strategy!r}; "
-                "choose from 'host', 'firmware', 'express'"
+                "choose from 'host', 'firmware'"
             )
         if self.coll_fanout < 2:
             raise ValueError("coll_fanout must be >= 2")

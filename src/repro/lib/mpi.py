@@ -115,26 +115,21 @@ class Comm:
         self._coll_seq += 1
         return ("__coll", name, self._coll_seq)
 
-    def _strategy(self) -> str:
-        """Which implementation Barrier/Bcast/Reduce use, per ClusterConfig.
+    def _offload(self) -> bool:
+        """Whether Barrier/Bcast/Reduce offload to the NI, per ClusterConfig.
 
-        ``host`` is the message-pattern implementation below; ``firmware``
-        and ``express`` offload to the NI collective engine.  Firmware
-        trees are per-NI, so a world with co-located ranks (two ranks on
-        one node) always falls back to the host trees.
+        ``collective_strategy="host"`` runs the message-pattern
+        implementations below; ``firmware`` offloads to the NI collective
+        engine.  Firmware trees are per-NI, so a world with co-located
+        ranks (two ranks on one node) always falls back to the host trees.
         """
-        s = self.endpoint.cfg.collective_strategy
-        if s == "host":
-            return "host"
         nodes = self.world.nodes
-        if len(set(nodes)) != len(nodes):
-            return "host"
-        return s
+        return (self.endpoint.cfg.collective_strategy == "firmware"
+                and len(set(nodes)) == len(nodes))
 
     def _nic_collective(self, thr: Thread, op: str, root: int, value: Any = None,
-                        op_name: str = "sum", nbytes: int = 8,
-                        strategy: str = "firmware") -> Generator:
-        """One firmware/express collective through this rank's endpoint.
+                        op_name: str = "sum", nbytes: int = 8) -> Generator:
+        """One firmware collective through this rank's endpoint.
 
         The operation id is the communicator's collective sequence number
         — synchronized across ranks by MPI's rule that all ranks call
@@ -146,7 +141,7 @@ class Comm:
         nodes = self.world.nodes
         result = yield from self.endpoint.collective(
             thr, op, self._coll_seq, nodes, nodes[root], value=value,
-            op_name=op_name, nbytes=nbytes, strategy=strategy)
+            op_name=op_name, nbytes=nbytes)
         self.comm_ns += self.world.sim.now - t0
         return result
 
@@ -154,15 +149,14 @@ class Comm:
         """Barrier: a true synchronization point across all ranks.
 
         Host strategy runs a dissemination barrier (ceil(log2 n) rounds
-        of pairwise messages); firmware/express offload one descriptor to
-        the NI spanning tree.
+        of pairwise messages); firmware offloads one descriptor to the NI
+        spanning tree.
         """
         n = self.size
         if n == 1:
             return
-        strategy = self._strategy()
-        if strategy != "host":
-            yield from self._nic_collective(thr, "barrier", 0, strategy=strategy)
+        if self._offload():
+            yield from self._nic_collective(thr, "barrier", 0)
             return
         tag = self._tag("bar")
         rounds = max(1, math.ceil(math.log2(n)))
@@ -177,17 +171,14 @@ class Comm:
         """Broadcast from ``root``; returns the payload on every rank.
 
         Host strategy is a binomial tree; firmware forwards hop-by-hop
-        down the NI spanning tree; express posts the whole fan-out as one
-        fabric multicast from the root's NI.
+        down the NI spanning tree.
         """
         n = self.size
         if n == 1:
             return payload
-        strategy = self._strategy()
-        if strategy != "host":
+        if self._offload():
             result = yield from self._nic_collective(
-                thr, "bcast", root, value=payload, nbytes=nbytes,
-                strategy=strategy)
+                thr, "bcast", root, value=payload, nbytes=nbytes)
             return result
         tag = self._tag("bcast")
         vrank = (self.rank - root) % n
@@ -224,12 +215,11 @@ class Comm:
         n = self.size
         if n == 1:
             return value
-        strategy = self._strategy()
         if isinstance(op, str):
-            if strategy != "host":
+            if self._offload():
                 result = yield from self._nic_collective(
                     thr, "reduce", root, value=value, op_name=op,
-                    nbytes=nbytes, strategy=strategy)
+                    nbytes=nbytes)
                 return result
             op = COMBINE_OPS[op]
         tag = self._tag("reduce")

@@ -39,11 +39,11 @@ intersects a flight's links first **revokes** the flight — the delivery
 callback is canceled and the flight is replayed as a wormhole process
 holding exactly the links, accounting and pending releases the slow path
 would have at that instant (`_revoke`/`_resume_traverse`).  This holds for
-every send, express or not: a traced send and every multicast fan-out
-(which always takes the wormhole path) revoke the flights on their links
-too.  Because revocation runs before the new packet touches any port,
-FIFO acquisition order is preserved and the flight's links are
-guaranteed re-acquirable.  Delivery timestamps, ``NetworkStats`` and
+every send, express or not: a traced send (which always takes the
+wormhole path) revokes the flights on its links too.  Because
+revocation runs before the new packet touches any port, FIFO
+acquisition order is preserved and the flight's links are guaranteed
+re-acquirable.  Delivery timestamps, ``NetworkStats`` and
 per-link accounting are bit-identical between modes;
 ``repro.bench.perf``'s net_burst oracle enforces this in CI.  Express
 bookkeeping lives in the separate :class:`ExpressStats` so
@@ -60,7 +60,7 @@ from ..sim.core import SimError, Simulator
 from ..sim.rng import RngStreams
 from .link import DirectedLink
 from .packet import Packet
-from .topology import FatTreeTopology, McastTree
+from .topology import FatTreeTopology
 
 __all__ = ["Network", "NetworkStats", "ExpressStats", "EXPRESS_REARM_QUIET_NS"]
 
@@ -270,62 +270,7 @@ class Network:
             return
         if self.cfg.packet_corrupt_prob and self.rng.random() < self.cfg.packet_corrupt_prob:
             pkt.corrupted = True
-        self._launch(pkt, self._express_ready())
-
-    def send_multicast(self, src: int, dsts, make_pkt: Callable[[int], Packet],
-                       channel: int = 0) -> None:
-        """Inject one fan-out from ``src`` to every destination in ``dsts``.
-
-        ``make_pkt(dst)`` constructs the per-destination packet; all
-        packets of one fan-out must have the same wire size (collective
-        descriptors do).  When a spanning tree exists the whole fan-out
-        traverses shared links once as a single wormhole fan-out, after
-        revoking any committed unicast flight that claims a tree link.
-        Per-destination delivery timing is identical to unicast.
-        """
-        loop = [d for d in dsts if d == src]
-        dsts = [d for d in dsts if d != src]
-        for d in loop:
-            self.send(make_pkt(d))
-        if not dsts:
-            return
-        pkts = {d: make_pkt(d) for d in dsts}
-        self.stats.sent += len(pkts)
-        # One loss draw and one corruption draw for the whole fan-out:
-        # the tree is a single worm, so it is lost or corrupted as a unit
-        # (and the RNG stream stays mode- and strategy-invariant).
-        if self.cfg.packet_loss_prob and self.rng.random() < self.cfg.packet_loss_prob:
-            self.stats.dropped_loss += len(pkts)
-            if self.sim.trace.enabled:
-                for pkt in pkts.values():
-                    self.sim.trace.emit("net.drop", pkt.src_nic, msg=pkt.msg_id,
-                                        dst=pkt.dst_nic, reason="loss")
-            return
-        if self.cfg.packet_corrupt_prob and self.rng.random() < self.cfg.packet_corrupt_prob:
-            for pkt in pkts.values():
-                pkt.corrupted = True
         express = self._express_ready()
-        tree = self.topology.multicast_tree(src, list(pkts), channel)
-        if tree is None:
-            # No single spanning tree covers the set (a needed link or
-            # spine is down): degrade to independent unicasts, each with
-            # its own express attempt and noroute/linkdown accounting.
-            for dst in sorted(pkts):
-                self._launch(pkts[dst], express)
-            return
-        if self._flights:
-            self._revoke_claims(tree.all_links)
-        for link in tree.all_links:
-            link.slow_refs += 1
-        nbytes = next(iter(pkts.values())).wire_bytes(self.cfg.packet_header_bytes)
-        self.sim.spawn(self._traverse_mcast(tree, pkts, nbytes),
-                       name=f"mcast{next(iter(pkts.values())).xmit_id}")
-
-    def _launch(self, pkt: Packet, express: bool) -> None:
-        """Put one fabric-local packet on the wire: an express flight if
-        ``express`` allows and the route is free, else a wormhole
-        process — after demoting any committed flight that claims a link
-        of its route, whichever way it goes."""
         sim = self.sim
         if pkt.src_nic == pkt.dst_nic:
             if express:
@@ -464,76 +409,6 @@ class Network:
         finally:
             for link in route[m:]:
                 link.slow_refs -= 1
-
-    # ---------------------------------------------------- wormhole mcast
-    def _traverse_mcast(self, tree: McastTree, pkts: dict, nbytes: int):
-        """The level-synchronous wormhole fan-out: each tree level's
-        links are acquired one hop time after their parents', and each
-        terminal hop is finished by its own :meth:`_mcast_finish`."""
-        sim = self.sim
-        hop_ns = self._hop_ns
-        term = tree.terminal_links
-        acq: dict[DirectedLink, int] = {}
-        dead: set = set()
-        try:
-            for j in range(tree.num_levels):
-                for link in tree.levels[j]:
-                    parent = tree.parent.get(link)
-                    if parent is not None and parent in dead:
-                        dead.add(link)
-                        continue
-                    yield link.acquire()
-                    if not link.up:
-                        link.release()
-                        dead.add(link)
-                        self.stats.dropped_linkdown += len(tree.downstream[link])
-                        if sim.trace.enabled:
-                            for d in tree.downstream[link]:
-                                sim.trace.emit("net.drop", d, msg=pkts[d].msg_id,
-                                               src=pkts[d].src_nic, reason="linkdown")
-                        continue
-                    acq[link] = sim.now
-                if j > 0:
-                    # Children acquired: the previous level's interior
-                    # links free once their serialization completes
-                    # (terminals are owned by their finishers instead).
-                    for plink in tree.levels[j - 1]:
-                        if plink in term or plink in dead or plink not in acq:
-                            continue
-                        free_at = max(sim.now, acq[plink] + plink.wire_ns(nbytes))
-                        plink.account(nbytes, free_at - acq[plink])
-                        sim.schedule(free_at - sim.now, plink.release)
-                for dst, lvl, tlink in tree.terminals:
-                    if lvl != j or tlink in dead:
-                        continue
-                    sim.spawn(self._mcast_finish(tlink, pkts[dst], nbytes, acq[tlink]),
-                              name=f"mc{pkts[dst].xmit_id}")
-                if j < tree.num_levels - 1:
-                    yield sim.timeout(hop_ns)
-        finally:
-            for link in tree.all_links:
-                link.slow_refs -= 1
-
-    def _mcast_finish(self, link: DirectedLink, pkt: Packet, nbytes: int,
-                      t_acq: int):
-        """Finish one terminal hop: wait out serialization, deliver (with
-        FIFO-full backpressure holding the link), account, release."""
-        sim = self.sim
-        tail = t_acq + link.wire_ns(nbytes)
-        if tail > sim.now:
-            yield sim.timeout(tail - sim.now)
-        if not link.up:
-            self.stats.dropped_linkdown += 1
-            if sim.trace.enabled:
-                sim.trace.emit("net.drop", pkt.dst_nic, msg=pkt.msg_id,
-                               src=pkt.src_nic, reason="linkdown")
-            link.release()
-            return
-        pending = self._deliver(pkt)
-        if pending is not None:
-            yield pending
-        link.account(nbytes, sim.now - t_acq)
-        link.release()
 
     # ----------------------------------------------------------- delivery
     def _deliver(self, pkt: Packet):

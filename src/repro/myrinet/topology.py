@@ -26,50 +26,10 @@ from ..sim.core import Simulator
 from .link import DirectedLink
 from .switch import Switch
 
-__all__ = ["FatTreeTopology", "McastTree"]
+__all__ = ["FatTreeTopology"]
 
 #: cache-miss sentinel (None is a legitimate cached value: "no route")
 _MISS: object = object()
-
-
-class McastTree:
-    """A spanning tree for one (root, destination set, channel) fan-out.
-
-    Levels mirror the hop structure of the unicast routes: level 0 is the
-    root's host uplink, level 1 holds same-leaf host downlinks (terminals)
-    plus the single leaf→spine uplink, level 2 the spine→leaf downlinks,
-    level 3 the remote host downlinks.  Per-destination delivery timing is
-    therefore identical to the unicast route to that destination; the win
-    is that shared links (the root uplink, the spine crossing) are
-    traversed once for the whole fan-out.
-    """
-
-    __slots__ = ("root", "dsts", "levels", "terminals", "downstream",
-                 "all_links", "num_levels", "terminal_links", "parent")
-
-    def __init__(self, root: int, dsts: tuple, levels: list,
-                 terminals: list, downstream: dict):
-        self.root = root
-        self.dsts = dsts
-        #: links acquired at each tree level (one hop time apart)
-        self.levels = levels
-        #: (dst, level, link) per destination, deterministic order:
-        #: same-leaf destinations first, then remote, each sorted
-        self.terminals = terminals
-        #: link -> destinations reached through it (fault-drop accounting)
-        self.downstream = downstream
-        self.all_links = [lk for lvl in levels for lk in lvl]
-        self.num_levels = len(levels)
-        self.terminal_links = {lk for _, _, lk in terminals}
-        #: link -> the upstream link feeding it (None for the root uplink)
-        self.parent: dict = {levels[0][0]: None}
-        for j in range(1, len(levels)):
-            for lk in levels[j]:
-                need = set(downstream[lk])
-                for p in levels[j - 1]:
-                    if need <= set(downstream[p]):
-                        self.parent[lk] = p
-                        break
 
 
 class FatTreeTopology:
@@ -119,9 +79,6 @@ class FatTreeTopology:
         #: function of that state, so until the first flip a cached result
         #: is exactly what route() would recompute
         self._route_cache: dict[tuple[int, int, int], Optional[list[DirectedLink]]] = {}
-        #: (root, sorted dsts, channel) -> McastTree | None, same validity
-        #: rule as the route cache (pristine fabric only)
-        self._mcast_cache: dict[tuple, Optional["McastTree"]] = {}
         self._fabric_dirty = False
 
     # ------------------------------------------------------------- queries
@@ -184,7 +141,6 @@ class FatTreeTopology:
         """
         self._fabric_dirty = True
         self._route_cache.clear()
-        self._mcast_cache.clear()
 
     def cached_route(self, src: int, dst: int, channel: int = 0) -> Optional[list[DirectedLink]]:
         """Like :meth:`route` but memoized while the fabric is pristine.
@@ -202,84 +158,6 @@ class FatTreeTopology:
         r = self.route(src, dst, channel)
         cache[key] = r
         return r
-
-    # ----------------------------------------------------------- multicast
-    def multicast_tree(self, root: int, dsts, channel: int = 0) -> Optional[McastTree]:
-        """Spanning tree from ``root`` to every destination; None if any
-        needed element is down (callers fall back to per-dst unicast).
-
-        Memoized per (root, sorted dsts, channel) while the fabric is
-        pristine; after any reconfiguration this recomputes per call,
-        like :meth:`cached_route`.
-        """
-        key = (root, tuple(sorted(dsts)), channel)
-        if not self._fabric_dirty:
-            hit = self._mcast_cache.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
-        tree = self._build_mcast(root, key[1], channel)
-        if not self._fabric_dirty:
-            self._mcast_cache[key] = tree
-        return tree
-
-    def _build_mcast(self, root: int, dsts: tuple, channel: int) -> Optional[McastTree]:
-        rl = self.leaf_of(root)
-        if not (self.leaf_switch(rl).up and self.host_up[root].up):
-            return None
-        by_leaf: dict[int, list[int]] = {}
-        for d in dsts:
-            if d == root:
-                return None  # loopback is the caller's business
-            dl = self.leaf_of(d)
-            if not (self.leaf_switch(dl).up and self.host_down[d].up):
-                return None
-            by_leaf.setdefault(dl, []).append(d)
-        remote_leaves = sorted(l for l in by_leaf if l != rl)
-        spine = None
-        if remote_leaves:
-            if self.num_spines == 0:
-                return None
-            preferred = (root + channel) % self.num_spines
-            for probe in range(self.num_spines):
-                s = (preferred + probe) % self.num_spines
-                if not (self.spine_switch(s).up and self.up_links[rl][s].up):
-                    continue
-                if all(self.down_links[s][l].up for l in remote_leaves):
-                    spine = s
-                    break
-            if spine is None:
-                return None
-        levels: list[list[DirectedLink]] = [[self.host_up[root]]]
-        terminals: list[tuple[int, int, DirectedLink]] = []
-        downstream: dict[DirectedLink, tuple] = {self.host_up[root]: dsts}
-        level1: list[DirectedLink] = []
-        for d in by_leaf.get(rl, ()):
-            link = self.host_down[d]
-            level1.append(link)
-            terminals.append((d, 1, link))
-            downstream[link] = (d,)
-        if remote_leaves:
-            up = self.up_links[rl][spine]
-            level1.append(up)
-            downstream[up] = tuple(d for l in remote_leaves for d in by_leaf[l])
-            levels.append(level1)
-            level2 = []
-            for l in remote_leaves:
-                dn = self.down_links[spine][l]
-                level2.append(dn)
-                downstream[dn] = tuple(by_leaf[l])
-            levels.append(level2)
-            level3 = []
-            for l in remote_leaves:
-                for d in by_leaf[l]:
-                    link = self.host_down[d]
-                    level3.append(link)
-                    terminals.append((d, 3, link))
-                    downstream[link] = (d,)
-            levels.append(level3)
-        else:
-            levels.append(level1)
-        return McastTree(root, dsts, levels, terminals, downstream)
 
     def hop_count(self, src: int, dst: int) -> int:
         """Number of switches a packet traverses."""

@@ -18,14 +18,9 @@ first, so every NI derives the identical tree locally.  Barrier and
 reduce run an **up phase** (each NI combines its host's contribution with
 its children's partials and forwards one packet to its parent) followed —
 for barrier — by a **down phase** releasing the members.  Broadcast is a
-pure down phase.  Two tree shapes exist:
-
-* ``firmware``: interior fan-out ``cfg.coll_fanout``; the down phase is
-  forwarded hop-by-hop through the tree.
-* ``express``: the same up tree, but the root's NI posts the whole down
-  fan-out as a single :meth:`~repro.myrinet.network.Network.send_multicast`:
-  one wormhole fan-out over the precomputed fabric spanning tree, which
-  crosses the shared links (root uplink, spine) once for the whole set.
+pure down phase.  Interior fan-out is ``cfg.coll_fanout``, and the down
+phase is forwarded hop-by-hop through the tree: the fabric only routes
+point-to-point worms, as the paper's Myrinet switches did.
 
 ``COLL`` packets carry no flow-control channel and are never
 retransmitted: a lost or corrupted step surfaces as a clean host-side
@@ -42,7 +37,7 @@ path had for rx handlers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..myrinet.packet import Packet, PacketType
@@ -84,8 +79,6 @@ class CollStats:
     completed: int = 0
     #: pending operations failed by a crash/reboot reset
     aborted: int = 0
-    #: down phases posted as one fabric multicast
-    mcast_fanouts: int = 0
 
 
 class CollTree:
@@ -144,16 +137,15 @@ class _CollHandle:
 class _CollOp:
     """Per-NI state of one in-flight collective operation."""
 
-    __slots__ = ("key", "kind", "root", "members", "strategy", "op_name",
-                 "tree", "got", "partial", "self_arrived", "down_done",
-                 "down_value", "handle")
+    __slots__ = ("key", "kind", "root", "members", "op_name", "tree", "got",
+                 "partial", "self_arrived", "down_done", "down_value",
+                 "handle")
 
-    def __init__(self, key, kind, root, members, strategy, op_name, tree):
+    def __init__(self, key, kind, root, members, op_name, tree):
         self.key = key
         self.kind = kind
         self.root = root
         self.members = members
-        self.strategy = strategy
         self.op_name = op_name
         self.tree = tree
         self.got = 0              # child up-contributions received
@@ -199,10 +191,7 @@ class CollectiveEngine:
                 op.handle.fail()
 
     # ------------------------------------------------------------- plumbing
-    def _tree(self, root: int, members: tuple, strategy: str) -> CollTree:
-        # Both strategies share the k-ary up tree (parallel combining);
-        # express differs only in the down phase, where the root's NI
-        # posts one fabric multicast instead of forwarding hop-by-hop.
+    def _tree(self, root: int, members: tuple) -> CollTree:
         fanout = self.nic.cfg.coll_fanout
         key = (root, members, fanout)
         tree = self.trees.get(key)
@@ -211,13 +200,13 @@ class CollectiveEngine:
         return tree
 
     def _op(self, kind: str, coll_id: int, root: int, members: tuple,
-            strategy: str, op_name: str) -> _CollOp:
+            op_name: str) -> _CollOp:
         key = (members, kind, coll_id, root)
         op = self.pending.get(key)
         if op is None:
-            tree = self._tree(root, members, strategy)
+            tree = self._tree(root, members)
             op = self.pending[key] = _CollOp(
-                key, kind, root, members, strategy, op_name, tree)
+                key, kind, root, members, op_name, tree)
         return op
 
     def _coll_pkt(self, dst: int, phase: str, op: _CollOp, coll_id: int,
@@ -225,8 +214,8 @@ class CollectiveEngine:
         return Packet.alloc(
             self.nic.nic_id, dst, PacketType.COLL,
             payload_bytes=payload_bytes,
-            body=(op.kind, coll_id, op.root, op.members, op.strategy,
-                  op.op_name, phase, value),
+            body=(op.kind, coll_id, op.root, op.members, op.op_name, phase,
+                  value),
         )
 
     def _charge(self, label: str, instr: int):
@@ -235,8 +224,7 @@ class CollectiveEngine:
     # ----------------------------------------------------- host initiation
     def host_initiate(self, kind: str, coll_id: int, members: tuple,
                       root: int, value: Any = None, op_name: str = "sum",
-                      payload_bytes: int = _COLL_DESC_BYTES,
-                      strategy: str = "firmware") -> _CollHandle:
+                      payload_bytes: int = _COLL_DESC_BYTES) -> _CollHandle:
         """Post one collective descriptor to this NI (host side, instant);
         the firmware dispatch loop picks it up as completion work.  The
         caller blocks on the returned handle."""
@@ -247,17 +235,17 @@ class CollectiveEngine:
         def thunk():
             yield self._charge("coll_init", nic.cfg.ni_coll_init_instr)
             yield from self._local_arrive(kind, coll_id, members, root,
-                                          strategy, op_name, value,
-                                          payload_bytes, handle)
+                                          op_name, value, payload_bytes,
+                                          handle)
 
         nic._internal_q.append(thunk)
         nic._work.set()
         return handle
 
-    def _local_arrive(self, kind, coll_id, members, root, strategy, op_name,
-                      value, payload_bytes, handle):
+    def _local_arrive(self, kind, coll_id, members, root, op_name, value,
+                      payload_bytes, handle):
         nic = self.nic
-        op = self._op(kind, coll_id, root, members, strategy, op_name)
+        op = self._op(kind, coll_id, root, members, op_name)
         op.handle = handle
         if kind == "bcast":
             if root == nic.nic_id:
@@ -283,10 +271,10 @@ class CollectiveEngine:
         """One COLL packet from the wire (dispatched ahead of data, like
         ACK/NACK — collective steps are latency-critical control)."""
         nic = self.nic
-        kind, coll_id, root, members, strategy, op_name, phase, value = pkt.body
+        kind, coll_id, root, members, op_name, phase, value = pkt.body
         if nic.nic_id not in members:
             return  # stale/misrouted step for a membership we left
-        op = self._op(kind, coll_id, root, members, strategy, op_name)
+        op = self._op(kind, coll_id, root, members, op_name)
         if phase == "up":
             yield self._charge("coll_up", nic.cfg.ni_coll_up_instr)
             op.got += 1
@@ -308,14 +296,8 @@ class CollectiveEngine:
             op.down_value = value
             if nic.sim.trace.enabled:
                 nic.sim.trace.emit("coll.down", nic.nic_id, op=kind, id=coll_id)
-            if op.strategy != "express":
-                # Interior forwarding: relay the down phase to our
-                # subtree (express down arrives at every member directly).
-                for child in op.tree.children.get(nic.nic_id, ()):
-                    yield self._charge("coll_down", nic.cfg.ni_coll_down_instr)
-                    self.stats.down_sent += 1
-                    nic.network.send(self._coll_pkt(child, "down", op, coll_id,
-                                                    value, pkt.payload_bytes))
+            # Interior forwarding: relay the down phase to our subtree.
+            yield from self._start_down(op, coll_id, value, pkt.payload_bytes)
             if op.handle is not None:
                 self._complete(op, value if op.kind == "bcast" else None)
             # else: bcast down outran the local post; _local_arrive
@@ -352,20 +334,6 @@ class CollectiveEngine:
     def _start_down(self, op: _CollOp, coll_id: int, value: Any,
                     payload_bytes: int):
         nic = self.nic
-        others = tuple(m for m in op.members if m != nic.nic_id)
-        if not others:
-            return
-        if op.strategy == "express":
-            # One NI posting, the fabric replicates: the whole fan-out
-            # rides the precomputed spanning tree as one wormhole worm.
-            yield self._charge("coll_down", nic.cfg.ni_coll_down_instr)
-            self.stats.down_sent += len(others)
-            self.stats.mcast_fanouts += 1
-            nic.network.send_multicast(
-                nic.nic_id, others,
-                lambda dst: self._coll_pkt(dst, "down", op, coll_id,
-                                           value, payload_bytes))
-            return
         for child in op.tree.children.get(nic.nic_id, ()):
             yield self._charge("coll_down", nic.cfg.ni_coll_down_instr)
             self.stats.down_sent += 1

@@ -134,15 +134,21 @@ def test_bundle_remove_and_empty_wait_rejected():
 
 
 @pytest.mark.parametrize("timeout_ns", [None, ms(5)], ids=["no_timeout", "timeout_5ms"])
-@pytest.mark.parametrize("call", ["wait", "wait_any"])
+@pytest.mark.parametrize("call", ["wait", "wait_any", "collective"])
 def test_free_wakes_a_thread_blocked_on_the_endpoint(call, timeout_ns):
     """Freeing an endpoint releases a thread blocked on it in
-    Endpoint.wait or Bundle.wait_any: it raises EndpointFreedError at
-    once instead of hanging or sleeping out its timeout (a lost wakeup)."""
-    cluster = build(2)
+    Endpoint.wait, Bundle.wait_any or Endpoint.collective: it raises
+    EndpointFreedError at once instead of hanging or sleeping out its
+    timeout (a lost wakeup)."""
+    cluster = build(2, coll_timeout_ms=(timeout_ns or ms(50)) / ms(1))
     sim = cluster.sim
     ep = cluster.run_process(new_endpoint(cluster.node(0), rngs=cluster.rngs), "e")
-    wait = ep.wait if call == "wait" else Bundle([ep]).wait_any
+    if call == "collective":
+        # node 1 never joins the barrier: only the free or the
+        # collective timeout can end the wait
+        wait = lambda thr, timeout_ns: ep.collective(thr, "barrier", 1, (0, 1), 0)  # noqa: E731
+    else:
+        wait = ep.wait if call == "wait" else Bundle([ep]).wait_any
     seen = {}
 
     def waiter(thr):

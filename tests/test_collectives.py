@@ -1,8 +1,7 @@
 """Cross-engine collective conformance suite.
 
-The three collective strategies — ``host`` (dissemination/binomial over
-AM), ``firmware`` (NI-forwarded k-ary spanning trees), ``express`` (the
-same up tree, down phase as one fabric multicast) — must agree on
+The two collective strategies — ``host`` (dissemination/binomial over
+AM) and ``firmware`` (NI-forwarded k-ary spanning trees) — must agree on
 *semantics* while differing only in cost:
 
 * barrier is a true synchronization point (no rank's post-barrier
@@ -12,10 +11,10 @@ same up tree, down phase as one fabric multicast) — must agree on
 * each (strategy, engine) cell is bit-deterministic, and the two
   engines (sequential / reference) produce identical digests for the
   same strategy;
-* the express *path* is unobservable under the express strategy: a
-  fabric multicast that revokes committed unicast flights must be
-  bit-equal to the express-off run on every mode-invariant stat
-  (mirroring the express-path equivalence tests);
+* the express *path* is unobservable under firmware trees: COLL steps
+  that revoke committed unicast flights leave the run bit-equal to the
+  express-off run on every mode-invariant stat (mirroring the
+  express-path equivalence tests);
 * faults demote, never deadlock: a crashed tree node bounds every
   survivor at :class:`~repro.nic.collective.CollectiveTimeout`, and
   ``crash``/``reboot`` drop the per-(root, vnet) tree state in NI SRAM
@@ -33,7 +32,7 @@ from repro.lib.mpi import build_world
 from repro.nic.collective import COMBINE_OPS, CollectiveTimeout
 from repro.sim import ms
 
-STRATEGIES = ("host", "firmware", "express")
+STRATEGIES = ("host", "firmware")
 ENGINES = ("sequential", "reference")
 OPS = ("barrier", "bcast", "reduce")
 
@@ -180,7 +179,7 @@ def test_property_random_membership_and_express_equivalence(seed):
     """Random membership subsets, random roots/ops, concurrent
     point-to-point background traffic: collectives complete and never
     deadlock, and the express path is unobservable — the
-    express-on and express-off runs of the *same* express-tree program
+    express-on and express-off runs of the *same* firmware-tree program
     are bit-equal on results, timestamps, and network stats."""
     rng = random.Random(seed)
     num_hosts = 8
@@ -214,7 +213,7 @@ def test_property_random_membership_and_express_equivalence(seed):
     recs = {}
     for express in (True, False):
         records = {}
-        cluster, _ = run_world(nranks, make_main(records), strategy="express",
+        cluster, _ = run_world(nranks, make_main(records), strategy="firmware",
                                nodes=nodes, express_path=express)
         recs[express] = records
         stats[express] = dict(vars(cluster.network.stats))
@@ -239,48 +238,15 @@ def test_collective_storm_chaos_contract():
         assert wl.coll_completed + wl.coll_timeouts > 0
 
 
-def test_multicast_tree_revokes_committed_unicast_flight():
-    """A fan-out whose spanning tree crosses a committed unicast express
-    flight (here: the flight's tail link into host 5) revokes that flight
-    before touching any port, so neither delivery shifts: the timeline,
-    NetworkStats and link ledger match the express-off run exactly."""
-    from repro.myrinet import Network, Packet, PacketType
-    from repro.sim import Simulator
-
-    def drive(express):
-        cfg = ClusterConfig(num_hosts=8, express_path=express)
-        sim = Simulator()
-        net = Network(sim, cfg)
-        log = []
-        for i in range(8):
-            net.attach(i, lambda p: log.append((sim.now, p.dst_nic, p.msg_id)))
-        sim.schedule(0, net.send, Packet(0, 5, PacketType.DATA,
-                                         payload_bytes=2048, msg_id=100))
-        sim.schedule(600, net.send_multicast, 2, [1, 3, 5, 6],
-                     lambda d: Packet(2, d, PacketType.DATA,
-                                      payload_bytes=512, msg_id=d))
-        sim.run()
-        return net, sorted(log)
-
-    net1, log1 = drive(True)
-    net2, log2 = drive(False)
-    assert net1.express.commits == 1 and net1.express.revoked == 1
-    assert log1 == log2 and len(log1) == 5
-    assert net1.stats == net2.stats
-    ledger = lambda n: {l.name: (l.bytes_carried, l.packets_carried, l.busy_ns)
-                        for l in n.topology.all_links}
-    assert ledger(net1) == ledger(net2)
-
-
 def test_link_flap_mid_broadcast_demotes_and_delivers():
-    """A link flap while the broadcast's fabric multicast is in the air:
+    """A link flap while the broadcast's down phase is in the air:
     the fault disarms the express path and demotes any committed
     flight, and every rank still receives the payload exactly once.
     The flapped link is off the tree route, so demotion — not loss — is
     what the protocol must survive; a severed tree edge is the
     CollectiveTimeout case covered by the chaos storm."""
     nranks = 6
-    cfg = ClusterConfig(num_hosts=8, collective_strategy="express")
+    cfg = ClusterConfig(num_hosts=8, collective_strategy="firmware")
     cluster = Cluster(cfg)
     world = cluster.run_process(build_world(cluster, list(range(nranks))), "mpi")
     root_coll = cluster.node(0).nic.coll
@@ -288,7 +254,7 @@ def test_link_flap_mid_broadcast_demotes_and_delivers():
     def flapper():
         # wait for the root NI to post the down-phase fan-out, then flap
         # host link 7 (no rank lives there) while it is in the air
-        while root_coll.stats.mcast_fanouts == 0:
+        while root_coll.stats.down_sent == 0:
             yield cluster.sim.timeout(200)
         cluster.faults.set_host_link(7, False)
         yield cluster.sim.timeout(30_000)
@@ -305,8 +271,30 @@ def test_link_flap_mid_broadcast_demotes_and_delivers():
     for t in threads:
         assert t.finished, f"{t.name} did not finish"
     assert [t.result for t in threads] == ["storm"] * nranks
-    assert root_coll.stats.mcast_fanouts >= 1
+    assert root_coll.stats.down_sent >= 1
     assert not cluster.network._flights
+
+
+def test_endpoint_event_does_not_end_a_collective_wait():
+    """A masked recv landing mid-barrier wakes the endpoint's event
+    CondVar, which a collective also waits on (so a free wakes it): the
+    barrier must keep waiting for the late member, not return early or
+    raise a false CollectiveTimeout."""
+    late = ms(10)  # past endpoint warm-up, so the ping lands mid-barrier
+
+    def main(thr, comm):
+        if comm.rank == 0:
+            comm.endpoint.set_event_mask({"recv"})
+        else:
+            yield from comm.send(thr, 0, "ping", 8)
+            yield from thr.sleep(late)
+        yield from comm.barrier(thr)
+        return (comm.world.sim.now, comm.endpoint.stats.wakeups)
+
+    _, results = run_world(2, main, strategy="firmware")
+    (t0, wakeups), (t1, _) = results
+    assert wakeups >= 1
+    assert t0 >= late and t1 >= late
 
 
 def test_crash_at_root_times_out_survivors():
@@ -390,7 +378,7 @@ def test_rebooted_nic_pending_op_fails_fast():
             # rank 1 never joins: the op stays pending on NI 0 until the
             # crash resets it
             yield from comm.endpoint.collective(
-                thr, "barrier", 77, (0, 1), 0, strategy="firmware")
+                thr, "barrier", 77, (0, 1), 0)
             return "completed"
         except CollectiveTimeout as e:
             assert "aborted" in str(e)

@@ -57,6 +57,7 @@ def test_with_returns_modified_copy():
         dict(replacement_policy="fifo"),
         dict(packet_loss_prob=1.5),
         dict(channels_per_pair=0),
+        dict(collective_strategy="express"),
     ],
 )
 def test_validation_rejects_nonsense(kwargs):

@@ -230,8 +230,7 @@ def test_tracing_disables_express():
     assert net.stats.delivered == 1
 
 
-@pytest.mark.parametrize("second", ["unicast", "multicast"])
-def test_tracing_attached_mid_run_still_revokes_flights(second):
+def test_tracing_attached_mid_run_still_revokes_flights():
     """Regression: a send made after a bus attaches mid-run never
     commits express, but it must still revoke the committed flight
     claiming its links — else it acquires the flight's tail link
@@ -247,21 +246,15 @@ def test_tracing_attached_mid_run_still_revokes_flights(second):
         sim.schedule(0, net.send, Packet(0, 5, PacketType.DATA,
                                          payload_bytes=2048, msg_id=1))
         sim.schedule(100, TraceBus.attach, sim)
-        if second == "unicast":
-            sim.schedule(150, net.send, Packet(2, 5, PacketType.DATA,
-                                               payload_bytes=2048, msg_id=2))
-        else:
-            sim.schedule(150, net.send_multicast, 2, [3, 5, 6],
-                         lambda d: Packet(2, d, PacketType.DATA,
-                                          payload_bytes=2048, msg_id=d))
+        sim.schedule(150, net.send, Packet(2, 5, PacketType.DATA,
+                                           payload_bytes=2048, msg_id=2))
         sim.run()
         return net, log
 
     n1, log1 = run(True)
     n2, log2 = run(False)
     assert log1 == log2
-    if second == "unicast":
-        assert log1[-1] == (29_126, 2, 5, 2)
+    assert log1[-1] == (29_126, 2, 5, 2)
     assert n1.express.commits == 1 and n1.express.revoked == 1
     assert n1.stats == n2.stats
     assert link_ledger(n1) == link_ledger(n2)
