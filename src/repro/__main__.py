@@ -1,4 +1,4 @@
-"""``python -m repro bench <suite> [--smoke] [--out PATH] [--check]``.
+"""``python -m repro bench <suite> [--smoke] [--out PATH]``.
 
 One front door over every registered benchmark suite
 (:mod:`repro.bench.harness`).  Suite parameters are not flags: call
@@ -24,11 +24,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument("--out", default=None,
                        help="output JSON (default: the suite's BENCH file; "
                             "none under --smoke)")
-    bench.add_argument("--check", action="store_true",
-                       help="fail if a gated ratio fell >20%% below the "
-                            "committed BENCH file")
     args = ap.parse_args(sys.argv[1:] if argv is None else argv)
-    return cli(args.suite, smoke=args.smoke, out=args.out, check=args.check)
+    return cli(args.suite, smoke=args.smoke, out=args.out)
 
 
 if __name__ == "__main__":

@@ -151,8 +151,6 @@ def measure_am_rtt(cfg: Optional[ClusterConfig] = None, sizes=None, reps: int = 
     p1.spawn_thread(receiver)
 
     for nbytes in sizes:
-        got = {"n": 0}
-
         def client(thr, n=nbytes):
             # warmup
             start_replies = ep0.stats.replies_handled
@@ -169,7 +167,7 @@ def measure_am_rtt(cfg: Optional[ClusterConfig] = None, sizes=None, reps: int = 
 
         p0 = cluster.node(0).start_process()
         t = p0.spawn_thread(client)
-        cluster.run(until=sim.now + ms(5_000))
+        sim.run(until=sim.now + ms(5_000), stop=lambda: t.finished)
         out.append((nbytes, t.result / 1e3))
     state["stop"] = True
     return out

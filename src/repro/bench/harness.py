@@ -1,8 +1,8 @@
 """One harness for every benchmark suite.
 
 A suite declares *what* to measure; this module owns *how*: the cell
-loop, the determinism gate, the failure collector, the ratio
-regression check, and the BENCH file format.  A suite is
+loop, the determinism gate, the failure collector and the BENCH file
+format.  A suite is
 
 * ``cells(engine=None, **params)`` — an ordered list of ``(key, thunk)``
   pairs.  A thunk runs one cell and returns ``{"observables": ...,
@@ -12,9 +12,7 @@ regression check, and the BENCH file format.  A suite is
   every sweep cell, a storm judged against its calm baseline);
 * ``smoke`` — the parameter overrides of the reduced CI matrix;
 * ``gates`` — predicates over the finished cells returning failure
-  strings (an empty list passes);
-* ``ratios`` — ``(cell key, field)`` pairs that ``--check`` holds within
-  20% of the suite's committed file, ``BENCH_<SUITE>.json``.
+  strings (an empty list passes).
 
 Every suite writes the same document (``schema: 2``)::
 
@@ -28,13 +26,12 @@ digest in a committed file can be recomputed from the file alone
 
 Run any suite with::
 
-    PYTHONPATH=src python -m repro bench <suite> [--smoke] [--out PATH] [--check]
+    PYTHONPATH=src python -m repro bench <suite> [--smoke] [--out PATH]
 
 ``--smoke`` runs the suite's reduced matrix with every cell executed
 twice (digests must match) and writes a file only when ``--out`` is
-given; a full run without ``--out`` rewrites the committed file.
-``--check`` compares the gated ratios with the committed file.  The
-exit status is 1 when anything failed.
+given; a full run without ``--out`` rewrites the committed file,
+``BENCH_<SUITE>.json``.  The exit status is 1 when anything failed.
 """
 
 from __future__ import annotations
@@ -50,12 +47,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 __all__ = ["SCHEMA", "Suite", "register", "suites", "digest", "run",
-           "check_ratios", "validate", "cli"]
+           "validate", "cli"]
 
 SCHEMA = 2
-#: a gated ratio may fall to this fraction of its committed value (the
-#: >20% rule) before --check fails
-RATIO_FLOOR = 0.8
 
 #: modules whose import registers the in-tree suites
 _SUITE_MODULES = ("bench.perf", "bench.collectives", "bench.chaos",
@@ -83,7 +77,6 @@ class Suite:
     cells: Callable[..., list]
     smoke: dict = field(default_factory=dict)
     gates: Sequence[Callable[[dict], list]] = ()
-    ratios: Sequence[tuple[str, str]] = ()
 
     @property
     def path(self) -> str:
@@ -154,31 +147,6 @@ def run(name: str, *, engine=None, smoke: bool = False, progress=None,
             "digest": digest(*((k, c["digest"]) for k, c in cells.items()))}
 
 
-def _lookup(doc: dict, key: str, name: str):
-    cell = doc.get("cells", {}).get(key)
-    if cell is None:
-        return None
-    return cell["measured"].get(name, cell["observables"].get(name))
-
-
-def check_ratios(doc: dict, baseline: dict,
-                 ratios: Sequence[tuple[str, str]]) -> list[str]:
-    """The >20% rule: each ratio the baseline records must be present in
-    ``doc`` and at least :data:`RATIO_FLOOR` of its baseline value."""
-    failures = []
-    for key, name in ratios:
-        base = _lookup(baseline, key, name)
-        if base is None:
-            continue
-        cur = _lookup(doc, key, name)
-        if cur is None:
-            failures.append(f"{key}: no {name} measured")
-        elif cur < RATIO_FLOOR * base:
-            failures.append(f"{key}: {name} fell to {cur:.2f}x (baseline "
-                            f"{base:.2f}x, floor {RATIO_FLOOR * base:.2f}x)")
-    return failures
-
-
 def validate(doc: dict) -> list[str]:
     """Schema errors in a BENCH document (empty when it is well formed
     and every digest recomputes from its own observables)."""
@@ -201,20 +169,10 @@ def validate(doc: dict) -> list[str]:
     return errors
 
 
-def cli(name: str, *, smoke: bool = False, out: Optional[str] = None,
-        check: bool = False) -> int:
-    """``python -m repro bench``: run, gate, optionally check, write."""
+def cli(name: str, *, smoke: bool = False, out: Optional[str] = None) -> int:
+    """``python -m repro bench``: run, gate, write."""
     suite = suites()[name]
-    baseline = None
-    if check:
-        try:
-            with open(suite.path) as f:
-                baseline = json.load(f)
-        except FileNotFoundError:
-            print(f"no committed {suite.path}; nothing to check against")
     doc = run(name, smoke=smoke, progress=print)
-    if baseline is not None:
-        doc["failures"] += check_ratios(doc, baseline, suite.ratios)
     # A smoke matrix never replaces the committed full-matrix file.
     if out is None and not smoke:
         out = suite.path

@@ -211,8 +211,8 @@ def run_chaos(
     the run fails; never otherwise).  ``keep=True`` attaches the live
     ``cluster``/``bus``/``workload`` to the report for tests.
     ``engine`` names the event kernel (:mod:`repro.api.engine`; the
-    perf harness runs the same chaos scenario on the optimized and
-    reference kernels and compares digests).
+    ``perf`` suite's kernel oracle runs the same chaos scenario on the
+    optimized and reference kernels and compares digests).
     """
     scenario.validate()
     reset_global_ids()

@@ -292,8 +292,8 @@ class ClusterConfig:
     #: fired, delivery collapses to one scheduled callback with identical
     #: timing, stats and link accounting (see repro.myrinet.network and
     #: DESIGN.md "The express path").  Purely an execution-speed knob —
-    #: timelines are bit-identical either way, which repro.bench.perf's
-    #: net_burst oracle enforces in CI.
+    #: timelines are bit-identical either way, which tests/test_express_path.py
+    #: and repro.bench.perf's express on/off oracle enforce in CI.
     express_path: bool = True
 
     # --------------------------------------------------------------- engine

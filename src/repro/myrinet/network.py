@@ -45,7 +45,8 @@ revocation runs before the new packet touches any port, FIFO
 acquisition order is preserved and the flight's links are guaranteed
 re-acquirable.  Delivery timestamps, ``NetworkStats`` and
 per-link accounting are bit-identical between modes;
-``repro.bench.perf``'s net_burst oracle enforces this in CI.  Express
+``tests/test_express_path.py`` and ``repro.bench.perf``'s express
+on/off oracle enforce this in CI.  Express
 bookkeeping lives in the separate :class:`ExpressStats` so
 ``NetworkStats`` stays mode-invariant.
 """

@@ -46,8 +46,8 @@ allocation identity.  That freedom is what the fast paths exploit:
 
 Every fast path preserves the exact (when, seq)-relative ordering of the
 straight-line implementation (kept as :mod:`repro.sim.reference`);
-``benchmarks/test_perf_regression.py`` pins bit-identical timelines
-between the two kernels.
+the ``perf`` bench suite (:mod:`repro.bench.perf`) pins bit-identical
+timelines and event counts between the two kernels.
 """
 
 from __future__ import annotations
@@ -543,6 +543,12 @@ class Simulator:
         if self._crashed is None:
             self._crashed = (proc, exc)
 
+    def _raise_crash(self) -> None:
+        """Re-raise the first uncaught process exception (and clear it)."""
+        proc, exc = self._crashed
+        self._crashed = None
+        raise SimError(f"uncaught exception in process {proc.name!r}") from exc
+
     # -- process API ---------------------------------------------------------
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator; it runs from the next tick."""
@@ -603,9 +609,7 @@ class Simulator:
         try:
             while heap:
                 if self._crashed is not None:
-                    proc, exc = self._crashed
-                    self._crashed = None
-                    raise SimError(f"uncaught exception in process {proc.name!r}") from exc
+                    self._raise_crash()
                 when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
@@ -624,14 +628,13 @@ class Simulator:
                     entry[3] = None
                     entry_pool.append(entry)
                 count += 1
-                if stop is not None and stop():
-                    return self.now
-                if max_events is not None and count >= max_events:
+                if ((stop is not None and stop())
+                        or (max_events is not None and count >= max_events)):
+                    if self._crashed is not None:
+                        self._raise_crash()
                     return self.now
             if self._crashed is not None:
-                proc, exc = self._crashed
-                self._crashed = None
-                raise SimError(f"uncaught exception in process {proc.name!r}") from exc
+                self._raise_crash()
             if until is not None:
                 self.now = max(self.now, until)
             return self.now

@@ -8,10 +8,9 @@ protocol — no free lists, no class-dispatch shortcuts.
 
 Both kernels run the *same* library code (firmware, AM layer, chaos
 runner), so running one scenario on each and comparing timeline digests
-is a bit-exact proof that the optimized fast paths preserve event
-ordering; comparing their events/sec on the same machine is a
-machine-independent perf-regression check (identical event count,
-different per-event cost).  See ``repro.bench.perf``.
+and dispatched event counts is a bit-exact proof that the optimized
+fast paths preserve event ordering and add or remove no events.  See
+``repro.bench.perf``.
 """
 
 from __future__ import annotations
@@ -126,9 +125,7 @@ class ReferenceSimulator(Simulator):
         try:
             while self._heap:
                 if self._crashed is not None:
-                    proc, exc = self._crashed
-                    self._crashed = None
-                    raise SimError(f"uncaught exception in process {proc.name!r}") from exc
+                    self._raise_crash()
                 when = self._heap[0][0]
                 if until is not None and when > until:
                     self.now = until
@@ -140,14 +137,13 @@ class ReferenceSimulator(Simulator):
                 self.now = when
                 fn(*entry[2])
                 count += 1
-                if stop is not None and stop():
-                    return self.now
-                if max_events is not None and count >= max_events:
+                if ((stop is not None and stop())
+                        or (max_events is not None and count >= max_events)):
+                    if self._crashed is not None:
+                        self._raise_crash()
                     return self.now
             if self._crashed is not None:
-                proc, exc = self._crashed
-                self._crashed = None
-                raise SimError(f"uncaught exception in process {proc.name!r}") from exc
+                self._raise_crash()
             if until is not None:
                 self.now = max(self.now, until)
             return self.now

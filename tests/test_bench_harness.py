@@ -1,7 +1,7 @@
 """The one bench harness (``repro.bench.harness``).
 
 Every suite runs through the same cell loop, determinism gate, failure
-collector, ratio check and BENCH schema; these tests pin each piece on
+collector and BENCH schema; these tests pin each piece on
 fake suites, and check that every registered suite's committed BENCH
 file is well formed.
 """
@@ -14,8 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.bench import harness
-from repro.bench.harness import (RATIO_FLOOR, Suite, check_ratios, digest,
-                                 run, suites, validate)
+from repro.bench.harness import Suite, digest, run, suites, validate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -99,50 +98,17 @@ def test_cli_exits_nonzero_on_a_nondeterministic_suite(fake, tmp_path, capsys):
     assert main(["bench", "fake", "--out", str(out)]) == 0
 
 
-# ------------------------------------------------------------ ratio check
-def _doc(**cells):
-    return {"cells": {k: {"observables": {}, "measured": m}
-                      for k, m in cells.items()}}
-
-
-def test_ratio_check_applies_the_20_percent_rule():
-    ratios = [("logp", "speedup")]
-    baseline = _doc(logp={"speedup": 1.5})
-    assert RATIO_FLOOR == 0.8
-    assert check_ratios(_doc(logp={"speedup": 1.25}), baseline, ratios) == []
-    assert len(check_ratios(_doc(logp={"speedup": 1.1}), baseline, ratios)) == 1
-    missing = check_ratios(_doc(logp={}), baseline, ratios)
-    assert missing == ["logp: no speedup measured"]
-    assert len(check_ratios(_doc(), baseline, ratios)) == 1
-    # nothing committed for a ratio: nothing to hold it to
-    assert check_ratios(_doc(), _doc(), ratios) == []
-
-
-def test_cli_check_reads_the_committed_file(fake, tmp_path, monkeypatch):
-    speed = {"v": 2.0}
-    fake(lambda: [("c", lambda: {"observables": {},
-                                 "measured": {"r": speed["v"]}})],
-         ratios=[("c", "r")])
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "fake"]) == 0  # writes BENCH_FAKE.json
-    speed["v"] = 1.7
-    assert main(["bench", "fake", "--check", "--out", "cur.json"]) == 0
-    speed["v"] = 1.5
-    assert main(["bench", "fake", "--check", "--out", "cur.json"]) == 1
-
-
 def test_smoke_without_out_leaves_the_committed_file_alone(fake, tmp_path,
                                                            monkeypatch):
     def cells(size=100):
         return [(f"c{size}", lambda: {"observables": {"size": size},
                                       "measured": {"r": 2.0}})]
 
-    fake(cells, smoke={"size": 3}, ratios=[("c3", "r")])
+    fake(cells, smoke={"size": 3})
     monkeypatch.chdir(tmp_path)
     assert main(["bench", "fake"]) == 0  # writes BENCH_FAKE.json
     committed = (tmp_path / "BENCH_FAKE.json").read_bytes()
     assert main(["bench", "fake", "--smoke"]) == 0
-    assert main(["bench", "fake", "--smoke", "--check"]) == 0
     assert (tmp_path / "BENCH_FAKE.json").read_bytes() == committed
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_FAKE.json"]
 

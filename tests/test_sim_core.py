@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     AnyOf,
     Interrupted,
+    ReferenceSimulator,
     SimError,
     Simulator,
     Timeout,
@@ -125,8 +126,16 @@ def test_event_fail_propagates_into_waiter():
     assert caught == ["boom"]
 
 
-def test_uncaught_process_exception_aborts_run():
-    sim = Simulator()
+@pytest.mark.parametrize("factory", [Simulator, ReferenceSimulator])
+@pytest.mark.parametrize("run_kw", [
+    lambda sim: {},
+    lambda sim: {"stop": lambda: sim.now >= 1},
+    lambda sim: {"max_events": 2},
+], ids=["run", "stop", "max_events"])
+def test_uncaught_process_exception_aborts_run(factory, run_kw):
+    """The event that ends the run may itself crash a process; the run
+    must still re-raise it rather than return normally."""
+    sim = factory()
 
     def bad():
         yield sim.timeout(1)
@@ -134,7 +143,7 @@ def test_uncaught_process_exception_aborts_run():
 
     sim.spawn(bad())
     with pytest.raises(SimError) as excinfo:
-        sim.run()
+        sim.run(**run_kw(sim))
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
