@@ -17,17 +17,19 @@ Runs four canonical scenarios —
   pre-optimization generic scheduling paths (no entry pool, no timeout
   free-list, no typed resume dispatch).  Both kernels run the *same*
   library code, so each scenario replayed on both must produce the same
-  end state (bit-identical timeline digests, for the traced scenarios)
-  and the same number of dispatched kernel events — the fast paths may
-  make events cheaper, never add or remove them.
+  end state (bit-identical timeline digests for ``logp_pingpong`` and
+  ``chaos_smoke``, which always trace) and the same number of
+  dispatched kernel events — the fast paths may make events cheaper,
+  never add or remove them.
 * **express equivalence.**  Each scenario replayed with the fabric's
   express delivery path (``ClusterConfig.express_path``) forced off
   must reach the same mode-invariant end state bit for bit — express
   elides kernel *events*, never observable behaviour.
 
-Each cell's observables are the event count and simulated clock of the
-untraced express-on run plus the kernel-invariant end state, so the
-cell digests in ``BENCH_PERF.json`` are independent of the machine.
+A trace bus never changes the code path, so the scenarios that trace
+exercise the express path like the others.  Each cell's observables are
+the event count, simulated clock and end state of the express-on run,
+so the cell digests in ``BENCH_PERF.json`` are independent of the machine.
 Wall time is not measured here: the performance ledger (``ledger/``)
 times whole paper workloads and judges a change against its parent.
 
@@ -40,7 +42,6 @@ Run through the harness::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..am.vnet import parallel_vnet
 from ..apps.clientserver import ContentionConfig, run_contention
@@ -73,14 +74,15 @@ QUICK = Scale(pingpong_rounds=200, contention_warmup_ms=20.0,
 
 
 # --------------------------------------------------------------- scenarios
-def _run_pingpong(engine, scale: Scale, traced: bool,
-                  express: bool = True) -> dict:
-    """N request/reply round trips between two endpoints (Figure 3 cycle)."""
+def _run_pingpong(engine, scale: Scale, express: bool = True) -> dict:
+    """N request/reply round trips between two endpoints (Figure 3 cycle),
+    with a trace bus attached so its timeline digest is compared across
+    kernels."""
     reset_global_ids()
     rounds = scale.pingpong_rounds
     cluster = Cluster(ClusterConfig(num_hosts=4, express_path=express),
                       engine=engine)
-    bus = cluster.enable_tracing() if traced else None
+    bus = cluster.enable_tracing()
     sim = cluster.sim
     vnet = cluster.run_process(parallel_vnet(cluster, [0, 1]), "setup")
     ep0, ep1 = vnet[0], vnet[1]
@@ -107,9 +109,8 @@ def _run_pingpong(engine, scale: Scale, traced: bool,
     sim.run(until=sim.now + ms(30_000), stop=lambda: bool(done))
     if not done:
         raise RuntimeError("ping-pong did not complete inside the time budget")
-    digest = timeline_digest(bus.events) if traced else None
-    if bus is not None:
-        bus.detach()
+    digest = timeline_digest(bus.events)
+    bus.detach()
     return {
         "events": sim.events_dispatched,
         "sim_ns": sim.now,
@@ -118,8 +119,7 @@ def _run_pingpong(engine, scale: Scale, traced: bool,
     }
 
 
-def _run_contention(engine, scale: Scale, traced: bool,
-                    express: bool = True) -> dict:
+def _run_contention(engine, scale: Scale, express: bool = True) -> dict:
     """Figure 6 OneVN contention: 4 clients thrash one shared endpoint."""
     reset_global_ids()
     ccfg = ContentionConfig(
@@ -141,16 +141,13 @@ def _run_contention(engine, scale: Scale, traced: bool,
     }
 
 
-def _run_chaos_smoke(engine, scale: Scale, traced: bool,
-                     express: bool = True) -> dict:
+def _run_chaos_smoke(engine, scale: Scale, express: bool = True) -> dict:
     """One audited chaos run (mixed faults, pairwise workload, 8 hosts)."""
     gen = ScheduleGenerator(
         1, num_hosts=8, num_spines=2, num_procs=4, num_eps=4,
         duration_ns=scale.chaos_duration_ns, profile="rough",
     )
     scenario = gen.generate("mixed")
-    # Chaos always traces, so the express path never engages here; the
-    # express knob is still honoured so the on/off oracle can pin that.
     cfg = chaos_config(scenario.seed, num_hosts=8, express_path=express)
     report = run_chaos(scenario, "pairwise", cfg=cfg, num_hosts=8, keep=True,
                        engine=engine)
@@ -171,11 +168,10 @@ def _run_chaos_smoke(engine, scale: Scale, traced: bool,
     }
 
 
-def _run_calib_workloads(engine, scale: Scale, traced: bool,
-                         express: bool = True) -> dict:
+def _run_calib_workloads(engine, scale: Scale, express: bool = True) -> dict:
     """The datacenter diversity shapes (incast / fan-out / streaming).
 
-    Untraced; the per-workload digest covers only express-invariant
+    No trace bus; the per-workload digest covers only express-invariant
     observables (counts + simulated latencies), so the on/off oracle
     and the kernel oracle both apply to it.
     """
@@ -211,17 +207,10 @@ _RUNNERS = {
     "calib_workloads": _run_calib_workloads,
 }
 
-#: scenarios whose timeline digest is compared bit-for-bit across kernels
-TRACED = {"logp_pingpong": True, "fig6_contention": False,
-          "chaos_smoke": True, "calib_workloads": False}
-
-
 def run_scenario(name: str, engine=None, scale: Scale = Scale(),
-                 traced: Optional[bool] = None, express: bool = True) -> dict:
+                 express: bool = True) -> dict:
     """Run one named scenario; returns events/sim_ns/checks."""
-    if traced is None:
-        traced = TRACED[name]
-    return _RUNNERS[name](engine, scale, traced, express)
+    return _RUNNERS[name](engine, scale, express)
 
 
 # ------------------------------------------------------------------ suite
@@ -229,8 +218,8 @@ def check_express_equivalence(name: str, scale: Scale,
                               engine=None) -> tuple[dict, dict]:
     """Run ``name`` with the express path on and off; the mode-invariant
     end state (``checks``) must match bit for bit.  Returns both runs."""
-    on = run_scenario(name, engine, scale, traced=False, express=True)
-    off = run_scenario(name, engine, scale, traced=False, express=False)
+    on = run_scenario(name, engine, scale, express=True)
+    off = run_scenario(name, engine, scale, express=False)
     if on["checks"] != off["checks"]:
         raise RuntimeError(
             f"{name}: express and full-fidelity modes diverged:\n"
@@ -241,10 +230,9 @@ def check_express_equivalence(name: str, scale: Scale,
 def _perf_cell(name: str, engine, scale: Scale) -> dict:
     """One scenario against its oracles: the reference kernel (identical
     end state and event count) and the express path forced off
-    (identical end state).  Chaos is traced by construction — its audit
-    is part of the scenario."""
-    opt = run_scenario(name, engine, scale, traced=TRACED[name])
-    ref = run_scenario(name, "reference", scale, traced=TRACED[name])
+    (identical end state)."""
+    opt, _ = check_express_equivalence(name, scale, engine)
+    ref = run_scenario(name, "reference", scale)
     if opt["checks"] != ref["checks"]:
         raise RuntimeError(
             f"optimized and reference kernels diverged:\n"
@@ -255,9 +243,7 @@ def _perf_cell(name: str, engine, scale: Scale) -> dict:
             f"vs {ref['events']}) — a fast path added or removed events")
     # Event counts are NOT compared across express modes: eliding
     # events is the express path's whole point.
-    on, _ = check_express_equivalence(name, scale, engine)
-    # events/sim_ns of the untraced express-on run
-    return {"observables": {"events": on["events"], "sim_ns": on["sim_ns"],
+    return {"observables": {"events": opt["events"], "sim_ns": opt["sim_ns"],
                             "checks": opt["checks"]}}
 
 

@@ -162,7 +162,6 @@ def run_cell(cell: CalibCell, *, seed: int = 1999,
     cluster.run_process(cluster.node(b).driver.write_fault(ep1.state), "calib.w1")
     cluster.run(until=sim.now + ms(10))
     # tracing attached post-warmup: spans reflect only the measurement
-    # (tracing also pins the express path off — full wormhole fidelity)
     bus = cluster.enable_tracing()
 
     marks: dict[str, int] = {}

@@ -22,12 +22,12 @@ they run unmodified under the chaos adversary (kills, pauses, crashes,
 evictions — the delivery contract is audited from the trace), and they
 register themselves into the chaos workload registry on import.
 
-:func:`run_workload_bench` runs one shape standalone — *untraced*, so
-the express path may engage — and reduces it to express-invariant
-integer observables (counts, simulated latencies) plus a digest;
-running it with ``express`` on and off must produce bit-identical
-digests, which the perf harness's ``calib_workloads`` scenario and
-``tests/test_calib_workloads.py`` enforce.
+:func:`run_workload_bench` runs one shape standalone, without a trace
+bus, and reduces it to express-invariant integer observables (counts,
+simulated latencies) plus a digest; running it with ``express`` on and
+off must produce bit-identical digests, which the perf harness's
+``calib_workloads`` scenario and ``tests/test_calib_workloads.py``
+enforce.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ def percentile_ns(sorted_values: list[int], pct: float) -> int:
 
 @dataclass
 class WorkloadBenchResult:
-    """One standalone (untraced) run, reduced to express-invariant ints."""
+    """One standalone run, reduced to express-invariant ints."""
 
     name: str
     express: bool
@@ -434,11 +434,10 @@ def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
                        engine=None, **kwargs) -> WorkloadBenchResult:
     """Run one diversity shape standalone and reduce it to observables.
 
-    Untraced (so the express path may engage when ``express`` is on) and
-    fault-free; the digest covers only express-invariant integers —
-    counts and simulated-time latencies, never kernel event counts — so
-    express-on and express-off runs of the same seed must match bit for
-    bit.
+    Without a trace bus and fault-free; the digest covers only
+    express-invariant integers — counts and simulated-time latencies,
+    never kernel event counts — so express-on and express-off runs of
+    the same seed must match bit for bit.
     """
     reset_global_ids()
     wl = _bench_workload(name, **kwargs)

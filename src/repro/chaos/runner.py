@@ -158,7 +158,6 @@ def _availability(checker: DeliveryChecker, events,
     """Goodput inside/outside crash outages + worst recovery time."""
     outages: list[tuple[int, int, int]] = []  # (node, crash_ts, reboot_ts)
     open_crash: dict[int, int] = {}
-    end_ts = events[-1].ts if events else 0
     for ev in events:
         if ev.kind != "fault.inject":
             continue
@@ -167,7 +166,7 @@ def _availability(checker: DeliveryChecker, events,
         elif ev.get("action") == "reboot" and ev.node in open_crash:
             outages.append((ev.node, open_crash.pop(ev.node), ev.ts))
     outage_ns = sum(t1 - t0 for _, t0, t1 in outages)
-    clear_ns = max(1, end_ts - outage_ns)
+    clear_ns = max(1, report.sim_ns - outage_ns)
     in_outage = clear = 0
     for dels in checker.deliveries.values():
         for _, ts, _, _ in dels:

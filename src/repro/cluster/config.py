@@ -288,12 +288,13 @@ class ClusterConfig:
     # ---------------------------------------------------------- express path
     #: elide the per-hop wormhole simulation for provably uncontended
     #: packets: when every link on a cached route is idle through the
-    #: packet's whole occupancy window, tracing is off and no fault has
-    #: fired, delivery collapses to one scheduled callback with identical
-    #: timing, stats and link accounting (see repro.myrinet.network and
-    #: DESIGN.md "The express path").  Purely an execution-speed knob —
-    #: timelines are bit-identical either way, which tests/test_express_path.py
-    #: and repro.bench.perf's express on/off oracle enforce in CI.
+    #: packet's whole occupancy window and no fault has fired, delivery
+    #: collapses to one scheduled callback with identical timing, stats
+    #: and link accounting (see repro.myrinet.network and DESIGN.md "The
+    #: express path"), traced or not.  Purely an execution-speed knob —
+    #: observables are bit-identical either way, which
+    #: tests/test_express_path.py and repro.bench.perf's express on/off
+    #: oracle enforce in CI.
     express_path: bool = True
 
     # --------------------------------------------------------------- engine

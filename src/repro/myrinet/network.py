@@ -26,21 +26,20 @@ whenever all of the following hold:
   attribute, disarms it and demotes committed flights.  Once every link
   and switch is back up and :data:`EXPRESS_REARM_QUIET_NS` has elapsed
   since the most recent fault event, the next send re-arms the path;
-* hop-level tracing is off (``sim.trace.enabled``), so the elided
-  ``sim.spawn``/``sim.exit`` events are unobservable;
 * no wormhole process is in flight *on any link of this route*
   (per-link ``slow_refs`` — a slow packet crossing a disjoint part of
   the fabric does not force a fallback), and every link on the
   (cached) route is idle with no express occupancy claim.
+
+Attaching a trace bus does not change the path taken: both paths emit
+the same ``net.deliver``/``net.drop`` records.
 
 Soundness rests on *revocation*: a committed flight's timeline is only
 valid while its links stay untouched, so any later send whose route
 intersects a flight's links first **revokes** the flight — the delivery
 callback is canceled and the flight is replayed as a wormhole process
 holding exactly the links, accounting and pending releases the slow path
-would have at that instant (`_revoke`/`_resume_traverse`).  This holds for
-every send, express or not: a traced send (which always takes the
-wormhole path) revokes the flights on its links too.  Because
+would have at that instant (`_revoke`/`_resume_traverse`).  Because
 revocation runs before the new packet touches any port, FIFO
 acquisition order is preserved and the flight's links are guaranteed
 re-acquirable.  Delivery timestamps, ``NetworkStats`` and
@@ -250,14 +249,14 @@ class Network:
         """Whether a send made now may commit an express flight.
 
         Re-arms a disarmed path first once its quiet window has passed
-        on a healthy fabric; tracing keeps every hop observable, so a
-        traced send never commits."""
+        on a healthy fabric.  Tracing plays no part: the fabric emits
+        the same ``net.*`` records on both paths."""
         if (self._rearm_at is not None and not self._down
                 and self.sim.now >= self._rearm_at):
             self._express_enabled = True
             self._rearm_at = None
             self.express.reenabled += 1
-        return self._express_enabled and not self.sim.trace.enabled
+        return self._express_enabled
 
     # ------------------------------------------------------------- sending
     def send(self, pkt: Packet) -> None:
@@ -284,12 +283,12 @@ class Network:
             else:
                 sim.spawn(self._traverse_loopback(pkt), name=f"pkt{pkt.xmit_id}")
             return
-        if express or self._flights:
+        if express:
             route = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
             # no route: the slow path owns the noroute drop accounting
             if route is not None:
                 self._revoke_claims(route)
-                if express and self._try_commit(pkt, route):
+                if self._try_commit(pkt, route):
                     return
         # Counted *before* the process first runs so a same-tick express
         # attempt cannot miss it; the process converts the pending count

@@ -6,8 +6,9 @@ blocked.  Event kinds are dotted strings whose first component names the
 emitting subsystem; the exporter maps that component to a Chrome trace
 "thread" so related events line up on one row:
 
-    ``sim.*``    simulation kernel (process spawn/exit)
-    ``pkt.*``    NI transport (tx/rx/ack/nack/retransmit/drop)
+    ``pkt.*``    NI transport (tx/rx/retransmit/crc_drop)
+    ``ack.*``    transport acknowledgements (tx/rx)
+    ``nack.*``   transport negative acknowledgements (tx/rx)
     ``msg.*``    message resolution (deliver / return-to-sender)
     ``chan.*``   flow-control channels (stall/unbind/rebind)
     ``timer.*``  retransmission timers (arm/fire)
@@ -16,6 +17,8 @@ emitting subsystem; the exporter maps that component to a Chrome trace
     ``am.*``     Active Message API operations
     ``net.*``    wire fabric (deliver/drop)
     ``thr.*``    host threads (block/wake)
+    ``coll.*``   NI collective trees (up/fwd_up/down/complete)
+    ``tenant.*`` tenant admission (veto)
     ``fault.*``  injected faults
 
 Emitting an event never consumes simulated time, never touches an RNG
@@ -32,7 +35,6 @@ __all__ = ["TraceEvent", "KINDS"]
 #: the canonical event vocabulary (instrumentation may extend it; the
 #: exporter treats unknown kinds uniformly)
 KINDS = (
-    "sim.spawn", "sim.exit",
     "pkt.tx", "pkt.retransmit", "pkt.rx", "pkt.crc_drop",
     "ack.tx", "ack.rx", "nack.tx", "nack.rx",
     "msg.deliver", "msg.return",

@@ -21,10 +21,12 @@ from .bus import TraceBus
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "metrics_snapshot"]
 
-#: stable thread ids per component so Perfetto rows don't reorder run-to-run
+#: stable thread ids per emitted component so Perfetto rows don't reorder
+#: run-to-run; a component outside this table gets the next free id
 _COMPONENT_TIDS = {
-    "sim": 1, "am": 2, "thr": 3, "drv": 4, "ep": 5,
-    "pkt": 6, "msg": 7, "chan": 8, "timer": 9, "net": 10, "fault": 11,
+    "am": 1, "thr": 2, "drv": 3, "ep": 4, "pkt": 5, "ack": 6, "nack": 7,
+    "msg": 8, "chan": 9, "timer": 10, "net": 11, "coll": 12, "tenant": 13,
+    "fault": 14,
 }
 
 
@@ -32,19 +34,16 @@ _COMPONENT_TIDS = {
 _CLUSTER_PID = 1 << 20
 
 
-def _tid(component: str) -> int:
-    return _COMPONENT_TIDS.get(component, 12)
-
-
 def to_chrome_trace(bus: TraceBus, label: str = "repro") -> dict[str, Any]:
     """Render the bus's events as a Chrome trace_event JSON object."""
     trace_events: list[dict[str, Any]] = []
     seen_procs: set[int] = set()
     seen_threads: set[tuple[int, int]] = set()
+    tids = dict(_COMPONENT_TIDS)
     for ev in bus.events:
         pid = ev.node if ev.node >= 0 else _CLUSTER_PID
         comp = ev.component
-        tid = _tid(comp)
+        tid = tids.setdefault(comp, len(tids) + 1)
         if pid not in seen_procs:
             seen_procs.add(pid)
             name = f"node{ev.node}" if ev.node >= 0 else "cluster"

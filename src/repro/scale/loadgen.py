@@ -176,10 +176,6 @@ class ScaleCellConfig:
             # setup + transport compression for fast, bounded cells
             ep_alloc_us=50.0,
             dead_timeout_ms=20.0,
-            # cell digests include sim.events_dispatched, and the express
-            # path exists precisely to elide events — pin it off so the
-            # committed BENCH_SCALE digests stay comparable across runs
-            express_path=False,
         )
 
 

@@ -104,8 +104,9 @@ class _NullTrace:
     """Default trace sink: tracing off costs one attribute check.
 
     :class:`repro.obs.bus.TraceBus` replaces this via ``TraceBus.attach``.
-    The kernel only knows the two-member protocol (``enabled``, ``emit``)
-    so :mod:`repro.sim` never imports :mod:`repro.obs`.
+    The kernel emits nothing itself; it only carries the sink for the
+    layers above, which use the two-member protocol (``enabled``,
+    ``emit``), so :mod:`repro.sim` never imports :mod:`repro.obs`.
     """
 
     __slots__ = ()
@@ -440,14 +441,10 @@ class Process:
 
     def _finish_ok(self, value: Any) -> None:
         self._finished = True
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("sim.exit", proc=self.name, ok=True)
         self.done.trigger(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._finished = True
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("sim.exit", proc=self.name, ok=False)
         if self.done._waiters:
             self.done.fail(exc)
         else:
@@ -554,8 +551,6 @@ class Simulator:
         """Start a new process from a generator; it runs from the next tick."""
         proc = Process(self, gen, name=name)
         self._nprocesses += 1
-        if self.trace.enabled:
-            self.trace.emit("sim.spawn", proc=proc.name)
         self._post(proc._resume, None, None)
         return proc
 

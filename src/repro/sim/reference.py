@@ -102,8 +102,6 @@ class ReferenceSimulator(Simulator):
     def spawn(self, gen: Generator, name: str = "") -> ReferenceProcess:
         proc = ReferenceProcess(self, gen, name=name)
         self._nprocesses += 1
-        if self.trace.enabled:
-            self.trace.emit("sim.spawn", proc=proc.name)
         self._post(proc._resume, None, None)
         return proc
 

@@ -116,10 +116,10 @@ def _untraced_digest(policy: str, seed: int, express: bool,
                      engine=None) -> str:
     """Fault-free untraced run reduced to express-invariant observables.
 
-    Untraced so the express path may engage; the digest covers counts,
-    RTT samples and tenant counters only — integers that must be
-    bit-identical whether packets took the express or the full-fidelity
-    path (mirrors :func:`repro.calib.workloads.run_workload_bench`).
+    No trace bus is attached; the digest covers counts, RTT samples and
+    tenant counters only — integers that must be bit-identical whether
+    packets took the express or the full-fidelity path (mirrors
+    :func:`repro.calib.workloads.run_workload_bench`).
     """
     reset_global_ids()
     wl = InterferenceWorkload(**POLICIES[policy])

@@ -7,12 +7,15 @@ Pins the acceptance bar for :mod:`repro.chaos`:
 * a matrix of 20+ seed x scenario combinations passes every delivery
   invariant;
 * killing a process mid-traffic yields RETURNED messages — never a hang,
-  never duplicate delivery.
+  never duplicate delivery;
+* the express path, which chaos runs exercise like any other run, is
+  revoked by randomized faults without changing anything observable.
 """
 
 import pytest
 
-from repro.chaos import SCENARIO_FAMILIES, ScheduleGenerator, run_chaos
+from repro.chaos import (SCENARIO_FAMILIES, ScheduleGenerator, chaos_config,
+                         run_chaos)
 
 
 def _gen(seed, profile="rough", duration_ns=20_000_000):
@@ -72,3 +75,32 @@ def test_kill_mid_traffic_returns_to_sender():
     assert report.ok, report.violations[:4]
     assert report.returned > 0
     assert report.duplicates == 0
+
+
+def test_express_revocation_under_randomized_faults():
+    # kill_storm's process kills and crashes disarm the express path
+    # mid-flight: committed flights are revoked back to wormhole
+    # processes, and the audited run must match the express-off one
+    def run(express):
+        cfg = chaos_config(1, num_hosts=8, express_path=express)
+        return run_chaos(_gen(1).generate("kill_storm"), "client_server",
+                         cfg=cfg, keep=True)
+
+    on, off = run(True), run(False)
+    assert on.ok and off.ok, (on.violations[:4], off.violations[:4])
+
+    def observed(r):
+        return (r.sim_ns, r.accepted, r.delivered, r.returned, r.duplicates,
+                r.events)
+
+    assert observed(on) == observed(off)
+
+    # same-nanosecond events on different nodes may interleave
+    # differently; each node's own order may not
+    def timeline(r):
+        evs = sorted(r.bus.events, key=lambda ev: (ev.ts, ev.node))
+        return [(ev.ts, ev.node, ev.kind, ev.args) for ev in evs]
+
+    assert timeline(on) == timeline(off)
+    assert on.cluster.network.express.revoked > 0
+    assert off.cluster.network.express.hits() == 0

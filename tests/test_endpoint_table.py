@@ -21,6 +21,7 @@ import sys
 
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.nic.endpoint_state import (
     F_REFERENCED,
     EndpointState,
@@ -167,9 +168,12 @@ def test_frame_rows_mirror_and_resident_count():
 
 
 # ---------------------------------------------------------- determinism
-#: tiny-but-real cell (mirrors test_scale_policies.TINY), seed 11
+#: tiny-but-real cell (mirrors test_scale_policies.TINY), seed 11; the
+#: digests below include the dispatched-event count and were recorded
+#: with the express path off
 _TINY = dict(ratio=4, endpoint_frames=2, client_nodes=2,
-             duration_ms=10.0, warmup_ms=5.0, seed=11)
+             duration_ms=10.0, warmup_ms=5.0, seed=11,
+             base=ClusterConfig(express_path=False))
 
 #: digests of the pre-SoA object-based build's observables (re-expressed
 #: in the canonical digest of repro.bench.harness) — the integer-indexed

@@ -218,24 +218,24 @@ def test_fault_mid_flight_demotes_committed_flight():
     assert link_ledger(net1) == link_ledger(net2)
 
 
-def test_tracing_disables_express():
+def test_tracing_keeps_express():
     sim, net, _ = make_net(8)
-    TraceBus.attach(sim)
+    bus = TraceBus.attach(sim)
     net.attach(0, lambda p: None)
     net.attach(5, lambda p: None)
     net.send(Packet(0, 5, PacketType.DATA))
     sim.run()
-    assert net.express.hits() == 0
-    assert net.express_active  # not *disabled*, just never engaged
+    assert net.express.hits() == 1  # a bus does not change the path
     assert net.stats.delivered == 1
+    assert bus.counts()["net.deliver"] == 1
 
 
 def test_tracing_attached_mid_run_still_revokes_flights():
-    """Regression: a send made after a bus attaches mid-run never
-    commits express, but it must still revoke the committed flight
-    claiming its links — else it acquires the flight's tail link
-    unopposed and overtakes it (2->5 landed at 15,463 ns instead of
-    29,126 ns), and attaching tracing changes simulated time."""
+    """A bus attached between two sends changes nothing: the second
+    send revokes the committed flight claiming its links exactly as
+    without a bus.  Regression: a send that skipped revocation would
+    acquire the flight's tail link unopposed and overtake it (2->5
+    landed at 15,463 ns instead of 29,126 ns)."""
 
     def run(express):
         sim, net, _ = make_net(8, express=express)

@@ -58,8 +58,7 @@ def _scripted_bus():
         (75, "net.drop", 0, dict(msg=2, reason="loss")),
     ]
 
-    # scheduled callbacks rather than a process: keeps the event log free
-    # of the kernel's own sim.spawn/sim.exit records
+    # scheduled callbacks: each record is emitted at exactly its scripted ts
     for ts, kind, node, args in script:
         sim.schedule(ts, lambda k=kind, n=node, a=args: bus.emit(k, n, **a))
     sim.run()

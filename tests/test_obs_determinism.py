@@ -5,13 +5,16 @@ Every instrumentation site is guarded by ``if sim.trace.enabled:`` and
 advances simulated time, reads an RNG stream, or schedules a callback.
 This file locks that in end-to-end: a contended 4-node workload run
 twice with tracing off and twice with tracing on must produce identical
-final simulated times, event counts, and message logs.
+final simulated times, message logs, layer statistics, dispatched
+kernel events and express-path bookkeeping — attaching the bus keeps
+the code path, not just the results.
 
 The same run doubles as the Chrome trace_event acceptance check: the
 trace exported from the traced run must be valid JSON in the format
 chrome://tracing and Perfetto consume.
 """
 
+import dataclasses
 import json
 
 from repro.am import parallel_vnet
@@ -27,8 +30,10 @@ def _contended_run(trace: bool):
     """4 nodes, 3 clients hammering one server under 2% loss.
 
     Returns ``(fingerprint, bus)`` where the fingerprint captures final
-    simulated time, per-layer event counts, and the full ordered
-    delivery log — everything that could reveal a perturbation.
+    simulated time, the full ordered delivery log, fabric and NI
+    statistics, the kernel's dispatched-event count and the express
+    path's bookkeeping — everything that could reveal a perturbation or
+    a different code path.
     """
     cfg = ClusterConfig(num_hosts=4, seed=11, packet_loss_prob=0.02)
     cluster = Cluster(cfg)
@@ -75,6 +80,8 @@ def _contended_run(trace: bool):
              n.nic.stats.deliveries)
             for n in cluster.nodes
         ),
+        sim.events_dispatched,
+        dataclasses.asdict(cluster.network.express),
     )
     return fingerprint, bus
 
@@ -87,6 +94,7 @@ def test_tracing_on_equals_tracing_off_bit_for_bit():
     assert off1 == off2  # the run is deterministic at all...
     assert on1 == on2  # ...with or without the bus attached...
     assert off1 == on1  # ...and the bus changes nothing (observer-only)
+    assert off1[-1]["commits"] > 0  # the express path ran in both
 
 
 def test_chrome_trace_export_from_contended_run_is_valid(tmp_path):
@@ -108,7 +116,17 @@ def test_chrome_trace_export_from_contended_run_is_valid(tmp_path):
     # all 4 nodes show up as processes with named threads
     proc_names = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
     assert {"node0", "node1", "node2", "node3"} <= proc_names
-    assert any(e["name"] == "thread_name" for e in meta)
+    # every (node, component) row carries exactly one component's
+    # events and is named after it
+    row_names = {(e["pid"], e["tid"]): e["args"]["name"]
+                 for e in meta if e["name"] == "thread_name"}
+    row_comps: dict = {}
+    for e in events:
+        if e["ph"] != "M":
+            row_comps.setdefault((e["pid"], e["tid"]), set()).add(e["cat"])
+    assert row_comps and row_comps.keys() == row_names.keys()
+    for row, comps in row_comps.items():
+        assert comps == {row_names[row]}, (row, comps)
 
     for e in payload:
         assert e["ph"] in ("i", "X")
