@@ -80,8 +80,8 @@ __all__ = [
 def run_bench(name: str, *, engine: Optional[str] = None, **opts) -> dict:
     """Run a registered benchmark suite and return its BENCH document.
 
-    ``name`` is any suite of :func:`repro.bench.harness.suites` (``perf``,
-    ``collectives``, ``chaos``, ``calib``, ``scale``, ``fleet``,
+    ``name`` is any suite of :func:`repro.bench.harness.suites`
+    (``collectives``, ``chaos``, ``calib``, ``scale``, ``fleet``,
     ``tenant``); ``engine`` is an engine name (:data:`ENGINE_NAMES`).
     ``smoke=True`` selects the reduced matrix with every cell run twice;
     every other keyword is a suite parameter.

@@ -1,7 +1,7 @@
 """Engine choice: callers never construct kernels by hand.
 
 Every harness in the tree (Session/Cluster, chaos, scale, calib,
-tenant, the perf suite) picks its kernel by *engine* name:
+tenant) picks its kernel by *engine* name:
 
 ``"sequential"``
     the optimized pooled-entry kernel (:class:`repro.sim.core.Simulator`)

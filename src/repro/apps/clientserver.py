@@ -76,9 +76,6 @@ class ContentionResult:
     overrun_nacks: int = 0
     not_resident_nacks: int = 0
     server_cpu_util: float = 0.0
-    #: kernel-level counters for the perf harness (repro.bench.perf)
-    sim_ns: int = 0
-    events_dispatched: int = 0
 
     @property
     def min_client_msgs_s(self) -> float:
@@ -89,17 +86,11 @@ class ContentionResult:
         return max(self.per_client_msgs_s) if self.per_client_msgs_s else 0.0
 
 
-def run_contention(ccfg: ContentionConfig, *,
-                   engine=None) -> ContentionResult:
-    """Run one configuration and return throughput/robustness metrics.
-
-    ``engine`` names the event kernel (see
-    :mod:`repro.bench.perf`, which replays the same configuration on the
-    optimized and reference kernels and requires identical results).
-    """
+def run_contention(ccfg: ContentionConfig) -> ContentionResult:
+    """Run one configuration and return throughput/robustness metrics."""
     if ccfg.mode not in CONFIG_NAMES:
         raise ValueError(f"unknown mode {ccfg.mode!r}")
-    cluster = Cluster(ccfg.cluster_config(), engine=engine)
+    cluster = Cluster(ccfg.cluster_config())
     sim = cluster.sim
     server_node = cluster.node(0)
     client_nodes = list(range(1, ccfg.nclients + 1))
@@ -172,6 +163,4 @@ def run_contention(ccfg: ContentionConfig, *,
         nic.stats.nacks_sent.get(NackReason.NOT_RESIDENT, 0) - snap_notres
     )
     result.server_cpu_util = (server_node.cpu.busy_ns - snap_cpu) / (sim.now - t0)
-    result.sim_ns = sim.now
-    result.events_dispatched = sim.events_dispatched
     return result

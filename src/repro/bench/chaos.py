@@ -1,10 +1,18 @@
 """Chaos matrix + availability benchmark.
 
-Executes a seed × scenario × workload matrix of deterministic chaos runs
-(:func:`repro.chaos.run_chaos`), audits every run against the delivery
-contract, and reports the availability picture the paper's robustness
-story implies (Section 3.2 / 5.1): how much goodput survives *during* a
-crash outage, and how quickly traffic involving a rebooted node resumes.
+Executes a seed × scenario × workload matrix of deterministic chaos runs,
+audits every run against the delivery contract, and reports the
+availability picture the paper's robustness story implies (Section 3.2 /
+5.1): how much goodput survives *during* a crash outage, and how quickly
+traffic involving a rebooted node resumes.  Every generated scenario
+family is joined by a fault-free ``calm`` cell per seed and workload, the
+healthy-path baseline.
+
+Each cell runs through :func:`repro.chaos.run_modes`: once on every
+(kernel, express path) mode.  A mode that disagrees with another adds an
+``M.mode`` violation, so the delivery-contract gate is also the one
+mode-equivalence oracle.  The observables are the default mode's (the
+suite's engine, sequential unless given, with the express path on).
 
 Run through the harness::
 
@@ -24,12 +32,14 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-from ..chaos import SCENARIO_FAMILIES, ScheduleGenerator, run_chaos
+from ..chaos import (SCENARIO_FAMILIES, ScheduleGenerator, calm_scenario,
+                     run_modes)
 from .harness import Suite, register
 
 __all__ = ["CHAOS"]
 
-_WORKLOADS = ("pairwise", "bulk", "client_server", "collective")
+_WORKLOADS = ("pairwise", "bulk", "client_server", "collective", "incast",
+              "rpc_fanout", "streaming")
 
 
 def _run(scenario, workload: str, num_hosts: int, engine,
@@ -37,7 +47,7 @@ def _run(scenario, workload: str, num_hosts: int, engine,
     trace_path = trace_dir and os.path.join(
         trace_dir, f"chaos-{scenario.name}-{workload}-s{scenario.seed}-"
         f"{scenario.profile}.json")
-    r = run_chaos(scenario, workload, num_hosts=num_hosts, engine=engine,
+    r = run_modes(scenario, workload, num_hosts=num_hosts, engine=engine,
                   trace_path=trace_path)
     return {"observables": {
         "digest": r.digest, "sim_ns": r.sim_ns, "events": r.events,
@@ -62,10 +72,10 @@ def _cells(engine=None, seeds: Sequence[int] = (1, 2, 3, 4, 5),
                                 num_spines=max(1, num_hosts // 4),
                                 num_procs=4, num_eps=4,
                                 duration_ns=duration_ns, profile=profile)
-        for name in scenarios:
-            scenario = gen.generate(name)
+        for scenario in [*map(gen.generate, scenarios),
+                         calm_scenario(seed, duration_ns)]:
             for wl in workloads:
-                cells.append((f"{name}/{wl}/s{seed}",
+                cells.append((f"{scenario.name}/{wl}/s{seed}",
                               lambda s=scenario, wl=wl: _run(
                                   s, wl, num_hosts, engine, trace_dir)))
     return cells

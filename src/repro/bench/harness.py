@@ -52,7 +52,7 @@ __all__ = ["SCHEMA", "Suite", "register", "suites", "digest", "run",
 SCHEMA = 2
 
 #: modules whose import registers the in-tree suites
-_SUITE_MODULES = ("bench.perf", "bench.collectives", "bench.chaos",
+_SUITE_MODULES = ("bench.collectives", "bench.chaos",
                   "calib.sweep", "scale.sweep", "scale.fleet", "tenant.bench")
 
 _REGISTRY: dict[str, "Suite"] = {}

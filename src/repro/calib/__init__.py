@@ -19,8 +19,8 @@ Quickstart::
 Alongside the sweep, :mod:`repro.calib.workloads` adds the datacenter
 traffic shapes the chaos suite lacked — incast (N→1 synchronized
 bursts), RPC fan-out/fan-in with tail-latency amplification, and
-streaming pipelines — all deterministic, chaos-compatible and runnable
-with the express path on or off (bit-identical observables either way).
+streaming pipelines — all deterministic and chaos-compatible; the chaos
+suite runs each of them on every (kernel, express path) mode.
 """
 
 from .fitter import LogPFit, Observation, fit_constants

@@ -283,8 +283,8 @@ def _cells(engine=None, small: bool = False, seed: int = 1999,
            tolerance: float = 0.10, include_workloads: bool = True,
            include_contended: bool = True):
     """Sweep cells, then the fit over all of them, then the workload
-    bench (express on and off) and the contended cells, which report
-    their inflation over the matching idle sweep cell."""
+    bench and the contended cells, which report their inflation over
+    the matching idle sweep cell."""
     from .contended import CONTENDED_VARIANTS, run_contended_cell
     from .workloads import WORKLOAD_BENCH, run_workload_bench
 
@@ -303,8 +303,8 @@ def _cells(engine=None, small: bool = False, seed: int = 1999,
                                 "comparisons": comparisons,
                                 "failures": failures}}
 
-    def workload(name, express):
-        obs = run_workload_bench(name, express=express, seed=seed % 1009,
+    def workload(name):
+        obs = run_workload_bench(name, seed=seed % 1009,
                                  engine=engine).to_dict()
         return {"observables": obs,
                 "measured": {"wall_s": obs.pop("wall_s")}}
@@ -323,9 +323,8 @@ def _cells(engine=None, small: bool = False, seed: int = 1999,
     cells = [(c.label, lambda c=c: sweep(c)) for c in default_cells(small)]
     cells.append(("fit", fit))
     if include_workloads:
-        cells += [(f"workload/{name}/{'on' if x else 'off'}",
-                   lambda name=name, x=x: workload(name, x))
-                  for name in WORKLOAD_BENCH for x in (True, False)]
+        cells += [(f"workload/{name}", lambda name=name: workload(name))
+                  for name in WORKLOAD_BENCH]
     if include_contended:
         rounds = {"pingpong": 12 if small else 24,
                   "flood": 120 if small else 240}
@@ -340,15 +339,5 @@ def _round_trip(cells: dict) -> list[str]:
     return [] if fit is None else list(fit["observables"]["failures"])
 
 
-def _express_parity(cells: dict) -> list[str]:
-    """Workload-bench observables must not depend on the express path."""
-    failures = []
-    for key, on in cells.items():
-        off = cells.get(key[:-3] + "/off") if key.endswith("/on") else None
-        if off and on["observables"]["digest"] != off["observables"]["digest"]:
-            failures.append(f"{key[:-3]}: express on/off observables diverged")
-    return failures
-
-
 CALIB = register(Suite("calib", _cells, smoke={"small": True},
-                       gates=(_round_trip, _express_parity)))
+                       gates=(_round_trip,)))

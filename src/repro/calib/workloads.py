@@ -22,12 +22,11 @@ they run unmodified under the chaos adversary (kills, pauses, crashes,
 evictions — the delivery contract is audited from the trace), and they
 register themselves into the chaos workload registry on import.
 
-:func:`run_workload_bench` runs one shape standalone, without a trace
-bus, and reduces it to express-invariant integer observables (counts,
-simulated latencies) plus a digest; running it with ``express`` on and
-off must produce bit-identical digests, which the perf harness's
-``calib_workloads`` scenario and ``tests/test_calib_workloads.py``
-enforce.
+:func:`run_workload_bench` runs one shape standalone, fault-free and
+without a trace bus, and reduces it to integer observables (counts,
+simulated latencies) plus a digest.  Mode equivalence (kernel, express
+path) is checked where every shape also runs: the chaos suite's cells,
+through :func:`repro.chaos.run_modes`.
 """
 
 from __future__ import annotations
@@ -392,10 +391,9 @@ def percentile_ns(sorted_values: list[int], pct: float) -> int:
 
 @dataclass
 class WorkloadBenchResult:
-    """One standalone run, reduced to express-invariant ints."""
+    """One standalone run, reduced to integer observables."""
 
     name: str
-    express: bool
     sent: int = 0
     handled: int = 0
     returned: int = 0
@@ -411,7 +409,6 @@ class WorkloadBenchResult:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "express": self.express,
             "sent": self.sent,
             "handled": self.handled,
             "returned": self.returned,
@@ -425,26 +422,18 @@ class WorkloadBenchResult:
         }
 
 
-def _bench_workload(name: str, **kwargs) -> ChaosWorkload:
-    cls = WORKLOADS[name]
-    return cls(**kwargs)
-
-
-def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
-                       engine=None, **kwargs) -> WorkloadBenchResult:
+def run_workload_bench(name: str, *, seed: int = 7, engine=None,
+                       **kwargs) -> WorkloadBenchResult:
     """Run one diversity shape standalone and reduce it to observables.
 
-    Without a trace bus and fault-free; the digest covers only
-    express-invariant integers — counts and simulated-time latencies,
-    never kernel event counts — so express-on and express-off runs of
-    the same seed must match bit for bit.
+    Without a trace bus and fault-free; the digest covers counts and
+    simulated-time latencies, never kernel event counts.
     """
     reset_global_ids()
-    wl = _bench_workload(name, **kwargs)
+    wl = WORKLOADS[name](**kwargs)
     cfg = ClusterConfig(
         num_hosts=max(4, wl.num_hosts_needed),
         seed=seed,
-        express_path=express,
         dead_timeout_ms=8.0,
     )
     cluster = Cluster(cfg, engine=engine)
@@ -468,7 +457,7 @@ def run_workload_bench(name: str, *, express: bool = True, seed: int = 7,
     wall = time.perf_counter() - t0
 
     lats = getattr(wl, "bench_latencies_ns", lambda: [])()
-    res = WorkloadBenchResult(name=name, express=express, sent=wl.sent,
+    res = WorkloadBenchResult(name=name, sent=wl.sent,
                               handled=wl.handled, returned=wl.returned_seen,
                               ops=len(lats), sim_ns=sim.now, wall_s=wall,
                               latencies_ns=lats)

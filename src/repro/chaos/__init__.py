@@ -15,7 +15,10 @@ contract from the :mod:`repro.obs` trace:
   checker (resolution, exactly-once, per-channel order) plus direct
   end-state quiescence inspection;
 * :mod:`~repro.chaos.runner` — deterministic execution: same (seed,
-  scenario, workload) ⇒ bit-identical event timeline and digest.
+  scenario, workload) ⇒ bit-identical event timeline and digest; and
+  :func:`~repro.chaos.run_modes`, the mode-equivalence oracle that runs
+  one cell on every (kernel, express path) mode and flags any
+  disagreement.
 
 Quick start::
 
@@ -29,18 +32,21 @@ Quick start::
 
 from .invariants import (DeliveryChecker, IsolationSLO, Violation,
                          check_isolation, check_quiescence)
-from .runner import ChaosReport, chaos_config, reset_global_ids, run_chaos, timeline_digest
+from .runner import (MODES, ChaosReport, chaos_config, reset_global_ids,
+                     run_chaos, run_modes, timeline_digest)
 from .schedule import (PROFILES, SCENARIO_FAMILIES, FaultAction, Scenario,
-                       ScheduleGenerator)
+                       ScheduleGenerator, calm_scenario)
 from .workloads import (WORKLOADS, BulkWorkload, ChaosWorkload,
                         ClientServerWorkload, CollectiveWorkload,
                         PairwiseWorkload, make_workload)
 
 __all__ = [
     "FaultAction", "Scenario", "ScheduleGenerator", "SCENARIO_FAMILIES", "PROFILES",
+    "calm_scenario",
     "ChaosWorkload", "PairwiseWorkload", "BulkWorkload", "ClientServerWorkload",
     "CollectiveWorkload", "WORKLOADS", "make_workload",
     "DeliveryChecker", "Violation", "check_quiescence",
     "IsolationSLO", "check_isolation",
-    "ChaosReport", "chaos_config", "run_chaos", "reset_global_ids", "timeline_digest",
+    "ChaosReport", "MODES", "chaos_config", "run_chaos", "run_modes",
+    "reset_global_ids", "timeline_digest",
 ]

@@ -31,7 +31,8 @@ was reset under them).
 **Quiescence.**  Inspected directly on the cluster object at scenario
 end: every NI alive with all channels idle and disarmed, no unbound
 messages awaiting rebind, no receive-side staging or bulk DMA in flight,
-and every registered endpoint's rings and queues empty.  A paused or
+every registered endpoint's rings and queues empty, and no express
+flight still committed on the fabric.  A paused or
 unfinished workload thread is likewise a violation — the run must end
 with nothing armed, nothing blocked, nothing in flight.
 
@@ -68,7 +69,7 @@ _RESET_ACTIONS = {"crash", "reboot"}
 
 @dataclass
 class Violation:
-    invariant: str  # "I1.unresolved" | "I2.duplicate" | "I3.order" | "Q.*"
+    invariant: str  # "I1.unresolved" | "I2.duplicate" | "I3.order" | "Q.*" | "M.mode"
     detail: str
     msg_id: Optional[int] = None
     ts: Optional[int] = None
@@ -380,6 +381,13 @@ def check_quiescence(cluster: "Cluster",
                 out.append(Violation(
                     "Q.endpoint", f"node {nid} ep {ep.ep_id} has undrained "
                     f"receive/returned queues", ts=now))
+    flights = cluster.network._flights
+    if flights:
+        pkt = flights[0].pkt
+        out.append(Violation(
+            "Q.flight", f"{len(flights)} express flight(s) still committed "
+            f"(first: node {pkt.src_nic} -> {pkt.dst_nic}, tail due "
+            f"t={flights[0].tail_at})", msg_id=pkt.msg_id, ts=now))
     if workload is not None:
         for thr in workload.all_threads:
             if not thr.finished:

@@ -18,15 +18,32 @@ a chaos failure found in CI replays locally.  Two things make that true:
 
 The timeline digest is the canonical digest over the normalized events;
 ``tests/test_chaos_determinism.py`` pins the bit-identical guarantee.
+
+``run_modes(scenario, workload)`` is the mode-equivalence oracle: it
+runs the same cell once per (kernel, express) pair in :data:`MODES` and
+reports every disagreement as an ``M.mode`` violation.  Every pair of
+modes must agree on every count and violation the report carries,
+``NetworkStats``, each link's ``(bytes, packets, busy_ns)`` ledger and
+the workload's host-side observables that no trace event carries
+(application send/receipt counts, the latencies it reports, tenant
+accounting).  Kernels with the same express setting must also agree on
+the raw timeline digest and the kernel's event count (the reference
+kernel is the ordering oracle for the optimized one).  Express on and
+off under the same kernel must instead agree on the timeline after a
+stable sort by ``(ts, node)``: same-nanosecond events on *different*
+nodes may interleave differently, one node's own order may not.  Kernel
+event counts are not compared across express settings, since eliding
+events is the express path's whole point.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Generator, Optional
 
+from ..api.engine import ENGINE_NAMES
 from ..bench.harness import digest
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
@@ -36,8 +53,11 @@ from .invariants import (DeliveryChecker, Violation, check_drop_accounting,
 from .schedule import FaultAction, Scenario
 from .workloads import ChaosWorkload, make_workload
 
-__all__ = ["ChaosReport", "chaos_config", "run_chaos", "reset_global_ids",
-           "timeline_digest"]
+__all__ = ["ChaosReport", "MODES", "chaos_config", "run_chaos", "run_modes",
+           "reset_global_ids", "timeline_digest"]
+
+#: every (engine, express path) combination a chaos cell runs on
+MODES = tuple(itertools.product(ENGINE_NAMES, (True, False)))
 
 
 def reset_global_ids() -> None:
@@ -209,9 +229,8 @@ def run_chaos(
     Chrome trace JSON (always exported when ``trace_path`` is set and
     the run fails; never otherwise).  ``keep=True`` attaches the live
     ``cluster``/``bus``/``workload`` to the report for tests.
-    ``engine`` names the event kernel (:mod:`repro.api.engine`; the
-    ``perf`` suite's kernel oracle runs the same chaos scenario on the
-    optimized and reference kernels and compares digests).
+    ``engine`` names the event kernel (:mod:`repro.api.engine`);
+    :func:`run_modes` runs one cell on every kernel.
     """
     scenario.validate()
     reset_global_ids()
@@ -289,4 +308,107 @@ def run_chaos(
         report.bus = bus  # type: ignore[attr-defined]
         report.workload = wl  # type: ignore[attr-defined]
     bus.detach()
+    return report
+
+
+#: observables only two kernels with the same express setting must agree
+#: on; every pair of modes must agree on the rest of ``_mode_observables``
+_KERNEL_KEYS = ("digest", "events_dispatched")
+#: report fields every pair of modes must agree on
+_REPORT_FIELDS = ("sim_ns", "events", "accepted", "delivered", "returned",
+                  "duplicates", "faults_injected", "goodput_clear_msg_s",
+                  "goodput_outage_msg_s", "recovery_ns", "violations")
+
+
+def _mode_name(mode: tuple[str, bool]) -> str:
+    return f"{mode[0]}/express-{'on' if mode[1] else 'off'}"
+
+
+def _mode_observables(report: ChaosReport) -> dict:
+    """One kept run reduced to the flat record the modes are compared on."""
+    net = report.cluster.network  # type: ignore[attr-defined]
+    obs = {"digest": report.digest,
+           "events_dispatched":
+               report.cluster.sim.events_dispatched}  # type: ignore[attr-defined]
+    obs.update((name, getattr(report, name)) for name in _REPORT_FIELDS)
+    obs.update((f"net.{k}", v) for k, v in asdict(net.stats).items())
+    obs.update((f"link.{link.name}",
+                (link.bytes_carried, link.packets_carried, link.busy_ns))
+               for link in net.topology.all_links)
+    # host-side observables no trace event carries: application counts,
+    # the latencies a bench cell reports and the tenant accounting
+    wl = report.workload
+    obs.update((f"wl.{k}", getattr(wl, k))
+               for k in ("sent", "handled", "returned_seen"))
+    if hasattr(wl, "bench_latencies_ns"):
+        obs["wl.latencies_ns"] = wl.bench_latencies_ns()
+    if hasattr(wl, "registry"):
+        obs["wl.tenants"] = wl.registry.snapshot()
+        obs["wl.quiet"] = (wl.quiet_answered, wl.quiet_returned)
+    return obs
+
+
+def _first_difference(a: ChaosReport, b: ChaosReport) -> Optional[str]:
+    """The first observable two modes disagree on, or None."""
+    oa, ob = _mode_observables(a), _mode_observables(b)
+    same_express = (a.cluster.cfg.express_path  # type: ignore[attr-defined]
+                    == b.cluster.cfg.express_path)  # type: ignore[attr-defined]
+    keys = [k for k in oa if same_express or k not in _KERNEL_KEYS]
+    for key in keys:
+        if oa[key] != ob[key]:
+            return f"{key}: {oa[key]!r:.120} != {ob[key]!r:.120}"
+    if a.digest != b.digest and not same_express:
+        def ordered(r):
+            return timeline_digest(sorted(r.bus.events, key=lambda ev: (ev.ts, ev.node)))
+        if ordered(a) != ordered(b):
+            return "timeline sorted by (ts, node) differs"
+    return None
+
+
+def run_modes(
+    scenario: Scenario,
+    workload: str | Callable[[], ChaosWorkload],
+    *,
+    num_hosts: int = 8,
+    engine=None,
+    trace_path: Optional[str] = None,
+) -> ChaosReport:
+    """Run one chaos cell on every mode in :data:`MODES` and cross-check.
+
+    ``workload`` is a registry name or a zero-argument factory, so every
+    mode gets a fresh instance.  Every mode runs on :func:`chaos_config`
+    with ``express_path`` set per mode.  Returns the default mode's
+    report (``engine``, express on) as ``run_chaos(keep=True)`` leaves
+    it, with one ``M.mode`` violation appended per pair of modes that
+    disagree (see the module doc for what each pair compares).
+    ``trace_path`` receives the default mode's timeline on a contract
+    failure, and both modes' timelines next to it on a disagreement.
+    """
+    cfg = chaos_config(scenario.seed, num_hosts=num_hosts)
+    default = (engine or cfg.engine, True)
+    runs: dict[tuple[str, bool], ChaosReport] = {}
+    for mode in MODES:
+        wl = make_workload(workload) if isinstance(workload, str) else workload()
+        runs[mode] = run_chaos(scenario, wl, cfg=cfg.with_(express_path=mode[1]),
+                               engine=mode[0], keep=True,
+                               trace_path=trace_path if mode == default else None)
+    diffs = [(a, b, _first_difference(runs[a], runs[b]))
+             for a, b in itertools.combinations(MODES, 2)
+             if (a[0] == b[0]) != (a[1] == b[1])]  # one axis differs
+    report = runs[default]
+    for a, b, diff in diffs:
+        if diff is None:
+            continue
+        report.violations.append(Violation(
+            "M.mode", f"{_mode_name(a)} vs {_mode_name(b)}: {diff}"))
+        if trace_path:
+            from ..obs.export import write_chrome_trace
+
+            stem, ext = os.path.splitext(trace_path)
+            os.makedirs(os.path.dirname(trace_path) or ".", exist_ok=True)
+            for mode in (a, b):
+                write_chrome_trace(
+                    runs[mode].bus,  # type: ignore[attr-defined]
+                    f"{stem}.{_mode_name(mode).replace('/', '-')}{ext}",
+                    label=f"chaos:{scenario.name}:{scenario.seed}:{_mode_name(mode)}")
     return report

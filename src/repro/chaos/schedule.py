@@ -30,7 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-__all__ = ["FaultAction", "Scenario", "ScheduleGenerator", "SCENARIO_FAMILIES", "PROFILES"]
+__all__ = ["FaultAction", "Scenario", "ScheduleGenerator", "SCENARIO_FAMILIES", "PROFILES",
+           "calm_scenario"]
 
 #: action kinds and their parameter tuples (resolved by the runner)
 ACTION_KINDS = (
@@ -153,6 +154,13 @@ class Scenario:
     def describe(self) -> str:
         return (f"{self.name}[{self.profile}] seed={self.seed} "
                 f"{len(self.actions)} actions / {self.duration_ns / 1e6:.1f} ms")
+
+
+def calm_scenario(seed: int, duration_ns: int = 20_000_000) -> Scenario:
+    """A fault-free scenario: the chaos supervisor and deadlines, zero
+    injections — the healthy-path baseline."""
+    return Scenario(name="calm", seed=seed, profile="none",
+                    duration_ns=duration_ns, actions=[])
 
 
 class ScheduleGenerator:

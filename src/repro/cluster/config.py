@@ -292,9 +292,9 @@ class ClusterConfig:
     #: collapses to one scheduled callback with identical timing, stats
     #: and link accounting (see repro.myrinet.network and DESIGN.md "The
     #: express path"), traced or not.  Purely an execution-speed knob —
-    #: observables are bit-identical either way, which
-    #: tests/test_express_path.py and repro.bench.perf's express on/off
-    #: oracle enforce in CI.
+    #: observables are bit-identical either way, which the fabric unit
+    #: tests (tests/test_express_path.py) and the chaos suite's mode
+    #: matrix (repro.chaos.run_modes) enforce in CI.
     express_path: bool = True
 
     # --------------------------------------------------------------- engine

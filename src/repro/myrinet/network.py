@@ -44,8 +44,8 @@ revocation runs before the new packet touches any port, FIFO
 acquisition order is preserved and the flight's links are guaranteed
 re-acquirable.  Delivery timestamps, ``NetworkStats`` and
 per-link accounting are bit-identical between modes;
-``tests/test_express_path.py`` and ``repro.bench.perf``'s express
-on/off oracle enforce this in CI.  Express
+``tests/test_express_path.py`` and the chaos suite's mode matrix
+(:func:`repro.chaos.run_modes`) enforce this in CI.  Express
 bookkeeping lives in the separate :class:`ExpressStats` so
 ``NetworkStats`` stays mode-invariant.
 """

@@ -46,8 +46,9 @@ allocation identity.  That freedom is what the fast paths exploit:
 
 Every fast path preserves the exact (when, seq)-relative ordering of the
 straight-line implementation (kept as :mod:`repro.sim.reference`);
-the ``perf`` bench suite (:mod:`repro.bench.perf`) pins bit-identical
-timelines and event counts between the two kernels.
+:func:`repro.chaos.run_modes`, which every chaos-suite cell runs
+through, requires bit-identical timelines and event counts from the two
+kernels.
 """
 
 from __future__ import annotations
@@ -476,7 +477,8 @@ class Simulator:
         self._current: Optional[Process] = None
         self._crashed: Optional[tuple[Process, BaseException]] = None
         self._nprocesses = 0
-        #: cumulative count of dispatched events (perf harness metric)
+        #: cumulative count of dispatched events (the ledger's work
+        #: metric; compared across kernels by repro.chaos.run_modes)
         self.events_dispatched = 0
         #: recycled heap entries (only internally created, handle-less ones)
         self._entry_pool: list[list] = []

@@ -9,8 +9,9 @@ protocol — no free lists, no class-dispatch shortcuts.
 Both kernels run the *same* library code (firmware, AM layer, chaos
 runner), so running one scenario on each and comparing timeline digests
 and dispatched event counts is a bit-exact proof that the optimized
-fast paths preserve event ordering and add or remove no events.  See
-``repro.bench.perf``.
+fast paths preserve event ordering and add or remove no events.
+:func:`repro.chaos.run_modes` does exactly that for every chaos-suite
+cell.
 """
 
 from __future__ import annotations

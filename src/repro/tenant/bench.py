@@ -7,7 +7,7 @@ whole promise:
 * **determinism** — under ``--smoke`` every cell runs twice and the two
   digests must be bit-identical (a failing cell replays exactly);
 * **contract** — every cell satisfies the delivery contract (I1-I3,
-  drop accounting, quiescence);
+  drop accounting, quiescence) and agrees across modes;
 * **isolation** — for every storm cell, :func:`repro.chaos.check_isolation`
   audits the quiet tenant against an :class:`~repro.chaos.IsolationSLO`
   whose baseline p99 comes from the *same policy's fault-free cell*: the
@@ -15,10 +15,11 @@ whole promise:
   may not surface contract violations in the quiet tenant's partition,
   and may not inflate the quiet p99 beyond the SLO bound;
 * **goodput floor** — the quiet tenant's answered-probe count never hits
-  zero in any cell (graceful degradation, never starvation);
-* **express parity** — untraced fault-free runs of each policy with the
-  express path on vs off reduce to bit-identical observable digests
-  (counts, RTT samples, tenant counters — never kernel internals).
+  zero in any cell (graceful degradation, never starvation).
+
+Every cell runs through :func:`repro.chaos.run_modes`, once on every
+(kernel, express path) mode; a mode disagreement is a contract
+violation like any other.
 
 Policies range from no isolation at all (``baseline``) through weighted
 NI service (``weighted``) to weighted service plus a noisy-tenant send
@@ -42,13 +43,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..bench.harness import Suite, digest, register
+from ..bench.harness import Suite, register
 from ..chaos.invariants import IsolationSLO, check_isolation
-from ..chaos.runner import chaos_config, reset_global_ids, run_chaos
-from ..chaos.schedule import Scenario, ScheduleGenerator
-from ..cluster.builder import Cluster
-from ..cluster.config import ClusterConfig
-from ..sim.core import AllOf
+from ..chaos.runner import run_modes
+from ..chaos.schedule import Scenario, ScheduleGenerator, calm_scenario
 from .interference import InterferenceWorkload
 
 __all__ = ["POLICIES", "TENANT"]
@@ -70,12 +68,6 @@ _DURATION_NS = 20_000_000
 _NUM_HOSTS = 4
 
 
-def _calm_scenario(seed: int) -> Scenario:
-    """A fault-free scenario: same supervisor/deadline, zero injections."""
-    return Scenario(name="calm", seed=seed, profile="none",
-                    duration_ns=_DURATION_NS, actions=[])
-
-
 def _storm_scenario(seed: int, wl: InterferenceWorkload,
                     profile: str) -> Scenario:
     """A tenant_storm scoped to the noisy tenant's fault domain."""
@@ -94,17 +86,6 @@ def _storm_scenario(seed: int, wl: InterferenceWorkload,
     return gen.generate("tenant_storm")
 
 
-def _traced_cell(policy: str, seed: int, storm: bool, profile: str,
-                 engine=None):
-    """One traced chaos run; returns (report, workload)."""
-    wl = InterferenceWorkload(**POLICIES[policy])
-    scenario = _storm_scenario(seed, wl, profile) if storm \
-        else _calm_scenario(seed)
-    report = run_chaos(scenario, wl, num_hosts=_NUM_HOSTS, keep=True,
-                       engine=engine)
-    return report, wl
-
-
 def _quiet_percentiles(wl: InterferenceWorkload) -> tuple[int, int]:
     from ..calib.workloads import percentile_ns
 
@@ -112,54 +93,21 @@ def _quiet_percentiles(wl: InterferenceWorkload) -> tuple[int, int]:
     return percentile_ns(lats, 50), percentile_ns(lats, 99)
 
 
-def _untraced_digest(policy: str, seed: int, express: bool,
-                     engine=None) -> str:
-    """Fault-free untraced run reduced to express-invariant observables.
-
-    No trace bus is attached; the digest covers counts, RTT samples and
-    tenant counters only — integers that must be bit-identical whether
-    packets took the express or the full-fidelity path (mirrors
-    :func:`repro.calib.workloads.run_workload_bench`).
-    """
-    reset_global_ids()
-    wl = InterferenceWorkload(**POLICIES[policy])
-    cfg = ClusterConfig(
-        num_hosts=_NUM_HOSTS,
-        seed=seed,
-        express_path=express,
-        dead_timeout_ms=6.0,
-    )
-    cluster = Cluster(cfg, engine=engine)
-    sim = cluster.sim
-    sim.run_process(wl.build(cluster), name="tenant.bench.setup")
-    wl.give_up_ns = 3 * cfg.dead_timeout_ns
-    wl.start()
-
-    def supervise():
-        yield wl.quota_done()
-        yield sim.timeout(500_000)
-        wl.stop_receivers()
-        pending = [t.done for t in wl.all_threads]
-        if pending:
-            yield AllOf(sim, pending)
-        yield sim.timeout(200_000)
-
-    sim.run_process(supervise(), name="tenant.bench.supervisor",
-                    until=sim.now + 10_000_000_000)
-
-    return digest((policy, seed, wl.sent, wl.handled, wl.returned_seen,
-                   wl.quiet_answered, wl.quiet_returned,
-                   tuple(wl.bench_latencies_ns()), sim.now,
-                   sorted(wl.registry.snapshot().items())))
-
-
 def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
             baseline_p99: dict, max_p99_inflation: float,
             min_goodput_frac: float) -> dict:
-    """One calm or storm cell.  The calm cell records the quiet tenant's
-    p99 in ``baseline_p99``; the storm cell of the same policy and seed
-    is audited against an SLO built on it."""
-    report, wl = _traced_cell(policy, seed, storm, profile, engine=engine)
+    """One calm or storm cell, run on every mode (the observables are
+    the default mode's).  The calm cell records the quiet tenant's p99
+    in ``baseline_p99``; the storm cell of the same policy and seed is
+    audited against an SLO built on it."""
+    def workload():
+        return InterferenceWorkload(**POLICIES[policy])
+
+    scenario = _storm_scenario(seed, workload(), profile) if storm \
+        else calm_scenario(seed, _DURATION_NS)
+    report = run_modes(scenario, workload, num_hosts=_NUM_HOSTS,
+                       engine=engine)
+    wl = report.workload
     p50, p99 = _quiet_percentiles(wl)
     obs = {
         "ok": report.ok,
@@ -197,19 +145,12 @@ def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
     return {"observables": obs}
 
 
-def _parity(policy: str, seed: int, engine) -> dict:
-    return {"observables": {
-        "digest_on": _untraced_digest(policy, seed, True, engine=engine),
-        "digest_off": _untraced_digest(policy, seed, False, engine=engine)}}
-
-
 def _cells(engine=None, seeds: Sequence[int] = (11, 23),
            policies: Sequence[str] = tuple(POLICIES), profile: str = "brutal",
            max_p99_inflation: float = 3.0, min_goodput_frac: float = 0.5):
     """Per (policy, seed): a fault-free *calm* cell establishing the
-    admitted-contention baseline, a *storm* cell running a
-    ``tenant_storm`` scoped to the noisy tenant's fault domain, and one
-    express-parity check."""
+    admitted-contention baseline and a *storm* cell running a
+    ``tenant_storm`` scoped to the noisy tenant's fault domain."""
     baseline_p99: dict = {}
     cells = []
     for policy in policies:
@@ -220,15 +161,12 @@ def _cells(engine=None, seeds: Sequence[int] = (11, 23),
                               _traced(policy, seed, storm, profile, engine,
                                       baseline_p99, max_p99_inflation,
                                       min_goodput_frac)))
-            cells.append((f"{policy}/express/s{seed}",
-                          lambda policy=policy, seed=seed:
-                          _parity(policy, seed, engine)))
     return cells
 
 
 def _contract(cells: dict) -> list[str]:
     return [f"{key}: {v}" for key, c in cells.items()
-            for v in c["observables"].get("violations", [])]
+            for v in c["observables"]["violations"]]
 
 
 def _isolation(cells: dict) -> list[str]:
@@ -238,17 +176,11 @@ def _isolation(cells: dict) -> list[str]:
 
 def _goodput_floor(cells: dict) -> list[str]:
     return [f"{key}: the quiet tenant got no answers"
-            for key, c in cells.items() if "quiet" in c["observables"]
-            and c["observables"]["quiet"]["answered"] == 0]
-
-
-def _express_parity(cells: dict) -> list[str]:
-    return [f"{key}: express on/off observables diverged"
-            for key, c in cells.items() if "digest_on" in c["observables"]
-            and c["observables"]["digest_on"] != c["observables"]["digest_off"]]
+            for key, c in cells.items()
+            if c["observables"]["quiet"]["answered"] == 0]
 
 
 TENANT = register(Suite(
     "tenant", _cells,
     smoke={"seeds": (11,), "policies": ("baseline", "rate2k")},
-    gates=(_contract, _isolation, _goodput_floor, _express_parity)))
+    gates=(_contract, _isolation, _goodput_floor)))

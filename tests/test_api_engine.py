@@ -36,7 +36,7 @@ def test_resolve_kernel_rejects_unknowns():
     with pytest.raises(EngineError, match="unknown engine"):
         Session(nodes=[0, 1], num_hosts=4, engine="sharded")
     with pytest.raises(EngineError, match="unknown engine"):
-        run_bench("perf", engine="sharded")
+        run_bench("chaos", engine="sharded")
     with pytest.raises(ValueError, match="unknown engine"):
         ClusterConfig(engine="sharded").validate()
 
@@ -61,8 +61,8 @@ def test_session_engine_via_config_field():
 def test_describe_lists_the_surface():
     d = describe()
     assert d["engines"] == list(ENGINE_NAMES)
-    assert d["benches"] == ["calib", "chaos", "collectives", "fleet", "perf",
-                            "scale", "tenant"]
+    assert d["benches"] == ["calib", "chaos", "collectives", "fleet", "scale",
+                            "tenant"]
     assert "lru" in d["replacement_policies"]
 
 
@@ -78,8 +78,8 @@ def test_session_run_bench_uses_session_engine(monkeypatch):
     monkeypatch.setattr(harness, "run",
                         lambda name, **kw: seen.update(name=name, **kw))
     with Session(nodes=[0, 1], num_hosts=4, engine="reference") as s:
-        s.run_bench("perf", quick=True)
-    assert seen == {"name": "perf", "engine": "reference", "quick": True}
+        s.run_bench("chaos", seeds=(1,))
+    assert seen == {"name": "chaos", "engine": "reference", "seeds": (1,)}
 
 
 def test_new_paths_are_warning_clean():

@@ -7,16 +7,15 @@ Each shape must be a first-class citizen of the repo's existing gates:
   with the delivery-contract audit on;
 * deterministic: the same (seed, scenario, workload) triple twice gives
   bit-identical chaos digests, and the bench runner's digest is stable
-  across runs;
-* express-path invariant: the bench observables (counts + simulated
-  latencies) match bit for bit with the express path on and off, and
-  the perf harness's ``calib_workloads`` scenario passes its
-  equivalence oracle.
+  across runs.
+
+Mode equivalence (kernel, express path) is the chaos suite's job: its
+matrix runs every shape through ``repro.chaos.run_modes``, and
+``tests/test_chaos_determinism.py`` runs ``incast`` there in tier 1.
 """
 
 import pytest
 
-from repro.bench.perf import QUICK, check_express_equivalence
 from repro.calib.workloads import (FanoutWorkload, IncastWorkload,
                                    StreamingWorkload, percentile_ns,
                                    run_workload_bench)
@@ -69,27 +68,10 @@ def test_shape_chaos_runs_are_bit_identical(shape):
         b.accepted, b.delivered, b.returned)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_bench_observables_are_express_invariant(shape):
-    on = run_workload_bench(shape, express=True, **KW[shape])
-    off = run_workload_bench(shape, express=False, **KW[shape])
-    assert on.digest == off.digest
-    assert (on.sent, on.handled, on.sim_ns) == (off.sent, off.handled, off.sim_ns)
-    assert on.latencies_ns == off.latencies_ns
-    # the shapes actually moved traffic
-    assert on.handled > 0 and on.ops > 0
-
-
 def test_bench_runner_is_deterministic():
     a = run_workload_bench("incast", **KW["incast"])
     b = run_workload_bench("incast", **KW["incast"])
     assert a.digest == b.digest
-
-
-def test_perf_scenario_express_oracle():
-    on, off = check_express_equivalence("calib_workloads", QUICK)
-    assert on["checks"] == off["checks"]
-    assert on["checks"]["handled"] > 0
 
 
 def test_percentile_nearest_rank():

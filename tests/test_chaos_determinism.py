@@ -8,14 +8,24 @@ Pins the acceptance bar for :mod:`repro.chaos`:
   invariant;
 * killing a process mid-traffic yields RETURNED messages — never a hang,
   never duplicate delivery;
-* the express path, which chaos runs exercise like any other run, is
-  revoked by randomized faults without changing anything observable.
+* ``run_modes`` finds every (kernel, express path) mode in agreement on
+  calm and faulted cells, with the express path really committing and
+  being revoked, and names the mode pair when one mode is perturbed;
+* quiescence flags an express flight still committed at scenario end.
 """
+
+import functools
 
 import pytest
 
-from repro.chaos import (SCENARIO_FAMILIES, ScheduleGenerator, chaos_config,
-                         run_chaos)
+from repro.chaos import (MODES, SCENARIO_FAMILIES, ScheduleGenerator,
+                         calm_scenario, check_quiescence, make_workload,
+                         run_chaos, run_modes)
+from repro.chaos import runner
+from repro.cluster import Cluster, ClusterConfig
+from repro.myrinet import Network, Packet, PacketType
+from repro.sim import ReferenceSimulator
+from repro.tenant.interference import InterferenceWorkload
 
 
 def _gen(seed, profile="rough", duration_ns=20_000_000):
@@ -77,30 +87,138 @@ def test_kill_mid_traffic_returns_to_sender():
     assert report.duplicates == 0
 
 
-def test_express_revocation_under_randomized_faults():
-    # kill_storm's process kills and crashes disarm the express path
-    # mid-flight: committed flights are revoked back to wormhole
-    # processes, and the audited run must match the express-off one
-    def run(express):
-        cfg = chaos_config(1, num_hosts=8, express_path=express)
-        return run_chaos(_gen(1).generate("kill_storm"), "client_server",
-                         cfg=cfg, keep=True)
+# ------------------------------------------------------ mode equivalence
+#: reduced shapes so every cell runs on all four modes inside the budget
+_MODE_WORKLOADS = {
+    "pairwise": functools.partial(make_workload, "pairwise", requests=20),
+    "client_server": functools.partial(make_workload, "client_server",
+                                       requests=15),
+    "incast": functools.partial(make_workload, "incast", senders=3,
+                                rounds=3, burst=2),
+}
 
-    on, off = run(True), run(False)
-    assert on.ok and off.ok, (on.violations[:4], off.violations[:4])
 
-    def observed(r):
-        return (r.sim_ns, r.accepted, r.delivered, r.returned, r.duplicates,
-                r.events)
+def _mode_cells():
+    faulted = _gen(1, duration_ns=10_000_000).generate("kill_storm")
+    for scenario in (calm_scenario(1, 10_000_000), faulted):
+        for name, factory in _MODE_WORKLOADS.items():
+            yield scenario, name, factory
+    # full-size kill_storm/client_server: its kills and crashes revoke
+    # committed flights in every express-on run
+    yield _gen(1).generate("kill_storm"), "client_server", "client_server"
 
-    assert observed(on) == observed(off)
 
-    # same-nanosecond events on different nodes may interleave
-    # differently; each node's own order may not
-    def timeline(r):
-        evs = sorted(r.bus.events, key=lambda ev: (ev.ts, ev.node))
-        return [(ev.ts, ev.node, ev.kind, ev.args) for ev in evs]
+def _spy_modes(monkeypatch, after=None):
+    """Record each mode's kept report as ``run_modes`` produces it;
+    ``after(mode, report)`` may perturb one before it is compared."""
+    seen = []
+    real = runner.run_chaos
 
-    assert timeline(on) == timeline(off)
-    assert on.cluster.network.express.revoked > 0
-    assert off.cluster.network.express.hits() == 0
+    def spy(scenario, wl, *, cfg, engine, **kw):
+        report = real(scenario, wl, cfg=cfg, engine=engine, **kw)
+        mode = (engine, cfg.express_path)
+        if after is not None:
+            after(mode, report)
+        seen.append((mode, report.cluster.network.express))
+        return report
+
+    monkeypatch.setattr(runner, "run_chaos", spy)
+    return seen
+
+
+def test_modes_agree_on_calm_and_faulted_cells(monkeypatch):
+    seen = _spy_modes(monkeypatch)
+    for scenario, name, factory in _mode_cells():
+        report = run_modes(scenario, factory)
+        assert report.ok, f"{scenario.name}/{name}: {report.violations[:4]}"
+    assert sorted({mode for mode, _ in seen}) == sorted(MODES)
+    # non-vacuous: the express path committed flights and faults revoked
+    # some of them, while express-off runs never touched it
+    on = [x for (_, express), x in seen if express]
+    assert sum(x.commits for x in on) > 0
+    assert sum(x.revoked for x in on) > 0
+    assert all(x.revoked > 0 for (_, express), x in seen[-len(MODES):]
+               if express)
+    assert all(x.hits() == 0 for (_, express), x in seen if not express)
+
+
+def _late_delivery(monkeypatch):
+    """Reference kernel, express on: the first express delivery of each
+    run lands 1 ns late."""
+    real = Network._express_fire
+    delayed = set()
+
+    def fire(self, fl):
+        if isinstance(self.sim, ReferenceSimulator) and id(self) not in delayed:
+            delayed.add(id(self))
+            self.sim.call_after(1, real, self, fl)
+            return
+        real(self, fl)
+
+    monkeypatch.setattr(Network, "_express_fire", fire)
+
+
+def _bump(monkeypatch, counter):
+    """Sequential kernel, express on: one counter is off by one at the
+    end of the run (``counter(report)`` returns its owner and name)."""
+    def after(mode, report):
+        if mode == ("sequential", True):
+            owner, name = counter(report)
+            setattr(owner, name, getattr(owner, name) + 1)
+
+    _spy_modes(monkeypatch, after=after)
+
+
+def _bumped_net_counter(monkeypatch):
+    _bump(monkeypatch, lambda r: (r.cluster.network.stats, "delivered"))
+
+
+def _bumped_tenant_counter(monkeypatch):
+    _bump(monkeypatch, lambda r: (r.workload.quiet.stats, "msgs_serviced"))
+
+
+#: a tenant cell cut to a few milliseconds: quiet pings beside noisy bulk
+_SMALL_TENANT = functools.partial(InterferenceWorkload, pings=10,
+                                  transfers=4, noisy_duration_us=2_000.0)
+
+
+@pytest.mark.parametrize("perturb, workload, num_hosts, expected", [
+    (_late_delivery, _MODE_WORKLOADS["pairwise"], 8, {
+        "sequential/express-on vs reference/express-on: digest",
+        "reference/express-on vs reference/express-off: link.",
+    }),
+    (_bumped_net_counter, _MODE_WORKLOADS["pairwise"], 8, {
+        "sequential/express-on vs reference/express-on: net.delivered",
+        "sequential/express-on vs sequential/express-off: net.delivered",
+    }),
+    (_bumped_tenant_counter, _SMALL_TENANT, 4, {
+        "sequential/express-on vs reference/express-on: wl.tenants",
+        "sequential/express-on vs sequential/express-off: wl.tenants",
+    }),
+], ids=["late_delivery", "net_counter", "tenant_counter"])
+def test_modes_name_the_disagreeing_pair(monkeypatch, tmp_path, perturb,
+                                        workload, num_hosts, expected):
+    perturb(monkeypatch)
+    scenario = calm_scenario(1, 10_000_000)
+    report = run_modes(scenario, workload, num_hosts=num_hosts,
+                       trace_path=str(tmp_path / "cell.json"))
+    found = [str(v) for v in report.violations]
+    assert all(v.startswith("[M.mode] ") for v in found), found
+    assert len(found) == len(expected), found
+    for prefix in expected:
+        assert any(v.startswith(f"[M.mode] {prefix}") for v in found), found
+    # both modes of every disagreeing pair leave their timeline behind
+    named = {m.replace("/", "-") for p in expected
+             for m in p.split(":")[0].split(" vs ")}
+    assert {f.name for f in tmp_path.iterdir()} == {
+        f"cell.{m}.json" for m in named}
+
+
+def test_quiescence_flags_a_committed_flight():
+    cluster = Cluster(ClusterConfig(num_hosts=4))
+    assert not [v for v in check_quiescence(cluster) if v.invariant == "Q.flight"]
+    cluster.network.send(Packet(0, 2, PacketType.DATA, payload_bytes=16,
+                                msg_id=7))
+    assert len(cluster.network._flights) == 1
+    flagged = [v for v in check_quiescence(cluster) if v.invariant == "Q.flight"]
+    assert len(flagged) == 1 and flagged[0].msg_id == 7
