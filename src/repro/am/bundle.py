@@ -52,7 +52,7 @@ class Bundle:
         touch = 0
         for ep in self.endpoints:
             ep._check_alive()
-            ep.stats.polls += 1
+            ep._stats.polls += 1
             touch += ep._poll_touch_ns() + ep._lock_cost()
         yield from thr.compute(touch)
         total = 0

@@ -38,6 +38,7 @@ from ..nic.endpoint_state import EndpointState, Residency
 from ..nic.message import Message, MsgKind
 from ..osim.threads import CondVar, Thread
 from ..sim.core import AnyOf
+from .elision import IDLE_ENDED, SpinWatch
 from .errors import AmError, BadTranslationError, EndpointFreedError
 
 if TYPE_CHECKING:
@@ -78,18 +79,33 @@ def poll_until(thr: Thread, ready: Callable[[], Any], poll: Callable, idle: Call
 
 def two_phase_wait(thr: Thread, cfg, ready: Callable[[], Any], touch_ns: Callable[[], int], cvs,
                    timeout_ns: Optional[int] = None, deadline: Optional[int] = None,
-                   eps=()) -> Generator:
+                   eps=(), signals=()) -> Generator:
     """Section 6.3's two-phase wait (DESIGN §16): spin ``touch_ns()``
     until ``ready()`` or ``spin_before_block_us``, then block once on
     ``cvs`` plus ``timeout_ns`` (or until ``deadline``).  The endpoints
     ``eps`` must be alive on blocking and on waking.  Returns True when
-    ``ready()`` held or a CondVar, not the timeout, woke it."""
+    ``ready()`` held or a CondVar, not the timeout, woke it.
+
+    ``ready()`` may read only the endpoints ``eps`` and the ``signals``
+    sources (a collective handle): the spin is elided between their
+    changes (:mod:`repro.am.elision`)."""
     sim = thr.sim
     spin_end = sim.now + round(cfg.spin_before_block_us * 1_000)
-    while sim.now < spin_end:
-        if ready():
-            return True
-        yield from thr.compute(touch_ns())
+    watch = SpinWatch(thr, [ep.state for ep in eps] + list(signals)) if cfg.spin_elision else None
+    try:
+        while sim.now < spin_end:
+            if watch is not None:
+                watch.arm()
+            if ready():
+                return True
+            cost = touch_ns()
+            if watch is not None and watch.commit((cost,), spin_end):
+                yield watch
+                continue
+            yield from thr.compute(cost)
+    finally:
+        if watch is not None:
+            watch.close()
     if ready():
         return True
     if deadline is not None:
@@ -155,7 +171,7 @@ class Endpoint:
         self.cfg = node.cfg
         self.nic = node.nic
         self.driver = node.driver
-        self.stats = AmStats()
+        self._stats = AmStats()
 
         #: credits available per translation index (Section 6.4)
         self._credits: dict[int, int] = {}
@@ -169,6 +185,15 @@ class Endpoint:
         self.undeliverable_handler: Optional[Callable[[Message, Any], None]] = None
         #: default ns charged per handled message when a handler returns None
         self.handler_cost_ns = 0
+
+    @property
+    def stats(self) -> AmStats:
+        """Counters, including the polls and credit stalls of a spin that
+        is being fast-forwarded right now (:mod:`repro.am.elision`)."""
+        waiter = self.state.waiter
+        if waiter is not None:
+            waiter.settle()
+        return self._stats
 
     # ------------------------------------------------------------- identity
     @property
@@ -185,6 +210,8 @@ class Endpoint:
     def set_shared(self, shared: bool = True) -> None:
         """Shared endpoints pay a lock cost per operation (Section 3.3)."""
         self.state.shared = shared
+        if self.state.waiter is not None:
+            self.state.waiter.signal()  # the touch cost changed
 
     def map(self, index: int, name: tuple[int, int], key: int) -> None:
         """Install a translation: small integer -> (endpoint name, key)."""
@@ -270,26 +297,34 @@ class Endpoint:
             )
             msg.on_resolved = self._request_resolved
             if self._credits.get(index, 0) <= 0:
-                yield from self.spin(thr, partial(self._credit_ready, index),
-                                     period=self.cfg.poll_host_ns, limit=4)
+                yield from self._spin(thr, partial(self._credit_ready, index),
+                                      self.cfg.poll_host_ns, 4, None, stalls=True)
             self._outstanding[msg.msg_id] = index
             self._credits[index] -= 1
             yield from self._enqueue(thr, msg)
-            self.stats.requests_sent += 1
+            self._stats.requests_sent += 1
             tr = self.node.sim.trace
             if tr.enabled:
                 tr.emit("am.request", self.state.node, msg=msg.msg_id, ep=self.state.ep_id,
                         index=index, nbytes=frag_bytes, bulk=is_bulk)
             if is_bulk:
-                self.stats.bulk_bytes_sent += frag_bytes
+                self._stats.bulk_bytes_sent += frag_bytes
         return None
 
     def _credit_ready(self, index: int) -> bool:
         """Spin predicate of :meth:`request`: counts each stalled check."""
         if self._credits.get(index, 0) > 0:
             return True
-        self.stats.credit_stalls += 1
+        self._stats.credit_stalls += 1
         return False
+
+    def _refund(self, index: int) -> None:
+        """Return one credit of translation ``index`` (a reply arrived, or
+        the request came back to its sender)."""
+        if index in self._credits:
+            self._credits[index] += 1
+            if self.state.waiter is not None:
+                self.state.waiter.signal()
 
     def _enqueue(self, thr: Thread, msg: Message) -> Generator:
         """Charge Os, write the descriptor, fault if non-resident."""
@@ -299,7 +334,7 @@ class Endpoint:
             if self.nic.host_enqueue_send(self.state, msg):
                 break
             # Send ring full: drain some receive work and retry.
-            self.stats.ring_stalls += 1
+            self._stats.ring_stalls += 1
             processed = yield from self.poll(thr, limit=4)
             if processed == 0:
                 yield from thr.compute(RING_RETRY_NS)
@@ -315,8 +350,8 @@ class Endpoint:
         """
         if not delivered:
             index = self._outstanding.pop(msg.msg_id, None)
-            if index is not None and index in self._credits:
-                self._credits[index] += 1
+            if index is not None:
+                self._refund(index)
 
     def _send_reply(self, token: Token, handler: Optional[Handler], args: tuple, nbytes: int, auto: bool) -> Message:
         meta = {
@@ -354,7 +389,7 @@ class Endpoint:
         residency = st.residency
         if residency is Residency.FREED:
             raise EndpointFreedError(f"endpoint {self.name} freed")
-        self.stats.polls += 1
+        self._stats.polls += 1
         cost = (cfg.poll_resident_ns if residency is Residency.ONNIC_RW
                 else cfg.poll_host_ns)
         if st.shared:
@@ -401,20 +436,20 @@ class Endpoint:
         yield from thr.compute(self.cfg.host_recv_overhead_ns)
         handler, args, meta = msg.body if msg.body else (None, (), {})
         if msg.kind is MsgKind.REPLY:
-            self.stats.replies_handled += 1
+            self._stats.replies_handled += 1
             # Return the credit for the acknowledged request (§6.4).
             index = self._outstanding.pop(meta.get("ack_for"), None)
-            if index is not None and index in self._credits:
-                self._credits[index] += 1
+            if index is not None:
+                self._refund(index)
             if handler is not None:
                 token = Token(self, msg.src_node, msg.src_ep, meta.get("reply_key", 0), msg.msg_id, msg.payload_bytes)
                 cost = handler(token, *args)
                 yield from self._charge_handler(thr, cost)
             return
         # --- request path ---
-        self.stats.requests_handled += 1
+        self._stats.requests_handled += 1
         if msg.is_bulk:
-            self.stats.bulk_bytes_received += msg.payload_bytes
+            self._stats.bulk_bytes_received += msg.payload_bytes
         frag = meta.get("frag")
         if frag is not None:
             tid, i, n = frag
@@ -449,9 +484,9 @@ class Endpoint:
     def _emit_reply(self, thr: Thread, token: Token, handler, args, nbytes: int, auto: bool) -> Generator:
         msg = self._send_reply(token, handler, args, nbytes, auto)
         if auto:
-            self.stats.auto_replies += 1
+            self._stats.auto_replies += 1
         else:
-            self.stats.replies_sent += 1
+            self._stats.replies_sent += 1
         tr = self.node.sim.trace
         if tr.enabled:
             tr.emit("am.reply", self.state.node, msg=msg.msg_id, ep=self.state.ep_id,
@@ -465,14 +500,14 @@ class Endpoint:
             # receive queue (and, past the credit window, into overrun
             # NACKs: Figure 6b).
             self._check_alive()
-            self.stats.ring_stalls += 1
+            self._stats.ring_stalls += 1
             yield from thr.compute(RING_RETRY_NS)
         if not self.state.resident:
             yield from self.driver.write_fault(self.state, owner=thr)
 
     def _handle_returned(self, msg: Message) -> None:
         """An undeliverable message came back (Section 3.2)."""
-        self.stats.undeliverable += 1
+        self._stats.undeliverable += 1
         tr = self.node.sim.trace
         if tr.enabled:
             tr.emit("am.undeliverable", self.state.node, msg=msg.msg_id,
@@ -490,7 +525,7 @@ class Endpoint:
         self.state.event_mask = set(kinds)
 
     def _on_event(self, detail: Any) -> None:
-        self.stats.wakeups += 1
+        self._stats.wakeups += 1
         self._event_cv.broadcast(detail)
 
     def wait(self, thr: Thread, timeout_ns: Optional[int] = None) -> Generator:
@@ -510,14 +545,47 @@ class Endpoint:
              limit: int = 8, deadline: Optional[int] = None, then_block: bool = False) -> Generator:
         """Poll this endpoint until ``ready()`` (:func:`poll_until`), idling
         ``period`` ns (None: the touch cost, re-read each time) or, with
-        ``then_block``, in :meth:`wait` for up to :data:`BLOCK_NS`."""
+        ``then_block``, in :meth:`wait` for up to :data:`BLOCK_NS`.
+
+        ``ready()`` may read only what this endpoint's handlers, credit
+        refunds and residency change: a compute-idle spin is elided
+        between those changes (:mod:`repro.am.elision`)."""
         if then_block:
-            idle = partial(self.wait, thr, timeout_ns=BLOCK_NS)
-        elif period is None:
-            idle = lambda: thr.compute(self._poll_touch_ns())  # noqa: E731
-        else:
-            idle = partial(thr.compute, period)
-        return poll_until(thr, ready, self.poll, idle, limit, deadline)
+            return poll_until(thr, ready, self.poll, partial(self.wait, thr, timeout_ns=BLOCK_NS),
+                              limit, deadline)
+        return self._spin(thr, ready, period, limit, deadline)
+
+    def _spin(self, thr: Thread, ready: Callable[[], Any], period: Optional[int], limit: int,
+              deadline: Optional[int], stalls: bool = False) -> Generator:
+        """:func:`poll_until` with a compute idle, its empty polls
+        fast-forwarded when ``cfg.spin_elision`` (``stalls``: ``ready()``
+        counts a credit stall per not-ready check)."""
+        sim = thr.sim
+        watch = SpinWatch(thr, (self.state,), self._stats, stalls) if self.cfg.spin_elision else None
+        try:
+            while True:
+                if watch is not None:
+                    watch.arm()
+                value = ready()
+                if value:
+                    return value
+                if deadline is not None and sim.now >= deadline:
+                    return None
+                n = yield from self.poll(thr, limit)
+                while n == 0:
+                    idle_ns = self._poll_touch_ns() if period is None else period
+                    if watch is not None and watch.commit(
+                            (idle_ns, self._poll_touch_ns() + self._lock_cost()), deadline):
+                        if (yield watch) == IDLE_ENDED:
+                            break  # at a ready check
+                        # a poll's touch just ended: its queue check
+                        n = (yield from self._drain(thr, limit)) if self.has_pending() else 0
+                        continue
+                    yield from thr.compute(idle_ns)
+                    break
+        finally:
+            if watch is not None:
+                watch.close()
 
     def serve(self, thr: Thread, stop: dict, timeout_ns: int = SERVE_BLOCK_NS,
               limit: int = 8) -> Generator:
@@ -572,7 +640,7 @@ class Endpoint:
         while not finished() and sim.now < deadline:
             yield from two_phase_wait(thr, self.cfg, finished, self._poll_touch_ns,
                                       (handle.cv, self._event_cv), deadline=deadline,
-                                      eps=(self,))
+                                      eps=(self,), signals=(handle,))
         if handle.done:
             return handle.value
         from ..nic.collective import CollectiveTimeout

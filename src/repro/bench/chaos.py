@@ -9,10 +9,11 @@ family is joined by a fault-free ``calm`` cell per seed and workload, the
 healthy-path baseline.
 
 Each cell runs through :func:`repro.chaos.run_modes`: once on every
-(kernel, express path) mode.  A mode that disagrees with another adds an
-``M.mode`` violation, so the delivery-contract gate is also the one
-mode-equivalence oracle.  The observables are the default mode's (the
-suite's engine, sequential unless given, with the express path on).
+(kernel, express path, spin elision) mode.  A mode that disagrees with
+another adds an ``M.mode`` violation, so the delivery-contract gate is
+also the one mode-equivalence oracle.  The observables are the default
+mode's (the suite's engine, sequential unless given, with the express
+path and spin elision on).
 
 Run through the harness::
 

@@ -17,8 +17,8 @@ contract from the :mod:`repro.obs` trace:
 * :mod:`~repro.chaos.runner` — deterministic execution: same (seed,
   scenario, workload) ⇒ bit-identical event timeline and digest; and
   :func:`~repro.chaos.run_modes`, the mode-equivalence oracle that runs
-  one cell on every (kernel, express path) mode and flags any
-  disagreement.
+  one cell on every (kernel, express path, spin elision) mode and flags
+  any disagreement.
 
 Quick start::
 

@@ -20,20 +20,21 @@ The timeline digest is the canonical digest over the normalized events;
 ``tests/test_chaos_determinism.py`` pins the bit-identical guarantee.
 
 ``run_modes(scenario, workload)`` is the mode-equivalence oracle: it
-runs the same cell once per (kernel, express) pair in :data:`MODES` and
-reports every disagreement as an ``M.mode`` violation.  Every pair of
-modes must agree on every count and violation the report carries,
+runs the same cell once per (kernel, express path, spin elision) mode
+in :data:`MODES` and reports every disagreement between two modes that
+differ in one setting as an ``M.mode`` violation.  Every such pair must
+agree on every count and violation the report carries,
 ``NetworkStats``, each link's ``(bytes, packets, busy_ns)`` ledger and
 the workload's host-side observables that no trace event carries
 (application send/receipt counts, the latencies it reports, tenant
-accounting).  Kernels with the same express setting must also agree on
-the raw timeline digest and the kernel's event count (the reference
-kernel is the ordering oracle for the optimized one).  Express on and
-off under the same kernel must instead agree on the timeline after a
-stable sort by ``(ts, node)``: same-nanosecond events on *different*
-nodes may interleave differently, one node's own order may not.  Kernel
-event counts are not compared across express settings, since eliding
-events is the express path's whole point.
+accounting).  Two kernels with the same express and elision settings
+must also agree on the raw timeline digest and the kernel's event count
+(the reference kernel is the ordering oracle for the optimized one).
+Express on and off, and elision on and off, under the same kernel must
+instead agree on the timeline after a stable sort by ``(ts, node)``:
+same-nanosecond events on *different* nodes may interleave differently,
+one node's own order may not.  Kernel event counts are not compared
+across those settings, since eliding events is their whole point.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .workloads import ChaosWorkload, make_workload
 __all__ = ["ChaosReport", "MODES", "chaos_config", "run_chaos", "run_modes",
            "reset_global_ids", "timeline_digest"]
 
-#: every (engine, express path) combination a chaos cell runs on
-MODES = tuple(itertools.product(ENGINE_NAMES, (True, False)))
+#: every (engine, express path, spin elision) combination a chaos cell runs on
+MODES = tuple(itertools.product(ENGINE_NAMES, (True, False), (True, False)))
 
 
 def reset_global_ids() -> None:
@@ -306,13 +307,14 @@ def run_chaos(
     if keep:
         report.cluster = cluster  # type: ignore[attr-defined]
         report.bus = bus  # type: ignore[attr-defined]
-        report.workload = wl  # type: ignore[attr-defined]
+        report.wl = wl  # type: ignore[attr-defined]
     bus.detach()
     return report
 
 
-#: observables only two kernels with the same express setting must agree
-#: on; every pair of modes must agree on the rest of ``_mode_observables``
+#: observables only two kernels with the same express and elision
+#: settings must agree on; every compared pair of modes must agree on the
+#: rest of ``_mode_observables``
 _KERNEL_KEYS = ("digest", "events_dispatched")
 #: report fields every pair of modes must agree on
 _REPORT_FIELDS = ("sim_ns", "events", "accepted", "delivered", "returned",
@@ -320,8 +322,10 @@ _REPORT_FIELDS = ("sim_ns", "events", "accepted", "delivered", "returned",
                   "goodput_outage_msg_s", "recovery_ns", "violations")
 
 
-def _mode_name(mode: tuple[str, bool]) -> str:
-    return f"{mode[0]}/express-{'on' if mode[1] else 'off'}"
+def _mode_name(mode: tuple[str, bool, bool]) -> str:
+    engine, express, elision = mode
+    return (f"{engine}/express-{'on' if express else 'off'}"
+            f"/elision-{'on' if elision else 'off'}")
 
 
 def _mode_observables(report: ChaosReport) -> dict:
@@ -337,7 +341,7 @@ def _mode_observables(report: ChaosReport) -> dict:
                for link in net.topology.all_links)
     # host-side observables no trace event carries: application counts,
     # the latencies a bench cell reports and the tenant accounting
-    wl = report.workload
+    wl = report.wl  # type: ignore[attr-defined]
     obs.update((f"wl.{k}", getattr(wl, k))
                for k in ("sent", "handled", "returned_seen"))
     if hasattr(wl, "bench_latencies_ns"):
@@ -351,13 +355,14 @@ def _mode_observables(report: ChaosReport) -> dict:
 def _first_difference(a: ChaosReport, b: ChaosReport) -> Optional[str]:
     """The first observable two modes disagree on, or None."""
     oa, ob = _mode_observables(a), _mode_observables(b)
-    same_express = (a.cluster.cfg.express_path  # type: ignore[attr-defined]
-                    == b.cluster.cfg.express_path)  # type: ignore[attr-defined]
-    keys = [k for k in oa if same_express or k not in _KERNEL_KEYS]
+    ca, cb = a.cluster.cfg, b.cluster.cfg  # type: ignore[attr-defined]
+    kernels_only = (ca.express_path == cb.express_path
+                    and ca.spin_elision == cb.spin_elision)
+    keys = [k for k in oa if kernels_only or k not in _KERNEL_KEYS]
     for key in keys:
         if oa[key] != ob[key]:
             return f"{key}: {oa[key]!r:.120} != {ob[key]!r:.120}"
-    if a.digest != b.digest and not same_express:
+    if a.digest != b.digest and not kernels_only:
         def ordered(r):
             return timeline_digest(sorted(r.bus.events, key=lambda ev: (ev.ts, ev.node)))
         if ordered(a) != ordered(b):
@@ -377,24 +382,26 @@ def run_modes(
 
     ``workload`` is a registry name or a zero-argument factory, so every
     mode gets a fresh instance.  Every mode runs on :func:`chaos_config`
-    with ``express_path`` set per mode.  Returns the default mode's
-    report (``engine``, express on) as ``run_chaos(keep=True)`` leaves
-    it, with one ``M.mode`` violation appended per pair of modes that
-    disagree (see the module doc for what each pair compares).
+    with ``express_path`` and ``spin_elision`` set per mode.  Returns the
+    default mode's report (``engine``, express and elision on) as
+    ``run_chaos(keep=True)`` leaves it, with one ``M.mode`` violation
+    appended per pair of modes, differing in one setting, that disagree
+    (see the module doc for what each pair compares).
     ``trace_path`` receives the default mode's timeline on a contract
     failure, and both modes' timelines next to it on a disagreement.
     """
     cfg = chaos_config(scenario.seed, num_hosts=num_hosts)
-    default = (engine or cfg.engine, True)
-    runs: dict[tuple[str, bool], ChaosReport] = {}
+    default = (engine or cfg.engine, True, True)
+    runs: dict[tuple[str, bool, bool], ChaosReport] = {}
     for mode in MODES:
         wl = make_workload(workload) if isinstance(workload, str) else workload()
-        runs[mode] = run_chaos(scenario, wl, cfg=cfg.with_(express_path=mode[1]),
+        runs[mode] = run_chaos(scenario, wl,
+                               cfg=cfg.with_(express_path=mode[1], spin_elision=mode[2]),
                                engine=mode[0], keep=True,
                                trace_path=trace_path if mode == default else None)
     diffs = [(a, b, _first_difference(runs[a], runs[b]))
              for a, b in itertools.combinations(MODES, 2)
-             if (a[0] == b[0]) != (a[1] == b[1])]  # one axis differs
+             if sum(x != y for x, y in zip(a, b)) == 1]  # one setting differs
     report = runs[default]
     for a, b, diff in diffs:
         if diff is None:

@@ -296,6 +296,13 @@ class ClusterConfig:
     #: tests (tests/test_express_path.py) and the chaos suite's mode
     #: matrix (repro.chaos.run_modes) enforce in CI.
     express_path: bool = True
+    #: fast-forward a host spin's empty polls in closed form: a spin whose
+    #: predicate cannot change commits to one wake at the boundary where
+    #: it would next see a change, stop, or split a slice, and back-fills
+    #: the skipped polls, stalls and CPU time (repro.am.elision, DESIGN.md
+    #: §16 "Elision").  Purely an execution-speed knob, like
+    #: ``express_path``: the chaos mode matrix runs every cell both ways.
+    spin_elision: bool = True
 
     # --------------------------------------------------------------- engine
     #: which event kernel executes the model — resolved through

@@ -58,8 +58,19 @@ class Cpu:
         self._queue: Deque[tuple[Event, Any]] = deque()
         self._hi_queue: Deque[tuple[Event, Any]] = deque()
         self._check_scheduled = False
-        self.busy_ns = 0
+        self._busy_ns = 0
         self.switches = 0
+        #: the holder's fast-forwarded spin while one is committed
+        #: (:class:`repro.am.elision.SpinWatch`): it owes ``busy_ns`` its
+        #: skipped slices and must wake when kernel work queues
+        self._elided: Any = None
+
+    @property
+    def busy_ns(self) -> int:
+        """CPU time consumed so far, skipped spin slices included."""
+        if self._elided is not None:
+            self._elided.settle()
+        return self._busy_ns
 
     @property
     def runnable(self) -> int:
@@ -140,7 +151,13 @@ class Cpu:
                 changed = self._grant(owner, priority)
                 return self.context_switch_ns if changed else 0
             ev = Event(self.sim, name=f"{self.name}.grant")
-            (self._hi_queue if priority else self._queue).append((ev, owner))
+            if priority:
+                self._hi_queue.append((ev, owner))
+                if self._elided is not None:
+                    # kernel work preempts at the next slice boundary
+                    self._elided.revoke()
+            else:
+                self._queue.append((ev, owner))
             if not self._in_slice:
                 self._schedule_expiry_check()
             switch_ns = yield ev
@@ -171,12 +188,12 @@ class Cpu:
                 self._in_slice = True
                 yield self.sim.timeout(switch_ns)
                 self._in_slice = False
-                self.busy_ns += switch_ns
+                self._busy_ns += switch_ns
             slice_ns = min(remaining, self.max_slice_ns, max(1, self._expiry - self.sim.now))
             self._in_slice = True
             yield self.sim.timeout(slice_ns)
             self._in_slice = False
-            self.busy_ns += slice_ns
+            self._busy_ns += slice_ns
             if hasattr(owner, "cpu_ns"):
                 owner.cpu_ns += slice_ns  # per-thread CPU accounting
             remaining -= slice_ns

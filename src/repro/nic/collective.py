@@ -113,7 +113,7 @@ class CollTree:
 class _CollHandle:
     """Host-side completion handle: one CondVar, one result slot."""
 
-    __slots__ = ("cv", "done", "failed", "value")
+    __slots__ = ("cv", "done", "failed", "value", "waiter")
 
     def __init__(self, sim, name: str):
         # Imported here, not at module top: repro.osim pulls in the
@@ -123,14 +123,20 @@ class _CollHandle:
         self.done = False
         self.failed = False
         self.value: Any = None
+        #: the host spin waiting on this handle (:mod:`repro.am.elision`)
+        self.waiter: Any = None
 
     def complete(self, value: Any) -> None:
         self.done = True
         self.value = value
+        if self.waiter is not None:
+            self.waiter.signal()
         self.cv.broadcast(value)
 
     def fail(self) -> None:
         self.failed = True
+        if self.waiter is not None:
+            self.waiter.signal()
         self.cv.broadcast(None)
 
 

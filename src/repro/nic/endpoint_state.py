@@ -315,7 +315,7 @@ class EndpointState:
     __slots__ = ("table", "row", "node", "ep_id", "tag", "translation",
                  "send_ring_depth", "recv_queue_depth", "send_ring",
                  "recv_requests", "recv_replies", "returned",
-                 "event_mask", "event_callback", "stats")
+                 "event_mask", "event_callback", "stats", "waiter")
 
     def __init__(
         self,
@@ -353,6 +353,9 @@ class EndpointState:
         self.event_mask: set[str] = set()
         #: invoked (in driver context) when a masked event fires
         self.event_callback: Optional[Callable[[str], None]] = None
+        #: the host spin waiting on this endpoint (:mod:`repro.am.elision`);
+        #: every change a spin predicate can read calls ``signal()`` on it
+        self.waiter: Any = None
 
         self.stats = EndpointStats(table, self.row)
         table.views[self.row] = self
@@ -402,6 +405,8 @@ class EndpointState:
     @residency.setter
     def residency(self, value: Residency) -> None:
         self.table.res[self.row] = RES_CODE[value]
+        if self.waiter is not None:
+            self.waiter.signal()  # the touch cost (or liveness) changed
 
     @property
     def frame(self) -> Optional[int]:

@@ -859,6 +859,8 @@ class Nic:
         q = ep.recv_replies if pkt.is_reply else ep.recv_requests
         was_empty = not q
         q.append(arrived)
+        if ep.waiter is not None:
+            ep.waiter.signal()
         peer.record_delivery(pkt.msg_id)
         ep.referenced = True  # receive activity counts for clock replacement
         ep.stats.delivered_in += 1
@@ -1059,6 +1061,8 @@ class Nic:
         ep = self.endpoints.get(msg.src_ep)
         if ep is not None and ep.residency is not Residency.FREED:
             ep.returned.append(msg)
+            if ep.waiter is not None:
+                ep.waiter.signal()
             if "returned" in ep.event_mask:
                 self._notify_driver("event", ep, detail="returned")
         msg.resolve(False)

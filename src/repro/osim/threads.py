@@ -39,8 +39,7 @@ class Thread:
         self.cpu = cpu
         self.tid = next(_thread_ids)
         self.name = name or f"thread{self.tid}"
-        #: accumulated CPU time (filled in by the scheduler)
-        self.cpu_ns = 0
+        self._cpu_ns = 0
         #: set while the thread is suspended by a fault injector (chaos
         #: testing): the thread parks at its next compute/block point and
         #: stays off-CPU until :meth:`resume`
@@ -58,6 +57,19 @@ class Thread:
             # A finished (or failed) thread must not keep the CPU lease.
             self.cpu.release_lease(self)
         return result
+
+    @property
+    def cpu_ns(self) -> int:
+        """Accumulated CPU time (filled in by the scheduler), skipped spin
+        slices included."""
+        elided = self.cpu._elided
+        if elided is not None and elided.thr is self:
+            elided.settle()
+        return self._cpu_ns
+
+    @cpu_ns.setter
+    def cpu_ns(self, value: int) -> None:
+        self._cpu_ns = value
 
     @property
     def done(self):
@@ -81,6 +93,9 @@ class Thread:
         a stalled receiver that stops polling, Section 3.2 pressure)."""
         if self._pause_ev is None and not self.finished:
             self._pause_ev = Event(self.sim, name=f"{self.name}.pause")
+            elided = self.cpu._elided
+            if elided is not None and elided.thr is self:
+                elided.revoke()  # park at the next compute start, as stepped
 
     def resume(self) -> None:
         """Release a paused thread; it re-contends for the CPU."""
@@ -140,8 +155,8 @@ class Thread:
         (the inline equivalent of ``Cpu._should_yield(0)`` + handoff)."""
         cpu = self.cpu
         cpu._in_slice = False
-        cpu.busy_ns += ns
-        self.cpu_ns += ns
+        cpu._busy_ns += ns
+        self._cpu_ns += ns
         if cpu._hi_queue or (cpu._queue and self.sim.now >= cpu._expiry):
             cpu._holder = None
             cpu._handoff_next()

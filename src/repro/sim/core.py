@@ -29,7 +29,12 @@ The kernel's determinism contract is *ordering plus integer time* — never
 allocation identity.  That freedom is what the fast paths exploit:
 
 * heap entries are 5-slot lists ``[when, seq, args, fn, poolable]``; the
-  strictly-increasing ``seq`` guarantees comparisons never reach ``args``;
+  strictly-increasing ``seq`` guarantees comparisons never reach ``args``.
+  A seq is ``(draw time << SEQ_SHIFT) | draw count`` (:meth:`Simulator._draw`),
+  which orders exactly as the count alone (draws happen in time order)
+  but also says *when* an entry was drawn: spin elision
+  (:mod:`repro.am.elision`) places a fast-forwarded spin's wake as if it
+  had been drawn at the virtual boundary before it;
 * entries created internally (``_post``, the process timeout fast path)
   are recycled through ``Simulator._entry_pool`` once dispatched, so
   steady-state scheduling allocates nothing;
@@ -67,6 +72,7 @@ __all__ = [
     "AllOf",
     "Interrupted",
     "SimError",
+    "SEQ_SHIFT",
     "NS_PER_US",
     "NS_PER_MS",
     "NS_PER_S",
@@ -84,6 +90,15 @@ _heappop = heapq.heappop
 
 #: shared args tuple for value-less resumes (the overwhelmingly common case)
 _NO_VALUE_ARGS: tuple = (None, None)
+
+#: a heap entry's seq is ``(draw time << SEQ_SHIFT) | count``; real draws
+#: count from ``SEQ_REAL_BASE`` up (room for 2**39 of them per simulator),
+#: so a count below it (a virtual draw, see :meth:`Simulator._push`) sorts
+#: before every real draw of its instant
+SEQ_SHIFT = 40
+SEQ_REAL_BASE = 1 << 39
+#: the position "after every entry of this instant" (see ``Simulator._at``)
+SEQ_END = 1 << 200
 
 
 def us(x: float) -> int:
@@ -409,14 +424,16 @@ class Process:
             tvalue = target.value
             args = _NO_VALUE_ARGS if tvalue is None else (tvalue, None)
             pool = sim._entry_pool
+            now = sim.now
             if pool:
                 entry = pool.pop()
-                entry[0] = sim.now + target.delay
-                entry[1] = next(sim._seq)
+                entry[0] = now + target.delay
+                entry[1] = (now << SEQ_SHIFT) | next(sim._seq)
                 entry[2] = args
                 entry[3] = self._resume
             else:
-                entry = [sim.now + target.delay, next(sim._seq), args, self._resume, True]
+                entry = [now + target.delay, (now << SEQ_SHIFT) | next(sim._seq), args,
+                         self._resume, True]
             _heappush(sim._heap, entry)
             self._cancel_wait = entry
             if target._pooled:
@@ -473,7 +490,13 @@ class Simulator:
     def __init__(self) -> None:
         self.now: int = 0
         self._heap: list[list] = []
-        self._seq = itertools.count()
+        self._seq = itertools.count(SEQ_REAL_BASE)
+        #: counts of virtual draws (below ``SEQ_REAL_BASE``, see :meth:`_push`)
+        self._virtual_seq = itertools.count(1)
+        #: seq of the entry being (or last) dispatched: with ``now`` the
+        #: kernel's position in ``(when, seq)`` order; ``SEQ_END`` once
+        #: ``run(until=...)`` has dispatched everything up to ``now``
+        self._at = SEQ_END
         self._current: Optional[Process] = None
         self._crashed: Optional[tuple[Process, BaseException]] = None
         self._nprocesses = 0
@@ -492,9 +515,25 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` ns. Returns a cancelable handle."""
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
-        entry = [self.now + int(delay), next(self._seq), args, fn, False]
+        entry = [self.now + int(delay), self._draw(), args, fn, False]
         _heappush(self._heap, entry)
         return _Handle(entry)
+
+    def _draw(self) -> int:
+        """The seq of an entry drawn now (see :data:`SEQ_SHIFT`)."""
+        return (self.now << SEQ_SHIFT) | next(self._seq)
+
+    def _push(self, when: int, seq: int, fn: Callable, *args: Any) -> list:
+        """Push ``fn(*args)`` at an explicit ``(when, seq)`` key.
+
+        For a wake that stands in for a chain of skipped entries: ``seq``
+        is the key the last skipped draw would have had, so the entry
+        sorts among real ones exactly where that draw would.  Cancel by
+        setting ``entry[3] = None``, as for :meth:`call_after`.
+        """
+        entry = [when, seq, args, fn, False]
+        _heappush(self._heap, entry)
+        return entry
 
     def call_after(self, delay: int, fn: Callable, *args: Any) -> list:
         """Run ``fn(*args)`` after ``delay`` ns; pooled one-shot callback.
@@ -510,14 +549,15 @@ class Simulator:
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         pool = self._entry_pool
+        now = self.now
         if pool:
             entry = pool.pop()
-            entry[0] = self.now + int(delay)
-            entry[1] = next(self._seq)
+            entry[0] = now + int(delay)
+            entry[1] = (now << SEQ_SHIFT) | next(self._seq)
             entry[2] = args
             entry[3] = fn
         else:
-            entry = [self.now + int(delay), next(self._seq), args, fn, True]
+            entry = [now + int(delay), (now << SEQ_SHIFT) | next(self._seq), args, fn, True]
         _heappush(self._heap, entry)
         return entry
 
@@ -528,14 +568,15 @@ class Simulator:
         recycled after dispatch.
         """
         pool = self._entry_pool
+        now = self.now
         if pool:
             entry = pool.pop()
-            entry[0] = self.now
-            entry[1] = next(self._seq)
+            entry[0] = now
+            entry[1] = (now << SEQ_SHIFT) | next(self._seq)
             entry[2] = args
             entry[3] = fn
         else:
-            entry = [self.now, next(self._seq), args, fn, True]
+            entry = [now, (now << SEQ_SHIFT) | next(self._seq), args, fn, True]
         _heappush(self._heap, entry)
 
     def _crash(self, proc: Process, exc: BaseException) -> None:
@@ -610,6 +651,7 @@ class Simulator:
                 when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
+                    self._at = SEQ_END
                     return self.now
                 entry = pop(heap)
                 fn = entry[3]
@@ -619,6 +661,7 @@ class Simulator:
                         entry_pool.append(entry)
                     continue
                 self.now = when
+                self._at = entry[1]
                 fn(*entry[2])
                 if entry[4]:
                     entry[2] = None
@@ -634,6 +677,7 @@ class Simulator:
                 self._raise_crash()
             if until is not None:
                 self.now = max(self.now, until)
+            self._at = SEQ_END
             return self.now
         finally:
             self.events_dispatched += count

@@ -20,6 +20,7 @@ import heapq
 from typing import Any, Callable, Generator, Optional
 
 from .core import (
+    SEQ_END,
     Event,
     Interrupted,
     Process,
@@ -81,9 +82,14 @@ class ReferenceSimulator(Simulator):
     def schedule(self, delay: int, fn: Callable, *args: Any) -> _Handle:
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
-        entry = [self.now + int(delay), next(self._seq), args, fn]
+        entry = [self.now + int(delay), self._draw(), args, fn]
         heapq.heappush(self._heap, entry)
         return _Handle(entry)
+
+    def _push(self, when: int, seq: int, fn: Callable, *args: Any) -> list:
+        entry = [when, seq, args, fn]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def _post(self, fn: Callable, *args: Any) -> None:
         self.schedule(0, fn, *args)
@@ -96,7 +102,7 @@ class ReferenceSimulator(Simulator):
         """
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
-        entry = [self.now + int(delay), next(self._seq), args, fn]
+        entry = [self.now + int(delay), self._draw(), args, fn]
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -128,12 +134,14 @@ class ReferenceSimulator(Simulator):
                 when = self._heap[0][0]
                 if until is not None and when > until:
                     self.now = until
+                    self._at = SEQ_END
                     return self.now
                 entry = heapq.heappop(self._heap)
                 fn = entry[3]
                 if fn is None:  # canceled
                     continue
                 self.now = when
+                self._at = entry[1]
                 fn(*entry[2])
                 count += 1
                 if ((stop is not None and stop())
@@ -145,6 +153,7 @@ class ReferenceSimulator(Simulator):
                 self._raise_crash()
             if until is not None:
                 self.now = max(self.now, until)
+            self._at = SEQ_END
             return self.now
         finally:
             self.events_dispatched += count

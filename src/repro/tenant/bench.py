@@ -18,8 +18,8 @@ whole promise:
   zero in any cell (graceful degradation, never starvation).
 
 Every cell runs through :func:`repro.chaos.run_modes`, once on every
-(kernel, express path) mode; a mode disagreement is a contract
-violation like any other.
+(kernel, express path, spin elision) mode; a mode disagreement is a
+contract violation like any other.
 
 Policies range from no isolation at all (``baseline``) through weighted
 NI service (``weighted``) to weighted service plus a noisy-tenant send
@@ -107,7 +107,7 @@ def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
         else calm_scenario(seed, _DURATION_NS)
     report = run_modes(scenario, workload, num_hosts=_NUM_HOSTS,
                        engine=engine)
-    wl = report.workload
+    wl = report.wl  # type: ignore[attr-defined]
     p50, p99 = _quiet_percentiles(wl)
     obs = {
         "ok": report.ok,

@@ -4,8 +4,11 @@ import pytest
 
 from repro.am import BadTranslationError, Bundle, parallel_vnet, star_vnet, new_endpoint
 from repro.am.endpoint import BLOCK_NS, poll_until
+from repro.am.errors import EndpointFreedError
+from repro.chaos import reset_global_ids
 from repro.cluster import Cluster, ClusterConfig
 from repro.nic import Residency
+from repro.nic.message import Message, MsgKind
 from repro.sim import ms, us
 
 
@@ -321,7 +324,7 @@ def test_credit_stall_counts_once_per_not_ready_iteration():
 
     def refund():
         yield sim.timeout(us(20))
-        ep0._credits[1] = 1
+        ep0._refund(1)  # signals the spin, as a reply or a return does
 
     def body(thr):
         polls, stalls = ep0.stats.polls, ep0.stats.credit_stalls
@@ -398,3 +401,182 @@ def test_star_vnet_shapes():
     # each client maps index 0 at its server endpoint
     for cep in clients2:
         assert 0 in cep.state.translation
+
+
+# ------------------------------------------------------------ spin elision
+def _arrive(ep, handler):
+    """Append a reply to ``ep``'s queue and signal its spin, as the
+    firmware's delivery does."""
+    st = ep.state
+    st.recv_replies.append(Message(
+        src_node=1, src_ep=0, dst_node=st.node, dst_ep=st.ep_id, key=st.tag,
+        kind=MsgKind.REPLY, payload_bytes=0, is_bulk=False, body=(handler, (), {})))
+    if st.waiter is not None:
+        st.waiter.signal()
+
+
+def _spin_run(elision, scenario, **cfg):
+    """Run ``scenario(cluster, ep0, thr, t0)`` -- a spin body started at
+    ``t0`` with the CPU held -- and return everything a stepped and an
+    elided spin must agree on, plus the kernel events it took."""
+    reset_global_ids()
+    cluster = build(spin_elision=elision, **cfg)
+    ep0, _ = pair(cluster)
+    bus = cluster.enable_tracing()
+    sim = cluster.sim
+    cpu = cluster.node(0).cpu
+    out = {}
+
+    readers = (lambda: cpu.busy_ns, lambda: thr.cpu_ns, lambda: ep0.stats.polls,
+               lambda: ep0.stats.credit_stalls)
+
+    def probe(k):
+        # mid-spin reads must see the stepped counters, whichever comes first
+        order = readers[k:] + readers[:k]
+        out[f"probe{k}"] = (sim.now, [read() for read in order])
+
+    def body(thr):
+        yield from thr.compute(1_000)  # take the CPU
+        t0 = sim.now
+        for k in range(len(readers)):
+            sim.schedule((k + 1) * 7_777, probe, k)
+        try:
+            out["value"] = yield from scenario(cluster, ep0, thr, t0)
+        except EndpointFreedError:
+            out["value"] = "freed"
+        out["returned_at"] = sim.now - t0
+
+    thr = cluster.node(0).start_process().spawn_thread(body)
+    ev0 = sim.events_dispatched
+    cluster.run(until=sim.now + ms(5))
+    stats = ep0.stats
+    out.update(polls=stats.polls, stalls=stats.credit_stalls, busy_ns=cpu.busy_ns,
+               cpu_ns=thr.cpu_ns, switches=cpu.switches,
+               timeline=[(e.ts, e.kind, e.node, sorted(e.args.items())) for e in bus.events])
+    return out, sim.events_dispatched - ev0
+
+
+def _elided_equals_stepped(scenario, **cfg):
+    elided, elided_events = _spin_run(True, scenario, **cfg)
+    stepped, stepped_events = _spin_run(False, scenario, **cfg)
+    assert elided == stepped
+    assert elided_events < stepped_events  # non-vacuous: polls were skipped
+    return elided
+
+
+def test_elided_spin_sees_an_arrival_on_a_poll_check_in_kernel_order():
+    """An arrival at exactly a poll's queue check is seen there only if its
+    kernel entry was drawn before that iteration's (virtual) timeout."""
+    period = 1_000
+
+    def scenario(drawn_late):
+        def body(cluster, ep0, thr, t0):
+            sim = cluster.sim
+            hit = {}
+            touch = ep0._poll_touch_ns() + ep0._lock_cost()
+            check = t0 + touch + 5 * (touch + period)  # the sixth poll's queue check
+
+            def handler(token):
+                hit["at"] = sim.now
+
+            if drawn_late:
+                # drawn 1 ns before the check, after the check's timeout was drawn
+                sim.schedule(check - 1 - t0, lambda: sim.schedule(1, _arrive, ep0, handler))
+            else:
+                sim.schedule(check - t0, _arrive, ep0, handler)
+            yield from ep0.spin(thr, lambda: hit.get("at"), period=period)
+            return hit["at"] - check, touch
+        return body
+
+    early = _elided_equals_stepped(scenario(False))
+    late = _elided_equals_stepped(scenario(True))
+    touch = early["value"][1]
+    # the late arrival misses that check and is seen one iteration later
+    assert late["value"][0] - early["value"][0] == touch + period
+
+
+def test_elided_spin_yields_to_a_kernel_priority_job():
+    def scenario(cluster, ep0, thr, t0):
+        sim = cluster.sim
+        cpu = thr.cpu
+
+        def kernel_job():
+            yield sim.timeout(3_333)
+            yield from cpu.compute(20_000, priority=1)
+
+        sim.spawn(kernel_job())
+        return (yield from ep0.spin(thr, lambda: False, deadline=t0 + us(60)))
+
+    out = _elided_equals_stepped(scenario)
+    assert out["switches"] >= 2
+
+
+def test_elided_spin_hands_off_at_quantum_expiry_to_a_queued_thread():
+    def scenario(cluster, ep0, thr, t0):
+        other = {}
+
+        def rival(thr2):
+            yield from thr2.compute(10_000)
+            other["done"] = cluster.sim.now
+
+        cluster.node(0).start_process().spawn_thread(rival)
+        value = yield from ep0.spin(thr, lambda: False, deadline=t0 + us(500))
+        return value, other.get("done", 0) - t0
+
+    out = _elided_equals_stepped(scenario, cpu_quantum_ns=us(100))
+    assert out["value"][1] > 0 and out["switches"] >= 2
+
+
+def test_elided_spin_parks_on_pause_and_resumes():
+    def scenario(cluster, ep0, thr, t0):
+        sim = cluster.sim
+        sim.schedule(5_001, thr.pause)
+        sim.schedule(25_003, thr.resume)
+        return (yield from ep0.spin(thr, lambda: False, deadline=t0 + us(50)))
+
+    out = _elided_equals_stepped(scenario)
+    assert out["cpu_ns"] < out["returned_at"]  # the paused stretch used no CPU
+
+
+def test_elided_spin_raises_on_a_free_at_the_stepped_time():
+    def scenario(cluster, ep0, thr, t0):
+        cluster.sim.schedule(12_345, lambda: cluster.sim.spawn(
+            cluster.node(0).driver.free_endpoint(ep0.state)))
+        return (yield from ep0.spin(thr, lambda: False, deadline=t0 + us(500)))
+
+    out = _elided_equals_stepped(scenario)
+    assert out["value"] == "freed" and out["returned_at"] < us(500)
+
+
+def test_elided_spin_follows_a_residency_flip():
+    """The touch cost drops from 800 to 80 ns mid-spin."""
+    def scenario(cluster, ep0, thr, t0):
+        def flip():
+            ep0.state.residency = Residency.ONHOST_RO
+
+        ep0.state.residency = Residency.ONNIC_RW
+        cluster.sim.schedule(10_101, flip)
+        return (yield from ep0.spin(thr, lambda: False, deadline=t0 + us(40)))
+
+    out = _elided_equals_stepped(scenario)
+    cfg = ClusterConfig()
+    assert out["busy_ns"] > out["polls"] * cfg.poll_host_ns * 2  # some polls cost 800 ns
+
+
+def test_elided_spin_returns_at_its_deadline():
+    def scenario(cluster, ep0, thr, t0):
+        return (yield from ep0.spin(thr, lambda: False, period=777, deadline=t0 + us(33)))
+
+    out = _elided_equals_stepped(scenario)
+    assert out["value"] is None and out["returned_at"] >= us(33)
+
+
+def test_elided_credit_wait_counts_every_stall():
+    def scenario(cluster, ep0, thr, t0):
+        ep0._credits[1] = 0
+        cluster.sim.schedule(us(20) + 3, ep0._refund, 1)
+        yield from ep0.request(thr, 1, None)
+        return ep0.stats.credit_stalls
+
+    out = _elided_equals_stepped(scenario)
+    assert out["value"] > 1

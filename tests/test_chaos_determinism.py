@@ -8,19 +8,24 @@ Pins the acceptance bar for :mod:`repro.chaos`:
   invariant;
 * killing a process mid-traffic yields RETURNED messages — never a hang,
   never duplicate delivery;
-* ``run_modes`` finds every (kernel, express path) mode in agreement on
-  calm and faulted cells, with the express path really committing and
-  being revoked, and names the mode pair when one mode is perturbed;
-* quiescence flags an express flight still committed at scenario end.
+* ``run_modes`` finds every (kernel, express path, spin elision) mode in
+  agreement on calm and faulted cells, with the express path really
+  committing and being revoked, and names the mode pair when one mode is
+  perturbed;
+* quiescence flags an express flight still committed at scenario end;
+* the chaos bench takes the matrix keywords EXPERIMENTS.md documents for
+  replaying a failing cell.
 """
 
 import functools
+import inspect
 
 import pytest
 
 from repro.chaos import (MODES, SCENARIO_FAMILIES, ScheduleGenerator,
                          calm_scenario, check_quiescence, make_workload,
                          run_chaos, run_modes)
+from repro.bench import chaos as chaos_bench
 from repro.chaos import runner
 from repro.cluster import Cluster, ClusterConfig
 from repro.myrinet import Network, Packet, PacketType
@@ -116,7 +121,7 @@ def _spy_modes(monkeypatch, after=None):
 
     def spy(scenario, wl, *, cfg, engine, **kw):
         report = real(scenario, wl, cfg=cfg, engine=engine, **kw)
-        mode = (engine, cfg.express_path)
+        mode = (engine, cfg.express_path, cfg.spin_elision)
         if after is not None:
             after(mode, report)
         seen.append((mode, report.cluster.network.express))
@@ -134,12 +139,12 @@ def test_modes_agree_on_calm_and_faulted_cells(monkeypatch):
     assert sorted({mode for mode, _ in seen}) == sorted(MODES)
     # non-vacuous: the express path committed flights and faults revoked
     # some of them, while express-off runs never touched it
-    on = [x for (_, express), x in seen if express]
+    on = [x for (_, express, _), x in seen if express]
     assert sum(x.commits for x in on) > 0
     assert sum(x.revoked for x in on) > 0
-    assert all(x.revoked > 0 for (_, express), x in seen[-len(MODES):]
+    assert all(x.revoked > 0 for (_, express, _), x in seen[-len(MODES):]
                if express)
-    assert all(x.hits() == 0 for (_, express), x in seen if not express)
+    assert all(x.hits() == 0 for (_, express, _), x in seen if not express)
 
 
 def _late_delivery(monkeypatch):
@@ -159,10 +164,11 @@ def _late_delivery(monkeypatch):
 
 
 def _bump(monkeypatch, counter):
-    """Sequential kernel, express on: one counter is off by one at the
-    end of the run (``counter(report)`` returns its owner and name)."""
+    """Sequential kernel, express and elision on: one counter is off by
+    one at the end of the run (``counter(report)`` returns its owner and
+    name)."""
     def after(mode, report):
-        if mode == ("sequential", True):
+        if mode == ("sequential", True, True):
             owner, name = counter(report)
             setattr(owner, name, getattr(owner, name) + 1)
 
@@ -174,7 +180,7 @@ def _bumped_net_counter(monkeypatch):
 
 
 def _bumped_tenant_counter(monkeypatch):
-    _bump(monkeypatch, lambda r: (r.workload.quiet.stats, "msgs_serviced"))
+    _bump(monkeypatch, lambda r: (r.wl.quiet.stats, "msgs_serviced"))
 
 
 #: a tenant cell cut to a few milliseconds: quiet pings beside noisy bulk
@@ -184,16 +190,20 @@ _SMALL_TENANT = functools.partial(InterferenceWorkload, pings=10,
 
 @pytest.mark.parametrize("perturb, workload, num_hosts, expected", [
     (_late_delivery, _MODE_WORKLOADS["pairwise"], 8, {
-        "sequential/express-on vs reference/express-on: digest",
-        "reference/express-on vs reference/express-off: link.",
+        "sequential/express-on/elision-on vs reference/express-on/elision-on: digest",
+        "sequential/express-on/elision-off vs reference/express-on/elision-off: digest",
+        "reference/express-on/elision-on vs reference/express-off/elision-on: link.",
+        "reference/express-on/elision-off vs reference/express-off/elision-off: link.",
     }),
     (_bumped_net_counter, _MODE_WORKLOADS["pairwise"], 8, {
-        "sequential/express-on vs reference/express-on: net.delivered",
-        "sequential/express-on vs sequential/express-off: net.delivered",
+        "sequential/express-on/elision-on vs sequential/express-off/elision-on: net.delivered",
+        "sequential/express-on/elision-on vs sequential/express-on/elision-off: net.delivered",
+        "sequential/express-on/elision-on vs reference/express-on/elision-on: net.delivered",
     }),
     (_bumped_tenant_counter, _SMALL_TENANT, 4, {
-        "sequential/express-on vs reference/express-on: wl.tenants",
-        "sequential/express-on vs sequential/express-off: wl.tenants",
+        "sequential/express-on/elision-on vs sequential/express-off/elision-on: wl.tenants",
+        "sequential/express-on/elision-on vs sequential/express-on/elision-off: wl.tenants",
+        "sequential/express-on/elision-on vs reference/express-on/elision-on: wl.tenants",
     }),
 ], ids=["late_delivery", "net_counter", "tenant_counter"])
 def test_modes_name_the_disagreeing_pair(monkeypatch, tmp_path, perturb,
@@ -222,3 +232,14 @@ def test_quiescence_flags_a_committed_flight():
     assert len(cluster.network._flights) == 1
     flagged = [v for v in check_quiescence(cluster) if v.invariant == "Q.flight"]
     assert len(flagged) == 1 and flagged[0].msg_id == 7
+
+
+def test_kept_report_keeps_the_workload_name():
+    report = run_modes(calm_scenario(1, 4_000_000), "bulk")
+    assert "/bulk seed=1" in report.summary()
+    assert report.wl.name == "bulk"  # the live workload, beside its name
+
+
+def test_chaos_cells_take_the_documented_replay_keywords():
+    params = inspect.signature(chaos_bench._cells).parameters
+    assert {"seeds", "scenarios", "workloads", "profile", "trace_dir"} <= set(params)

@@ -234,7 +234,7 @@ def test_collective_storm_chaos_contract():
         report = run_chaos(gen.generate("collective_storm"), "collective",
                            keep=True)
         assert report.ok, report.violations
-        wl = report.workload
+        wl = report.wl
         assert wl.coll_completed + wl.coll_timeouts > 0
 
 

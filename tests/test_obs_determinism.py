@@ -7,7 +7,8 @@ This file locks that in end-to-end: a contended 4-node workload run
 twice with tracing off and twice with tracing on must produce identical
 final simulated times, message logs, layer statistics, dispatched
 kernel events and express-path bookkeeping — attaching the bus keeps
-the code path, not just the results.
+the code path, not just the results.  Spin elision on and off must give
+the same fingerprint too, all but the dispatched-event count.
 
 The same run doubles as the Chrome trace_event acceptance check: the
 trace exported from the traced run must be valid JSON in the format
@@ -26,16 +27,18 @@ NCLIENTS = 3
 MSGS_PER_CLIENT = 20
 
 
-def _contended_run(trace: bool):
-    """4 nodes, 3 clients hammering one server under 2% loss.
+def _contended_run(trace: bool, elision: bool = True):
+    """4 nodes, 3 clients hammering one server under 2% loss, two credits
+    each (so clients spin for credits).
 
     Returns ``(fingerprint, bus)`` where the fingerprint captures final
-    simulated time, the full ordered delivery log, fabric and NI
-    statistics, the kernel's dispatched-event count and the express
-    path's bookkeeping — everything that could reveal a perturbation or
-    a different code path.
+    simulated time, the full ordered delivery log, fabric, NI, AM and
+    CPU statistics, the express path's bookkeeping and, last, the
+    kernel's dispatched-event count — everything that could reveal a
+    perturbation or a different code path.
     """
-    cfg = ClusterConfig(num_hosts=4, seed=11, packet_loss_prob=0.02)
+    cfg = ClusterConfig(num_hosts=4, seed=11, packet_loss_prob=0.02, user_credits=2,
+                        spin_elision=elision)
     cluster = Cluster(cfg)
     bus = cluster.enable_tracing() if trace else None
     vnet = cluster.run_process(parallel_vnet(cluster, [0, 1, 2, 3]), "setup")
@@ -77,11 +80,12 @@ def _contended_run(trace: bool):
         (net.sent, net.delivered, net.dropped_loss, net.bytes_delivered),
         tuple(
             (n.nic.stats.data_sent, n.nic.stats.retransmissions,
-             n.nic.stats.deliveries)
+             n.nic.stats.deliveries, n.cpu.busy_ns, n.cpu.switches)
             for n in cluster.nodes
         ),
-        sim.events_dispatched,
+        tuple(dataclasses.astuple(vnet[rank].stats) for rank in range(4)),
         dataclasses.asdict(cluster.network.express),
+        sim.events_dispatched,
     )
     return fingerprint, bus
 
@@ -94,7 +98,14 @@ def test_tracing_on_equals_tracing_off_bit_for_bit():
     assert off1 == off2  # the run is deterministic at all...
     assert on1 == on2  # ...with or without the bus attached...
     assert off1 == on1  # ...and the bus changes nothing (observer-only)
-    assert off1[-1]["commits"] > 0  # the express path ran in both
+    assert off1[-2]["commits"] > 0  # the express path ran in both
+
+
+def test_spin_elision_on_equals_off_but_for_the_event_count():
+    on, _ = _contended_run(trace=True)
+    off, _ = _contended_run(trace=True, elision=False)
+    assert on[:-1] == off[:-1]
+    assert on[-1] < off[-1]  # elision skipped empty polls
 
 
 def test_chrome_trace_export_from_contended_run_is_valid(tmp_path):
