@@ -59,7 +59,7 @@ class SpinWatch:
 
     A committed watch is the waitable the spin yields; it resumes the
     thread at a boundary with :data:`IDLE_ENDED` or :data:`POLL_ENDED`,
-    the boundary's slice already closed (``Thread._slice_end``).
+    the boundary's slice already closed (``Cpu.close``).
     """
 
     __slots__ = ("thr", "sim", "cpu", "sources", "stats", "stalls", "dirty",
@@ -105,25 +105,22 @@ class SpinWatch:
         CPU with nothing ahead of it, or the first compute would not fit
         the quantum.  ``until`` stops the run at the first ready check
         (the end of a ``costs[0]`` compute) at or after it."""
-        thr, cpu, sim = self.thr, self.cpu, self.sim
-        now = sim.now
-        if (self.dirty or cpu._holder is not thr or thr._pause_ev is not None
-                or cpu._hi_queue or costs[0] > cpu._expiry - now
-                or min(costs) <= 0 or max(costs) > cpu.max_slice_ns):
+        if self.dirty or min(costs) <= 0:
             return False
-        self.t0 = now
+        expiry = self.cpu.elide(self, costs)  # opens the first compute's slice
+        if expiry is None:
+            return False
+        self.t0 = self.sim.now
         self.costs = costs
         self.period = sum(costs)
         self.pre = tuple(sum(costs[:j]) for j in range(len(costs)))
         self.settled = 0
-        wake = self._quantum_limit(cpu._expiry)
+        wake = self._quantum_limit(expiry)
         if until is not None:
             wake = min(wake, self._first_check_at_or_after(until))
         self.wake_n = wake
         # below every real draw count: a virtual draw sorts first in its instant
-        self.vcount = next(sim._virtual_seq)
-        cpu._in_slice = True  # the first skipped compute's slice
-        cpu._elided = self
+        self.vcount = next(self.sim._virtual_seq)
         return True
 
     def _subscribe(self, cb) -> Any:
@@ -184,9 +181,7 @@ class SpinWatch:
         if hi <= lo:
             return
         self.settled = hi
-        busy = self._time(hi) - self._time(lo)
-        self.cpu._busy_ns += busy
-        self.thr._cpu_ns += busy
+        self.cpu.charge(self.thr, self._time(hi) - self._time(lo))
         stats = self.stats
         if stats is not None:
             # ready checks end a costs[0] compute: boundaries n with (n-1) % k == 0
@@ -219,17 +214,16 @@ class SpinWatch:
         n = self.wake_n
         self._account(n - 1)
         self.entry = None
-        self.cpu._elided = None
         j = (n - 1) % len(self.costs)
-        self.thr._slice_end(self.costs[j])
+        self.cpu.close(self.thr, self.costs[j])
         self.resume(j, None)
 
     def _cancel(self) -> None:
-        """Interrupted (or closed) mid-run: keep what was passed, drop the wake."""
+        """Interrupted mid-run: keep what was passed, drop the wake; the
+        thread's exit aborts the open slice (``Cpu.abort``), as a stepped one's."""
         entry = self.entry
         if entry is not None:
             self.settle()
             entry[3] = None
             self.entry = None
-            self.cpu._elided = None
 

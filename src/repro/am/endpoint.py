@@ -394,10 +394,10 @@ class Endpoint:
                 else cfg.poll_host_ns)
         if st.shared:
             cost += cfg.shared_ep_lock_ns
-        t = thr._slice_begin(cost)
-        if t is not None:
-            yield t
-            thr._slice_end(cost)
+        cpu = thr.cpu
+        if cpu.open(thr, cost):  # Thread.compute's one-slice case, inlined
+            yield thr.sim.timeout(cost)
+            cpu.close(thr, cost)
         else:
             yield from thr.compute(cost)
         if not (st.recv_requests or st.recv_replies or st.returned):

@@ -31,8 +31,9 @@ was reset under them).
 **Quiescence.**  Inspected directly on the cluster object at scenario
 end: every NI alive with all channels idle and disarmed, no unbound
 messages awaiting rebind, no receive-side staging or bulk DMA in flight,
-every registered endpoint's rings and queues empty, and no express
-flight still committed on the fabric.  A paused or
+every registered endpoint's rings and queues empty, no express
+flight still committed on the fabric, and no host CPU still leased to a
+finished thread (``Q.cpu``: its run queue would starve).  A paused or
 unfinished workload thread is likewise a violation — the run must end
 with nothing armed, nothing blocked, nothing in flight.
 
@@ -340,6 +341,10 @@ def check_quiescence(cluster: "Cluster",
     for node in cluster.nodes:
         nic = node.nic
         nid = nic.nic_id
+        holder = node.cpu.holder
+        if getattr(holder, "finished", False):
+            out.append(Violation("Q.cpu", f"node {nid} CPU still leased to "
+                                 f"finished thread {holder.name}", ts=now))
         if not nic.alive:
             out.append(Violation("Q.dead", f"node {nid} still crashed", ts=now))
             continue

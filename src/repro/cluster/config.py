@@ -132,8 +132,6 @@ class ClusterConfig:
     gam_bulk_extra_us: float = 8.0
 
     # ----------------------------------------------------------------- host
-    #: host CPU clock (167 MHz UltraSPARC-1)
-    host_mhz: float = 167.0
     #: LogP send overhead Os: writing an AM-II message descriptor to a
     #: resident endpoint with PIO (bigger descriptors than GAM, Section 6.1)
     host_send_overhead_ns: int = 2_400
@@ -252,16 +250,12 @@ class ClusterConfig:
     frame_bytes: int = 8192
     #: NI SRAM size (1 MB, Section 2)
     ni_sram_bytes: int = 1 << 20
-    #: driver-side latencies of the residency protocol (Section 4): these
-    #: give the paper's observed 200-300 remaps/s under thrash
-    remap_quiesce_us: float = 900.0
-    remap_transfer_us: float = 350.0
     #: CPU consumed by the driver per re-mapping (host cycles actually
     #: burned; modest, or the remap thread would starve the application)
     remap_driver_overhead_us: float = 400.0
     #: additional off-CPU latency per re-mapping (lock synchronization,
-    #: interrupt round-trips); with the DMAs and quiesce this serializes
-    #: the background thread to the paper's 200-300 remaps/s
+    #: interrupt round-trips); with the CPU above and the frame's SBus
+    #: DMAs this serializes the background thread to 200-300 remaps/s
     remap_sync_latency_us: float = 2_200.0
     #: background remap kernel thread service period
     remap_scan_period_us: float = 200.0

@@ -18,6 +18,11 @@ This is what makes time-shared workloads (Section 6.3) and the polling
 server configurations (Section 6.4) behave like they did on Solaris: a
 single-threaded server monopolizes its quantum against other *user*
 threads, but endpoint re-mapping still makes progress underneath it.
+
+Only the :class:`Cpu` touches its lease, queues and CPU-time accounts:
+every compute is a slice it opens (:meth:`Cpu.open`; :meth:`Cpu.elide`
+for a fast-forwarded spin), closes (:meth:`Cpu.close`) or aborts
+(:meth:`Cpu.abort`, so a killed thread never keeps the CPU).
 """
 
 from __future__ import annotations
@@ -73,10 +78,15 @@ class Cpu:
         return self._busy_ns
 
     @property
-    def runnable(self) -> int:
-        """Threads holding or queued for the CPU."""
-        held = 1 if self._holder is not None else 0
-        return held + len(self._queue) + len(self._hi_queue)
+    def holder(self) -> Any:
+        """The lease holder, or None while the CPU is free."""
+        return self._holder
+
+    def cpu_ns(self, owner: Any) -> int:
+        """``owner``'s CPU time, skipped spin slices included."""
+        if self._elided is not None and self._holder is owner:
+            self._elided.settle()
+        return owner._cpu_ns
 
     # ------------------------------------------------------------ internals
     def _grant(self, owner: Any, priority: int) -> bool:
@@ -95,8 +105,8 @@ class Cpu:
         for queue, prio in ((self._hi_queue, 1), (self._queue, 0)):
             while queue:
                 ev, owner = queue.popleft()
-                if ev.triggered:
-                    continue
+                if ev.triggered or getattr(owner, "finished", False):
+                    continue  # a thread that died queued is never granted
                 changed = self._grant(owner, prio)
                 ev.trigger(self.context_switch_ns if changed else 0)
                 return
@@ -119,14 +129,6 @@ class Cpu:
             self._handoff_next()
         else:
             self._schedule_expiry_check()
-
-    def _should_yield(self, priority: int) -> bool:
-        """After a slice: must the holder hand the CPU over?"""
-        if priority == 0 and self._hi_queue:
-            return True  # kernel work preempts at slice granularity
-        if (self._queue or self._hi_queue) and self.sim.now >= self._expiry:
-            return True
-        return False
 
     def _acquire(self, owner: Any, priority: int) -> Generator:
         """Obtain the lease; yields while queued. Returns switch cost ns."""
@@ -153,15 +155,61 @@ class Cpu:
             ev = Event(self.sim, name=f"{self.name}.grant")
             if priority:
                 self._hi_queue.append((ev, owner))
-                if self._elided is not None:
-                    # kernel work preempts at the next slice boundary
-                    self._elided.revoke()
+                self.revoke(self._holder)  # kernel work preempts at the next boundary
             else:
                 self._queue.append((ev, owner))
             if not self._in_slice:
                 self._schedule_expiry_check()
             switch_ns = yield ev
             return switch_ns or 0
+
+    # --------------------------------------------------------------- slices
+    def open(self, owner: Any, ns: int) -> bool:
+        """Open a slice of ``ns`` if ``owner`` holds the lease, is not
+        paused, and ``ns`` fits ``max_slice_ns`` and its quantum; the
+        caller yields ``ns`` and then :meth:`close`\\ s it."""
+        if (self._holder is not owner or ns > self.max_slice_ns
+                or ns > self._expiry - self.sim.now or getattr(owner, "paused", False)):
+            return False
+        self._in_slice = True
+        return True
+
+    def close(self, owner: Any, ns: int, priority: int = 0) -> None:
+        """Charge the slice to ``busy_ns`` and ``owner``, then hand the
+        lease over if kernel work waits for user work or the quantum is
+        up with threads queued."""
+        self._in_slice = False
+        self._elided = None
+        self._busy_ns += ns
+        try:
+            owner._cpu_ns += ns  # per-thread CPU accounting
+        except AttributeError:
+            pass  # a kernel owner (a plain object) keeps no account
+        if ((priority == 0 and self._hi_queue)
+                or ((self._queue or self._hi_queue) and self.sim.now >= self._expiry)):
+            self._holder = None
+            self._handoff_next()
+
+    def elide(self, watch: Any, costs: tuple) -> Optional[int]:
+        """:meth:`open` the first of the computes ``costs`` a spin ``watch``
+        fast-forwards, if all fit a slice and no kernel work waits; returns
+        the quantum's end, or None if the spin must step."""
+        if (self._hi_queue or max(costs) > self.max_slice_ns
+                or not self.open(watch.thr, costs[0])):
+            return None
+        self._elided = watch
+        return self._expiry
+
+    def charge(self, owner: Any, ns: int) -> None:
+        """Back-fill an elided spin's passed slices (their handoffs were
+        no-ops: the run ends by quantum expiry and wakes for kernel work)."""
+        self._busy_ns += ns
+        owner._cpu_ns += ns
+
+    def revoke(self, owner: Any) -> None:
+        """Make ``owner``'s elided spin step from its next boundary."""
+        if self._elided is not None and self._holder is owner:
+            self._elided.revoke()
 
     # ------------------------------------------------------------ public API
     def compute(self, ns: int, owner: Any = None, priority: int = 0) -> Generator:
@@ -178,34 +226,31 @@ class Cpu:
         if owner is None:
             owner = object()  # anonymous: still serializes on the CPU
         while remaining > 0:
-            if self._holder is owner and self.sim.now < self._expiry:
-                # Holder retaining its lease: skip the _acquire generator
-                # (the dominant case for back-to-back computations).
-                switch_ns = 0
-            else:
+            slice_ns = min(remaining, self.max_slice_ns)
+            if not self.open(owner, slice_ns):
                 switch_ns = yield from self._acquire(owner, priority)
-            if switch_ns:
                 self._in_slice = True
-                yield self.sim.timeout(switch_ns)
-                self._in_slice = False
-                self._busy_ns += switch_ns
-            slice_ns = min(remaining, self.max_slice_ns, max(1, self._expiry - self.sim.now))
-            self._in_slice = True
+                if switch_ns:
+                    yield self.sim.timeout(switch_ns)
+                    self._busy_ns += switch_ns
+                slice_ns = min(slice_ns, max(1, self._expiry - self.sim.now))
             yield self.sim.timeout(slice_ns)
-            self._in_slice = False
-            self._busy_ns += slice_ns
-            if hasattr(owner, "cpu_ns"):
-                owner.cpu_ns += slice_ns  # per-thread CPU accounting
+            self.close(owner, slice_ns, priority)
             remaining -= slice_ns
-            if self._should_yield(priority):
-                self._holder = None
-                self._handoff_next()
 
     def release_lease(self, owner: Any) -> None:
         """Voluntarily yield the CPU (called when a thread blocks)."""
         if self._holder is owner and not self._in_slice:
             self._holder = None
             self._handoff_next()
+
+    def abort(self, owner: Any) -> None:
+        """``owner`` finished or was interrupted: its open slice, stepped
+        or elided, ends uncharged and the lease passes on."""
+        if self._holder is owner:
+            self._in_slice = False
+            self._elided = None
+            self.release_lease(owner)
 
     def utilization(self, elapsed_ns: Optional[int] = None) -> float:
         """Fraction of time the CPU was busy (since t=0 by default)."""

@@ -9,6 +9,10 @@ generator bound to a host CPU), :class:`Mutex` and :class:`CondVar`.
 A thread body is a generator function receiving the :class:`Thread`; it
 consumes CPU with ``yield from thr.compute(ns)`` and blocks with
 ``yield event`` / ``yield from cv.wait_with(mutex)``.
+
+The thread's :class:`~repro.hw.host.Cpu` opens, charges and closes its
+slices, and aborts the open one when the thread finishes or is
+interrupted (``Cpu.abort``), so no dead thread keeps the CPU.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class Thread:
         self.cpu = cpu
         self.tid = next(_thread_ids)
         self.name = name or f"thread{self.tid}"
-        self._cpu_ns = 0
+        self._cpu_ns = 0  # charged by the Cpu; read cpu_ns
         #: set while the thread is suspended by a fault injector (chaos
         #: testing): the thread parks at its next compute/block point and
         #: stays off-CPU until :meth:`resume`
@@ -54,22 +58,14 @@ class Thread:
             # termination), not an error.
             result = intr.cause
         finally:
-            # A finished (or failed) thread must not keep the CPU lease.
-            self.cpu.release_lease(self)
+            # A finished, failed or interrupted thread must not keep the CPU.
+            self.cpu.abort(self)
         return result
 
     @property
     def cpu_ns(self) -> int:
-        """Accumulated CPU time (filled in by the scheduler), skipped spin
-        slices included."""
-        elided = self.cpu._elided
-        if elided is not None and elided.thr is self:
-            elided.settle()
-        return self._cpu_ns
-
-    @cpu_ns.setter
-    def cpu_ns(self, value: int) -> None:
-        self._cpu_ns = value
+        """Accumulated CPU time, skipped spin slices included."""
+        return self.cpu.cpu_ns(self)
 
     @property
     def done(self):
@@ -93,9 +89,7 @@ class Thread:
         a stalled receiver that stops polling, Section 3.2 pressure)."""
         if self._pause_ev is None and not self.finished:
             self._pause_ev = Event(self.sim, name=f"{self.name}.pause")
-            elided = self.cpu._elided
-            if elided is not None and elided.thr is self:
-                elided.revoke()  # park at the next compute start, as stepped
+            self.cpu.revoke(self)  # an elided spin parks at its next compute, as stepped
 
     def resume(self) -> None:
         """Release a paused thread; it re-contends for the CPU."""
@@ -120,46 +114,12 @@ class Thread:
             yield from self._pause_gate()
         if ns <= 0:
             return
-        # Single-slice fast path: the lease holder consuming less than a
-        # slice needs none of Cpu.compute's acquire/loop machinery — the
-        # dominant case for per-poll touch costs.  Scheduling decisions
-        # still go through Cpu._should_yield/_handoff_next.
         cpu = self.cpu
-        if cpu._holder is self and ns <= cpu.max_slice_ns and ns <= cpu._expiry - self.sim.now:
-            cpu._in_slice = True
+        if cpu.open(self, ns):  # the one-slice case: no Cpu.compute frame
             yield self.sim.timeout(ns)
-            self._slice_end(ns)
+            cpu.close(self, ns)
             return
         yield from cpu.compute(ns, owner=self)
-
-    def _slice_begin(self, ns: int) -> Optional[Any]:
-        """Fast-path entry for single-yield computes on hot call sites.
-
-        When the caller can complete ``ns`` inside the current lease slice
-        (the dominant case for per-poll touch costs), returns the pooled
-        timeout to yield — the caller must call :meth:`_slice_end` right
-        after the yield.  Returns None when the full :meth:`compute` path
-        is required (paused, zero cost, not the leaseholder, slice split).
-        Semantically identical to ``yield from thr.compute(ns)``; it only
-        skips the generator frame.
-        """
-        cpu = self.cpu
-        if (self._pause_ev is not None or ns <= 0 or cpu._holder is not self
-                or ns > cpu.max_slice_ns or ns > cpu._expiry - self.sim.now):
-            return None
-        cpu._in_slice = True
-        return self.sim.timeout(ns)
-
-    def _slice_end(self, ns: int) -> None:
-        """Close out a fast-path slice: accounting + scheduling decision
-        (the inline equivalent of ``Cpu._should_yield(0)`` + handoff)."""
-        cpu = self.cpu
-        cpu._in_slice = False
-        cpu._busy_ns += ns
-        self._cpu_ns += ns
-        if cpu._hi_queue or (cpu._queue and self.sim.now >= cpu._expiry):
-            cpu._holder = None
-            cpu._handoff_next()
 
     def block(self, waitable: Any) -> Generator:
         """Wait off-CPU: release the scheduler lease, then wait.

@@ -538,6 +538,23 @@ def test_elided_spin_parks_on_pause_and_resumes():
     assert out["cpu_ns"] < out["returned_at"]  # the paused stretch used no CPU
 
 
+def test_elided_spin_interrupted_mid_run_hands_off_as_stepped():
+    """The interrupt aborts the spin's open slice when it is delivered:
+    the passed slices are charged and the queued thread gets the CPU, at
+    the same times as a stepped spin."""
+    def scenario(cluster, ep0, thr, t0):
+        def rival(thr2):
+            yield from thr2.compute(10_000)
+
+        cluster.node(0).start_process().spawn_thread(rival)
+        cluster.sim.schedule(12_345, thr.interrupt, "killed")
+        return (yield from ep0.spin(thr, lambda: False, deadline=t0 + us(500)))
+
+    out = _elided_equals_stepped(scenario)
+    assert "returned_at" not in out  # the spinner died
+    assert out["switches"] >= 1 and out["busy_ns"] > out["cpu_ns"]  # the rival ran
+
+
 def test_elided_spin_raises_on_a_free_at_the_stepped_time():
     def scenario(cluster, ep0, thr, t0):
         cluster.sim.schedule(12_345, lambda: cluster.sim.spawn(

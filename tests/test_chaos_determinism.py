@@ -12,7 +12,8 @@ Pins the acceptance bar for :mod:`repro.chaos`:
   agreement on calm and faulted cells, with the express path really
   committing and being revoked, and names the mode pair when one mode is
   perturbed;
-* quiescence flags an express flight still committed at scenario end;
+* quiescence flags an express flight still committed, and a CPU still
+  leased to a finished thread, at scenario end;
 * the chaos bench takes the matrix keywords EXPERIMENTS.md documents for
   replaying a failing cell.
 """
@@ -232,6 +233,22 @@ def test_quiescence_flags_a_committed_flight():
     assert len(cluster.network._flights) == 1
     flagged = [v for v in check_quiescence(cluster) if v.invariant == "Q.flight"]
     assert len(flagged) == 1 and flagged[0].msg_id == 7
+
+
+def test_quiescence_flags_a_cpu_leased_to_a_finished_thread():
+    cluster = Cluster(ClusterConfig(num_hosts=4))
+    cpu = cluster.node(1).cpu
+
+    def body(thr):
+        yield from thr.compute(1_000)
+
+    thr = cluster.node(1).start_process().spawn_thread(body)
+    cluster.run(until=cluster.sim.now + 100_000)
+    assert thr.finished and cpu.holder is None
+    assert not [v for v in check_quiescence(cluster) if v.invariant == "Q.cpu"]
+    cpu._grant(thr, 0)  # hand-built: the lease stuck on the dead thread
+    flagged = [v for v in check_quiescence(cluster) if v.invariant == "Q.cpu"]
+    assert len(flagged) == 1 and "node 1" in flagged[0].detail
 
 
 def test_kept_report_keeps_the_workload_name():

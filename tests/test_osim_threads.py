@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.am import parallel_vnet
+from repro.chaos import reset_global_ids
+from repro.cluster import Cluster, ClusterConfig
 from repro.hw import Cpu
 from repro.osim import CondVar, Mutex, Thread
-from repro.sim import SimError, Simulator
+from repro.sim import SimError, Simulator, ms, us
 
 
 def make():
@@ -184,3 +187,75 @@ def test_thread_interrupt():
     sim.spawn(killer())
     sim.run()
     assert t.result == "interrupted"
+
+
+# ------------------------------------------ interrupted with a slice open
+def _interrupt_inside(inside, rival_priority):
+    """Interrupt thread A while it holds an open CPU slice ``inside`` one
+    of the four places a host compute runs; a rival (a user thread, or a
+    ``priority=1`` kernel job) queues on the same CPU 1 ns before.
+    Returns (whether A's slice was open at the interrupt, the interrupt's
+    time, when the rival's 1 us compute finished, A, the Cpu, the
+    context switch)."""
+    reset_global_ids()
+    cluster = Cluster(ClusterConfig(num_hosts=2))
+    ep0, _ = cluster.run_process(parallel_vnet(cluster, [0, 1]), "setup")
+    sim, cpu = cluster.sim, cluster.node(0).cpu
+    go = sim.event("go")
+    seen = {}
+
+    def rival_thread(thr):
+        yield from thr.block(go)
+        yield from thr.compute(1_000)
+        seen["done"] = sim.now
+
+    def rival_job():
+        yield go
+        yield from cpu.compute(1_000, priority=1)
+        seen["done"] = sim.now
+
+    def interrupt(a):
+        seen["open"] = cpu._elided is not None if inside == "elided_spin" else cpu._in_slice
+        seen["at"] = sim.now
+        a.interrupt("killed")
+
+    def body(thr):
+        yield from thr.compute(1_000)  # take the CPU
+        offset = us(20)
+        if inside == "poll_touch":
+            offset = (ep0._poll_touch_ns() + ep0._lock_cost()) // 2
+        sim.schedule(offset - 1, go.trigger)
+        sim.schedule(offset, interrupt, thr)
+        if inside == "multi_slice_compute":
+            yield from thr.compute(ms(3))  # three 1 ms slices
+        elif inside == "one_slice_compute":
+            yield from thr.compute(us(50))
+        elif inside == "poll_touch":
+            yield from ep0.poll(thr)
+        else:  # boundaries every 1 us + touch: 20 us is none of them
+            yield from ep0.spin(thr, lambda: False, period=1_000)
+
+    proc = cluster.node(0).start_process()
+    if rival_priority:
+        sim.spawn(rival_job())
+    else:
+        proc.spawn_thread(rival_thread)
+    a = proc.spawn_thread(body)
+    cluster.run(until=sim.now + ms(100))
+    return (seen.get("open"), seen.get("at"), seen.get("done"), a, cpu,
+            cluster.cfg.context_switch_ns)
+
+
+@pytest.mark.parametrize("rival_priority", [0, 1], ids=["user", "kernel"])
+@pytest.mark.parametrize("inside", ["multi_slice_compute", "one_slice_compute",
+                                    "poll_touch", "elided_spin"])
+def test_interrupted_thread_hands_the_cpu_on_within_one_switch(inside, rival_priority):
+    """The abort: a thread interrupted with a slice open (stepped or
+    elided) goes off-CPU at once, so the queued rival runs after one
+    context switch and the dead thread never keeps the lease."""
+    was_open, at, done, a, cpu, switch = _interrupt_inside(inside, rival_priority)
+    assert was_open  # A really was inside its slice
+    assert a.finished
+    assert done is not None, "the rival starved behind the interrupted thread"
+    assert done - 1_000 <= at + switch
+    assert cpu.holder is not a
