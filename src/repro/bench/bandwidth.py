@@ -9,6 +9,7 @@ point N1/2 of ~540 bytes; the first-generation interface managed only
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -204,12 +205,8 @@ def main(fast: bool = False) -> None:
     print(f" N1/2      = {half_power_point(am):.0f} B (paper: ~540)")
     rtt = measure_am_rtt(reps=10 if fast else 30)
     print("\n RTT(n):", ", ".join(f"{n}B:{t:.1f}us" for n, t in rtt))
-    # linear fit
-    import numpy as np
-
-    xs = np.array([n for n, _ in rtt], dtype=float)
-    ys = np.array([t for _, t in rtt], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = statistics.linear_regression(
+        [float(n) for n, _ in rtt], [t for _, t in rtt])
     print(f" RTT fit: {slope:.4f}*n + {intercept:.2f} us  (paper: 0.1112*n + 61.02 us)")
 
 

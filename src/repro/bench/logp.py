@@ -21,7 +21,7 @@ load); defensive error checking adds ~1.1 us to L and g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 from ..am.gam import GamCluster
 from ..am.vnet import parallel_vnet
@@ -31,7 +31,8 @@ from ..obs import PhaseStats, phase_breakdown
 from ..sim.core import ms, us
 from .reporting import format_table
 
-__all__ = ["LogPResult", "measure_am", "measure_gam", "compare", "phase_table", "main"]
+__all__ = ["LogPResult", "overheads", "measure_am", "measure_gam", "compare",
+           "phase_table", "main"]
 
 PAPER_AM = dict(os_us=2.4, or_us=2.4, l_us=7.25, g_us=12.8)
 PAPER_GAM = dict(os_us=1.6, or_us=3.2, l_us=5.0, g_us=5.8)
@@ -54,6 +55,31 @@ class LogPResult:
         return self.os_us + self.or_us
 
 
+def overheads(thr, send_ep, drain) -> Generator:
+    """Os and Or of a warm, idle sender endpoint (Figure 3 methodology).
+
+    Os is the time inside one 16-byte request; Or is a poll holding one
+    pending reply minus an empty poll.  ``drain(thr)`` runs between the
+    two and consumes the Os request's reply.  ``send_ep`` is the
+    adapter dict of :func:`_measure`.  Returns ``(os_ns, or_ns)``.
+    """
+    sim = thr.sim
+    t0 = sim.now
+    yield from send_ep["request"](thr, None, 16)
+    os_ns = sim.now - t0
+    yield from drain(thr)
+    t0 = sim.now
+    yield from send_ep["poll"](thr, 4)  # empty
+    empty_ns = sim.now - t0
+    yield from send_ep["request"](thr, None, 16)
+    # wait for the reply to be queued without consuming it
+    while not send_ep["has_reply"]():
+        yield from thr.compute(200)
+    t0 = sim.now
+    yield from send_ep["poll"](thr, 1)
+    return os_ns, (sim.now - t0) - empty_ns
+
+
 def _measure(layer: str, send_ep, recv_ep, spawn_sender, spawn_receiver, sim, pingpongs: int, flood_msgs: int) -> LogPResult:
     """Common measurement engine; endpoints wrapped by adapter closures."""
     results: dict[str, float] = {}
@@ -63,33 +89,18 @@ def _measure(layer: str, send_ep, recv_ep, spawn_sender, spawn_receiver, sim, pi
         while "done" not in results:
             yield from recv_ep["poll"](thr, 8)
 
+    def first_reply(thr):
+        for _ in range(10_000):
+            got = yield from send_ep["poll"](thr, 4)
+            if got:
+                break
+
     def sender(thr):
         # warm up: absorb the first context switch and cold caches
         yield from send_ep["request"](thr, None, 16)
-        for _ in range(10_000):
-            got = yield from send_ep["poll"](thr, 4)
-            if got:
-                break
-        # -- Os: time in the send call itself ---------------------------
-        t0 = sim.now
-        yield from send_ep["request"](thr, None, 16)
-        results["os_ns"] = sim.now - t0
-        # drain that message's reply
-        for _ in range(10_000):
-            got = yield from send_ep["poll"](thr, 4)
-            if got:
-                break
-        # -- Or: poll with one pending reply vs empty poll ---------------
-        t0 = sim.now
-        yield from send_ep["poll"](thr, 4)  # empty
-        empty_ns = sim.now - t0
-        yield from send_ep["request"](thr, None, 16)
-        # wait for the reply to be queued without consuming it
-        while not send_ep["has_reply"]():
-            yield from thr.compute(200)
-        t0 = sim.now
-        yield from send_ep["poll"](thr, 1)
-        results["or_ns"] = (sim.now - t0) - empty_ns
+        yield from first_reply(thr)
+        results["os_ns"], results["or_ns"] = yield from overheads(
+            thr, send_ep, first_reply)
         # -- RTT: ping-pong -----------------------------------------------
         t0 = sim.now
         for _ in range(pingpongs):

@@ -1,4 +1,4 @@
-"""repro.calib — in-sim LogP calibration + workload-diversity suite.
+"""repro.calib — in-sim LogP calibration.
 
 The calibration harness closes the loop the paper's cost accounting
 opens: the simulator is *configured* with LogP-grade constants
@@ -9,18 +9,13 @@ fits the constants by least squares, and round-trips the fit against the
 closed-form configured model.  Divergence beyond tolerance is a hard
 failure, which turns the entire stack's timing model (sim kernel, NI
 firmware, SBus DMA engine, fat-tree fabric, express path) into a
-CI-gated correctness property.
+CI-gated correctness property.  The host overheads are measured by the
+same code as Figure 3's (:func:`repro.bench.logp.overheads`).
 
 Quickstart::
 
     PYTHONPATH=src python -m repro bench calib --smoke   # CI gate
     PYTHONPATH=src python -m repro bench calib           # full sweep
-
-Alongside the sweep, :mod:`repro.calib.workloads` adds the datacenter
-traffic shapes the chaos suite lacked — incast (N→1 synchronized
-bursts), RPC fan-out/fan-in with tail-latency amplification, and
-streaming pipelines — all deterministic and chaos-compatible; the chaos
-suite runs each of them on every (kernel, express path) mode.
 """
 
 from .fitter import LogPFit, Observation, fit_constants

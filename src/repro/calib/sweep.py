@@ -6,9 +6,10 @@ attached, and reduces the observed spans to plain
 :class:`~repro.calib.fitter.Observation` rows:
 
 * **pingpong** cells measure the host overheads (o_s, o_r) directly —
-  the Figure 3 methodology — and contribute one ``oneway`` row per
-  steady request span (enqueue → endpoint delivery at the cell's route
-  length and payload size), sampling the latency surface;
+  Figure 3's :func:`~repro.bench.logp.overheads` — and contribute one
+  ``oneway`` row per steady request span (enqueue → endpoint delivery
+  at the cell's route length and payload size), sampling the latency
+  surface;
 * **flood** cells flood 16-byte requests through the full credit window
   and contribute the steady-state delivery spacing as the ``gap`` row;
 * **bulk** cells flood single-fragment bulk payloads (SBus-DMA path)
@@ -40,6 +41,7 @@ from typing import Sequence
 
 from ..am.vnet import parallel_vnet
 from ..bench.harness import Suite, digest, register
+from ..bench.logp import overheads
 from ..chaos.runner import reset_global_ids
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
@@ -48,22 +50,12 @@ from ..sim.core import ms
 from .fitter import Observation, fit_constants
 from .model import configured_model, round_trip
 
-__all__ = ["TOPOLOGIES", "CalibCell", "CalibCellResult", "route_links",
-           "default_cells", "run_cell", "fit_cells"]
+__all__ = ["TOPOLOGIES", "CalibCell", "CalibCellResult", "default_cells",
+           "run_cell", "fit_cells"]
 
 #: canonical topologies: name -> hosts (switch_radix 8 => 4 hosts/leaf;
 #: leaf4 is a single leaf, the larger ones are two-level Clos fabrics)
 TOPOLOGIES = {"leaf4": 4, "clos16": 16, "clos64": 64}
-
-
-def route_links(cfg: ClusterConfig, a: int, b: int) -> int:
-    """Route length in links between hosts ``a`` and ``b``.
-
-    Same-leaf pairs traverse host→leaf→host (2 links); cross-leaf pairs
-    add the leaf→spine→leaf stage (4 links).
-    """
-    per_leaf = max(1, cfg.switch_radix // 2)
-    return 2 if a // per_leaf == b // per_leaf else 4
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,8 @@ def run_cell(cell: CalibCell, *, seed: int = 1999,
     cluster = Cluster(cfg, engine=engine)
     sim = cluster.sim
     a, b = cell.pair
-    res = CalibCellResult(cell=cell, links=route_links(cfg, a, b))
+    res = CalibCellResult(
+        cell=cell, links=len(cluster.network.topology.route(a, b)))
     vnet = cluster.run_process(parallel_vnet(cluster, [a, b]), "calib.setup")
     ep0, ep1 = vnet[0], vnet[1]
 
@@ -178,26 +171,19 @@ def run_cell(cell: CalibCell, *, seed: int = 1999,
                 return
         raise RuntimeError(f"{cell.label}: sender could not drain")
 
+    send_ep = {
+        "request": lambda thr, _dst, nbytes: ep0.request(thr, 1, None, nbytes=nbytes),
+        "poll": lambda thr, limit: ep0.poll(thr, limit=limit),
+        "has_reply": lambda: bool(ep0.state.recv_replies),
+    }
+
     def sender(thr):
         # one warm round absorbs the cold start
         yield from ep0.request(thr, 1, None, nbytes=16)
         yield from drain_replies(thr)
         if cell.pattern == "pingpong":
-            # Os: time inside the send call (Figure 3 methodology)
-            t0 = sim.now
-            yield from ep0.request(thr, 1, None, nbytes=16)
-            marks["os"] = sim.now - t0
-            yield from drain_replies(thr)
-            # Or: poll with one pending reply minus the empty poll
-            t0 = sim.now
-            yield from ep0.poll(thr, limit=4)
-            empty_ns = sim.now - t0
-            yield from ep0.request(thr, 1, None, nbytes=16)
-            while not ep0.state.recv_replies:
-                yield from thr.compute(200)
-            t0 = sim.now
-            yield from ep0.poll(thr, limit=1)
-            marks["or"] = (sim.now - t0) - empty_ns
+            marks["os"], marks["or"] = yield from overheads(
+                thr, send_ep, drain_replies)
             marks["t_meas"] = sim.now
             for _ in range(cell.rounds):
                 yield from ep0.request(thr, 1, None, nbytes=cell.nbytes)
@@ -280,14 +266,8 @@ def fit_cells(results: Sequence[CalibCellResult], *, seed: int = 1999,
 
 # ------------------------------------------------------------------ suite
 def _cells(engine=None, small: bool = False, seed: int = 1999,
-           tolerance: float = 0.10, include_workloads: bool = True,
-           include_contended: bool = True):
-    """Sweep cells, then the fit over all of them, then the workload
-    bench and the contended cells, which report their inflation over
-    the matching idle sweep cell."""
-    from .contended import CONTENDED_VARIANTS, run_contended_cell
-    from .workloads import WORKLOAD_BENCH, run_workload_bench
-
+           tolerance: float = 0.10):
+    """Sweep cells, then the fit over all of them."""
     runs: dict[str, CalibCellResult] = {}
 
     def sweep(cell):
@@ -303,34 +283,8 @@ def _cells(engine=None, small: bool = False, seed: int = 1999,
                                 "comparisons": comparisons,
                                 "failures": failures}}
 
-    def workload(name):
-        obs = run_workload_bench(name, seed=seed % 1009,
-                                 engine=engine).to_dict()
-        return {"observables": obs,
-                "measured": {"wall_s": obs.pop("wall_s")}}
-
-    def contended(pattern, variant, rounds):
-        c = run_contended_cell(pattern, variant=variant, nbytes=16,
-                               rounds=rounds, seed=seed)
-        idle = runs.get(f"leaf4/0-1/{pattern}/16B")
-        idle_ns = idle.headline_ns if idle else None
-        obs = c.to_dict()
-        obs["idle_ns"] = round(idle_ns, 3) if idle_ns is not None else None
-        obs["inflation"] = round(c.headline_ns / idle_ns, 3) if idle_ns else None
-        return {"observables": obs,
-                "measured": {"wall_s": round(c.wall_s, 4)}}
-
     cells = [(c.label, lambda c=c: sweep(c)) for c in default_cells(small)]
     cells.append(("fit", fit))
-    if include_workloads:
-        cells += [(f"workload/{name}", lambda name=name: workload(name))
-                  for name in WORKLOAD_BENCH]
-    if include_contended:
-        rounds = {"pingpong": 12 if small else 24,
-                  "flood": 120 if small else 240}
-        cells += [(f"contended/{p}/16B/{v}",
-                   lambda p=p, v=v: contended(p, v, rounds[p]))
-                  for v in CONTENDED_VARIANTS for p in ("pingpong", "flood")]
     return cells
 
 

@@ -47,6 +47,7 @@ silent-loss bug the delivery contract exists to rule out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -56,7 +57,8 @@ if TYPE_CHECKING:
     from .workloads import ChaosWorkload
 
 __all__ = ["Violation", "DeliveryChecker", "check_drop_accounting",
-           "check_quiescence", "IsolationSLO", "check_isolation"]
+           "check_quiescence", "IsolationSLO", "check_isolation",
+           "percentile_ns"]
 
 #: the fabric's drop-reason vocabulary (NetworkStats.dropped_* fields)
 _DROP_REASONS = ("loss", "linkdown", "noroute", "dead_nic")
@@ -239,6 +241,14 @@ def check_drop_accounting(network, events: Iterable["TraceEvent"]) -> list[Viola
     return out
 
 
+def percentile_ns(sorted_values: list[int], pct: float) -> int:
+    """Nearest-rank percentile of an already-sorted integer list."""
+    if not sorted_values:
+        return 0
+    rank = math.ceil(pct / 100.0 * len(sorted_values))
+    return sorted_values[max(0, min(len(sorted_values), rank) - 1)]
+
+
 @dataclass(frozen=True)
 class IsolationSLO:
     """The quiet tenant's service-level objective under interference.
@@ -289,8 +299,6 @@ def check_isolation(events: Iterable["TraceEvent"], workload,
     (anything with ``quiet_nodes``, ``pings``, ``quiet_answered`` and
     ``bench_latencies_ns()`` works).
     """
-    from ..calib.workloads import percentile_ns
-
     out: list[Violation] = []
     events = list(events)
     quiet_nodes = set(workload.quiet_nodes)

@@ -1,10 +1,14 @@
 """Fault-tolerant workload shapes for chaos runs.
 
-Each workload drives one of the repo's standard traffic patterns —
-pairwise request/reply (the quickstart shape), bulk transfer, and
-client/server over a star virtual network — but written to *survive the
-adversary*: senders never enter an unbounded credit spin against a dead
-peer, receivers drain and exit on a stop flag, and every thread treats
+Each workload drives one of the repo's traffic patterns — pairwise
+request/reply (the quickstart shape, optionally with NI-offloaded
+collectives), bulk transfer, client/server over a star virtual network,
+and the datacenter shapes of "Fast Userspace Networking for the Rest of
+Us" (PAPERS.md): incast (N→1 synchronized bursts), RPC fan-out/fan-in
+(round latency gated by the slowest worker) and a streaming pipeline —
+but written to *survive the adversary*: senders never enter an
+unbounded credit spin against a dead peer, receivers drain and exit on
+a stop flag, and every thread treats
 :class:`~repro.am.errors.EndpointFreedError` (its process was killed) as
 a clean exit.  Termination is two-phase: a sender finishes its quota,
 then *settles* — polls until its transport state is idle (credits home,
@@ -19,7 +23,7 @@ is never killed by generated schedules) and ``eviction_targets``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..am.endpoint import Endpoint
 from ..am.errors import EndpointFreedError
@@ -33,7 +37,9 @@ if TYPE_CHECKING:
     from ..osim.process import UserProcess
 
 __all__ = ["ChaosWorkload", "PairwiseWorkload", "CollectiveWorkload",
-           "BulkWorkload", "ClientServerWorkload", "WORKLOADS", "make_workload"]
+           "BulkWorkload", "ClientServerWorkload", "IncastWorkload",
+           "FanoutWorkload", "StreamingWorkload", "WORKLOADS",
+           "make_workload"]
 
 #: poll backoff while idle (ns) — short enough to see stop flags promptly
 _IDLE_NS = 20_000
@@ -373,24 +379,345 @@ class ClientServerWorkload(ChaosWorkload):
                 name=f"client{i}.send"))
 
 
+class IncastWorkload(ChaosWorkload):
+    """N→1 synchronized bursts into one shared server endpoint."""
+
+    name = "incast"
+
+    def __init__(self, senders: int = 6, rounds: int = 6, burst: int = 4,
+                 payload: int = 16, period_us: float = 600.0):
+        super().__init__(requests=rounds * burst, payload=payload)
+        self.senders = senders
+        self.rounds = rounds
+        self.burst = burst
+        self.period_ns = round(period_us * 1_000)
+        #: per (sender, round) fan-in completion latency
+        self.round_latencies_ns: list[int] = []
+        self.server_eps = []
+        self.client_eps = []
+        self._t0 = 0
+
+    @property
+    def num_hosts_needed(self) -> int:
+        return self.senders + 1
+
+    def build(self, cluster: "Cluster") -> Generator:
+        self.cluster = cluster
+        nodes = [1 + i for i in range(self.senders)]
+        servers, clients = yield from star_vnet(cluster, 0, nodes,
+                                                shared_server_ep=True)
+        self.server_eps, self.client_eps = servers, clients
+        sproc = cluster.node(0).start_process(name="incast.server")
+        sproc.adopt_endpoint(servers[0].state)
+        self.procs.append(sproc)
+        self.eviction_targets.append((cluster.node(0), servers[0].state))
+        for i, cep in enumerate(clients):
+            node = cluster.node(nodes[i])
+            proc = node.start_process(name=f"incast{i}")
+            proc.adopt_endpoint(cep.state)
+            self.procs.append(proc)
+            self.eviction_targets.append((node, cep.state))
+
+    def start(self) -> None:
+        self._t0 = self.cluster.sim.now
+        sproc = self.procs[0]
+        if not sproc.terminated:
+            self.receiver_threads.append(sproc.spawn_thread(
+                self._receiver_body(self.server_eps[0]), name="incast.server"))
+        for i, cep in enumerate(self.client_eps):
+            proc = self.procs[1 + i]
+            if proc.terminated:
+                continue
+            self.sender_threads.append(proc.spawn_thread(
+                self._burst_body(cep), name=f"incast{i}.send"))
+
+    def _burst_body(self, ep):
+        def body(thr):
+            sim = ep.node.sim
+            ep.undeliverable_handler = self._on_returned
+            try:
+                try:
+                    for r in range(self.rounds):
+                        # all senders aim at the same absolute round start
+                        target = self._t0 + r * self.period_ns
+                        if sim.now < target:
+                            yield from thr.sleep(target - sim.now)
+                        t_start = sim.now
+                        base = ep.stats.replies_handled + ep.stats.undeliverable
+                        fired = 0
+                        for _ in range(self.burst):
+                            ok = yield from self._guarded_request(
+                                thr, ep, 0, nbytes=self.payload)
+                            if not ok:
+                                break
+                            fired += 1
+                        # fan-in: wait until every fired request resolved
+                        # (reply or return), or the give-up deadline
+                        deadline = sim.now + self.give_up_ns
+                        while (ep.stats.replies_handled
+                               + ep.stats.undeliverable) < base + fired:
+                            if sim.now >= deadline:
+                                break
+                            processed = yield from ep.poll(thr, limit=8)
+                            if processed == 0:
+                                yield from thr.sleep(_IDLE_NS)
+                        self.round_latencies_ns.append(sim.now - t_start)
+                    yield from self._settle(thr, ep, [0])
+                except EndpointFreedError:
+                    return
+            finally:
+                self._mark_sender_done()
+            try:
+                yield from self._drain_loop(thr, ep)
+            except EndpointFreedError:
+                return
+        return body
+
+    def bench_latencies_ns(self) -> list[int]:
+        return sorted(self.round_latencies_ns)
+
+
+class FanoutWorkload(ChaosWorkload):
+    """RPC fan-out/fan-in: the root scatters to N workers and gathers
+    every reply before the next round — tail-latency amplification."""
+
+    name = "rpc_fanout"
+
+    def __init__(self, workers: int = 6, rounds: int = 10, payload: int = 16):
+        super().__init__(requests=rounds * workers, payload=payload)
+        self.workers = workers
+        self.rounds = rounds
+        #: per-round scatter→last-reply latency (gated by the slowest worker)
+        self.round_latencies_ns: list[int] = []
+        self.server_eps = []
+        self.client_eps = []
+
+    @property
+    def num_hosts_needed(self) -> int:
+        return self.workers + 1
+
+    def build(self, cluster: "Cluster") -> Generator:
+        self.cluster = cluster
+        nodes = [1 + i for i in range(self.workers)]
+        # the star's "server" endpoint is our root: its translation i
+        # names worker i, and every worker maps index 0 back to the root
+        servers, clients = yield from star_vnet(cluster, 0, nodes,
+                                                shared_server_ep=True)
+        self.server_eps, self.client_eps = servers, clients
+        rproc = cluster.node(0).start_process(name="fanout.root")
+        rproc.adopt_endpoint(servers[0].state)
+        self.procs.append(rproc)
+        self.eviction_targets.append((cluster.node(0), servers[0].state))
+        for i, cep in enumerate(clients):
+            node = cluster.node(nodes[i])
+            proc = node.start_process(name=f"fanout.w{i}")
+            proc.adopt_endpoint(cep.state)
+            self.procs.append(proc)
+            self.eviction_targets.append((node, cep.state))
+
+    def start(self) -> None:
+        rproc = self.procs[0]
+        if not rproc.terminated:
+            self.sender_threads.append(rproc.spawn_thread(
+                self._root_body(self.server_eps[0]), name="fanout.root"))
+        for i, cep in enumerate(self.client_eps):
+            proc = self.procs[1 + i]
+            if proc.terminated:
+                continue
+            self.receiver_threads.append(proc.spawn_thread(
+                self._receiver_body(cep), name=f"fanout.w{i}"))
+
+    def _root_body(self, ep):
+        def body(thr):
+            sim = ep.node.sim
+            ep.undeliverable_handler = self._on_returned
+            try:
+                try:
+                    for _ in range(self.rounds):
+                        t_start = sim.now
+                        base = ep.stats.replies_handled + ep.stats.undeliverable
+                        fired = 0
+                        for w in range(self.workers):
+                            ok = yield from self._guarded_request(
+                                thr, ep, w, nbytes=self.payload)
+                            if ok:
+                                fired += 1
+                        deadline = sim.now + self.give_up_ns
+                        while (ep.stats.replies_handled
+                               + ep.stats.undeliverable) < base + fired:
+                            if sim.now >= deadline:
+                                break
+                            processed = yield from ep.poll(thr, limit=8)
+                            if processed == 0:
+                                yield from thr.sleep(_IDLE_NS)
+                        self.round_latencies_ns.append(sim.now - t_start)
+                    yield from self._settle(thr, ep, list(range(self.workers)))
+                except EndpointFreedError:
+                    return
+            finally:
+                self._mark_sender_done()
+            try:
+                yield from self._drain_loop(thr, ep)
+            except EndpointFreedError:
+                return
+        return body
+
+    def bench_latencies_ns(self) -> list[int]:
+        return sorted(self.round_latencies_ns)
+
+
+class StreamingWorkload(ChaosWorkload):
+    """Linear pipeline: source → forwarding stages → sink.
+
+    Ranks are numbered so the *sink* is rank 0 (``procs[0]``, the
+    observer side generated chaos schedules never kill) and the source
+    is the highest rank; each forwarder relays one message downstream
+    per arrival.
+    """
+
+    name = "streaming"
+
+    def __init__(self, stages: int = 4, messages: int = 30, payload: int = 16):
+        if stages < 2:
+            raise ValueError("streaming needs at least source + sink")
+        super().__init__(requests=messages, payload=payload)
+        self.stages = stages
+        self.messages = messages
+        #: sink arrival timestamps (end-to-end deliveries)
+        self.sink_arrivals_ns: list[int] = []
+        self.vnet = None
+
+    @property
+    def num_hosts_needed(self) -> int:
+        return self.stages
+
+    def build(self, cluster: "Cluster") -> Generator:
+        self.cluster = cluster
+        self.vnet = yield from parallel_vnet(cluster,
+                                             list(range(self.stages)))
+        for rank in range(self.stages):
+            ep = self.vnet[rank]
+            node = cluster.node(rank)
+            proc = node.start_process(name=f"stream{rank}")
+            proc.adopt_endpoint(ep.state)
+            self.procs.append(proc)
+            self.eviction_targets.append((node, ep.state))
+
+    def _hop_handler(self, dest_rank: int) -> Callable:
+        if dest_rank == 0:
+            def handler(token, *args):
+                self.handled += 1
+                self.sink_arrivals_ns.append(self.cluster.sim.now)
+        else:
+            def handler(token, *args):
+                self.handled += 1
+        return handler
+
+    def start(self) -> None:
+        sink_proc = self.procs[0]
+        if not sink_proc.terminated:
+            self.receiver_threads.append(sink_proc.spawn_thread(
+                self._receiver_body(self.vnet[0]), name="stream.sink"))
+        for rank in range(1, self.stages - 1):
+            proc = self.procs[rank]
+            if proc.terminated:
+                continue
+            self.sender_threads.append(proc.spawn_thread(
+                self._forward_body(self.vnet[rank], rank),
+                name=f"stream{rank}.fwd"))
+        src = self.stages - 1
+        if not self.procs[src].terminated:
+            self.sender_threads.append(self.procs[src].spawn_thread(
+                self._source_body(self.vnet[src], src), name="stream.src"))
+
+    def _source_body(self, ep, rank: int):
+        def body(thr):
+            ep.undeliverable_handler = self._on_returned
+            handler = self._hop_handler(rank - 1)
+            try:
+                try:
+                    for _ in range(self.messages):
+                        ok = yield from self._guarded_request(
+                            thr, ep, rank - 1, nbytes=self.payload,
+                            handler=handler)
+                        if not ok:
+                            break
+                    yield from self._settle(thr, ep, [rank - 1])
+                except EndpointFreedError:
+                    return
+            finally:
+                self._mark_sender_done()
+            try:
+                yield from self._drain_loop(thr, ep)
+            except EndpointFreedError:
+                return
+        return body
+
+    def _forward_body(self, ep, rank: int):
+        def body(thr):
+            sim = ep.node.sim
+            ep.undeliverable_handler = self._on_returned
+            handler = self._hop_handler(rank - 1)
+            forwarded = 0
+            last_progress = sim.now
+            try:
+                try:
+                    while forwarded < self.messages:
+                        if ep.stats.requests_handled > forwarded:
+                            ok = yield from self._guarded_request(
+                                thr, ep, rank - 1, nbytes=self.payload,
+                                handler=handler)
+                            if not ok:
+                                break
+                            forwarded += 1
+                            last_progress = sim.now
+                            continue
+                        processed = yield from ep.poll(thr, limit=8)
+                        if processed:
+                            last_progress = sim.now
+                            continue
+                        # no arrivals, nothing forwarded: the upstream may
+                        # be dead — give up after a quiet give-up window
+                        if self._stop["flag"] \
+                                or sim.now - last_progress >= self.give_up_ns:
+                            break
+                        yield from thr.sleep(_IDLE_NS)
+                    yield from self._settle(thr, ep, [rank - 1])
+                except EndpointFreedError:
+                    return
+            finally:
+                self._mark_sender_done()
+            try:
+                yield from self._drain_loop(thr, ep)
+            except EndpointFreedError:
+                return
+        return body
+
+    def bench_latencies_ns(self) -> list[int]:
+        """Sink inter-arrival gaps — the pipeline's steady-state period."""
+        arr = self.sink_arrivals_ns
+        return sorted(b - a for a, b in zip(arr, arr[1:]))
+
+
 WORKLOADS = {
     "pairwise": PairwiseWorkload,
     "bulk": BulkWorkload,
     "client_server": ClientServerWorkload,
     "collective": CollectiveWorkload,
+    "incast": IncastWorkload,
+    "rpc_fanout": FanoutWorkload,
+    "streaming": StreamingWorkload,
 }
 
 
 def make_workload(name: str, **kwargs) -> ChaosWorkload:
     cls = WORKLOADS.get(name)
     if cls is None:
-        # The datacenter-diversity family (incast, rpc_fanout, streaming)
-        # and the tenant interference shape live in other packages and
-        # register themselves into WORKLOADS on import; pull them in
-        # lazily so the chaos package stays importable on its own.
+        # The tenant interference shape registers itself into WORKLOADS
+        # on import; repro.tenant imports this package, so pull it in
+        # lazily here rather than at module level.
         import importlib
 
-        importlib.import_module("repro.calib.workloads")
         importlib.import_module("repro.tenant.interference")
         cls = WORKLOADS.get(name)
     if cls is None:

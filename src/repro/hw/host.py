@@ -239,8 +239,15 @@ class Cpu:
             remaining -= slice_ns
 
     def release_lease(self, owner: Any) -> None:
-        """Voluntarily yield the CPU (called when a thread blocks)."""
-        if self._holder is owner and not self._in_slice:
+        """Voluntarily yield the CPU (called when a thread blocks).
+
+        Only the holder itself blocks, and never mid-slice: a release of
+        an open slice is another process releasing a lease it does not
+        own, so it raises.
+        """
+        if self._holder is owner:
+            if self._in_slice:
+                raise RuntimeError(f"{self.name}: lease released mid-slice")
             self._holder = None
             self._handoff_next()
 

@@ -393,7 +393,7 @@ class SegmentDriver:
         if ep.residency is Residency.FREED:
             return
         if ep.resident or ep.quiescing:
-            yield from self._unload(ep)
+            yield from self._unload(ep, object())
         ep.residency = Residency.FREED
         ep.generation += 1  # stale NI notifications now discarded
         # An endpoint can never become resident after this point, so any
@@ -511,7 +511,7 @@ class SegmentDriver:
                 ep.transition = False
                 self.sim.schedule(us(cfg.remap_scan_period_us), self.request_remap, ep)
                 return
-            yield from self._unload(victim)
+            yield from self._unload(victim, self._remap_owner)
             evicted = True
             self.stats.evictions += 1
             self.scoreboard.record_eviction(victim)
@@ -671,7 +671,7 @@ class SegmentDriver:
             return False
 
         def evictor():
-            yield from self._unload(ep)
+            yield from self._unload(ep, object())
             self.stats.evictions += 1
             self.scoreboard.record_eviction(ep, forced=True)
             if self.sim.trace.enabled:
@@ -685,12 +685,17 @@ class SegmentDriver:
         self.sim.spawn(evictor(), name=f"drv{self.nic.nic_id}.evict")
         return True
 
-    def _unload(self, ep: EndpointState):
-        """Quiesce and unload an endpoint (the NI handles the draining)."""
+    def _unload(self, ep: EndpointState, owner):
+        """Quiesce and unload an endpoint (the NI handles the draining).
+
+        ``owner`` is the calling process's scheduler identity: the remap
+        thread's own, or a fresh one for any other caller, which must
+        never release the remap thread's CPU lease.
+        """
         ep.transition = True
         done = Event(self.sim)
         self.nic.driver_request(DriverOp("unload", ep, done, clock=self.clock.tick()))
-        yield from self._kwait(self._remap_owner, done)
+        yield from self._kwait(owner, done)
         ep.transition = False
         ep.evicted_at_ns = self.sim.now  # start of the bounce window
         self.stats.unloads += 1

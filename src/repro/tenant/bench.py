@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench.harness import Suite, register
-from ..chaos.invariants import IsolationSLO, check_isolation
+from ..chaos.invariants import IsolationSLO, check_isolation, percentile_ns
 from ..chaos.runner import run_modes
 from ..chaos.schedule import Scenario, ScheduleGenerator, calm_scenario
 from .interference import InterferenceWorkload
@@ -87,8 +87,6 @@ def _storm_scenario(seed: int, wl: InterferenceWorkload,
 
 
 def _quiet_percentiles(wl: InterferenceWorkload) -> tuple[int, int]:
-    from ..calib.workloads import percentile_ns
-
     lats = wl.bench_latencies_ns()
     return percentile_ns(lats, 50), percentile_ns(lats, 99)
 

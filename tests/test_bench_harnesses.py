@@ -1,7 +1,5 @@
 """Smoke tests for the benchmark harnesses (fast, reduced configurations)."""
 
-import numpy as np
-
 from repro.bench.bandwidth import (
     BandwidthPoint,
     BandwidthResult,

@@ -17,8 +17,7 @@ import pytest
 from repro.api import run_bench
 from repro.bench.harness import validate
 from repro.calib.model import configured_model, round_trip
-from repro.calib.sweep import (CalibCell, default_cells, fit_cells,
-                               route_links, run_cell)
+from repro.calib.sweep import CalibCell, default_cells, fit_cells, run_cell
 from repro.cluster.config import ClusterConfig
 
 GOLDEN = CalibCell("leaf4", (0, 1), "pingpong", 16, 12)
@@ -49,24 +48,15 @@ def test_flood_cell_measures_configured_gap():
     assert res.headline_ns == pytest.approx(model.g_ns, rel=0.02)
 
 
-def test_route_links_follows_leaf_geometry():
-    cfg = ClusterConfig(num_hosts=16)  # radix 8 -> 4 hosts per leaf
-    assert route_links(cfg, 0, 1) == 2
-    assert route_links(cfg, 0, 5) == 4
-    assert route_links(cfg, 4, 7) == 2
-
-
 def test_smoke_matrix_is_smaller_than_full():
     assert len(default_cells(True)) < len(default_cells(False))
 
 
 @pytest.fixture(scope="module")
 def smoke_doc():
-    # one shared smoke sweep, every cell run twice (cells + fit only; the
-    # workload bench has its own test module) — module-scoped because
-    # the sweep is the slow part
-    return run_bench("calib", smoke=True, include_workloads=False,
-                     include_contended=False)
+    # one shared smoke sweep, every cell run twice — module-scoped
+    # because the sweep is the slow part
+    return run_bench("calib", smoke=True)
 
 
 def test_smoke_round_trip_within_tolerance(smoke_doc):
@@ -100,8 +90,7 @@ def test_smoke_sweep_double_run_is_bit_identical(smoke_doc):
     # the --smoke CI gate's core property: every cell ran twice with
     # matching digests (a mismatch would be a failure), and a fresh
     # sweep reproduces every cell digest
-    again = run_bench("calib", small=True, include_workloads=False,
-                      include_contended=False)
+    again = run_bench("calib", small=True)
     assert again["digest"] == smoke_doc["digest"]
     assert ([c["digest"] for c in again["cells"].values()]
             == [c["digest"] for c in smoke_doc["cells"].values()])

@@ -62,6 +62,27 @@ def test_cpu_zero_compute_is_free():
     assert sim.run_process(body()) == 0
 
 
+def test_cpu_release_mid_slice_raises():
+    """Only the holder releases its lease, and never mid-slice: a release
+    of an open slice is another process releasing a lease it does not
+    own, which would hand the CPU away under the running slice."""
+    sim = Simulator()
+    cpu = Cpu(sim, quantum_ns=10_000)
+    owner = object()
+
+    def body():
+        yield from cpu.compute(4_000, owner=owner)
+
+    sim.spawn(body())
+    sim.run(until=1_000)
+    assert cpu.holder is owner
+    with pytest.raises(RuntimeError, match="mid-slice"):
+        cpu.release_lease(owner)
+    sim.run()
+    cpu.release_lease(owner)  # off-slice: an ordinary block
+    assert cpu.holder is None
+
+
 def test_cpu_utilization():
     sim = Simulator()
     cpu = Cpu(sim, quantum_ns=10_000)

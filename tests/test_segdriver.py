@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.hw import Cpu
 from repro.nic import Residency
 from repro.sim import ms, us
 
@@ -324,6 +325,34 @@ def test_eviction_bounce_scored_on_prompt_refault():
     cluster.run(until=cluster.sim.now + ms(40))
     assert ep.resident
     assert drv.scoreboard.thrash_score > 0.0
+
+
+def test_only_the_remap_thread_releases_its_cpu_lease(monkeypatch):
+    """``force_evict``'s evictor and a ``free_endpoint`` caller wait for
+    the NI's unload under identities of their own: releasing the remap
+    thread's lease from another process would hand its CPU away."""
+    cluster = build()
+    sim, drv = cluster.sim, cluster.node(0).driver
+    a, b = alloc(cluster, 0), alloc(cluster, 0, tag=2)
+    for ep in (a, b):
+        cluster.run_process(drv.write_fault(ep), "f")
+    cluster.run(until=sim.now + ms(20))
+    assert a.resident and b.resident
+    releases = []
+    release_lease = Cpu.release_lease
+
+    def spy(cpu, owner):
+        releases.append((owner, sim._current))
+        release_lease(cpu, owner)
+
+    monkeypatch.setattr(Cpu, "release_lease", spy)
+    assert drv.force_evict(a)
+    cluster.run(until=sim.now + ms(5))
+    cluster.run_process(drv.free_endpoint(b), "free")
+    assert not a.resident and b.residency is Residency.FREED
+    assert {p.name for _, p in releases} >= {"drv0.evict", "free"}
+    assert all(p is drv._remap_thread
+               for owner, p in releases if owner is drv._remap_owner)
 
 
 def test_slow_refault_is_not_a_bounce():
