@@ -25,10 +25,10 @@ whose timing leaked:
   receiver's SBus write DMA: G is the per-byte DMA rate, and the fixed
   term is everything charged while the engine is still held — DMA
   startup, the completion handling (``ni_bulk_complete_instr``), and
-  the delivery's ack generation (``ni_ack_gen_instr``), since
-  ``_bulk_recv`` only releases the engine after ``_finish_delivery``
-  returns (the real LANai programs the next transfer only after
-  handling the previous one's completion).
+  the delivery's ack generation (``ni_ack_gen_instr``), since the
+  firmware's ``_bulk_complete`` only releases the engine after
+  ``_finish_delivery`` returns (the real LANai programs the next
+  transfer only after handling the previous one's completion).
 """
 
 from __future__ import annotations

@@ -24,10 +24,15 @@ class LanaiMeter:
         self.cfg = cfg
         self.ns_by_op: Counter[str] = Counter()
         self.count_by_op: Counter[str] = Counter()
+        #: ns per instruction count: the firmware charges a handful of
+        #: fixed budgets, so each is converted once
+        self._ns: dict[int, int] = {}
 
     def cost_ns(self, op: str, instructions: int) -> int:
         """Charge ``instructions`` to category ``op``; returns the ns cost."""
-        ns = self.cfg.lanai_ns(instructions)
+        ns = self._ns.get(instructions)
+        if ns is None:
+            ns = self._ns[instructions] = self.cfg.lanai_ns(instructions)
         self.ns_by_op[op] += ns
         self.count_by_op[op] += 1
         return ns

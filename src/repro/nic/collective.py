@@ -166,7 +166,7 @@ class CollectiveEngine:
     """The collective half of one NI's firmware.
 
     Owned by :class:`~repro.nic.firmware.Nic`; every generator here runs
-    inside the NI dispatch loop (via ``_internal_q`` thunks or the
+    inside the NI dispatch loop (via ``_internal_q`` work items or the
     ``COLL`` branch of ``_handle_rx``), so instruction charges serialize
     with all other firmware work — which is exactly how collectives
     consume the NI's LogP occupancy.
@@ -238,15 +238,17 @@ class CollectiveEngine:
         handle = _CollHandle(nic.sim, name=f"nic{nic.nic_id}.coll{coll_id}")
         self.stats.ops_started += 1
 
-        def thunk():
-            yield self._charge("coll_init", nic.cfg.ni_coll_init_instr)
-            yield from self._local_arrive(kind, coll_id, members, root,
-                                          op_name, value, payload_bytes,
-                                          handle)
-
-        nic._internal_q.append(thunk)
+        nic._internal_q.append((self._initiate, (kind, coll_id, members, root,
+                                                  op_name, value, payload_bytes,
+                                                  handle)))
         nic._work.set()
         return handle
+
+    def _initiate(self, kind, coll_id, members, root, op_name, value,
+                  payload_bytes, handle):
+        yield self._charge("coll_init", self.nic.cfg.ni_coll_init_instr)
+        yield from self._local_arrive(kind, coll_id, members, root,
+                                      op_name, value, payload_bytes, handle)
 
     def _local_arrive(self, kind, coll_id, members, root, op_name, value,
                       payload_bytes, handle):

@@ -109,9 +109,10 @@ class Nic:
         #: packet type, so a data backlog never delays acknowledgments
         self._rx_proto_q: Deque[Packet] = deque()
         self._driver_q: Deque[DriverOp] = deque()
-        #: completion work (bulk DMA done, ...) serialized through the
-        #: dispatch loop like the real firmware's interrupt handling
-        self._internal_q: Deque = deque()
+        #: completion work (bulk DMA done, collective initiation) as
+        #: ``(generator function, args)``, serialized through the dispatch
+        #: loop like the real firmware's interrupt handling
+        self._internal_q: Deque[tuple] = deque()
         #: msg_ids of bulk deliveries whose DMA is still in progress;
         #: retransmitted copies that arrive meanwhile are dropped silently
         self._rx_inflight: set[int] = set()
@@ -265,11 +266,12 @@ class Nic:
 
     # ============================================================ main loop
     def _main_loop(self):
-        # Parking yields the Gate itself (and GateTimeout when a timer is
-        # pending) rather than gate.wait()/AnyOf: same wakeup order, no
-        # per-iteration Event/Timeout/closure allocations.
+        # Parking yields the Gate itself (and one reusable GateTimeout
+        # when a timer is pending) rather than gate.wait()/AnyOf: same
+        # wakeup order, no per-park Event/Timeout/closure allocations.
         sim = self.sim
         work = self._work
+        park = GateTimeout(work)
         while True:
             work.clear()
             if not self.alive:
@@ -282,7 +284,7 @@ class Nic:
                 if deadline is None:
                     yield work
                 else:
-                    yield GateTimeout(work, max(0, deadline - sim.now))
+                    yield park.after(max(0, deadline - sim.now))
 
     def _step(self):
         """One dispatch-loop iteration; True if any work was done.
@@ -293,8 +295,8 @@ class Nic:
         service.
         """
         if self._internal_q:
-            thunk = self._internal_q.popleft()
-            yield from thunk()
+            fn, args = self._internal_q.popleft()
+            yield from fn(*args)
             return True
         if self._driver_q:
             # The NI interleaves servicing of the driver endpoint among
@@ -539,18 +541,18 @@ class Nic:
         self.stats.bytes_sent += msg.payload_bytes
         if msg.is_bulk and msg.payload_bytes > 0:
             # Stage payload from host memory through NI SRAM: the firmware
-            # starts the DMA and moves on; a helper completes the send.
-            self.sim.spawn(self._bulk_send(ch, msg, pkt), name=f"nic{self.nic_id}.btx")
+            # starts the DMA and moves on; its end sends the packet.
+            self.sbus.start(msg.payload_bytes, SbusDma.READ, self._bulk_staged, ch, msg, pkt)
         else:
             self.network.send(pkt)
             self._arm_timer(ch)
 
-    def _bulk_send(self, ch: TxChannel, msg: Message, pkt: Packet):
-        yield from self.sbus.transfer(msg.payload_bytes, SbusDma.READ)
-        if not self.alive or ch.outstanding is not msg:
-            return  # endpoint freed / channel reset while we staged
-        self.network.send(pkt)
-        self._arm_timer(ch)
+    def _bulk_staged(self, ch: TxChannel, msg: Message, pkt: Packet) -> None:
+        """The send-side staging DMA ended: put the fragment on the wire."""
+        if self.alive and ch.outstanding is msg:  # else freed / reset meanwhile
+            self.network.send(pkt)
+            self._arm_timer(ch)
+        self.sbus.release()
 
     def _rtt_sample(self, peer: int, sent_timestamp: int) -> None:
         """Jacobson/Karels estimator over the reflected 32-bit timestamps."""
@@ -810,36 +812,34 @@ class Nic:
                 ep.bulk_reserved_rep += 1
             else:
                 ep.bulk_reserved_req += 1
-            self.sim.spawn(self._bulk_recv(ep, peer, pkt), name=f"nic{self.nic_id}.brx")
+            self.sbus.start(pkt.payload_bytes, SbusDma.WRITE, self._bulk_written, ep, peer, pkt)
         else:
             yield from self._finish_delivery(ep, peer, pkt)
 
-    def _bulk_recv(self, ep: EndpointState, peer: RxPeerState, pkt: Packet):
-        """Stage a bulk payload NI->host, then complete in the dispatch loop.
+    def _bulk_written(self, *args) -> None:
+        """A bulk payload reached host memory: queue its completion.
 
-        The engine is held until the firmware has processed the completion
-        (the real LANai programs the next transfer only after handling the
-        previous one's completion) — this is the ~12 us per-packet overhead
-        behind Figure 4's 43.9-of-46.8 MB/s delivered bandwidth.
+        The engine stays held until the dispatch loop has run
+        :meth:`_bulk_complete` (the real LANai programs the next transfer
+        only after handling the previous one's completion) — this is the
+        ~12 us per-packet overhead behind Figure 4's 43.9-of-46.8 MB/s
+        delivered bandwidth.
         """
-        yield self.sbus.acquire()
-        yield from self.sbus.hold(pkt.payload_bytes, SbusDma.WRITE)
-
-        def completion():
-            if pkt.is_reply:
-                ep.bulk_reserved_rep = max(0, ep.bulk_reserved_rep - 1)
-            else:
-                ep.bulk_reserved_req = max(0, ep.bulk_reserved_req - 1)
-            self._rx_inflight.discard(pkt.msg_id)
-            yield self.sim.timeout(
-                self.meter.cost_ns("bulk_complete", self.cfg.ni_bulk_complete_instr)
-            )
-            if self.alive and ep.resident:
-                yield from self._finish_delivery(ep, peer, pkt)
-            self.sbus.release()
-
-        self._internal_q.append(completion)
+        self._internal_q.append((self._bulk_complete, args))
         self._work.set()
+
+    def _bulk_complete(self, ep: EndpointState, peer: RxPeerState, pkt: Packet):
+        if pkt.is_reply:
+            ep.bulk_reserved_rep = max(0, ep.bulk_reserved_rep - 1)
+        else:
+            ep.bulk_reserved_req = max(0, ep.bulk_reserved_req - 1)
+        self._rx_inflight.discard(pkt.msg_id)
+        yield self.sim.timeout(
+            self.meter.cost_ns("bulk_complete", self.cfg.ni_bulk_complete_instr)
+        )
+        if self.alive and ep.resident:
+            yield from self._finish_delivery(ep, peer, pkt)
+        self.sbus.release()
 
     def _finish_delivery(self, ep: EndpointState, peer: RxPeerState, pkt: Packet):
         arrived = Message(
@@ -1123,7 +1123,7 @@ class Nic:
                 self.table.frame_rows[ep.frame] = -1
             op.done.trigger(None)
         elif op.op == "load":
-            self.sim.spawn(self._do_load(op), name=f"nic{self.nic_id}.load")
+            self._start_load(op)
         elif op.op == "unload":
             op.ep.quiescing = True
             self._pending_unloads.append((op.ep, op))
@@ -1131,7 +1131,7 @@ class Nic:
         else:
             op.done.fail(ValueError(f"unknown driver op {op.op!r}"))
 
-    def _do_load(self, op: DriverOp):
+    def _start_load(self, op: DriverOp) -> None:
         """Move an endpoint image from host memory into an NI frame."""
         ep, frame = op.ep, op.frame
         if frame is None or self.frames[frame] is not None:
@@ -1139,8 +1139,13 @@ class Nic:
             return
         self.frames[frame] = ep  # reserve before the DMA
         self.table.frame_rows[frame] = self.table.adopt(ep)
-        load_start = self.sim.now
-        yield from self.sbus.transfer(self.cfg.frame_bytes, SbusDma.READ)
+        self.sbus.start(self.cfg.frame_bytes, SbusDma.READ, self._load_done, op, self.sim.now)
+
+    def _load_done(self, op: DriverOp, load_start: int) -> None:
+        # Frame DMAs free the engine at once: no completion work holds it,
+        # and nothing below schedules past this instant.
+        self.sbus.release()
+        ep, frame = op.ep, op.frame
         if ep.residency is Residency.FREED or self.endpoints.get(ep.ep_id) is not ep:
             # The driver freed the endpoint while the load DMA was in
             # flight (the "free" op saw ep.frame still unset, so it could
@@ -1175,14 +1180,15 @@ class Nic:
         still = []
         for ep, op in self._pending_unloads:
             if ep.inflight == 0:
-                self.sim.spawn(self._do_unload(ep, op), name=f"nic{self.nic_id}.unload")
+                self.sbus.start(self.cfg.frame_bytes, SbusDma.WRITE,
+                                self._unload_done, ep, op, self.sim.now)
             else:
                 still.append((ep, op))
         self._pending_unloads = still
 
-    def _do_unload(self, ep: EndpointState, op: DriverOp):
-        unload_start = self.sim.now
-        yield from self.sbus.transfer(self.cfg.frame_bytes, SbusDma.WRITE)
+    def _unload_done(self, ep: EndpointState, op: DriverOp, unload_start: int) -> None:
+        """The frame image is back in host memory: vacate the frame."""
+        self.sbus.release()
         if self.sim.trace.enabled:
             self.sim.trace.emit("ep.unload", self.nic_id, ep=ep.ep_id, frame=ep.frame,
                                 dur_ns=self.sim.now - unload_start)

@@ -239,42 +239,80 @@ class GateTimeout:
     Equivalent to ``AnyOf(sim, [gate.wait(), sim.timeout(delay)])`` —
     fires with ``(0, None)`` if the gate opens first and ``(1, None)``
     if the deadline passes first, with the same same-nanosecond
-    tie-break (first posted wins, the loser is suppressed by the fired
-    guard) — but without allocating an Event, a Timeout, and a closure
-    per child.  Built for the firmware service loop's idle wait.
+    tie-break (first posted wins, the loser is suppressed) — but with
+    no Event, Timeout, handle or closure per wait.  Built for the
+    firmware service loop's idle wait.
+
+    One object serves every park of one waiter: re-arm it with
+    ``yield gt.after(delay)``.  Its callbacks are bound once; the
+    deadline is a pooled ``Simulator.call_after`` entry canceled in
+    place.  A gate wake that was already posted when the park ended
+    another way (deadline or interrupt) is counted in ``_stale`` and
+    swallowed when it lands — it always lands before any later park's
+    wake, since it was posted first at the same instant.
     """
 
-    __slots__ = ("gate", "delay")
+    __slots__ = ("gate", "delay", "_cb", "_timer", "_stale", "_gate_cb", "_timer_cb")
 
-    def __init__(self, gate: Gate, delay: int):
+    def __init__(self, gate: Gate, delay: int = 0):
+        self.gate = gate
+        self.after(delay)
+        #: the parked waiter's callback (None while not armed)
+        self._cb: Optional[Callable[[Any, Optional[BaseException]], None]] = None
+        #: the pending deadline's heap entry (None while not armed)
+        self._timer: Optional[list] = None
+        #: posted gate wakes of parks that already ended
+        self._stale = 0
+        self._gate_cb = self._on_gate
+        self._timer_cb = self._on_timer
+
+    def after(self, delay: int) -> "GateTimeout":
+        """Set the deadline of the next wait; returns ``self`` to yield."""
         if delay < 0:
             raise SimError(f"negative timeout: {delay}")
-        self.gate = gate
         self.delay = delay
+        return self
 
     def _subscribe(self, cb: Callable[[Any, Optional[BaseException]], None]) -> Callable[[], None]:
-        fired = [False]
+        if self._cb is not None:
+            raise SimError("GateTimeout waited on twice at once")
+        self._cb = cb
+        gate = self.gate
+        if gate._set:
+            gate.sim._post(self._gate_cb, None, None)
+        else:
+            gate._waiters.append(self._gate_cb)
+        self._timer = gate.sim.call_after(self.delay, self._timer_cb)
+        return self._cancel
 
-        def on_gate(value: Any, exc: Optional[BaseException]) -> None:
-            if fired[0]:
-                return
-            fired[0] = True
-            handle.cancel()
-            cb((0, None), None)
+    def _on_gate(self, value: Any, exc: Optional[BaseException]) -> None:
+        if self._stale:
+            self._stale -= 1
+            return
+        cb = self._cb
+        self._cb = None
+        self._timer[3] = None  # cancel the deadline in place
+        self._timer = None
+        cb((0, None), None)
 
-        def on_timer(value: Any, exc: Optional[BaseException]) -> None:
-            if fired[0]:
-                return
-            fired[0] = True
-            cancel_gate()
-            cb((1, None), None)
+    def _on_timer(self) -> None:
+        self._timer = None  # the entry is recycled once this returns
+        self._drop_gate()
+        cb = self._cb
+        self._cb = None
+        cb((1, None), None)
 
-        cancel_gate = self.gate._subscribe(on_gate)
-        handle = self.gate.sim.schedule(self.delay, on_timer, None, None)
+    def _drop_gate(self) -> None:
+        try:
+            self.gate._waiters.remove(self._gate_cb)
+        except ValueError:
+            self._stale += 1  # the gate already posted our wake
 
-        def cancel_all() -> None:
-            fired[0] = True
-            cancel_gate()
-            handle.cancel()
-
-        return cancel_all
+    def _cancel(self) -> None:
+        """Interrupt while parked: withdraw from the gate and the heap."""
+        if self._cb is None:
+            return
+        self._cb = None
+        self._drop_gate()
+        self._timer[3] = None
+        self._timer = None

@@ -177,12 +177,13 @@ _TINY = dict(ratio=4, endpoint_frames=2, client_nodes=2,
 
 #: digests of the pre-SoA object-based build's observables (re-expressed
 #: in the canonical digest of repro.bench.harness) — the integer-indexed
-#: victim path must reproduce them bit for bit
+#: victim path must reproduce them bit for bit (the event count they
+#: include is the callback SBus engine's: frame DMAs spawn nothing)
 _PINNED = {
-    "random": "888e81b715a7d0798ab6f616ffd2590067ba54dc58dc32c8285df158c88e95e1",
-    "lru": "f75afce2d3eefd8a03eb4c83a1797abda359f6a8aca02eadcb5332e17d278bb6",
-    "clock": "0accec750fecbfc83d79857931adead6c1251ad77faff8f8b5f2657ac02fdbfe",
-    "active-preference": "46ddd11f55495c53e8403b21933da98ae3b0e2ebdc5b93906cffda6aa779598c",
+    "random": "99c69156cfbd049931941327eecf11ce602b77e287121c520c9c167a9ec296d3",
+    "lru": "75444238de3e35c825eb3887f43495e9e1e835d6fc119c4b7bd73efe7493f745",
+    "clock": "05278c8a91a6eb948d68f5c3ef68feb6d0965b32f541c8952b793ea11859d14b",
+    "active-preference": "32f48ee07620621067036e9bbd69fcf092cc5171e78f93d9a9efc51052ff4fe7",
 }
 
 

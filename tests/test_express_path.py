@@ -450,3 +450,34 @@ def test_call_after_fires_and_cancels(factory):
     assert sim.now == 90
     with pytest.raises(SimError):
         sim.call_after(-1, hits.append, "d")
+
+
+# ------------------------------------------- what a revocation collided with
+def test_revocation_and_fallback_split_ahead_from_race():
+    """Each conflict revocation and ``fallback_active`` is classed by
+    whether the thing it hit is already ahead on the shared link; the
+    split is bookkeeping only, so both modes still agree."""
+    _, net, _ = make_net(8)
+    hop = net._hop_ns
+    # 0->5 crosses a spine and reaches leaf1->host5 (its link 3) at
+    # 3 hops; 4->5 reaches that link (its link 1) one hop after sending
+    race = [(0, 0, 5, 4096), (hop // 2, 4, 5, 64)]
+    ahead = [(0, 0, 5, 4096), (2 * hop + 1, 4, 5, 64)]
+    for sends, want in ((race, (0, 1)), (ahead, (1, 0))):
+        (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
+        x = n1.express
+        assert (x.revoked_ahead, x.revoked_race) == want
+        assert x.revoked == 1
+        assert log1 == log2 and link_ledger(n1) == link_ledger(n2)
+        # the new send then falls back behind the replayed wormhole,
+        # which holds 0->5's link 2 and reaches link 3 at 3 hops
+        assert x.fallback_active == x.fallback_ahead + x.fallback_race == 1
+        assert x.fallback_pending == 0
+        assert x.fallback_ahead == (1 if sends is ahead else 0)
+        assert not n1._slow_live
+    # a third send onto the link the replayed wormhole now holds: ahead
+    sends = ahead + [(3 * hop + 10, 6, 5, 64)]
+    (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
+    x = n1.express
+    assert x.fallback_active == x.fallback_ahead == 2
+    assert log1 == log2 and link_ledger(n1) == link_ledger(n2)

@@ -192,7 +192,7 @@ def test_fault_injections_share_the_trace_bus_timeline():
 # ---------------------------------------------------------------------------
 # Mid-bulk-transfer faults: the staging-DMA window (§5.1) is the risky one —
 # a fragment lives between "committed to a channel" and "on the wire" while
-# the SBus READ runs, and the channel-reset guard in ``_bulk_send`` must
+# the SBus READ runs, and the channel-reset guard in ``_bulk_staged`` must
 # neither transmit it after a reset nor lose track of it.
 # ---------------------------------------------------------------------------
 
@@ -314,7 +314,7 @@ def _bulk_stream_run(crash_at=None, reboot_at=None, seed=23):
 
 def test_sender_crash_lands_mid_bulk_staging():
     """Crash the sender while a fragment is staging through the SBus READ
-    DMA: the ``_bulk_send`` guard must drop the staged packet (it never
+    DMA: the ``_bulk_staged`` guard must drop the staged packet (it never
     reaches the wire) and the reboot must resolve it — no double
     delivery, no leaked message."""
     from repro.chaos import DeliveryChecker

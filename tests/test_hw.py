@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.hw import Cpu, LanaiMeter, SbusDma
-from repro.sim import Simulator
+from repro.sim import SimError, Simulator
 
 
 # ------------------------------------------------------------------ Cpu
@@ -134,8 +134,9 @@ def test_sbus_hold_release_split():
     order = []
 
     def holder():
-        yield dma.acquire()
-        yield from dma.hold(1024, SbusDma.WRITE)
+        ended = sim.event()
+        dma.start(1024, SbusDma.WRITE, ended.trigger)
+        yield ended
         yield sim.timeout(50_000)  # completion processing while held
         dma.release()
         order.append(("holder", sim.now))
@@ -162,6 +163,104 @@ def test_sbus_rejects_negative_size():
             return "rejected"
 
     assert sim.run_process(body()) == "rejected"
+
+
+def test_sbus_start_rejects_negative_size():
+    dma = SbusDma(Simulator(), ClusterConfig())
+    with pytest.raises(ValueError):
+        dma.start(-1, SbusDma.WRITE, lambda: None)
+    # nothing was granted or queued: the engine is still free
+    assert not dma.held and len(dma._queue) == 0
+    assert dma.transfers == 0 and dma.busy_ns == 0
+
+
+def test_sbus_grants_fifo_across_start_and_transfer():
+    """Callback starts and blocking transfers share one FIFO: each is
+    granted in arrival order, back to back, whatever its form."""
+    cfg = ClusterConfig()
+    sim = Simulator()
+    dma = SbusDma(sim, cfg)
+    ends = []
+
+    def cb(tag):
+        ends.append((tag, sim.now))
+        dma.release()
+
+    def blocking(tag, nbytes, direction):
+        yield from dma.transfer(nbytes, direction)
+        ends.append((tag, sim.now))
+
+    def driver():
+        dma.start(2048, SbusDma.WRITE, cb, "a")
+        sim.spawn(blocking("b", 1024, SbusDma.READ))
+        yield sim.timeout(10)
+        dma.start(512, SbusDma.READ, cb, "c")
+        sim.spawn(blocking("d", 4096, SbusDma.WRITE))
+        yield sim.timeout(10)
+        dma.start(256, SbusDma.WRITE, cb, "e")
+
+    sim.spawn(driver())
+    sim.run()
+    assert [tag for tag, _ in ends] == ["a", "b", "c", "d", "e"]
+    t = 0
+    for (tag, at), (n, d) in zip(ends, [(2048, "write"), (1024, "read"), (512, "read"),
+                                         (4096, "write"), (256, "write")]):
+        t += dma.transfer_ns(n, d)
+        assert at == t, tag  # no gap: release starts the next one in place
+    assert not dma.held and len(dma._queue) == 0
+
+
+def test_sbus_engine_held_across_callback_until_release():
+    cfg = ClusterConfig()
+    sim = Simulator()
+    dma = SbusDma(sim, cfg)
+    seen = []
+
+    def first_done():
+        seen.append(("first", sim.now, dma.held, len(dma._queue)))
+        # completion work keeps the engine: release only 5 us later
+        sim.call_after(5_000, dma.release)
+
+    def second_done():
+        seen.append(("second", sim.now, dma.held, len(dma._queue)))
+        dma.release()
+
+    dma.start(1024, SbusDma.WRITE, first_done)
+    dma.start(1024, SbusDma.READ, second_done)
+    sim.run()
+    d1 = cfg.sbus_write_ns(1024)
+    assert seen == [("first", d1, True, 1),
+                    ("second", d1 + 5_000 + cfg.sbus_read_ns(1024), True, 0)]
+    assert not dma.held
+    with pytest.raises(SimError):
+        dma.release()  # releasing a free engine is a bug
+
+
+def test_sbus_stats_match_blocking_form():
+    """busy_ns, transfers and byte counts are the same whichever entry
+    point moved the data."""
+    sizes = [(8192, SbusDma.WRITE), (100, SbusDma.READ), (0, SbusDma.WRITE),
+             (4096, SbusDma.READ), (64, SbusDma.WRITE)]
+
+    def stats(dma):
+        return (dma.busy_ns, dma.transfers, dma.bytes_read, dma.bytes_written, dma.sim.now)
+
+    sim = Simulator()
+    blocking = SbusDma(sim, ClusterConfig())
+
+    def body():
+        for n, d in sizes:
+            yield from blocking.transfer(n, d)
+
+    sim.run_process(body())
+
+    sim = Simulator()
+    callback = SbusDma(sim, ClusterConfig())
+    for n, d in sizes:
+        callback.start(n, d, callback.release)
+    sim.run()
+    assert stats(callback) == stats(blocking)
+    assert blocking.bytes_read == 4196 and blocking.bytes_written == 8256
 
 
 def test_sbus_unknown_direction():

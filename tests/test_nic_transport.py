@@ -214,6 +214,30 @@ def test_bulk_delivery_and_sbus_accounting():
     assert nics[1].sbus.bytes_written >= 8192  # written to host
 
 
+def test_bulk_stream_spawns_no_process_per_fragment():
+    """Regression guard: bulk fragments stage through the SBus engine as
+    pooled callbacks (both ends), and endpoint loads need no helper
+    either, so the processes ever spawned do not grow with the stream."""
+
+    def spawned(nfrags):
+        # one channel: fragments go one at a time, so every packet rides
+        # the express path and the count is the firmware alone
+        sim, cfg, net, nics = build(channels_per_pair=1)
+        a = add_ep(sim, nics[0], cfg, 1, tag=10)
+        add_ep(sim, nics[1], cfg, 1, tag=20)
+        sim.run(until=ms(1))
+        msgs = [mk_msg((0, 1), (1, 1), key=20, nbytes=4096, bulk=True)
+                for _ in range(nfrags)]
+        for m in msgs:
+            assert nics[0].host_enqueue_send(a, m)
+        sim.run(until=ms(1 + nfrags))
+        assert all(m.state is MessageState.DELIVERED for m in msgs)
+        assert nics[1].sbus.transfers == nfrags + 1  # + the frame load
+        return sim.process_count()
+
+    assert spawned(2) == spawned(12) == 4  # one firmware loop per NIC
+
+
 def test_quiesce_unload_waits_for_inflight():
     sim, cfg, net, nics = build(dead_timeout_ms=200.0)
     a = add_ep(sim, nics[0], cfg, 1, tag=10)

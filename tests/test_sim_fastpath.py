@@ -10,8 +10,8 @@ the reference kernel dispatching the exact same event sequence.
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Interrupted, ReferenceSimulator, SimError,
-                       Simulator, Timeout)
+from repro.sim import (AllOf, AnyOf, Gate, GateTimeout, Interrupted, ReferenceSimulator,
+                       SimError, Simulator, Timeout)
 
 
 # ---------------------------------------------------------------- free lists
@@ -244,3 +244,156 @@ def test_reference_kernel_dispatches_identical_events():
 
 def test_two_optimized_runs_are_deterministic():
     assert _workload(Simulator()) == _workload(Simulator())
+
+
+# ------------------------------------------------- reusable GateTimeout park
+def _park_scenario(sim, reusable=True):
+    """One waiter parks six times on one GateTimeout (or, as the oracle,
+    on a fresh ``AnyOf([gate.wait(), timeout])`` each time), covering a
+    gate-first wake, a timer-first wake, same-instant ties both ways, an
+    interrupt while parked and an interrupt racing a posted gate wake."""
+    gate = Gate(sim, name="work")
+    gt = GateTimeout(gate)
+    log = []
+
+    def park(delay):
+        if reusable:
+            return gt.after(delay)
+        return AnyOf(sim, [gate.wait(), sim.timeout(delay)])
+
+    def waiter():
+        for delay in (100, 30, 20, 20, 1_000, 50, 40):
+            gate.clear()
+            try:
+                idx, _ = yield park(delay)
+                log.append((sim.now, idx))
+            except Interrupted as i:
+                log.append((sim.now, "interrupted", i.cause))
+
+    w = sim.spawn(waiter(), name="waiter")
+
+    def driver():
+        yield sim.timeout(10)
+        gate.set()                # park 1 (t=0, 100): gate first
+        # park 2 (t=10, 30) times out at 40; park 3 (t=40, 20) ties at 60
+        yield sim.timeout(50)     # drawn at 10, before park 3's deadline
+        gate.set()                # its wake is posted after the deadline
+        yield sim.timeout(10)
+        gate.set()                # park 4 (t=60, 20): gate first at 70
+        yield sim.timeout(30)
+        w.interrupt("poke")       # park 5 (t=70, 1_000)
+        yield sim.timeout(20)
+        gate.set()                # park 6 (t=100, 50): gate wake posted ...
+        w.interrupt("race")       # ... then interrupted: a stale wake
+
+    sim.spawn(driver(), name="driver")
+    sim.run()
+    return log, sim.now, sim.events_dispatched, list(gate._waiters) if reusable else None
+
+
+def test_gate_timeout_wakes_ties_and_interrupts():
+    log, now, _, waiters = _park_scenario(Simulator())
+    assert log == [
+        (10, 0),                   # gate first
+        (40, 1),                   # timer first
+        (60, 1),                   # tie: the deadline was posted first
+        (70, 0),                   # the tie's stale gate wake did not end park 4
+        (100, "interrupted", "poke"),
+        (120, "interrupted", "race"),
+        (160, 1),                  # the stale gate wake was swallowed
+    ]
+    assert now == 160
+    assert waiters == []
+
+
+def test_gate_timeout_same_instant_tie_first_posted_wins():
+    def run(gate_first):
+        sim = Simulator()
+        gate = Gate(sim)
+        gt = GateTimeout(gate)
+        got = []
+
+        def setter():
+            yield sim.timeout(20)
+            gate.set()
+
+        def waiter():
+            got.append((yield gt.after(20)))
+            gate.clear()
+            # re-park at once: a stale gate wake from the tie must not
+            # end this park
+            got.append(((yield gt.after(7)), sim.now))
+
+        if gate_first:  # setter's wake drawn before the deadline ...
+            sim.spawn(setter())
+            sim.spawn(waiter())
+        else:           # ... or after it
+            sim.spawn(waiter())
+            sim.spawn(setter())
+        sim.run()
+        return got
+
+    # the setter's entry precedes the deadline, but its gate wake is
+    # *posted* at t=20, after the deadline entry: the deadline wins, and
+    # the wake already in the heap is swallowed, not given to park 2
+    assert run(gate_first=True) == [(1, None), ((1, None), 27)]
+    # the setter runs after the deadline and the re-park: park 2 wakes
+    assert run(gate_first=False) == [(1, None), ((0, None), 20)]
+
+
+def test_gate_timeout_gate_set_before_deadline_entry_wins_tie():
+    sim = Simulator()
+    gate = Gate(sim)
+    gt = GateTimeout(gate)
+    got = []
+
+    def waiter():
+        gate.set()
+        got.append((yield gt.after(0)))  # posted gate wake precedes the deadline
+
+    sim.spawn(waiter())
+    sim.run()
+    assert got == [(0, None)]
+
+
+def test_gate_timeout_reuses_one_object_without_growth():
+    sim = Simulator()
+    gate = Gate(sim)
+    gt = GateTimeout(gate)
+    seen = set()
+
+    def waiter():
+        for i in range(200):
+            w = gt.after(5)
+            seen.add(id(w))
+            yield w
+
+    def kicker():
+        for _ in range(100):
+            yield sim.timeout(7)
+            gate.pulse()
+
+    sim.spawn(waiter())
+    sim.spawn(kicker())
+    sim.run()
+    assert seen == {id(gt)}
+    assert len(sim._entry_pool) < 8  # deadline entries are recycled
+    assert gt._cb is None and gt._timer is None and gt._stale == 0
+
+
+def test_gate_timeout_rejects_double_wait_and_negative_delay():
+    sim = Simulator()
+    gt = GateTimeout(Gate(sim))
+    with pytest.raises(SimError):
+        gt.after(-1)
+    gt._subscribe(lambda v, e: None)
+    with pytest.raises(SimError):
+        gt._subscribe(lambda v, e: None)
+
+
+def test_gate_timeout_matches_anyof_and_reference_kernel():
+    opt = _park_scenario(Simulator())
+    ref = _park_scenario(ReferenceSimulator())
+    assert opt == ref  # same wakes, same final time, same event count
+    oracle = _park_scenario(Simulator(), reusable=False)
+    assert opt[:3] == oracle[:3]
