@@ -2,8 +2,9 @@
 
 The AM-II interface groups a process's endpoints into bundles so a thread
 can service all of them with one call — the single-threaded server of
-Section 6.4 is exactly a loop over ``bundle.poll_all``.  Bundles also
-support waiting for activity on *any* member endpoint.
+Section 6.4 is exactly a loop over ``bundle.poll_all`` (``poll_until``
+on the bundle).  Bundles also support waiting for activity on *any*
+member endpoint.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ class Bundle:
     def __iter__(self):
         return iter(self.endpoints)
 
+    @property
+    def _watched(self) -> tuple:
+        """What an elided sweep watches (add or remove only between waits)."""
+        return tuple(ep.state for ep in self.endpoints if ep._watched)
+
+    def _poll_touch_ns(self) -> int:
+        return sum(ep._poll_touch_ns() for ep in self.endpoints)
+
+    def _sweep_ns(self) -> int:
+        return sum(ep._sweep_ns() for ep in self.endpoints)
+
     def poll_all(self, thr: Thread, limit: int = 8) -> Generator:
         """Poll every endpoint once, round-robin; returns total processed.
 
@@ -46,21 +58,35 @@ class Bundle:
         one per endpoint), then each endpoint is drained in rotation
         order.
         """
-        n = len(self.endpoints)
-        if n == 0:
+        if not self.endpoints:
             return 0
         touch = 0
         for ep in self.endpoints:
             ep._check_alive()
             ep._stats.polls += 1
-            touch += ep._poll_touch_ns() + ep._lock_cost()
+            touch += ep._poll_touch_ns() + ep._lock_cost()  # _sweep_ns(), inlined: hot path
         yield from thr.compute(touch)
+        return (yield from self._drain(thr, limit))
+
+    poll = poll_all  # as a poll_until target
+
+    def _drain(self, thr: Thread, limit: int) -> Generator:
+        """The sweep after its touch: drain the members in rotation order
+        (an empty one needs no drain), then advance the rotation."""
+        n = len(self.endpoints)
         total = 0
         for k in range(n):
             ep = self.endpoints[(self._next + k) % n]
-            total += yield from ep._drain(thr, limit)
+            if ep.has_pending():
+                total += yield from ep._drain(thr, limit)
         self._next = (self._next + 1) % n
         return total
+
+    def _backfill(self, polls: int, sweeps: int) -> None:
+        """Count an elided sweep's skipped polls and rotations."""
+        for ep in self.endpoints:
+            ep._stats.polls += polls
+        self._next = (self._next + sweeps) % len(self.endpoints)
 
     def has_pending(self) -> bool:
         return any(ep.has_pending() for ep in self.endpoints)
@@ -82,6 +108,5 @@ class Bundle:
         # Pending work is checked once per sweep, so charging the sweep as
         # one computation is exactly equivalent to per-endpoint charges.
         return two_phase_wait(
-            thr, self.endpoints[0].cfg, self.has_pending,
-            lambda: sum(ep._poll_touch_ns() for ep in self.endpoints),
+            thr, self.endpoints[0].cfg, self.has_pending, self._poll_touch_ns,
             [ep._event_cv for ep in self.endpoints], timeout_ns, eps=self.endpoints)

@@ -27,9 +27,10 @@ reservation*.
   a boundary is seen there only if its own entry sorts before the
   boundary's virtual timeout -- the kernel's order, unchanged.
 * **Back-fill.**  The skipped slices' ``busy_ns``/``cpu_ns``, and the
-  skipped ready checks' ``polls`` and ``credit_stalls``, are added when
-  the wake fires, and on demand (:meth:`SpinWatch.settle`) whenever one
-  of those counters is read mid-spin, up to the current position.
+  skipped polls and sweeps (through the polled target's ``backfill``
+  callback), are added when the wake fires, and on demand
+  (:meth:`SpinWatch.settle`) whenever one of those counters is read
+  mid-spin, up to the current position.
 
 Empty polls and their computes emit no trace events, so an elided spin
 and a stepped one leave the same trace; ``ClusterConfig.spin_elision``
@@ -38,7 +39,7 @@ and a stepped one leave the same trace; ``ClusterConfig.spin_elision``
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..sim.core import SEQ_SHIFT
 
@@ -53,26 +54,25 @@ class SpinWatch:
     """One spin's listener and, while committed, its fast-forwarded run.
 
     ``sources`` are the objects whose ``waiter`` slot it occupies
-    (endpoint states, a collective handle).  ``stats`` (an ``AmStats``)
-    is charged one poll per skipped ready check, and one credit stall
-    too when ``stalls`` (the spin's predicate counts them).
+    (endpoint states, a collective handle).  ``backfill(polls, sweeps)``
+    is told how many passed boundaries began a poll (ended a ``costs[0]``
+    compute: a ready check, then a poll) and how many ended one.
 
     A committed watch is the waitable the spin yields; it resumes the
     thread at a boundary with :data:`IDLE_ENDED` or :data:`POLL_ENDED`,
     the boundary's slice already closed (``Cpu.close``).
     """
 
-    __slots__ = ("thr", "sim", "cpu", "sources", "stats", "stalls", "dirty",
+    __slots__ = ("thr", "sim", "cpu", "sources", "backfill", "dirty",
                  "entry", "resume", "t0", "costs", "period", "pre", "seq1",
                  "vcount", "settled", "wake_n")
 
-    def __init__(self, thr, sources, stats: Any = None, stalls: bool = False):
+    def __init__(self, thr, sources, backfill: Optional[Callable[[int, int], None]] = None):
         self.thr = thr
         self.sim = thr.sim
         self.cpu = thr.cpu
         self.sources = tuple(sources)
-        self.stats = stats
-        self.stalls = stalls
+        self.backfill = backfill
         #: a change was signalled since the last :meth:`arm`
         self.dirty = False
         #: the pending wake's heap entry; None unless committed
@@ -182,14 +182,11 @@ class SpinWatch:
             return
         self.settled = hi
         self.cpu.charge(self.thr, self._time(hi) - self._time(lo))
-        stats = self.stats
-        if stats is not None:
-            # ready checks end a costs[0] compute: boundaries n with (n-1) % k == 0
+        if self.backfill is not None:
+            # a poll begins at the end of a costs[0] compute (boundaries n
+            # with (n-1) % k == 0) and ends at boundaries n with n % k == 0
             k = len(self.costs)
-            checks = (hi - 1) // k - (lo - 1) // k
-            stats.polls += checks
-            if self.stalls:
-                stats.credit_stalls += checks
+            self.backfill((hi - 1) // k - (lo - 1) // k, hi // k - lo // k)
 
     def settle(self) -> None:
         """Back-fill every boundary the kernel has passed (mid-spin reads)."""

@@ -60,21 +60,44 @@ RING_RETRY_NS = 1_000
 Handler = Callable[..., Optional[int]]
 
 
-def poll_until(thr: Thread, ready: Callable[[], Any], poll: Callable, idle: Callable[[], Generator],
+def poll_until(thr: Thread, ready: Callable[[], Any], target, *,
+               idle: Optional[Callable[[], Generator]] = None, period: Optional[int] = None,
                limit: int = 8, deadline: Optional[int] = None) -> Generator:
-    """The one poll-then-idle loop (DESIGN §16): returns ``ready()``
-    once truthy, or None once ``deadline`` has passed (checked before each
-    poll); runs ``idle()`` (a compute or a block) after each empty poll."""
+    """The one poll-then-idle loop (DESIGN §16): polls ``target`` (an
+    :class:`Endpoint`, a ``Bundle`` or a GAM endpoint) and returns
+    ``ready()`` once truthy, or None once ``deadline`` has passed (checked
+    before each poll).  After an empty poll it runs ``idle()`` (a block,
+    stepped) or computes ``period`` ns (None: the target's touch cost),
+    elided over ``target._watched`` (:mod:`repro.am.elision`)."""
     sim = thr.sim
-    while True:
-        value = ready()
-        if value:
-            return value
-        if deadline is not None and sim.now >= deadline:
-            return None
-        n = yield from poll(thr, limit)
-        if n == 0:
-            yield from idle()
+    watched = getattr(target, "_watched", ()) if idle is None else ()
+    watch = SpinWatch(thr, watched, target._backfill) if watched else None
+    try:
+        while True:
+            if watch is not None:
+                watch.arm()
+            value = ready()
+            if value:
+                return value
+            if deadline is not None and sim.now >= deadline:
+                return None
+            n = yield from target.poll(thr, limit)
+            while n == 0:
+                if idle is not None:
+                    yield from idle()
+                    break
+                idle_ns = target._poll_touch_ns() if period is None else period
+                if watch is not None and watch.commit((idle_ns, target._sweep_ns()), deadline):
+                    if (yield watch) == IDLE_ENDED:
+                        break  # at a ready check
+                    # a poll's touch just ended: its queue check
+                    n = yield from target._drain(thr, limit)
+                    continue
+                yield from thr.compute(idle_ns)
+                break
+    finally:
+        if watch is not None:
+            watch.close()
 
 
 def two_phase_wait(thr: Thread, cfg, ready: Callable[[], Any], touch_ns: Callable[[], int], cvs,
@@ -185,6 +208,10 @@ class Endpoint:
         self.undeliverable_handler: Optional[Callable[[Message, Any], None]] = None
         #: default ns charged per handled message when a handler returns None
         self.handler_cost_ns = 0
+        #: what an elided :func:`poll_until` on this endpoint watches
+        self._watched = (state,) if self.cfg.spin_elision else ()
+        #: a :meth:`request` credit wait is polling: each check is a stall
+        self._stalling = False
 
     @property
     def stats(self) -> AmStats:
@@ -240,6 +267,16 @@ class Endpoint:
         if self.state.resident:
             return self.cfg.poll_resident_ns
         return self.cfg.poll_host_ns
+
+    def _sweep_ns(self) -> int:
+        """What a :meth:`poll` charges before its queue check."""
+        return self._poll_touch_ns() + self._lock_cost()
+
+    def _backfill(self, polls: int, sweeps: int) -> None:
+        """Count an elided :func:`poll_until`'s skipped polls."""
+        self._stats.polls += polls
+        if self._stalling:
+            self._stats.credit_stalls += polls
 
     def _send_overhead_ns(self) -> int:
         """LogP Os: descriptor write via PIO (resident) or a cacheable
@@ -297,8 +334,12 @@ class Endpoint:
             )
             msg.on_resolved = self._request_resolved
             if self._credits.get(index, 0) <= 0:
-                yield from self._spin(thr, partial(self._credit_ready, index),
-                                      self.cfg.poll_host_ns, 4, None, stalls=True)
+                self._stalling = True
+                try:
+                    yield from poll_until(thr, partial(self._credit_ready, index), self,
+                                          period=self.cfg.poll_host_ns, limit=4)
+                finally:
+                    self._stalling = False
             self._outstanding[msg.msg_id] = index
             self._credits[index] -= 1
             yield from self._enqueue(thr, msg)
@@ -550,42 +591,8 @@ class Endpoint:
         ``ready()`` may read only what this endpoint's handlers, credit
         refunds and residency change: a compute-idle spin is elided
         between those changes (:mod:`repro.am.elision`)."""
-        if then_block:
-            return poll_until(thr, ready, self.poll, partial(self.wait, thr, timeout_ns=BLOCK_NS),
-                              limit, deadline)
-        return self._spin(thr, ready, period, limit, deadline)
-
-    def _spin(self, thr: Thread, ready: Callable[[], Any], period: Optional[int], limit: int,
-              deadline: Optional[int], stalls: bool = False) -> Generator:
-        """:func:`poll_until` with a compute idle, its empty polls
-        fast-forwarded when ``cfg.spin_elision`` (``stalls``: ``ready()``
-        counts a credit stall per not-ready check)."""
-        sim = thr.sim
-        watch = SpinWatch(thr, (self.state,), self._stats, stalls) if self.cfg.spin_elision else None
-        try:
-            while True:
-                if watch is not None:
-                    watch.arm()
-                value = ready()
-                if value:
-                    return value
-                if deadline is not None and sim.now >= deadline:
-                    return None
-                n = yield from self.poll(thr, limit)
-                while n == 0:
-                    idle_ns = self._poll_touch_ns() if period is None else period
-                    if watch is not None and watch.commit(
-                            (idle_ns, self._poll_touch_ns() + self._lock_cost()), deadline):
-                        if (yield watch) == IDLE_ENDED:
-                            break  # at a ready check
-                        # a poll's touch just ended: its queue check
-                        n = (yield from self._drain(thr, limit)) if self.has_pending() else 0
-                        continue
-                    yield from thr.compute(idle_ns)
-                    break
-        finally:
-            if watch is not None:
-                watch.close()
+        idle = partial(self.wait, thr, timeout_ns=BLOCK_NS) if then_block else None
+        return poll_until(thr, ready, self, idle=idle, period=period, limit=limit, deadline=deadline)
 
     def serve(self, thr: Thread, stop: dict, timeout_ns: int = SERVE_BLOCK_NS,
               limit: int = 8) -> Generator:
@@ -593,8 +600,8 @@ class Endpoint:
         until ``stop["flag"]`` (a server thread body)."""
         self.set_event_mask({"recv"})
         yield from self.wait(thr, timeout_ns=timeout_ns)
-        yield from poll_until(thr, lambda: stop.get("flag"), self.poll,
-                              partial(self.wait, thr, timeout_ns=timeout_ns), limit)
+        yield from poll_until(thr, lambda: stop.get("flag"), self,
+                              idle=partial(self.wait, thr, timeout_ns=timeout_ns), limit=limit)
 
     # ============================================================ collectives
     def collective(

@@ -165,8 +165,8 @@ class GamEndpoint:
         for frag in range(nfrags):
             frag_bytes = min(mtu, nbytes - sent) if is_bulk else nbytes
             sent += frag_bytes
-            yield from poll_until(thr, lambda: self._window_ready(dst), self.poll,
-                                  lambda: thr.compute(cfg.poll_host_ns), limit=4)
+            yield from poll_until(thr, lambda: self._window_ready(dst), self,
+                                  period=cfg.poll_host_ns, limit=4)
             self._window[dst] = self._window.get(dst, 0) + 1
             meta = {"frag": (tid, frag, nfrags) if is_bulk else None, "auto": False}
             msg = _GamMsg(dst, False, frag_bytes, is_bulk, (handler, args, meta))

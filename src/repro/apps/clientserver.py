@@ -129,8 +129,7 @@ def run_contention(ccfg: ContentionConfig) -> ContentionResult:
         bundle = Bundle(servers)
 
         def st_body(thr):
-            return poll_until(thr, lambda: stop["flag"], bundle.poll_all,
-                              lambda: thr.compute(SWEEP_IDLE_NS))
+            return poll_until(thr, lambda: stop["flag"], bundle, period=SWEEP_IDLE_NS)
 
         sproc.spawn_thread(st_body, name="server-st")
     else:  # mt: one thread per endpoint, event driven

@@ -89,7 +89,7 @@ class CompletionQueue:
         deadline = None if timeout_ns is None else sim.now + timeout_ns
         idle = lambda: self._bundle.wait_any(  # noqa: E731
             thr, None if deadline is None else max(1, deadline - sim.now))
-        return poll_until(thr, self._pop, self._bundle.poll_all, idle, deadline=deadline)
+        return poll_until(thr, self._pop, self._bundle, idle=idle, deadline=deadline)
 
     def register(self, vi: "Vi") -> None:
         if vi.endpoint not in self._bundle.endpoints:

@@ -19,9 +19,9 @@ Two deliberate asymmetries keep the measurement honest:
 
 Determinism: a cell is a pure function of its config.  The result digest
 is the canonical digest over the integer observables (per-client reply/undeliverable
-counts, driver and scoreboard counters, NACK counts, latency samples in
-ns) — two runs of the same cell must produce the same digest bit for
-bit, which ``--smoke`` and ``tests/test_scale_policies.py`` enforce.
+counts, driver and scoreboard counters, NACK counts, the end time, latency
+samples in ns; not the event count) — two runs of the same cell must produce
+the same digest bit for bit, which ``--smoke`` and ``tests/test_scale_policies.py`` enforce.
 """
 
 from __future__ import annotations
@@ -272,8 +272,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
     sproc = server_node.start_process("scale.server")
 
     def server_body(thr):
-        return poll_until(thr, lambda: stop["flag"], bundle.poll_all,
-                          lambda: thr.compute(SWEEP_IDLE_NS))
+        return poll_until(thr, lambda: stop["flag"], bundle, period=SWEEP_IDLE_NS)
 
     sproc.spawn_thread(server_body, name="scale.server")
 
@@ -303,7 +302,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
                     (stats.replies_handled - base_r) + (stats.undeliverable - base_u) >= sent)
                 idle = lambda: (thr.compute(spin_step_ns) if sim.now < spin_until  # noqa: E731
                                 else thr.sleep(backoff_ns))
-                yield from poll_until(thr, done, cep.poll, idle, deadline=sim.now + cap_ns)
+                yield from poll_until(thr, done, cep, idle=idle, deadline=sim.now + cap_ns)
                 if measuring["on"] and sent and stats.replies_handled - base_r == sent:
                     latencies.append((sim.now - t0) // sent)
                 yield from thr.sleep(think_ns)
@@ -378,7 +377,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
         ("undeliverable", undeliv),
         ("scoreboard", remaps_d, evictions_d, bounced_d, forced_d, vetoes_d),
         ("nacks", notres_d, over_d),
-        ("sim", sim.now, sim.events_dispatched),
+        ("sim", sim.now),
         ("latencies", lat),
     )
     if bus is not None:

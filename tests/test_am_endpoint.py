@@ -273,15 +273,18 @@ def test_poll_until_stops_at_deadline_without_polling_again():
     sim = cluster.sim
     polled_at = []
 
-    def poll(thr, limit):
-        polled_at.append(sim.now)
-        yield from thr.compute(500)
-        return 0
+    class Target:
+        _watched = ()  # nothing to watch: the loop steps
+
+        def poll(self, thr, limit):
+            polled_at.append(sim.now)
+            yield from thr.compute(500)
+            return 0
 
     def body(thr):
         t0 = sim.now
-        value = yield from poll_until(thr, lambda: False, poll,
-                                      lambda: thr.compute(1_000), deadline=t0 + 4_000)
+        value = yield from poll_until(thr, lambda: False, Target(),
+                                      period=1_000, deadline=t0 + 4_000)
         return value, [t - t0 for t in polled_at], sim.now - t0
 
     (t,) = run_threads(cluster, (0, body), until_ms=1)
@@ -415,20 +418,27 @@ def _arrive(ep, handler):
         st.waiter.signal()
 
 
-def _spin_run(elision, scenario, **cfg):
-    """Run ``scenario(cluster, ep0, thr, t0)`` -- a spin body started at
-    ``t0`` with the CPU held -- and return everything a stepped and an
-    elided spin must agree on, plus the kernel events it took."""
+def _spin_run(elision, scenario, bundled=False, **cfg):
+    """Run ``scenario(cluster, target, thr, t0)`` -- a spin body started at
+    ``t0`` with the CPU held, on ``ep0`` or, ``bundled``, on a bundle of
+    ``ep0`` and two more node-0 endpoints -- and return everything a
+    stepped and an elided spin must agree on, plus the kernel events it
+    took."""
     reset_global_ids()
     cluster = build(spin_elision=elision, **cfg)
     ep0, _ = pair(cluster)
+    eps = [ep0]
+    if bundled:
+        eps += [cluster.run_process(new_endpoint(cluster.node(0), rngs=cluster.rngs), "eb")
+                for _ in range(2)]
+    target = Bundle(eps) if bundled else ep0
     bus = cluster.enable_tracing()
     sim = cluster.sim
     cpu = cluster.node(0).cpu
     out = {}
 
     readers = (lambda: cpu.busy_ns, lambda: thr.cpu_ns, lambda: ep0.stats.polls,
-               lambda: ep0.stats.credit_stalls)
+               lambda: ep0.stats.credit_stalls, lambda: eps[-1].stats.polls)
 
     def probe(k):
         # mid-spin reads must see the stepped counters, whichever comes first
@@ -441,7 +451,7 @@ def _spin_run(elision, scenario, **cfg):
         for k in range(len(readers)):
             sim.schedule((k + 1) * 7_777, probe, k)
         try:
-            out["value"] = yield from scenario(cluster, ep0, thr, t0)
+            out["value"] = yield from scenario(cluster, target, thr, t0)
         except EndpointFreedError:
             out["value"] = "freed"
         out["returned_at"] = sim.now - t0
@@ -451,14 +461,15 @@ def _spin_run(elision, scenario, **cfg):
     cluster.run(until=sim.now + ms(5))
     stats = ep0.stats
     out.update(polls=stats.polls, stalls=stats.credit_stalls, busy_ns=cpu.busy_ns,
+               member_polls=[ep.stats.polls for ep in eps],
                cpu_ns=thr.cpu_ns, switches=cpu.switches,
                timeline=[(e.ts, e.kind, e.node, sorted(e.args.items())) for e in bus.events])
     return out, sim.events_dispatched - ev0
 
 
-def _elided_equals_stepped(scenario, **cfg):
-    elided, elided_events = _spin_run(True, scenario, **cfg)
-    stepped, stepped_events = _spin_run(False, scenario, **cfg)
+def _elided_equals_stepped(scenario, bundled=False, **cfg):
+    elided, elided_events = _spin_run(True, scenario, bundled, **cfg)
+    stepped, stepped_events = _spin_run(False, scenario, bundled, **cfg)
     assert elided == stepped
     assert elided_events < stepped_events  # non-vacuous: polls were skipped
     return elided
@@ -597,3 +608,88 @@ def test_elided_credit_wait_counts_every_stall():
 
     out = _elided_equals_stepped(scenario)
     assert out["value"] > 1
+
+
+# --------------------------------------------- elided bundle sweeps (§6.4)
+def _sweep(thr, bundle, ready, **kw):
+    """The ST server loop: ``poll_until`` over ``poll_all`` with a compute idle."""
+    value = yield from poll_until(thr, ready, bundle, period=1_000, **kw)
+    return value, bundle._next
+
+
+def test_elided_sweep_sees_an_arrival_on_a_later_member_in_kernel_order():
+    """An arrival on the third member at exactly a sweep's queue check is
+    drained there only if its entry was drawn before that sweep's
+    (virtual) timeout; the rotation then continues from the stepped
+    position."""
+    def scenario(drawn_late):
+        def body(cluster, bundle, thr, t0):
+            sim = cluster.sim
+            hit = {}
+            sweep = bundle._sweep_ns()
+            check = t0 + sweep + 5 * (sweep + 1_000)  # the sixth sweep's queue check
+
+            def handler(token):
+                hit["at"] = sim.now
+
+            member = bundle.endpoints[2]
+            if drawn_late:
+                sim.schedule(check - 1 - t0, lambda: sim.schedule(1, _arrive, member, handler))
+            else:
+                sim.schedule(check - t0, _arrive, member, handler)
+            value, rotation = yield from _sweep(thr, bundle, lambda: hit.get("at"))
+            return value - check, sweep, rotation
+        return body
+
+    early = _elided_equals_stepped(scenario(False), bundled=True)
+    late = _elided_equals_stepped(scenario(True), bundled=True)
+    sweep = early["value"][1]
+    assert late["value"][0] - early["value"][0] == sweep + 1_000
+    # six and seven sweeps ran: the cursor moved once per sweep
+    assert (early["value"][2], late["value"][2]) == (6 % 3, 7 % 3)
+    assert early["member_polls"] == [6, 6, 6]
+
+
+def test_elided_sweep_raises_when_a_member_is_freed_at_the_stepped_time():
+    def scenario(cluster, bundle, thr, t0):
+        member = bundle.endpoints[1]
+        cluster.sim.schedule(12_345, lambda: cluster.sim.spawn(
+            cluster.node(0).driver.free_endpoint(member.state)))
+        return (yield from _sweep(thr, bundle, lambda: False, deadline=t0 + us(500)))
+
+    out = _elided_equals_stepped(scenario, bundled=True)
+    assert out["value"] == "freed" and out["returned_at"] < us(500)
+
+
+def test_elided_sweep_follows_a_residency_flip_and_a_shared_member():
+    """A member's touch drops from 800 to 80 ns, then another pays the
+    shared-endpoint lock: both change the sweep's cost mid-spin."""
+    def scenario(cluster, bundle, thr, t0):
+        sim = cluster.sim
+        first, _, last = bundle.endpoints
+
+        def flip():
+            first.state.residency = Residency.ONHOST_RO
+
+        first.state.residency = Residency.ONNIC_RW
+        before = bundle._sweep_ns()
+        sim.schedule(10_101, flip)
+        sim.schedule(20_202, last.set_shared)
+        value = yield from _sweep(thr, bundle, lambda: False, deadline=t0 + us(40))
+        return value, before, bundle._sweep_ns()
+
+    out = _elided_equals_stepped(scenario, bundled=True)
+    cfg = ClusterConfig()
+    (_, rotation), before, after = out["value"]
+    assert after - before == cfg.shared_ep_lock_ns - (cfg.poll_resident_ns - cfg.poll_host_ns)
+    assert rotation == out["polls"] % 3
+
+
+def test_elided_sweep_returns_at_its_deadline():
+    def scenario(cluster, bundle, thr, t0):
+        return (yield from _sweep(thr, bundle, lambda: False, deadline=t0 + us(33)))
+
+    out = _elided_equals_stepped(scenario, bundled=True)
+    (value, rotation) = out["value"]
+    assert value is None and out["returned_at"] >= us(33)
+    assert out["member_polls"] == [out["polls"]] * 3 and rotation == out["polls"] % 3

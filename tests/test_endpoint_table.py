@@ -169,21 +169,20 @@ def test_frame_rows_mirror_and_resident_count():
 
 # ---------------------------------------------------------- determinism
 #: tiny-but-real cell (mirrors test_scale_policies.TINY), seed 11; the
-#: digests below include the dispatched-event count and were recorded
-#: with the express path off
+#: digests below were recorded with the express path off
 _TINY = dict(ratio=4, endpoint_frames=2, client_nodes=2,
              duration_ms=10.0, warmup_ms=5.0, seed=11,
              base=ClusterConfig(express_path=False))
 
 #: digests of the pre-SoA object-based build's observables (re-expressed
 #: in the canonical digest of repro.bench.harness) — the integer-indexed
-#: victim path must reproduce them bit for bit (the event count they
-#: include is the callback SBus engine's: frame DMAs spawn nothing)
+#: victim path must reproduce them bit for bit (they leave out the
+#: dispatched-event count, which exact event elisions lower)
 _PINNED = {
-    "random": "99c69156cfbd049931941327eecf11ce602b77e287121c520c9c167a9ec296d3",
-    "lru": "75444238de3e35c825eb3887f43495e9e1e835d6fc119c4b7bd73efe7493f745",
-    "clock": "05278c8a91a6eb948d68f5c3ef68feb6d0965b32f541c8952b793ea11859d14b",
-    "active-preference": "32f48ee07620621067036e9bbd69fcf092cc5171e78f93d9a9efc51052ff4fe7",
+    "random": "cc3927d5791c8f1cae3a65e034b7645612e48c295917e5dea88e999bf1d51a71",
+    "lru": "82281b8f724514b1191766248ee178deb28bb29e0ee0a172bed00d18f0820769",
+    "clock": "6642529af237dadf6f7fefcdb43adab532697797bccdd849f47b6c7933e2b014",
+    "active-preference": "9b0a825b95ebc81503fc678c8b5070845fb17f2c1bb40329c5886f8f40bf590f",
 }
 
 
