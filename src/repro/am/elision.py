@@ -203,7 +203,7 @@ class SpinWatch:
         sim = self.sim
         n = self._next_after(sim.now, sim._at)
         if n < self.wake_n:
-            entry[3] = None
+            sim.cancel(entry)
             self.wake_n = n
             self.entry = sim._push(self._time(n), self._seq(n), self._fire)
 
@@ -221,6 +221,6 @@ class SpinWatch:
         entry = self.entry
         if entry is not None:
             self.settle()
-            entry[3] = None
+            self.sim.cancel(entry)
             self.entry = None
 

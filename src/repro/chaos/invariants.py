@@ -358,11 +358,10 @@ def check_quiescence(cluster: "Cluster",
             continue
         for chans in nic._tx_channels.values():
             for ch in chans:
-                if ch.outstanding is not None or ch.pending:
+                if ch.outstanding is not None:
                     out.append(Violation(
                         "Q.channel", f"node {nid} channel ->{ch.peer}#{ch.index} "
-                        f"busy ({ch.outstanding} outstanding, "
-                        f"{len(ch.pending)} pending)", ts=now))
+                        f"busy ({ch.outstanding} outstanding)", ts=now))
                 if ch.deadline_ns is not None:
                     out.append(Violation(
                         "Q.timer", f"node {nid} channel ->{ch.peer}#{ch.index} "
@@ -400,7 +399,7 @@ def check_quiescence(cluster: "Cluster",
         out.append(Violation(
             "Q.flight", f"{len(flights)} express flight(s) still committed "
             f"(first: node {pkt.src_nic} -> {pkt.dst_nic}, tail due "
-            f"t={flights[0].tail_at})", msg_id=pkt.msg_id, ts=now))
+            f"t={flights[0].free[-1]})", msg_id=pkt.msg_id, ts=now))
     if workload is not None:
         for thr in workload.all_threads:
             if not thr.finished:

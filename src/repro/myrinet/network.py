@@ -100,7 +100,7 @@ class ExpressStats:
     #: sends that fell back because a route link was occupied or claimed
     fallback_busy: int = 0
     #: sends that fell back because a wormhole process was in flight on
-    #: a link of *this* route (or not yet attributable to its links)
+    #: a link of *this* route
     fallback_active: int = 0
     #: times the path re-armed after a quiet period following a fault
     reenabled: int = 0
@@ -114,11 +114,9 @@ class ExpressStats:
     #: with a live wormhole traversal: *ahead* — some traversal holds,
     #: has passed or is queued at that link, or its head's earliest
     #: arrival there (no further stalls) is strictly before the new
-    #: head's; *race* — otherwise.  *pending* — neither can be told: a
-    #: slow send of this instant has not yet published its route
+    #: head's; *race* — otherwise
     fallback_ahead: int = 0
     fallback_race: int = 0
-    fallback_pending: int = 0
 
     def hits(self) -> int:
         return self.commits + self.loopback
@@ -130,32 +128,26 @@ class ExpressStats:
 class _ExpressFlight:
     """A committed express delivery: a precomputed wormhole timeline.
 
-    ``acquire_at(j)`` / ``free_at(j)`` reproduce exactly when the slow
-    path would acquire and release link ``j`` on an uncontended route;
+    ``acquire[j]`` / ``free[j]`` are exactly when the slow path would
+    acquire and release link ``j`` on an uncontended route (``free[-1]``
+    is the tail's arrival), computed once at commit;
     :meth:`Network._revoke` uses them to reconstruct mid-flight wormhole
     state when the flight must be demoted.
     """
 
-    __slots__ = ("pkt", "route", "nbytes", "t0", "hop_ns", "tail_at", "entry")
+    __slots__ = ("pkt", "route", "nbytes", "acquire", "free", "entry")
 
     def __init__(self, pkt: Packet, route: list[DirectedLink], nbytes: int,
                  t0: int, hop_ns: int):
         self.pkt = pkt
         self.route = route
         self.nbytes = nbytes
-        self.t0 = t0
-        self.hop_ns = hop_ns
-        self.tail_at = t0 + (len(route) - 1) * hop_ns + route[-1].wire_ns(nbytes)
+        last = len(route) - 1
+        acquire = self.acquire = [t0 + j * hop_ns for j in range(last + 1)]
+        self.free = [max(acquire[j + 1], acquire[j] + route[j].wire_ns(nbytes))
+                     for j in range(last)]
+        self.free.append(acquire[last] + route[last].wire_ns(nbytes))
         self.entry: Optional[list] = None  # delivery heap entry (cancelable)
-
-    def acquire_at(self, j: int) -> int:
-        return self.t0 + j * self.hop_ns
-
-    def free_at(self, j: int) -> int:
-        if j == len(self.route) - 1:
-            return self.tail_at
-        return max(self.acquire_at(j + 1),
-                   self.acquire_at(j) + self.route[j].wire_ns(self.nbytes))
 
 
 class Network:
@@ -185,9 +177,6 @@ class Network:
         #: id()s of links/switches currently administratively down
         self._down: set[int] = set()
         self._flights: list[_ExpressFlight] = []
-        #: slow sends spawned but not yet attributed to their route's
-        #: links (the window between send() and the process's first step)
-        self._slow_pending = 0
         #: live wormhole traversals, ``id(acquired_at) -> (route,
         #: acquired_at)``: where each head is, for ExpressStats' split
         self._slow_live: dict[int, tuple] = {}
@@ -301,18 +290,17 @@ class Network:
             else:
                 sim.spawn(self._traverse_loopback(pkt), name=f"pkt{pkt.xmit_id}")
             return
-        if express:
-            route = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
-            # no route: the slow path owns the noroute drop accounting
-            if route is not None:
-                self._revoke_claims(route)
-                if self._try_commit(pkt, route):
-                    return
-        # Counted *before* the process first runs so a same-tick express
-        # attempt cannot miss it; the process converts the pending count
-        # into per-link slow_refs once it knows its route.
-        self._slow_pending += 1
-        sim.spawn(self._traverse(pkt), name=f"pkt{pkt.xmit_id}")
+        route = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
+        # no route: the slow path owns the noroute drop accounting
+        if express and route is not None:
+            self._revoke_claims(route)
+            if self._try_commit(pkt, route):
+                return
+        # Published before the process first runs, so a same-instant
+        # express attempt sees this traversal on exactly its links.
+        acquired_at: list[int] = []
+        self._publish(route, acquired_at)
+        sim.spawn(self._traverse(pkt, route, acquired_at), name=f"pkt{pkt.xmit_id}")
 
     # ------------------------------------------------------- express path
     def _revoke_claims(self, links) -> None:
@@ -324,19 +312,13 @@ class Network:
             fl = link.express_flight
             if fl is not None:
                 # The new head would reach this link i hops from now.
-                if fl.acquire_at(fl.route.index(link)) < self.sim.now + i * self._hop_ns:
+                if fl.acquire[fl.route.index(link)] < self.sim.now + i * self._hop_ns:
                     self.express.revoked_ahead += 1
                 else:
                     self.express.revoked_race += 1
                 self._revoke(fl)
 
     def _try_commit(self, pkt: Packet, route: list[DirectedLink]) -> bool:
-        if self._slow_pending:
-            # A slow send was just spawned and has not yet published its
-            # route; it could be headed for any link, so be conservative.
-            self.express.fallback_active += 1
-            self.express.fallback_pending += 1
-            return False
         now = self.sim.now
         for i, link in enumerate(route):
             if link.slow_refs:
@@ -351,10 +333,10 @@ class Network:
                 return False
         nbytes = pkt.wire_bytes(self.cfg.packet_header_bytes)
         fl = _ExpressFlight(pkt, route, nbytes, now, self._hop_ns)
-        for j, link in enumerate(route):
+        for link, free in zip(route, fl.free):
             link.express_flight = fl
-            link.busy_until = fl.free_at(j)
-        fl.entry = self.sim.call_after(fl.tail_at - now, self._express_fire, fl)
+            link.busy_until = free
+        fl.entry = self.sim.call_after(fl.free[-1] - now, self._express_fire, fl)
         self._flights.append(fl)
         self.express.commits += 1
         return True
@@ -388,13 +370,14 @@ class Network:
             link.express_flight = None
             link.busy_until = 0
         last_j = len(route) - 1
+        acquire, free = fl.acquire, fl.free
         # Per-link accounting in exactly the slow path's amounts.
         for j in range(last_j):
-            route[j].account(nbytes, fl.free_at(j) - fl.acquire_at(j))
+            route[j].account(nbytes, free[j] - acquire[j])
         pending = self._deliver(fl.pkt)
         last = route[last_j]
         if pending is None:
-            last.account(nbytes, self.sim.now - fl.acquire_at(last_j))
+            last.account(nbytes, self.sim.now - acquire[last_j])
         else:
             # Receive FIFO full: hold the last link for real until the
             # NIC drains, so congestion backs into the fabric exactly
@@ -407,7 +390,7 @@ class Network:
 
     def _express_drain(self, fl: _ExpressFlight, last: DirectedLink, pending):
         yield pending
-        last.account(fl.nbytes, self.sim.now - fl.acquire_at(len(fl.route) - 1))
+        last.account(fl.nbytes, self.sim.now - fl.acquire[-1])
         last.release()
 
     def _revoke(self, fl: _ExpressFlight) -> None:
@@ -418,7 +401,7 @@ class Network:
         the link the head currently occupies is re-acquired and a
         continuation process resumes the traversal mid-hop."""
         sim = self.sim
-        fl.entry[3] = None  # cancel the pending delivery callback
+        sim.cancel(fl.entry)  # the pending delivery callback
         fl.entry = None
         self._flights.remove(fl)
         route, nbytes = fl.route, fl.nbytes
@@ -426,11 +409,11 @@ class Network:
             link.express_flight = None
             link.busy_until = 0
         now = sim.now
-        m = min((now - fl.t0) // fl.hop_ns, len(route) - 1)
-        acquired_at = [fl.acquire_at(j) for j in range(m + 1)]
+        m = min((now - fl.acquire[0]) // self._hop_ns, len(route) - 1)
+        acquired_at = fl.acquire[:m + 1]
         for j in range(m):
-            fa = fl.free_at(j)
-            route[j].account(nbytes, fa - fl.acquire_at(j))
+            fa = fl.free[j]
+            route[j].account(nbytes, fa - acquired_at[j])
             if fa > now:
                 if not route[j].try_acquire():
                     raise SimError(f"express flight lost held link {route[j].name}")
@@ -451,8 +434,9 @@ class Network:
         try:
             if m < len(route) - 1:
                 # The wormhole would be mid-hop: inside the timeout begun
-                # when link m was acquired.
-                wake = fl.acquire_at(m) + fl.hop_ns
+                # when link m was acquired, which ends as link m + 1's
+                # acquisition would begin.
+                wake = fl.acquire[m + 1]
                 if wake > self.sim.now:
                     yield self.sim.timeout(wake - self.sim.now)
             yield from self._run_route(fl.pkt, route, fl.nbytes, m + 1,
@@ -499,16 +483,28 @@ class Network:
         if pending is not None:
             yield pending
 
-    def _traverse(self, pkt: Packet):
-        route = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
+    def _publish(self, route: Optional[list[DirectedLink]], acquired_at: list[int]) -> None:
+        """Mark a wormhole traversal live on its route's links."""
         if route is not None:
             for link in route:
                 link.slow_refs += 1
-        # Route published (or there is none): stop being "pending".
-        self._slow_pending -= 1
-        acquired_at: list[int] = []
-        if route is not None:
             self._slow_live[id(acquired_at)] = (route, acquired_at)
+
+    def _unpublish(self, route: Optional[list[DirectedLink]], acquired_at: list[int]) -> None:
+        if route is not None:
+            for link in route:
+                link.slow_refs -= 1
+            del self._slow_live[id(acquired_at)]
+
+    def _traverse(self, pkt: Packet, route: Optional[list[DirectedLink]],
+                  acquired_at: list[int]):
+        cur = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
+        if cur != route:
+            # A fault of this instant re-routed the send after send()
+            # published it: move the registration to the route taken.
+            self._unpublish(route, acquired_at)
+            route = cur
+            self._publish(route, acquired_at)
         try:
             if route is None:
                 self.stats.dropped_noroute += 1
@@ -519,10 +515,7 @@ class Network:
             nbytes = pkt.wire_bytes(self.cfg.packet_header_bytes)
             yield from self._run_route(pkt, route, nbytes, 0, acquired_at, [])
         finally:
-            if route is not None:
-                for link in route:
-                    link.slow_refs -= 1
-                del self._slow_live[id(acquired_at)]
+            self._unpublish(route, acquired_at)
 
     def _run_route(self, pkt: Packet, route: list[DirectedLink], nbytes: int,
                    start: int, acquired_at: list[int], held: list[DirectedLink]):

@@ -5,6 +5,11 @@ of stop-and-wait channels with positive acknowledgment.  Each channel
 carries at most one unacknowledged packet; multiple channels mask
 transmission and acknowledgment latencies and exploit multipath routing
 (the channel index selects the spine in :mod:`repro.myrinet.topology`).
+A NI creates a peer's channels as it needs them: the first time no
+existing channel to that peer is idle, it adds the next index, up to
+``channels_per_pair``.  Since the first idle channel is always the one
+used, this picks exactly the index a full set would, so routes are the
+same while a light peer costs one channel instead of all of them.
 
 Because channels are shared physical resources, no message may occupy one
 indefinitely: after ``max_consecutive_retrans`` consecutive retransmissions
@@ -20,8 +25,8 @@ duplicate-suppression window.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
-from typing import Deque, Optional
+from collections import OrderedDict
+from typing import Optional
 
 from ..cluster.config import ClusterConfig
 from .message import Message
@@ -46,7 +51,6 @@ class TxChannel:
         "seq",
         "epoch",
         "outstanding",
-        "pending",
         "deadline_ns",
         "timer_gen",
     )
@@ -60,8 +64,6 @@ class TxChannel:
         self.epoch = epoch
         #: the one message awaiting acknowledgment, if any
         self.outstanding: Optional[Message] = None
-        #: messages bound to this channel awaiting their turn (FIFO, §5.3)
-        self.pending: Deque[Message] = deque()
         #: absolute retransmission deadline for the outstanding packet
         self.deadline_ns: Optional[int] = None
         #: invalidates stale timer-heap entries
@@ -70,10 +72,6 @@ class TxChannel:
     @property
     def idle(self) -> bool:
         return self.outstanding is None
-
-    def load(self) -> int:
-        """Queue depth used for least-loaded channel selection."""
-        return (0 if self.idle else 1) + len(self.pending)
 
     def arm(self, now_ns: int, timeout_ns: int) -> int:
         """Arm the retransmission timer; returns the deadline."""
@@ -86,13 +84,9 @@ class TxChannel:
         self.deadline_ns = None
 
     def reset(self, epoch: int) -> list[Message]:
-        """Reboot: drop all state, return the orphaned messages."""
-        orphans = []
-        if self.outstanding is not None:
-            orphans.append(self.outstanding)
-        orphans.extend(self.pending)
+        """Reboot: drop all state, return the orphaned message (if any)."""
+        orphans = [] if self.outstanding is None else [self.outstanding]
         self.outstanding = None
-        self.pending.clear()
         self.seq = 0
         self.epoch = epoch
         self.disarm()
@@ -101,7 +95,7 @@ class TxChannel:
     def __repr__(self) -> str:
         return (
             f"<TxCh ->{self.peer}#{self.index} seq{self.seq}"
-            f" out={self.outstanding is not None} pend={len(self.pending)}>"
+            f" out={self.outstanding is not None}>"
         )
 
 

@@ -380,7 +380,8 @@ class Nic:
                 self._cur_count < budget
                 and now - self._cur_since < cfg.wrr_max_ns * w
             )
-            if within and ep.has_sendable() and self._idle_channel(ep.send_ring[0].dst_node):
+            if (within and ep.has_sendable()
+                    and self._free_channel(ep.send_ring[0].dst_node) is not None):
                 if tenant is None or tenant.bucket is None \
                         or tenant.bucket.try_take(now):
                     return ep
@@ -396,7 +397,7 @@ class Nic:
                 self._cur = None
                 ep.service_deficit = 0  # quantum consumed or ring drained
                 if ep.has_sendable():
-                    if self._idle_channel(ep.send_ring[0].dst_node):
+                    if self._free_channel(ep.send_ring[0].dst_node) is not None:
                         self._rotation.append(ep)  # budget spent: to the back
                     else:
                         # Just-served endpoint yields to waiters that never ran.
@@ -411,7 +412,7 @@ class Nic:
             if not ep.has_sendable():
                 ep.in_rotation = False
                 continue
-            if self._idle_channel(ep.send_ring[0].dst_node) is None:
+            if self._free_channel(ep.send_ring[0].dst_node) is None:
                 # Blocked before being served this round: keep its place at
                 # the head of the waiter queue (WRR fairness, §5.2).
                 ep.in_rotation = False
@@ -476,18 +477,28 @@ class Nic:
         yield self.sim.timeout(self.meter.cost_ns("send_post", cfg.ni_send_post_instr))
 
     # ========================================================== transmission
-    def _tx_channel_set(self, peer: int) -> list[TxChannel]:
-        chans = self._tx_channels.get(peer)
-        if chans is None:
-            chans = [TxChannel(peer, i, epoch=self.epoch) for i in range(self.cfg.channels_per_pair)]
-            self._tx_channels[peer] = chans
-        return chans
+    def _free_channel(self, peer: int) -> Optional[int]:
+        """Index of the channel a send to ``peer`` binds now: the first
+        idle one, else the next index while the set is short of
+        ``channels_per_pair`` (channels are created as they are used);
+        None if every channel is busy.  Creates nothing."""
+        chans = self._tx_channels.get(peer, ())
+        for i, ch in enumerate(chans):
+            if ch.outstanding is None:
+                return i
+        return len(chans) if len(chans) < self.cfg.channels_per_pair else None
 
     def _idle_channel(self, peer: int) -> Optional[TxChannel]:
-        for ch in self._tx_channel_set(peer):
-            if ch.idle:
-                return ch
-        return None
+        """The channel :meth:`_free_channel` names, created if new."""
+        i = self._free_channel(peer)
+        if i is None:
+            return None
+        chans = self._tx_channels.get(peer)
+        if chans is None:
+            chans = self._tx_channels[peer] = []
+        if i == len(chans):
+            chans.append(TxChannel(peer, i, epoch=self.epoch))
+        return chans[i]
 
     def _transmit(self, ch: TxChannel, msg: Message, retrans: bool = False):
         """Put ``msg`` on the wire over ``ch`` and arm its timer."""
@@ -574,7 +585,7 @@ class Nic:
         # self-clocking floor: our own in-flight window queues ahead of a
         # new packet at the receiver, so the timeout must cover it even
         # before the estimator has caught up with a load ramp
-        outstanding = sum(1 for ch in self._tx_channel_set(peer) if not ch.idle)
+        outstanding = sum(1 for ch in self._tx_channels.get(peer, ()) if not ch.idle)
         rto = max(rto, outstanding * 15_000)
         lo = round(self.cfg.rtt_min_timeout_us * 1_000)
         hi = round(self.cfg.retrans_timeout_us * 1_000) * 2

@@ -119,7 +119,6 @@ class TraceBus:
         m.counter("net.express.revoked.race").value = x.revoked_race
         m.counter("net.express.fallback.active.ahead").value = x.fallback_ahead
         m.counter("net.express.fallback.active.race").value = x.fallback_race
-        m.counter("net.express.fallback.active.pending").value = x.fallback_pending
         m.counter("net.express.reenabled").value = x.reenabled
 
     def publish_tenants(self, registry) -> None:

@@ -38,6 +38,12 @@ allocation identity.  That freedom is what the fast paths exploit:
 * entries created internally (``_post``, the process timeout fast path)
   are recycled through ``Simulator._entry_pool`` once dispatched, so
   steady-state scheduling allocates nothing;
+* every cancel goes through :meth:`Simulator.cancel`, which counts the
+  dead entry it leaves in the heap; once dead entries outnumber live ones
+  (past :data:`COMPACT_FLOOR`) the heap is rebuilt from its live entries
+  (asyncio's rule for canceled timers), so parks that are armed and
+  canceled by the thousand do not grow it.  ``(when, seq)`` keys are
+  unique, so the rebuild cannot change dispatch order;
 * ``Simulator.timeout()`` hands out :class:`Timeout` objects from a
   free list; the process wait fast path returns them the moment their
   ``(delay, value)`` pair has been copied into a heap entry.  A pooled
@@ -99,6 +105,13 @@ SEQ_SHIFT = 40
 SEQ_REAL_BASE = 1 << 39
 #: the position "after every entry of this instant" (see ``Simulator._at``)
 SEQ_END = 1 << 200
+
+#: dead heap entries tolerated regardless of the live count: a rebuild
+#: runs once counted dead entries exceed both this and the live ones
+COMPACT_FLOOR = 64
+#: args-slot mark of an entry canceled by :meth:`Simulator.cancel`, which
+#: tells the run loop to uncount it when it surfaces
+_CANCELED = object()
 
 
 def us(x: float) -> int:
@@ -384,7 +397,7 @@ class Process:
         if cw is not None:
             cls = cw.__class__
             if cls is list:
-                cw[3] = None  # cancel the pending heap entry in place
+                self.sim.cancel(cw)
             elif cls is Event:
                 try:
                     cw._waiters.remove(self._resume)
@@ -475,13 +488,14 @@ class Process:
 class _Handle:
     """Cancelable handle for a scheduled callback."""
 
-    __slots__ = ("_entry",)
+    __slots__ = ("_sim", "_entry")
 
-    def __init__(self, entry: list):
+    def __init__(self, sim: "Simulator", entry: list):
+        self._sim = sim
         self._entry = entry
 
     def cancel(self) -> None:
-        self._entry[3] = None
+        self._sim.cancel(self._entry)
 
 
 class Simulator:
@@ -505,6 +519,8 @@ class Simulator:
         self.events_dispatched = 0
         #: recycled heap entries (only internally created, handle-less ones)
         self._entry_pool: list[list] = []
+        #: entries canceled through :meth:`cancel` still in the heap
+        self._dead = 0
         #: recycled Timeout objects handed out by :meth:`timeout`
         self._timeout_pool: list[Timeout] = []
         #: observer-only trace sink (see repro.obs); nil by default
@@ -517,7 +533,7 @@ class Simulator:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         entry = [self.now + int(delay), self._draw(), args, fn, False]
         _heappush(self._heap, entry)
-        return _Handle(entry)
+        return _Handle(self, entry)
 
     def _draw(self) -> int:
         """The seq of an entry drawn now (see :data:`SEQ_SHIFT`)."""
@@ -528,8 +544,8 @@ class Simulator:
 
         For a wake that stands in for a chain of skipped entries: ``seq``
         is the key the last skipped draw would have had, so the entry
-        sorts among real ones exactly where that draw would.  Cancel by
-        setting ``entry[3] = None``, as for :meth:`call_after`.
+        sorts among real ones exactly where that draw would.  Cancel
+        with :meth:`cancel`, as for :meth:`call_after`.
         """
         entry = [when, seq, args, fn, False]
         _heappush(self._heap, entry)
@@ -540,11 +556,10 @@ class Simulator:
 
         The hot-path sibling of :meth:`schedule`: the heap entry is
         recycled after dispatch, so steady-state callers allocate
-        nothing.  Returns the raw entry; cancel by setting
-        ``entry[3] = None`` (the callback slot both kernels share) and
-        dropping the reference — a canceled entry is reclaimed when it
-        surfaces.  Unlike :meth:`schedule` there is no handle object, so
-        holders must not touch the entry after it may have fired.
+        nothing.  Returns the raw entry; cancel it with :meth:`cancel`
+        and drop the reference.  Unlike :meth:`schedule` there is no
+        handle object, so holders must not touch the entry after it may
+        have fired or been canceled: either may recycle it.
         """
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
@@ -578,6 +593,40 @@ class Simulator:
         else:
             entry = [now, (now << SEQ_SHIFT) | next(self._seq), args, fn, True]
         _heappush(self._heap, entry)
+
+    def cancel(self, entry: list) -> None:
+        """Cancel a pending heap entry in place; a no-op once it has fired.
+
+        The one cancel protocol of both kernels: the callback slot
+        ``entry[3]`` is cleared, and the run loop skips the entry when it
+        surfaces.  This kernel also counts the dead entry and, once dead
+        entries outnumber live ones (and :data:`COMPACT_FLOOR`), rebuilds
+        the heap from the live ones, recycling pooled dead entries.  A
+        bare ``entry[3] = None`` store is still honoured, uncounted: it
+        is reclaimed when it surfaces or at the next rebuild.
+        """
+        if entry[3] is None:
+            return
+        entry[3] = None
+        entry[2] = _CANCELED
+        self._dead += 1
+        if self._dead > COMPACT_FLOOR and 2 * self._dead > len(self._heap):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap in place from its live entries."""
+        heap = self._heap
+        pool = self._entry_pool
+        live = []
+        for entry in heap:
+            if entry[3] is not None:
+                live.append(entry)
+            elif entry[4]:
+                entry[2] = None
+                pool.append(entry)
+        heap[:] = live
+        heapq.heapify(heap)
+        self._dead = 0
 
     def _crash(self, proc: Process, exc: BaseException) -> None:
         if self._crashed is None:
@@ -656,16 +705,19 @@ class Simulator:
                 entry = pop(heap)
                 fn = entry[3]
                 if fn is None:  # canceled
+                    if entry[2] is _CANCELED:
+                        self._dead -= 1
                     if entry[4]:
                         entry[2] = None
                         entry_pool.append(entry)
                     continue
+                # cleared first: a cancel from now on is a no-op
+                entry[3] = None
                 self.now = when
                 self._at = entry[1]
                 fn(*entry[2])
                 if entry[4]:
                     entry[2] = None
-                    entry[3] = None
                     entry_pool.append(entry)
                 count += 1
                 if ((stop is not None and stop())

@@ -84,7 +84,7 @@ class ReferenceSimulator(Simulator):
             raise SimError(f"cannot schedule in the past (delay={delay})")
         entry = [self.now + int(delay), self._draw(), args, fn]
         heapq.heappush(self._heap, entry)
-        return _Handle(entry)
+        return _Handle(self, entry)
 
     def _push(self, when: int, seq: int, fn: Callable, *args: Any) -> list:
         entry = [when, seq, args, fn]
@@ -95,16 +95,17 @@ class ReferenceSimulator(Simulator):
         self.schedule(0, fn, *args)
 
     def call_after(self, delay: int, fn: Callable, *args: Any) -> list:
-        """One-shot callback with per-call allocation (no entry pool).
-
-        Same cancel protocol as the optimized kernel — ``entry[3] = None``
-        — since both kernels keep the callback in slot 3.
-        """
+        """One-shot callback with per-call allocation (no entry pool)."""
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         entry = [self.now + int(delay), self._draw(), args, fn]
         heapq.heappush(self._heap, entry)
         return entry
+
+    def cancel(self, entry: list) -> None:
+        """Clear the callback slot; the entry is skipped when it surfaces
+        (no dead count, no compaction)."""
+        entry[3] = None
 
     def spawn(self, gen: Generator, name: str = "") -> ReferenceProcess:
         proc = ReferenceProcess(self, gen, name=name)

@@ -245,11 +245,11 @@ class GateTimeout:
 
     One object serves every park of one waiter: re-arm it with
     ``yield gt.after(delay)``.  Its callbacks are bound once; the
-    deadline is a pooled ``Simulator.call_after`` entry canceled in
-    place.  A gate wake that was already posted when the park ended
-    another way (deadline or interrupt) is counted in ``_stale`` and
-    swallowed when it lands — it always lands before any later park's
-    wake, since it was posted first at the same instant.
+    deadline is a pooled ``Simulator.call_after`` entry, canceled with
+    ``Simulator.cancel``.  A gate wake that was already posted when the
+    park ended another way (deadline or interrupt) is counted in
+    ``_stale`` and swallowed when it lands — it always lands before any
+    later park's wake, since it was posted first at the same instant.
     """
 
     __slots__ = ("gate", "delay", "_cb", "_timer", "_stale", "_gate_cb", "_timer_cb")
@@ -291,7 +291,7 @@ class GateTimeout:
             return
         cb = self._cb
         self._cb = None
-        self._timer[3] = None  # cancel the deadline in place
+        self.gate.sim.cancel(self._timer)
         self._timer = None
         cb((0, None), None)
 
@@ -314,5 +314,5 @@ class GateTimeout:
             return
         self._cb = None
         self._drop_gate()
-        self._timer[3] = None
+        self.gate.sim.cancel(self._timer)
         self._timer = None

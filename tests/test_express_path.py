@@ -191,6 +191,42 @@ def test_disjoint_wormhole_does_not_block_express():
     assert link_ledger(n1) == link_ledger(n2)
 
 
+def test_same_instant_slow_send_does_not_block_disjoint_express():
+    """A slow send publishes its route in ``send``: a send of the same
+    instant on a disjoint route still commits express."""
+    # A commits 0->5; B (2->5) revokes it and falls back; C (1->2, in the
+    # same instant as B and disjoint from both) must go express.
+    sends = [(0, 0, 5, 4096), (500, 2, 5, 64), (500, 1, 2, 64)]
+    (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
+    x = n1.express
+    assert x.revoked == 1 and x.fallback_active == 1
+    assert x.commits == 2  # A and C
+    assert log1 == log2
+    assert n1.stats == n2.stats
+    assert link_ledger(n1) == link_ledger(n2)
+
+
+def test_fault_before_first_step_moves_slow_route_registration():
+    """A link fault between a slow send and its traversal's first step
+    re-routes it; the registration follows, so every link's ``slow_refs``
+    is back to zero once it is delivered."""
+    sim, net, _ = make_net(8, express=False)
+    delivered = []
+    for i in range(8):
+        net.attach(i, delivered.append)
+    route = net.topology.cached_route(0, 5, 0)
+    spine_up = route[1]
+    sim.schedule(100, net.send, Packet(0, 5, PacketType.DATA, msg_id=1))
+    sim.schedule(100, setattr, spine_up, "up", False)  # before the first step
+    sim.run(until=101)
+    assert spine_up.slow_refs == 0  # registration moved off the dead spine
+    assert sum(link.slow_refs for link in net.topology.all_links) == 4
+    sim.run()
+    assert len(delivered) == 1
+    assert all(link.slow_refs == 0 for link in net.topology.all_links)
+    assert not net._slow_live
+
+
 def test_direct_up_flip_disables_express():
     sim, net, _ = make_net(8)
     net.topology.host_up[3].up = False  # a test poking the attribute
@@ -472,7 +508,6 @@ def test_revocation_and_fallback_split_ahead_from_race():
         # the new send then falls back behind the replayed wormhole,
         # which holds 0->5's link 2 and reaches link 3 at 3 hops
         assert x.fallback_active == x.fallback_ahead + x.fallback_race == 1
-        assert x.fallback_pending == 0
         assert x.fallback_ahead == (1 if sends is ahead else 0)
         assert not n1._slow_live
     # a third send onto the link the replayed wormhole now holds: ahead

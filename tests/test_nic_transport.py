@@ -354,3 +354,82 @@ def test_lamport_clocks_advance_across_agents():
     add_ep(sim, nics[0], cfg, 1, tag=10)
     sim.run(until=ms(1))
     assert nics[0].clock.time > t0
+
+
+# ------------------------------------------------------ channels by use
+def test_burst_creates_channels_in_index_order_and_blocks_surplus():
+    """Channels to a peer are created as used, in index order, never
+    past ``channels_per_pair``; the surplus waits blocked on the peer."""
+    from repro.obs import TraceBus
+
+    sim, cfg, net, nics = build(channels_per_pair=4, send_ring_depth=16)
+    bus = TraceBus.attach(sim)
+    a = add_ep(sim, nics[0], cfg, 1, tag=10)
+    add_ep(sim, nics[1], cfg, 1, tag=20)
+    sim.run(until=ms(1))
+    assert 1 not in nics[0]._tx_channels  # nothing sent: nothing allocated
+    # bulk fragments: each holds its channel through both staging DMAs
+    msgs = [mk_msg((0, 1), (1, 1), key=20, nbytes=4096, bulk=True) for _ in range(10)]
+    for m in msgs:
+        assert nics[0].host_enqueue_send(a, m)
+    widths = []
+    while sim.now < ms(5):
+        sim.run(until=sim.now + us(1))
+        widths.append(len(nics[0]._tx_channels.get(1, ())))
+    assert all(m.state is MessageState.DELIVERED for m in msgs)
+    assert widths == sorted(widths) and widths[0] < widths[-1] == cfg.channels_per_pair
+    chans = [ev.args["ch"] for ev in bus.select("pkt.tx", node=0)]
+    assert chans[:4] == [0, 1, 2, 3]
+    assert set(chans) == {0, 1, 2, 3}
+    stalls = bus.select("chan.stall", node=0)
+    assert stalls and all(ev.args["peer"] == 1 for ev in stalls)
+
+
+def test_alltoall_channel_lists_end_at_the_highest_channel_used():
+    """After a 16-rank all-to-all every per-peer channel list is exactly
+    as long as the highest channel index that carried a packet, plus one."""
+    from repro.cluster import Cluster
+    from repro.lib.mpi import build_world
+
+    cluster = Cluster(ClusterConfig(num_hosts=16))
+    bus = cluster.enable_tracing(capacity=1)
+    highest = {}
+
+    def on_event(ev):
+        if ev.kind in ("pkt.tx", "pkt.retransmit"):
+            key = (ev.node, ev.args["peer"])
+            highest[key] = max(highest.get(key, -1), ev.args["ch"])
+
+    bus.subscribe(on_event)
+    world = cluster.run_process(build_world(cluster, list(range(16))), "mpi")
+
+    def main(thr, comm):
+        return (yield from comm.alltoall(thr, list(range(comm.size)), 65536))
+
+    threads = world.spawn(main)
+    cluster.run(until=cluster.sim.now + ms(3_000))
+    assert all(t.finished for t in threads)
+    lengths = {(n, peer): len(chans)
+               for n in range(16)
+               for peer, chans in cluster.node(n).nic._tx_channels.items()}
+    assert lengths == {key: ch + 1 for key, ch in highest.items()}
+    assert max(lengths.values()) > 1  # the all-to-all did use several
+    assert max(lengths.values()) <= cluster.cfg.channels_per_pair
+
+
+def test_rebind_never_grows_the_channel_set_past_its_cap():
+    """An unbound message's rebind takes an idle channel or waits; it
+    never adds one past ``channels_per_pair``."""
+    sim, cfg, net, nics = build(channels_per_pair=1, max_consecutive_retrans=1,
+                                dead_timeout_ms=500.0)
+    a = add_ep(sim, nics[0], cfg, 1, tag=10)
+    add_ep(sim, nics[1], cfg, 1, tag=20, load=False)  # NACKs every copy
+    sim.run(until=ms(1))
+    for _ in range(2):
+        assert nics[0].host_enqueue_send(a, mk_msg((0, 1), (1, 1), key=20))
+    widths = set()
+    while sim.now < ms(60):
+        sim.run(until=sim.now + us(100))
+        widths.add(len(nics[0]._tx_channels.get(1, ())))
+    assert nics[0].stats.unbinds >= 2 and nics[0].stats.rebinds >= 1
+    assert widths == {1}

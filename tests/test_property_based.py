@@ -95,21 +95,19 @@ def test_rx_peer_dedup_never_accepts_twice(msg_ids):
     assert len(delivered) == len(set(delivered))
 
 
-@given(st.integers(min_value=1, max_value=20))
-def test_channel_reset_orphans_everything(n_pending):
+@given(st.booleans(), st.integers(min_value=0, max_value=1))
+def test_channel_reset_orphans_everything(busy, seq):
     from repro.nic.message import Message, MsgKind
 
     ch = TxChannel(peer=1, index=0)
-    msgs = [
-        Message(src_node=0, src_ep=1, dst_node=1, dst_ep=1, key=0, kind=MsgKind.REQUEST)
-        for _ in range(n_pending)
-    ]
-    ch.outstanding = msgs[0]
-    for m in msgs[1:]:
-        ch.pending.append(m)
+    msg = Message(src_node=0, src_ep=1, dst_node=1, dst_ep=1, key=0, kind=MsgKind.REQUEST)
+    ch.seq = seq
+    if busy:
+        ch.outstanding = msg
+        ch.arm(0, 1_000)
     orphans = ch.reset(epoch=2)
-    assert len(orphans) == n_pending
-    assert ch.idle and not ch.pending
+    assert orphans == ([msg] if busy else [])
+    assert ch.idle and ch.deadline_ns is None
     assert ch.epoch == 2 and ch.seq == 0
 
 

@@ -397,3 +397,153 @@ def test_gate_timeout_matches_anyof_and_reference_kernel():
     assert opt == ref  # same wakes, same final time, same event count
     oracle = _park_scenario(Simulator(), reusable=False)
     assert opt[:3] == oracle[:3]
+
+
+# ------------------------------------------------------- cancel + compaction
+def _cancel_storm(sim, seed, n=3000, raw=True, probe=None):
+    """A seeded schedule of one-shot callbacks and interrupted sleepers.
+    Each fired callback arms short follow-ups and one far deadline, the
+    way the firmware arms a park deadline, then cancels pending entries
+    at random through ``sim.cancel``, a handle and (with ``raw``) a bare
+    store, so dead far entries pile up.  Returns the dispatched
+    ``(when, seq, token)`` sequence."""
+    import itertools
+    import random
+
+    rng = random.Random(seed)
+    pending = {}  # token -> (kind, entry or handle)
+    order = []
+    count = itertools.count()
+    sleepers = []
+
+    def arm(delay):
+        tok = next(count)
+        if rng.random() < 0.5:
+            pending[tok] = ("entry", sim.call_after(delay, fire, tok))
+        else:
+            pending[tok] = ("handle", sim.schedule(delay, fire, tok))
+
+    def fire(tok):
+        del pending[tok]
+        order.append((sim.now, sim._at, tok))
+        if len(order) + len(pending) < n:
+            for _ in range(rng.choice((1, 1, 2))):
+                arm(rng.randrange(0, 5_000))
+            arm(rng.randrange(10 ** 6, 2 * 10 ** 6))
+        for _ in range(rng.choice((1, 1, 2))):
+            if not pending:
+                break
+            kind, obj = pending.pop(rng.choice(sorted(pending)))
+            if kind == "handle":
+                obj.cancel()
+            elif raw and rng.random() < 0.3:
+                obj[3] = None  # a bare store: honoured, uncounted
+            else:
+                sim.cancel(obj)
+            if probe is not None:
+                probe(sim)
+        if sleepers and rng.random() < 0.2:
+            sleepers[rng.randrange(len(sleepers))].interrupt()
+
+    def sleeper(k):
+        while len(order) < n - 50:
+            try:
+                yield sim.timeout(rng.randrange(1_000, 200_000))
+                order.append((sim.now, sim._at, f"s{k}"))
+            except Interrupted:
+                order.append((sim.now, sim._at, f"i{k}"))
+
+    for _ in range(20):
+        arm(rng.randrange(0, 5_000))
+    sleepers.extend(sim.spawn(sleeper(k)) for k in range(4))
+    sim.run()
+    return order
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cancel_storm_dispatches_identically_on_both_kernels(seed, monkeypatch):
+    rebuilds = []
+    compact = Simulator._compact
+    monkeypatch.setattr(Simulator, "_compact", lambda sim: (rebuilds.append(1), compact(sim)))
+    opt, ref = Simulator(), ReferenceSimulator()
+    got = _cancel_storm(opt, seed)
+    assert rebuilds  # the optimized heap was rebuilt along the way
+    assert got == _cancel_storm(ref, seed)
+    assert opt.events_dispatched == ref.events_dispatched
+    assert len(got) > 2_000
+    assert opt._dead == 0 and not opt._heap
+
+
+def _live(sim):
+    return sum(1 for e in sim._heap if e[3] is not None)
+
+
+def test_counted_cancels_keep_the_heap_within_twice_live_plus_floor():
+    from repro.sim.core import COMPACT_FLOOR
+
+    worst = [0]
+
+    def probe(sim):
+        live = _live(sim)
+        assert len(sim._heap) <= 2 * live + COMPACT_FLOOR
+        assert sim._dead == len(sim._heap) - live  # the count is exact
+        worst[0] = max(worst[0], len(sim._heap) - live)
+
+    _cancel_storm(Simulator(), 7, raw=False, probe=probe)
+    assert worst[0] > COMPACT_FLOOR // 2  # the bound was actually exercised
+
+
+def test_compaction_recycles_entries_without_their_old_callbacks():
+    from repro.sim.core import COMPACT_FLOOR
+
+    sim = Simulator()
+    fired = []
+    old = [sim.call_after(1_000 + i, fired.append, ("old", i)) for i in range(4 * COMPACT_FLOOR)]
+    for entry in old:
+        sim.cancel(entry)
+    # the rebuild ran: the heap holds only live entries, and the dead
+    # pooled ones went back to the free list, cleared
+    assert len(sim._heap) < 2 * COMPACT_FLOOR
+    assert any(e is o for e in sim._entry_pool for o in old)
+    assert all(e[2] is None and e[3] is None for e in sim._entry_pool)
+    new = [sim.call_after(500 + i, fired.append, ("new", i)) for i in range(4 * COMPACT_FLOOR)]
+    assert any(n is o for n in new for o in old)  # recycled identities
+    sim.run()
+    assert fired == [("new", i) for i in range(4 * COMPACT_FLOOR)]
+    assert sim._dead == 0
+
+
+def test_cancel_after_fire_is_a_noop():
+    sim = Simulator()
+    hits = []
+    handle = sim.schedule(5, hits.append, "a")
+    sim.run()
+    handle.cancel()  # AnyOf cancels every child, the fired one included
+    assert hits == ["a"] and sim._dead == 0
+
+
+def test_gate_timeout_parked_and_woken_keeps_the_heap_bounded():
+    from repro.sim.core import COMPACT_FLOOR
+
+    sim = Simulator()
+    gate = Gate(sim)
+    gt = GateTimeout(gate)
+    sizes = []
+
+    def waiter():
+        for _ in range(1_000):
+            sizes.append(len(sim._heap))
+            yield gt.after(8_000_000)  # the firmware's retransmit horizon
+
+    def kicker():
+        for _ in range(1_000):
+            yield sim.timeout(7)
+            gate.pulse()
+
+    sim.spawn(waiter())
+    sim.spawn(kicker())
+    sim.run()
+    assert len(sizes) == 1_000
+    # every wake cancels an 8 ms deadline: without compaction the heap
+    # would hold one dead entry per park
+    assert max(sizes) <= 2 * COMPACT_FLOOR + 4
