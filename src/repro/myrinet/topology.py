@@ -74,10 +74,12 @@ class FatTreeTopology:
         for s in range(self.num_spines):
             self.down_links.append([mk(f"s{s}->l{leaf}") for leaf in range(self.num_leaves)])
 
-        #: (src, dst, channel) -> hop list, valid only while no switch or
-        #: link has ever flipped state (see mark_dirty); routing is a pure
-        #: function of that state, so until the first flip a cached result
-        #: is exactly what route() would recompute
+        #: (src, dst, preferred spine) -> hop list, valid only while no
+        #: switch or link has ever flipped state (see mark_dirty); routing
+        #: is a pure function of that state and depends on the channel only
+        #: through the preferred spine, so until the first flip a cached
+        #: result is exactly what route() would recompute, and the channels
+        #: that prefer one spine share one list
         self._route_cache: dict[tuple[int, int, int], Optional[list[DirectedLink]]] = {}
         self._fabric_dirty = False
 
@@ -150,7 +152,8 @@ class FatTreeTopology:
         """
         if self._fabric_dirty:
             return self.route(src, dst, channel)
-        key = (src, dst, channel)
+        spines = self.num_spines
+        key = (src, dst, (src + dst + channel) % spines if spines else 0)
         cache = self._route_cache
         hit = cache.get(key, _MISS)
         if hit is not _MISS:

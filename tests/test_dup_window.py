@@ -11,6 +11,8 @@ and the default (512, vs 32 channels x 1 outstanding each) is safe under
 heavy retransmission.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.chaos import ScheduleGenerator, chaos_config, run_chaos
@@ -30,6 +32,29 @@ def test_window_evicts_oldest_first():
         peer.record_delivery(msg_id)
     assert not peer.is_duplicate(1)  # overflowed out — would redeliver
     assert all(peer.is_duplicate(m) for m in (2, 3, 4, 5))
+
+
+def test_window_stores_ids_packed():
+    # 64 peers, each past its 512-id window, ids drawn from one global
+    # counter as the firmware's are: each remembered id costs at most 24 B
+    # (two packed 8-byte copies plus array slack), where a dict of int
+    # objects costs well over 100 B.
+    peers_n, window = 64, RxPeerState.WINDOW
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        peers = [RxPeerState(p, window=window) for p in range(peers_n)]
+        msg_id = 10**9
+        for _ in range(window + 100):
+            for peer in peers:
+                msg_id += 1
+                peer.record_delivery(msg_id)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(peer.is_duplicate(msg_id - k) for k, peer in enumerate(reversed(peers)))
+    per_id = used / (peers_n * window)
+    assert per_id <= 24, f"{per_id:.1f} B per remembered id"
 
 
 def test_window_depth_comes_from_config():

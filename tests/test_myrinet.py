@@ -75,6 +75,29 @@ def test_route_none_when_host_link_down():
     assert topo.route(0, 5, 0) is None
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_route_cache_keyed_by_preferred_spine(n):
+    sim, net, cfg = make_net(n)
+    topo = net.topology
+    for src in range(n):
+        for dst in range(n):
+            by_spine = {}
+            for ch in range(cfg.channels_per_pair):
+                r = topo.cached_route(src, dst, ch)
+                assert r == topo.route(src, dst, ch)
+                spine = (src + dst + ch) % topo.num_spines
+                assert by_spine.setdefault(spine, r) is r
+    assert len(topo._route_cache) <= n * n * topo.num_spines
+
+    # a link goes down: the cache steps aside for route()'s spine fallback
+    src, dst = 0, n - 1
+    preferred = topo.cached_route(src, dst, 0)
+    preferred[1].up = False
+    fallback = topo.cached_route(src, dst, 0)
+    assert fallback == topo.route(src, dst, 0)
+    assert fallback is not None and fallback[1] is not preferred[1]
+
+
 def test_single_host_topology():
     topo = FatTreeTopology(Simulator(), ClusterConfig(num_hosts=1))
     assert topo.num_spines == 0

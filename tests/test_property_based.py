@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import random
+from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,73 @@ def test_rx_peer_dedup_never_accepts_twice(msg_ids):
             peer.record_delivery(mid)
     # within the dedup window, each id delivered at most once
     assert len(delivered) == len(set(delivered))
+
+
+class _ReferenceWindow:
+    """The duplicate window as an insertion-ordered dict capped at ``window``."""
+
+    def __init__(self, window):
+        self.window = window
+        self.epoch = 0
+        self.delivered = OrderedDict()
+
+    def observe_epoch(self, epoch):
+        if epoch != self.epoch:
+            self.epoch = epoch
+            self.delivered.clear()
+            return True
+        return False
+
+    def is_duplicate(self, msg_id):
+        return msg_id in self.delivered
+
+    def record_delivery(self, msg_id):
+        self.delivered[msg_id] = None
+        while len(self.delivered) > self.window:
+            self.delivered.popitem(last=False)
+
+
+#: one receiver step: a new id some way above the last (reordered when
+#: the offset is negative), a copy of an id recorded earlier, a
+#: re-recording of one, or an epoch flip
+_window_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("new"), st.integers(min_value=-40, max_value=6)),
+        st.tuples(st.just("copy"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("rerecord"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(st.just("epoch"), st.integers(min_value=0, max_value=2)),
+    ),
+    max_size=400,
+)
+
+
+@given(st.sampled_from([1, 2, 3, 64, 512]), _window_steps)
+@settings(max_examples=150, deadline=None)
+def test_rx_peer_window_matches_ordered_dict_model(window, steps):
+    peer, ref = RxPeerState(0, window=window), _ReferenceWindow(window)
+    seen, top = [], 1_000
+    for op, arg in steps:
+        if op == "epoch":
+            assert peer.observe_epoch(arg) == ref.observe_epoch(arg)
+            continue
+        if op == "new":
+            top += max(arg, 1)
+            msg_id = top + min(arg, 0)
+        elif not seen:
+            continue
+        else:
+            msg_id = seen[arg % len(seen)]
+        assert peer.is_duplicate(msg_id) == ref.is_duplicate(msg_id)
+        if op == "rerecord" or not ref.is_duplicate(msg_id):
+            peer.record_delivery(msg_id)
+            ref.record_delivery(msg_id)
+            seen.append(msg_id)
+        oldest = next(iter(ref.delivered), top)
+        for probe in (msg_id - 1, msg_id + 1, top + 1, oldest, *seen[-4:]):
+            assert peer.is_duplicate(probe) == ref.is_duplicate(probe)
+    remembered = sorted(ref.delivered)
+    assert all(peer.is_duplicate(m) for m in remembered)
+    assert not any(peer.is_duplicate(m) for m in set(seen) - set(remembered))
 
 
 @given(st.booleans(), st.integers(min_value=0, max_value=1))
