@@ -13,7 +13,7 @@ exit:
 ...     ep0, ep1 = s.endpoints
 ...     # spawn threads, exchange messages, s.run(...)
 
-How simulated time executes is an *engine* (:mod:`repro.api.engine`):
+How simulated time executes is an *engine* (:func:`resolve_kernel`):
 ``Session(engine="reference")`` replays on the pre-optimization
 ordering oracle instead of the default ``"sequential"`` kernel.  The
 same name threads through every benchmark suite via :func:`run_bench`,
@@ -40,9 +40,9 @@ from ..cluster.builder import Cluster as _BuilderCluster
 from ..cluster.builder import Node
 from ..cluster.config import ClusterConfig
 from ..osim.segdriver import REPLACEMENT_POLICIES, ResidencyScoreboard
+from ..sim import ENGINE_NAMES, EngineError, resolve_kernel
 from ..sim.core import Interrupted, SimError
 from ..tenant import Tenant, TenantRegistry, TenantSpec
-from .engine import ENGINE_NAMES, EngineError, resolve_kernel
 
 __all__ = [
     "Cluster",

@@ -44,10 +44,10 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Generator, Optional
 
-from ..api.engine import ENGINE_NAMES
 from ..bench.harness import digest
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
+from ..sim import ENGINE_NAMES
 from ..sim.core import AllOf, SimError
 from .invariants import (DeliveryChecker, Violation, check_drop_accounting,
                          check_quiescence)
@@ -230,7 +230,7 @@ def run_chaos(
     Chrome trace JSON (always exported when ``trace_path`` is set and
     the run fails; never otherwise).  ``keep=True`` attaches the live
     ``cluster``/``bus``/``workload`` to the report for tests.
-    ``engine`` names the event kernel (:mod:`repro.api.engine`);
+    ``engine`` names the event kernel (:func:`repro.sim.resolve_kernel`);
     :func:`run_modes` runs one cell on every kernel.
     """
     scenario.validate()

@@ -16,6 +16,7 @@ from ..myrinet.network import Network
 from ..nic.firmware import Nic
 from ..osim.process import UserProcess
 from ..osim.segdriver import SegmentDriver
+from ..sim import resolve_kernel
 from ..sim.core import Simulator
 from ..sim.rng import RngStreams
 from .config import ClusterConfig
@@ -60,10 +61,8 @@ class Cluster:
             cfg = cfg.with_(**overrides)
         cfg.validate()
         self.cfg = cfg
-        #: the engine name (:mod:`repro.api.engine`): ``engine=``, or
-        #: ``cfg.engine`` when None
-        from ..api.engine import resolve_kernel
-
+        #: the engine name (:func:`repro.sim.resolve_kernel`): ``engine=``,
+        #: or ``cfg.engine`` when None
         self.engine = engine or cfg.engine
         self.sim = resolve_kernel(self.engine)()
         self.rngs = RngStreams(cfg.seed)

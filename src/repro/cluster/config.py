@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..sim.core import NS_PER_S, us
+from ..sim import ENGINE_NAMES
+from ..sim.core import NS_PER_S
 
 __all__ = ["ClusterConfig", "DEFAULT_CONFIG"]
 
@@ -40,7 +41,7 @@ class ClusterConfig:
     #: cable propagation + NI-to-wire latency per hop endpoint
     cable_latency_ns: int = 40
     #: link-level packet header bytes (route, CRC, type, channel, seq,
-    #: 32-bit timestamp -- Section 5.1)
+    #: 32-bit timestamp -- Section 5.1; the timestamp is sized, not modelled)
     packet_header_bytes: int = 24
     #: maximum transmission unit for AM-II (64 max-size sends ≈ 4 ms, §5.2)
     mtu_bytes: int = 8192
@@ -52,8 +53,6 @@ class ClusterConfig:
     sbus_read_mb_s: float = 52.0
     #: fixed startup cost per DMA transfer
     sbus_dma_startup_ns: int = 1_000
-    #: host programmed-I/O cost per 64-byte line moved to/from NI SRAM
-    pio_line_ns: int = 600
 
     # ---------------------------------------------------------------- LANai
     #: LANai 4.3 clock (37.5 MHz => 26.67 ns per instruction)
@@ -194,19 +193,7 @@ class ClusterConfig:
     #: delay before an unbound message reacquires a channel (§5.1): prompt
     #: -- unbinding exists to free the channel, not to delay the message
     rebind_delay_us: float = 400.0
-
-    # ------------------------------------------- future-work extensions
-    #: the paper's conclusions propose round-trip-time estimation for
-    #: scheduling retransmissions (the 32-bit reflected timestamps exist
-    #: for this).  Off by default to match the published system.
-    enable_rtt_estimation: bool = False
-    #: minimum adaptive timeout when RTT estimation is on
-    rtt_min_timeout_us: float = 60.0
-    #: the conclusions also propose piggybacking acknowledgments on
-    #: reverse-direction data packets to reduce network occupancy
-    enable_piggyback_acks: bool = False
-    #: how long a pending acknowledgment may wait for a ride
-    piggyback_delay_us: float = 15.0
+    #: cap on the exponentially backed-off retransmission timeout
     retrans_backoff_max_us: float = 4_000.0
     #: extra retransmission-timeout allowance per payload byte (covers the
     #: staging DMAs and wire time of bulk packets so the timer does not
@@ -265,10 +252,6 @@ class ClusterConfig:
     #: "active-preference" (deprioritize endpoints with queued sends or a
     #: pending make-resident request)
     replacement_policy: str = "random"
-    #: an endpoint loaded within this window is protected from eviction
-    #: (unless every candidate is that fresh); 0 disables, reproducing
-    #: the paper's unprotected replacement behaviour
-    eviction_hysteresis_us: float = 0.0
     #: sliding window (in remaps) of the residency scoreboard's thrash
     #: detector
     thrash_window: int = 64
@@ -300,7 +283,7 @@ class ClusterConfig:
 
     # --------------------------------------------------------------- engine
     #: which event kernel executes the model — resolved through
-    #: :mod:`repro.api.engine`.  "sequential" is the optimized
+    #: :func:`repro.sim.resolve_kernel`.  "sequential" is the optimized
     #: single-heap kernel, "reference" the pre-optimization ordering
     #: oracle (see DESIGN.md §13).
     engine: str = "sequential"
@@ -338,15 +321,6 @@ class ClusterConfig:
         """Host-memory -> NI DMA time."""
         return self.sbus_dma_startup_ns + round(nbytes * 1_000.0 / self.sbus_read_mb_s)
 
-    def pio_ns(self, nbytes: int) -> int:
-        """Host programmed-I/O time for ``nbytes`` (64-byte lines)."""
-        lines = max(1, (nbytes + 63) // 64)
-        return lines * self.pio_line_ns
-
-    @property
-    def retrans_timeout_ns(self) -> int:
-        return us(self.retrans_timeout_us)
-
     @property
     def dead_timeout_ns(self) -> int:
         return round(self.dead_timeout_ms * 1_000_000)
@@ -381,8 +355,6 @@ class ClusterConfig:
                 f"unknown replacement policy {self.replacement_policy!r}; "
                 f"registered: {sorted(REPLACEMENT_POLICIES)}"
             )
-        if self.eviction_hysteresis_us < 0:
-            raise ValueError("eviction_hysteresis_us must be >= 0")
         if self.thrash_window < 1:
             raise ValueError("thrash_window must be >= 1")
         if self.thrash_bounce_us < 0:
@@ -404,9 +376,6 @@ class ClusterConfig:
             raise ValueError("coll_fanout must be >= 2")
         if self.coll_timeout_ms <= 0:
             raise ValueError("coll_timeout_ms must be positive")
-        # Lazy: the engine registry imports this module.
-        from ..api.engine import ENGINE_NAMES
-
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; registered: {sorted(ENGINE_NAMES)}"

@@ -101,7 +101,7 @@ class FaultInjector:
 
     # ---------------------------------------------------------- node crash
     def crash_node(self, nic_id: int) -> None:
-        """Node stops: its NIC neither receives nor acknowledges."""
+        """Node stops: its NIC neither receives nor sends."""
         self.network.set_nic_dead(nic_id, True)
         self._note(f"crash node{nic_id}", action="crash", scope="node", node=nic_id)
 

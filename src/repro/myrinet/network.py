@@ -213,7 +213,7 @@ class Network:
         return 0 <= nic_id < self.cfg.num_hosts and self._rx[nic_id] is not None
 
     def set_nic_dead(self, nic_id: int, dead: bool = True) -> None:
-        """Mark a NIC crashed: packets addressed to it vanish."""
+        """Mark a NIC crashed: packets it sends or is sent vanish."""
         if dead:
             self._dead_nics.add(nic_id)
         else:
@@ -269,6 +269,14 @@ class Network:
     def send(self, pkt: Packet) -> None:
         """Inject a packet; returns immediately (transit is asynchronous)."""
         self.stats.sent += 1
+        if pkt.src_nic in self._dead_nics:
+            # A firmware step that was already under way when its NI
+            # crashed finishes after the crash: a dead board sends nothing.
+            self.stats.dropped_dead_nic += 1
+            if self.sim.trace.enabled:
+                self.sim.trace.emit("net.drop", pkt.src_nic, msg=pkt.msg_id,
+                                    dst=pkt.dst_nic, reason="dead_nic")
+            return
         if self.cfg.packet_loss_prob and self.rng.random() < self.cfg.packet_loss_prob:
             self.stats.dropped_loss += 1
             if self.sim.trace.enabled:

@@ -2,9 +2,11 @@
 
 Every packet carries the fields Section 5.1 describes: a source route, a
 packet type, the logical flow-control channel id, a sequence bit, the
-sender's channel epoch (for self-resynchronization after reboots), a
-32-bit timestamp stamped by the sending interface and reflected in
-acknowledgments, and the destination endpoint id plus protection key.
+sender's channel epoch (for self-resynchronization after reboots), and
+the destination endpoint id plus protection key.  The 32-bit timestamp
+the real header also carries is counted in its size
+(``ClusterConfig.packet_header_bytes``) but not modelled: the static
+retransmission timer never reads it.
 """
 
 from __future__ import annotations
@@ -75,8 +77,6 @@ class Packet:
     seq: int = 0
     #: sender channel epoch for self-synchronization (Section 5.1)
     epoch: int = 0
-    #: 32-bit timestamp from the sending NI; ACKs reflect it (Section 5.1)
-    timestamp: int = 0
     #: payload length in bytes (data packets)
     payload_bytes: int = 0
     #: destination endpoint id on the receiving node (data packets)
@@ -94,9 +94,6 @@ class Packet:
     msg_id: int = 0
     #: NACK reason (nack packets)
     nack_reason: Optional[NackReason] = None
-    #: piggybacked acknowledgment riding on a data packet (extension from
-    #: the paper's conclusions): (channel, seq, epoch, msg_id, timestamp)
-    piggyback_ack: Optional[tuple] = None
     #: opaque upper-layer message payload (descriptor, handler args, ...)
     body: Any = None
     #: set by fault injection when the packet was corrupted in flight
@@ -129,7 +126,6 @@ class Packet:
             p.channel = 0
             p.seq = 0
             p.epoch = 0
-            p.timestamp = 0
             p.payload_bytes = 0
             p.dst_endpoint = -1
             p.src_endpoint = -1
@@ -138,7 +134,6 @@ class Packet:
             p.key = 0
             p.msg_id = 0
             p.nack_reason = None
-            p.piggyback_ack = None
             p.body = None
             p.corrupted = False
             p.xmit_id = next(_packet_ids)

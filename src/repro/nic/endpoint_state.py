@@ -375,7 +375,7 @@ class EndpointState:
     service_deficit = _col_prop("deficit")
     #: last service time, for LRU replacement
     last_active_ns = _col_prop("last_active")
-    #: when this endpoint last became resident (eviction hysteresis)
+    #: when this endpoint last became resident
     loaded_at_ns = _col_prop("loaded_at")
     #: when this endpoint was last unloaded, -1 once residency is
     #: re-requested; a re-request within ``thrash_bounce_us`` of this

@@ -143,12 +143,6 @@ class Nic:
         #: messages unbound from channels, by id (for stale-ACK matching)
         self._unbound_by_id: dict[int, Message] = {}
 
-        #: adaptive RTT state per peer: [srtt_ns, rttvar_ns] (extension)
-        self._rtt: dict[int, list] = {}
-        #: pending acknowledgments awaiting a piggyback ride, per peer:
-        #: deque of pre-built explicit-ACK shells from the packet pool —
-        #: recycled if the ack rides, sent as-is if flushed (extension)
-        self._pending_acks: dict[int, Deque[Packet]] = {}
         self._pending_unloads: list[tuple[EndpointState, DriverOp]] = []
         #: alternates receive/transmit service so neither starves under
         #: overload (the real board's send and receive paths are separate
@@ -520,16 +514,6 @@ class Nic:
                 nbytes=msg.payload_bytes,
                 enq=msg.enqueued_ns if msg.enqueued_ns is not None else self.sim.now,
             )
-        piggyback = None
-        if self.cfg.enable_piggyback_acks:
-            rides = self._pending_acks.get(msg.dst_node)
-            if rides:
-                # The deferred ack caught its ride: copy the shell's
-                # protocol fields into the data packet and recycle it.
-                ride = rides.popleft()
-                piggyback = (ride.channel, ride.seq, ride.epoch,
-                             ride.msg_id, ride.timestamp)
-                ride.recycle()
         pkt = Packet(
             src_nic=self.nic_id,
             dst_nic=msg.dst_node,
@@ -537,7 +521,6 @@ class Nic:
             channel=ch.index,
             seq=ch.seq,
             epoch=self.epoch,
-            timestamp=self.sim.now & 0xFFFFFFFF,
             payload_bytes=msg.payload_bytes,
             dst_endpoint=msg.dst_ep,
             src_endpoint=msg.src_ep,
@@ -546,7 +529,6 @@ class Nic:
             key=msg.key,
             msg_id=msg.msg_id,
             body=msg.body,
-            piggyback_ack=piggyback,
         )
         self.stats.data_sent += 1
         self.stats.bytes_sent += msg.payload_bytes
@@ -565,39 +547,9 @@ class Nic:
             self._arm_timer(ch)
         self.sbus.release()
 
-    def _rtt_sample(self, peer: int, sent_timestamp: int) -> None:
-        """Jacobson/Karels estimator over the reflected 32-bit timestamps."""
-        sample = (self.sim.now - sent_timestamp) & 0xFFFFFFFF
-        state = self._rtt.get(peer)
-        if state is None:
-            self._rtt[peer] = [sample, sample // 2]
-            return
-        srtt, rttvar = state
-        err = sample - srtt
-        state[0] = srtt + (err >> 3)
-        state[1] = rttvar + ((abs(err) - rttvar) >> 2)
-
-    def _adaptive_timeout_ns(self, peer: int) -> Optional[int]:
-        state = self._rtt.get(peer)
-        if state is None:
-            return None
-        rto = state[0] + 4 * state[1]
-        # self-clocking floor: our own in-flight window queues ahead of a
-        # new packet at the receiver, so the timeout must cover it even
-        # before the estimator has caught up with a load ramp
-        outstanding = sum(1 for ch in self._tx_channels.get(peer, ()) if not ch.idle)
-        rto = max(rto, outstanding * 15_000)
-        lo = round(self.cfg.rtt_min_timeout_us * 1_000)
-        hi = round(self.cfg.retrans_timeout_us * 1_000) * 2
-        return max(lo, min(rto, hi))
-
     def _arm_timer(self, ch: TxChannel) -> None:
         msg = ch.outstanding
-        timeout = None
-        if self.cfg.enable_rtt_estimation and (msg is None or msg.consecutive_retrans == 0):
-            timeout = self._adaptive_timeout_ns(ch.peer)
-        if timeout is None:
-            timeout = backoff_ns(self.cfg, msg.consecutive_retrans if msg else 0, self.rng)
+        timeout = backoff_ns(self.cfg, msg.consecutive_retrans if msg else 0, self.rng)
         if msg is not None and msg.payload_bytes:
             # Bulk packets spend real time in staging DMAs on both ends;
             # stretch the timeout so healthy transfers are not duplicated.
@@ -762,10 +714,6 @@ class Nic:
 
     def _handle_data(self, pkt: Packet):
         cfg = self.cfg
-        if pkt.piggyback_ack is not None:
-            channel, seq, epoch, msg_id, timestamp = pkt.piggyback_ack
-            yield self.sim.timeout(self.meter.cost_ns("ack_proc", cfg.ni_ack_proc_instr // 2))
-            self._resolve_ack_fields(pkt.src_nic, channel, epoch, msg_id, timestamp)
         # Receive processing plus the defensive error checking added by
         # virtualization (§6.1): metered separately, slept as one event —
         # nothing observes the boundary between the two costs.
@@ -886,31 +834,6 @@ class Nic:
 
     def _send_ack(self, pkt: Packet):
         yield self.sim.timeout(self.meter.cost_ns("ack_gen", self.cfg.ni_ack_gen_instr))
-        if self.cfg.enable_piggyback_acks:
-            # Hold the acknowledgment briefly, hoping for a data packet
-            # heading back (an extension the paper's conclusions propose
-            # to reduce network occupancy).  The explicit-ACK shell is
-            # allocated from the pool *now*, while the deferral is
-            # queued: if it rides, _transmit recycles it; if the
-            # deadline expires, _flush_ack sends it as built — either
-            # way the flush path never constructs at fire time.
-            entry = Packet.alloc(
-                self.nic_id,
-                pkt.src_nic,
-                PacketType.ACK,
-                channel=pkt.channel,
-                seq=pkt.seq,
-                epoch=pkt.epoch,
-                timestamp=pkt.timestamp,  # reflected (§5.1)
-                msg_id=pkt.msg_id,
-            )
-            rides = self._pending_acks.setdefault(pkt.src_nic, deque())
-            rides.append(entry)
-            self.sim.schedule(
-                round(self.cfg.piggyback_delay_us * 1_000),
-                self._flush_ack, pkt.src_nic, entry,
-            )
-            return
         self.stats.acks_sent += 1
         if self.sim.trace.enabled:
             self.sim.trace.emit("ack.tx", self.nic_id, msg=pkt.msg_id, peer=pkt.src_nic)
@@ -922,22 +845,9 @@ class Nic:
                 channel=pkt.channel,
                 seq=pkt.seq,
                 epoch=pkt.epoch,
-                timestamp=pkt.timestamp,  # reflected (§5.1)
                 msg_id=pkt.msg_id,
             )
         )
-
-    def _flush_ack(self, peer: int, entry: Packet) -> None:
-        """Piggyback deadline expired: send the acknowledgment explicitly."""
-        rides = self._pending_acks.get(peer)
-        if not rides or entry not in rides:
-            return  # it caught a ride (and the shell was recycled)
-        rides.remove(entry)
-        self.stats.acks_sent += 1
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("ack.tx", self.nic_id, msg=entry.msg_id,
-                                peer=peer, flushed=True)
-        self.network.send(entry)
 
     def _send_nack(self, pkt: Packet, reason: NackReason):
         yield self.sim.timeout(self.meter.cost_ns("nack_gen", self.cfg.ni_ack_gen_instr))
@@ -953,7 +863,6 @@ class Nic:
                 channel=pkt.channel,
                 seq=pkt.seq,
                 epoch=pkt.epoch,
-                timestamp=pkt.timestamp,
                 msg_id=pkt.msg_id,
                 nack_reason=reason,
             )
@@ -961,31 +870,23 @@ class Nic:
 
     # -------------------------------------------------- ACK/NACK processing
     def _match_channel(self, pkt: Packet) -> Optional[TxChannel]:
-        return self._match_channel_fields(pkt.src_nic, pkt.channel, pkt.epoch, pkt.msg_id)
-
-    def _match_channel_fields(self, peer: int, channel: int, epoch: int,
-                              msg_id: int) -> Optional[TxChannel]:
-        chans = self._tx_channels.get(peer)
-        if chans is None or channel >= len(chans):
+        chans = self._tx_channels.get(pkt.src_nic)
+        if chans is None or pkt.channel >= len(chans):
             return None
-        ch = chans[channel]
-        if epoch != self.epoch:
+        ch = chans[pkt.channel]
+        if pkt.epoch != self.epoch:
             return None  # ack for a pre-reboot transmission
-        if ch.outstanding is None or ch.outstanding.msg_id != msg_id:
+        if ch.outstanding is None or ch.outstanding.msg_id != pkt.msg_id:
             return None
         return ch
 
     def _handle_ack(self, pkt: Packet):
         yield self.sim.timeout(self.meter.cost_ns("ack_proc", self.cfg.ni_ack_proc_instr))
-        self._resolve_ack_fields(pkt.src_nic, pkt.channel, pkt.epoch, pkt.msg_id, pkt.timestamp)
-
-    def _resolve_ack_fields(self, peer: int, channel: int, epoch: int, msg_id: int, timestamp: int) -> None:
         self.stats.acks_recv += 1
         if self.sim.trace.enabled:
-            self.sim.trace.emit("ack.rx", self.nic_id, msg=msg_id, peer=peer, ch=channel)
-        if self.cfg.enable_rtt_estimation:
-            self._rtt_sample(peer, timestamp)
-        ch = self._match_channel_fields(peer, channel, epoch, msg_id)
+            self.sim.trace.emit("ack.rx", self.nic_id, msg=pkt.msg_id, peer=pkt.src_nic,
+                                ch=pkt.channel)
+        ch = self._match_channel(pkt)
         if ch is not None:
             msg = ch.outstanding
             ch.outstanding = None
@@ -996,7 +897,7 @@ class Nic:
             return
         # An unbound message may be acknowledged by a late copy (§5.3's
         # copy accounting): resolve it wherever it is now.
-        msg = self._unbound_by_id.pop(msg_id, None)
+        msg = self._unbound_by_id.pop(pkt.msg_id, None)
         if msg is not None:
             self._resolve_delivered(msg)
         else:

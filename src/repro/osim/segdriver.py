@@ -21,10 +21,9 @@ Key mechanisms reproduced here:
   ``lru``, a ``clock`` second-chance sweep over the frame array, and an
   ``active-preference`` policy that deprioritizes endpoints with queued
   sends or a pending make-resident request (evicting those is pure
-  thrash — they fault straight back in, Section 6.4).  Recently loaded
-  endpoints can be protected from re-eviction for
-  ``eviction_hysteresis_us`` (0 disables, reproducing the paper's
-  behaviour).
+  thrash — they fault straight back in, Section 6.4).  As in the paper,
+  a freshly loaded endpoint has no protection window: every eligible
+  resident endpoint is a candidate.
 * **A residency scoreboard** tracks remaps, evictions and *bounced*
   evictions (the victim re-requested residency within
   ``thrash_bounce_us`` of being unloaded — the eviction bought nothing)
@@ -128,10 +127,9 @@ class VictimPolicy:
     per-candidate object materialization, which is what lets the fleet
     sweep (:mod:`repro.scale.fleet`) run the same code over 10^5+
     endpoints.  ``choose_row`` receives only *eligible* candidates
-    (resident, not quiescing, not in transition, not freed, and — when
-    the hysteresis knob allows — not loaded within the protection
-    window) in frame-index order.  It must return one of them; the
-    caller never passes an empty list.
+    (resident, not quiescing, not in transition, not freed, and allowed
+    by the tenant rules) in frame-index order.  It must return one of
+    them; the caller never passes an empty list.
     """
 
     name = "?"
@@ -256,9 +254,6 @@ class ResidencyScoreboard:
         self.evictions = 0
         self.forced_evictions = 0
         self.bounced_evictions = 0
-        #: candidates passed over because they were inside the
-        #: ``eviction_hysteresis_us`` protection window
-        self.hysteresis_vetoes = 0
         self.per_ep_evictions: dict[int, int] = {}
         #: 1 per remap that required an eviction, else 0 (sliding window)
         self._recent: Deque[int] = deque(maxlen=window)
@@ -302,7 +297,6 @@ class ResidencyScoreboard:
             "evictions": self.evictions,
             "forced_evictions": self.forced_evictions,
             "bounced_evictions": self.bounced_evictions,
-            "hysteresis_vetoes": self.hysteresis_vetoes,
             "eviction_remap_ratio": self.eviction_remap_ratio,
             "thrash_score": self.thrash_score,
             "recent_pressure": self.recent_pressure(),
@@ -337,7 +331,6 @@ class SegmentDriver:
             ) from None
         self.policy = policy_cls(nic.table, self.rng)
         self.scoreboard = ResidencyScoreboard(window=cfg.thrash_window)
-        self._hysteresis_ns = us(cfg.eviction_hysteresis_us)
         self._bounce_ns = us(cfg.thrash_bounce_us)
         #: last thrashing() state, for edge-triggered drv.thrash events
         self._thrash_flagged = False
@@ -553,10 +546,9 @@ class SegmentDriver:
     def _choose_victim(self, requester: Optional[EndpointState] = None) -> Optional[EndpointState]:
         """Pick an eviction victim via the configured policy (§4.1).
 
-        Hysteresis: endpoints loaded within the last
-        ``eviction_hysteresis_us`` are exempted, unless *every* candidate
-        is that fresh (a frame must still be found, so protection yields
-        rather than deadlocking the remap engine).
+        Every resident endpoint that is not quiescing, in transition or
+        freed is a candidate, however recently it was loaded: the paper's
+        replacement has no protection window.
 
         Tenant isolation (two hard rules, applied before the policy):
 
@@ -607,19 +599,9 @@ class SegmentDriver:
             allowed.append(r)
         if vetoed and self.sim.trace.enabled:
             self.sim.trace.emit("tenant.veto", node, count=vetoed)
-        candidates = allowed
-        if not candidates:
+        if not allowed:
             return None
-        if self._hysteresis_ns > 0:
-            now = self.sim.now
-            loaded_at = t.loaded_at
-            seasoned = [
-                r for r in candidates if now - loaded_at[r] >= self._hysteresis_ns
-            ]
-            if seasoned and len(seasoned) < len(candidates):
-                self.scoreboard.hysteresis_vetoes += len(candidates) - len(seasoned)
-                candidates = seasoned
-        return t.views[self.policy.choose_row(candidates)]
+        return t.views[self.policy.choose_row(allowed)]
 
     def _attribute_eviction(self, requester: EndpointState, victim: EndpointState) -> None:
         """Per-tenant eviction attribution (who caused / who suffered)."""

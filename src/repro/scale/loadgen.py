@@ -158,7 +158,6 @@ class ScaleCellConfig:
     #: server request-handler cost (the ~78K msg/s host ceiling)
     handler_ns: int = 8_600
     seed: int = 1999
-    eviction_hysteresis_us: float = 0.0
     base: Optional[ClusterConfig] = None
 
     @property
@@ -171,7 +170,6 @@ class ScaleCellConfig:
             num_hosts=min(self.client_nodes, self.nclients) + 1,
             endpoint_frames=self.endpoint_frames,
             replacement_policy=self.policy,
-            eviction_hysteresis_us=self.eviction_hysteresis_us,
             seed=self.seed,
             # setup + transport compression for fast, bounded cells
             ep_alloc_us=50.0,
@@ -203,7 +201,6 @@ class ScaleCellResult:
     evictions: int = 0
     bounced_evictions: int = 0
     forced_evictions: int = 0
-    hysteresis_vetoes: int = 0
     eviction_remap_ratio: float = 0.0
     thrash_score: float = 0.0
     not_resident_nacks: int = 0
@@ -337,7 +334,6 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
     evictions_d = int(sb1["evictions"] - sb0["evictions"])
     bounced_d = int(sb1["bounced_evictions"] - sb0["bounced_evictions"])
     forced_d = int(sb1["forced_evictions"] - sb0["forced_evictions"])
-    vetoes_d = int(sb1["hysteresis_vetoes"] - sb0["hysteresis_vetoes"])
     notres_d = nic.stats.nacks_sent.get(NackReason.NOT_RESIDENT, 0) - snap_notres
     over_d = nic.stats.nacks_sent.get(NackReason.RECV_OVERRUN, 0) - snap_over
 
@@ -362,7 +358,6 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
     res.evictions = evictions_d
     res.bounced_evictions = bounced_d
     res.forced_evictions = forced_d
-    res.hysteresis_vetoes = vetoes_d
     res.eviction_remap_ratio = evictions_d / max(1, remaps_d)
     res.thrash_score = bounced_d / max(1, remaps_d)
     res.not_resident_nacks = notres_d
@@ -375,7 +370,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
         ("cell", ccfg.policy, ccfg.ratio, ccfg.endpoint_frames, ccfg.seed),
         ("replies", replies),
         ("undeliverable", undeliv),
-        ("scoreboard", remaps_d, evictions_d, bounced_d, forced_d, vetoes_d),
+        ("scoreboard", remaps_d, evictions_d, bounced_d, forced_d),
         ("nacks", notres_d, over_d),
         ("sim", sim.now),
         ("latencies", lat),

@@ -40,16 +40,14 @@ def _run(ccfg: ScaleCellConfig, engine) -> dict:
 def _cells(engine=None, policies: Sequence[str] = DEFAULT_POLICIES,
            ratios: Sequence[int] = DEFAULT_RATIOS, frames: int = 8,
            duration_ms: float = 60.0, warmup_ms: float = 30.0,
-           seed: int = 1999, client_nodes: int = 8,
-           eviction_hysteresis_us: float = 0.0):
+           seed: int = 1999, client_nodes: int = 8):
     cells = []
     for policy in policies:
         for ratio in ratios:
             ccfg = ScaleCellConfig(
                 policy=policy, ratio=ratio, endpoint_frames=frames,
                 client_nodes=client_nodes, duration_ms=duration_ms,
-                warmup_ms=warmup_ms, seed=seed,
-                eviction_hysteresis_us=eviction_hysteresis_us)
+                warmup_ms=warmup_ms, seed=seed)
             cells.append((f"{policy}@{ratio}:1",
                           lambda ccfg=ccfg: _run(ccfg, engine)))
     return cells

@@ -120,3 +120,14 @@ def test_committed_bench_file_validates(name):
     assert validate(doc) == []
     assert doc["suite"] == name
     assert doc["failures"] == [] and all(doc["gates"].values())
+
+
+def test_committed_bench_files_validate():
+    # every file on disk, not only the registered suites': an orphan or a
+    # hand-edited file fails here before anyone reads numbers from it
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert {p.name for p in paths} == {s.path for s in suites().values()}
+    for path in paths:
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == 2, path.name
+        assert validate(doc) == [], path.name

@@ -1,5 +1,9 @@
 """Unit tests for ClusterConfig derived quantities and validation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cluster import ClusterConfig
@@ -28,13 +32,6 @@ def test_sbus_rates_are_asymmetric():
     r = cfg.sbus_read_ns(8192) - cfg.sbus_dma_startup_ns
     assert w > r  # writes to host memory are the slow direction (Figure 4)
     assert abs(w - 8192 * 1000 / 46.8) < 2
-
-
-def test_pio_cost_line_granularity():
-    cfg = ClusterConfig()
-    assert cfg.pio_ns(1) == cfg.pio_line_ns
-    assert cfg.pio_ns(64) == cfg.pio_line_ns
-    assert cfg.pio_ns(65) == 2 * cfg.pio_line_ns
 
 
 def test_with_returns_modified_copy():
@@ -81,3 +78,17 @@ def test_wrr_budget_matches_paper():
     cfg = ClusterConfig()
     assert cfg.wrr_max_msgs == 64
     assert cfg.wrr_max_ns == 4_000_000  # ~4 ms (Section 5.2)
+
+
+def test_cluster_build_does_not_import_the_facade():
+    # a fresh interpreter: the test session has imported repro.api already
+    code = ("import sys\n"
+            "from repro.cluster import Cluster, ClusterConfig\n"
+            "Cluster(ClusterConfig(num_hosts=16)).cfg.validate()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.api', 'repro.tenant'))))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

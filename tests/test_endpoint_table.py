@@ -179,10 +179,10 @@ _TINY = dict(ratio=4, endpoint_frames=2, client_nodes=2,
 #: victim path must reproduce them bit for bit (they leave out the
 #: dispatched-event count, which exact event elisions lower)
 _PINNED = {
-    "random": "cc3927d5791c8f1cae3a65e034b7645612e48c295917e5dea88e999bf1d51a71",
-    "lru": "82281b8f724514b1191766248ee178deb28bb29e0ee0a172bed00d18f0820769",
-    "clock": "6642529af237dadf6f7fefcdb43adab532697797bccdd849f47b6c7933e2b014",
-    "active-preference": "9b0a825b95ebc81503fc678c8b5070845fb17f2c1bb40329c5886f8f40bf590f",
+    "random": "7e64653106df9fda5c6578e486fcb15935de6adfce42ae6a93c8a138283dc61b",
+    "lru": "87cf8f9ebf67de8f472943d111c49585ed0ee395a7d93cd3ace815ca407e225b",
+    "clock": "3c126608711520f0354b5a2e0791c3011c9d822d864b2cf2150e372a7e208e97",
+    "active-preference": "656dccf8ebad0bdb91dcd5e677fb08f2f171f5e0ca73c5e3e708594264359cec",
 }
 
 

@@ -133,6 +133,54 @@ def test_crash_reboot_cycle_restores_reachability():
     assert notes == ["crash node2", "reboot node2"]
 
 
+def test_crashed_nic_sends_nothing():
+    """A firmware step already asleep in its instruction cost when the NI
+    crashes finishes afterwards; what it sends must not leave the board.
+    NI 0 crashes 2,803 us into a request/reply stream, mid-step."""
+    cluster = Cluster(ClusterConfig(num_hosts=4))
+    vnet = cluster.run_process(parallel_vnet(cluster, [0, 1]), "setup")
+    ep0, ep1 = vnet[0], vnet[1]
+    sim, net = cluster.sim, cluster.network
+    nic0 = cluster.node(0).nic
+    sent_dead, delivered = set(), set()
+    send, deliver = net.send, net._deliver
+
+    def spy_send(pkt):
+        if pkt.src_nic == 0 and not nic0.alive:
+            sent_dead.add(pkt.xmit_id)
+        send(pkt)
+
+    def spy_deliver(pkt):
+        delivered.add(pkt.xmit_id)
+        return deliver(pkt)
+
+    net.send, net._deliver = spy_send, spy_deliver
+
+    def handler(token, i):
+        token.reply(lambda t, i: None, i)
+
+    def sender(thr):
+        for i in range(200):
+            yield from ep0.request(thr, 1, handler, i, nbytes=16)
+            yield from ep0.poll(thr, limit=4)
+
+    def receiver(thr):
+        while True:
+            yield from ep1.poll(thr, limit=8)
+            yield from thr.compute(us(5))
+
+    cluster.node(1).start_process().spawn_thread(receiver)
+    cluster.node(0).start_process().spawn_thread(sender)
+    t0 = sim.now
+    sim.schedule(us(2_803), cluster.crash_node, 0)
+    sim.schedule(us(2_803) + ms(1), cluster.reboot_node, 0)
+    sim.run(until=t0 + ms(20))
+
+    assert sent_dead, "the crash no longer lands mid-step"
+    assert not sent_dead & delivered
+    assert net.stats.dropped_dead_nic >= len(sent_dead)
+
+
 def test_fault_injections_share_the_trace_bus_timeline():
     """Satellite for the injector rework: faults report through the
     TraceBus as ``fault.inject`` events, interleaved in simulated-time

@@ -1,11 +1,10 @@
 """Packet-shell pooling stays allocation-free in protocol steady state.
 
-The DESIGN §11 follow-up: with piggyback acks enabled, the deferred
-acknowledgment is carried by a pre-built pooled ``Packet`` shell —
-recycled on the spot when it rides a data packet, sent as-is when the
-deadline flushes it.  Under a ping-pong burst the protocol reaches a
-steady state where every shell comes from the free list: after a short
-warmup, ``pool_stats()['misses']`` must not grow at all.
+Every delivery is acknowledged with an explicit ACK built from the
+pooled ``Packet`` shells, and the receiving NI recycles it once
+processed.  Under a ping-pong burst the protocol reaches a steady state
+where every shell comes from the free list: after a short warmup,
+``pool_stats()['misses']`` must not grow at all.
 """
 
 import pytest
@@ -44,24 +43,10 @@ def _pingpong(cluster, rounds):
     assert done, "ping-pong burst did not finish"
 
 
-def test_piggyback_pingpong_steady_state_allocates_nothing():
-    reset_global_ids()
-    cluster = Cluster(ClusterConfig(num_hosts=4, enable_piggyback_acks=True))
-    _pingpong(cluster, 40)  # warmup: primes the shell pool
-    reset_pool_stats()
-    _pingpong(cluster, 120)
-    stats = pool_stats()
-    assert stats["misses"] == 0, (
-        f"steady-state burst constructed fresh shells: {stats}")
-    # the deferred-ack path really engaged the pool in both directions
-    assert stats["hits"] > 0
-    assert stats["recycled"] >= stats["hits"]
-
-
 def test_explicit_ack_path_also_pools():
-    # piggybacking off: every delivery sends an explicit pooled ACK
+    # every delivery sends an explicit pooled ACK
     reset_global_ids()
-    cluster = Cluster(ClusterConfig(num_hosts=4, enable_piggyback_acks=False))
+    cluster = Cluster(ClusterConfig(num_hosts=4))
     _pingpong(cluster, 30)
     reset_pool_stats()
     _pingpong(cluster, 60)
@@ -77,6 +62,6 @@ def test_recycled_shell_is_observationally_fresh():
     before = pool_stats()["hits"]
     q = Packet.alloc(2, 3, PacketType.NACK)
     assert q is p  # LIFO free list: the shell just recycled comes back
-    assert q.msg_id == 0 and q.channel == 0 and q.piggyback_ack is None
+    assert q.msg_id == 0 and q.channel == 0
     assert q.xmit_id > old_xmit  # fresh transmission identity
     assert pool_stats()["hits"] == before + 1

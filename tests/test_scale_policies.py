@@ -1,6 +1,6 @@
 """repro.scale: per-policy determinism + replacement-policy regressions.
 
-Three properties pin the overcommit harness down:
+Two properties pin the overcommit harness down:
 
 * **Determinism** — the same ``(policy, ratio, seed)`` cell produces a
   bit-identical result digest (and, with tracing on, a bit-identical
@@ -11,10 +11,6 @@ Three properties pin the overcommit harness down:
   endpoint that is about to be used again is wasted re-mapping work
   (Section 6.4's thrash).  At 16:1 overcommit it must beat the paper's
   ``random`` choice on the scoreboard's thrash score.
-* **Hysteresis compatibility** — ``eviction_hysteresis_us=0`` (the
-  default) must reproduce the unprotected paper behaviour exactly,
-  digest included; a window on the frame-recycle timescale must engage
-  (vetoes observed) and still make forward progress.
 
 Cells here are deliberately tiny; the committed BENCH_SCALE.json holds
 the full-size sweep.
@@ -69,25 +65,6 @@ def test_active_preference_beats_random_on_thrash_at_16x():
     assert ap.bounced_evictions < rnd.bounced_evictions
 
 
-def test_hysteresis_zero_reproduces_default_behaviour():
-    base = run_cell(ScaleCellConfig(policy="lru", **TINY))
-    h0 = run_cell(ScaleCellConfig(policy="lru", eviction_hysteresis_us=0.0, **TINY))
-    assert h0.digest == base.digest
-    assert h0.hysteresis_vetoes == 0
-
-
-def test_hysteresis_window_engages():
-    """A window on the frame-recycle timescale must veto fresh victims
-    (changing the timeline) while the cell keeps making progress."""
-    shape = dict(policy="lru", ratio=8, endpoint_frames=4, client_nodes=4,
-                 duration_ms=40.0, warmup_ms=20.0)
-    base = run_cell(ScaleCellConfig(**shape))
-    hyst = run_cell(ScaleCellConfig(eviction_hysteresis_us=10_000.0, **shape))
-    assert hyst.hysteresis_vetoes > 0
-    assert hyst.digest != base.digest
-    assert hyst.completed > 0
-
-
 def test_sweep_grid_and_digest():
     doc = run_bench(
         "scale", policies=["random", "lru"], ratios=[1, 4],
@@ -111,10 +88,9 @@ def test_default_grid_covers_issue_matrix():
 
 def test_cell_config_derives_cluster_config():
     ccfg = ScaleCellConfig(policy="clock", ratio=8, endpoint_frames=4,
-                           client_nodes=4, eviction_hysteresis_us=123.0)
+                           client_nodes=4)
     assert ccfg.nclients == 32
     cfg = ccfg.cluster_config()
     assert cfg.replacement_policy == "clock"
     assert cfg.endpoint_frames == 4
-    assert cfg.eviction_hysteresis_us == 123.0
     assert cfg.num_hosts == 5  # 4 client nodes + the server

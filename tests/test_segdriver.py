@@ -260,39 +260,6 @@ def test_active_preference_spares_endpoint_with_queued_work():
     assert eps[0].resident
 
 
-def test_eviction_hysteresis_protects_fresh_endpoint():
-    cluster = build(endpoint_frames=2, replacement_policy="lru",
-                    eviction_hysteresis_us=50_000.0)
-    drv = cluster.node(0).driver
-    eps = [alloc(cluster, 0, tag=i + 1) for i in range(3)]
-    # eps[0] loads now; eps[1] loads 60ms later, so at eviction time
-    # eps[0] is seasoned and eps[1] is inside the protection window.
-    cluster.run_process(drv.write_fault(eps[0]), "f0")
-    cluster.run(until=cluster.sim.now + ms(60))
-    cluster.run_process(drv.write_fault(eps[1]), "f1")
-    cluster.run(until=cluster.sim.now + ms(5))
-    assert all(e.resident for e in eps[:2])
-    eps[1].last_active_ns = 0  # LRU would pick the fresh endpoint...
-    eps[0].last_active_ns = cluster.sim.now
-    cluster.run_process(drv.write_fault(eps[2]), "f2")
-    cluster.run(until=cluster.sim.now + ms(40))
-    # ...but hysteresis vetoes it and the seasoned one is evicted.
-    assert eps[0].residency is Residency.ONHOST_RO
-    assert eps[1].resident
-    assert drv.scoreboard.hysteresis_vetoes >= 1
-
-
-def test_hysteresis_yields_when_every_candidate_is_fresh():
-    """All-fresh candidates: protection must yield, not deadlock."""
-    cluster = build(endpoint_frames=2, replacement_policy="lru",
-                    eviction_hysteresis_us=1_000_000.0)
-    drv = cluster.node(0).driver
-    eps = resident_pair(cluster, drv)
-    cluster.run_process(drv.write_fault(eps[2]), "f3")
-    cluster.run(until=cluster.sim.now + ms(40))
-    assert eps[2].resident  # the remap still happened
-
-
 # ======================================================= residency scoreboard
 def test_scoreboard_counts_remaps_and_evictions():
     cluster = build(endpoint_frames=2)
@@ -370,8 +337,6 @@ def test_slow_refault_is_not_a_bounce():
 def test_new_residency_knobs_validate():
     import pytest
 
-    with pytest.raises(ValueError, match="eviction_hysteresis_us"):
-        ClusterConfig(eviction_hysteresis_us=-1.0).validate()
     with pytest.raises(ValueError, match="thrash_window"):
         ClusterConfig(thrash_window=0).validate()
     with pytest.raises(ValueError, match="thrash_bounce_us"):
