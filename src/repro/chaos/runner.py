@@ -286,7 +286,6 @@ def run_chaos(
     report.violations += checker.check()
     report.violations += check_drop_accounting(cluster.network, events)
     report.violations += check_quiescence(cluster, wl)
-    bus.publish_network(cluster.network)
 
     report.sim_ns = sim.now
     report.events = len(events)

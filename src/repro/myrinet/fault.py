@@ -39,13 +39,9 @@ class FaultInjector:
     def __init__(self, sim: Simulator, network: "Network"):
         self.sim = sim
         self.network = network
-        #: back-compat mirror of the fault timeline; the authoritative
-        #: record is the ``fault.inject`` events on ``sim.trace``, where
-        #: faults interleave with transport events in one timeline
-        self.log: list[tuple[int, str]] = []
 
     def _note(self, what: str, *, action: str, scope: str, node: int = -1, **args) -> None:
-        """Record one injection: legacy list + normalized bus event.
+        """Record one injection as a normalized ``fault.inject`` event.
 
         Every injection funnels through here, so this is also where the
         express delivery path learns a fault family is live and drops to
@@ -53,7 +49,6 @@ class FaultInjector:
         Network.on_fault).
         """
         self.network.on_fault()
-        self.log.append((self.sim.now, what))
         if self.sim.trace.enabled:
             self.sim.trace.emit("fault.inject", node, what=what, action=action,
                                 scope=scope, **args)

@@ -104,19 +104,6 @@ class ExpressStats:
     fallback_active: int = 0
     #: times the path re-armed after a quiet period following a fault
     reenabled: int = 0
-    #: what each conflict revocation hit, at the first link the new
-    #: packet shares with the flight (fault revocations are neither):
-    #: *ahead* — the flight's head reaches that link strictly before the
-    #: new head would; *race* — the new head gets there first or ties
-    revoked_ahead: int = 0
-    revoked_race: int = 0
-    #: the same split of ``fallback_active``, at the route's first link
-    #: with a live wormhole traversal: *ahead* — some traversal holds,
-    #: has passed or is queued at that link, or its head's earliest
-    #: arrival there (no further stalls) is strictly before the new
-    #: head's; *race* — otherwise
-    fallback_ahead: int = 0
-    fallback_race: int = 0
 
     def hits(self) -> int:
         return self.commits + self.loopback
@@ -177,9 +164,6 @@ class Network:
         #: id()s of links/switches currently administratively down
         self._down: set[int] = set()
         self._flights: list[_ExpressFlight] = []
-        #: live wormhole traversals, ``id(acquired_at) -> (route,
-        #: acquired_at)``: where each head is, for ExpressStats' split
-        self._slow_live: dict[int, tuple] = {}
         # Observe every administrative state flip, however it happens.
         for sw in self.topology.switches:
             sw.on_state_change = self._fabric_changed
@@ -306,9 +290,8 @@ class Network:
                 return
         # Published before the process first runs, so a same-instant
         # express attempt sees this traversal on exactly its links.
-        acquired_at: list[int] = []
-        self._publish(route, acquired_at)
-        sim.spawn(self._traverse(pkt, route, acquired_at), name=f"pkt{pkt.xmit_id}")
+        self._publish(route)
+        sim.spawn(self._traverse(pkt, route), name=f"pkt{pkt.xmit_id}")
 
     # ------------------------------------------------------- express path
     def _revoke_claims(self, links) -> None:
@@ -316,25 +299,16 @@ class Network:
         # first: the new packet may contend, which its frozen timeline
         # cannot absorb.  Revoking *before* this packet touches any port
         # preserves FIFO acquisition order.
-        for i, link in enumerate(links):
+        for link in links:
             fl = link.express_flight
             if fl is not None:
-                # The new head would reach this link i hops from now.
-                if fl.acquire[fl.route.index(link)] < self.sim.now + i * self._hop_ns:
-                    self.express.revoked_ahead += 1
-                else:
-                    self.express.revoked_race += 1
                 self._revoke(fl)
 
     def _try_commit(self, pkt: Packet, route: list[DirectedLink]) -> bool:
         now = self.sim.now
-        for i, link in enumerate(route):
+        for link in route:
             if link.slow_refs:
                 self.express.fallback_active += 1
-                if self._slow_ahead(link, now + i * self._hop_ns):
-                    self.express.fallback_ahead += 1
-                else:
-                    self.express.fallback_race += 1
                 return False
             if not link._port.idle or link.busy_until > now:
                 self.express.fallback_busy += 1
@@ -348,27 +322,6 @@ class Network:
         self._flights.append(fl)
         self.express.commits += 1
         return True
-
-    def _slow_ahead(self, link: DirectedLink, arrive: int) -> bool:
-        """Whether a live wormhole traversal through ``link`` is ahead of
-        a head arriving there at ``arrive`` (bookkeeping only)."""
-        now = self.sim.now
-        hop = self._hop_ns
-        for route, acquired_at in self._slow_live.values():
-            if link not in route:
-                continue
-            j = route.index(link)
-            k = len(acquired_at) - 1  # the last link its head acquired
-            if k >= j:
-                return True
-            # when its head reaches (or reached) link k + 1: a head
-            # already there waits in that port's FIFO, ahead of ours
-            reach = now if k < 0 else acquired_at[k] + hop
-            if reach <= now and j == k + 1:
-                return True
-            if max(now, reach) + (j - k - 1) * hop < arrive:
-                return True
-        return False
 
     def _express_fire(self, fl: _ExpressFlight) -> None:
         """The single delivery callback of an un-revoked flight."""
@@ -432,7 +385,6 @@ class Network:
         # exited yet; links already fully freed stay unmarked.
         for link in route[m:]:
             link.slow_refs += 1
-        self._slow_live[id(acquired_at)] = (route, acquired_at)
         self.express.revoked += 1
         sim.spawn(self._resume_traverse(fl, m, acquired_at), name=f"pkt{fl.pkt.xmit_id}")
 
@@ -452,7 +404,6 @@ class Network:
         finally:
             for link in route[m:]:
                 link.slow_refs -= 1
-            del self._slow_live[id(acquired_at)]
 
     # ----------------------------------------------------------- delivery
     def _deliver(self, pkt: Packet):
@@ -491,28 +442,25 @@ class Network:
         if pending is not None:
             yield pending
 
-    def _publish(self, route: Optional[list[DirectedLink]], acquired_at: list[int]) -> None:
+    def _publish(self, route: Optional[list[DirectedLink]]) -> None:
         """Mark a wormhole traversal live on its route's links."""
         if route is not None:
             for link in route:
                 link.slow_refs += 1
-            self._slow_live[id(acquired_at)] = (route, acquired_at)
 
-    def _unpublish(self, route: Optional[list[DirectedLink]], acquired_at: list[int]) -> None:
+    def _unpublish(self, route: Optional[list[DirectedLink]]) -> None:
         if route is not None:
             for link in route:
                 link.slow_refs -= 1
-            del self._slow_live[id(acquired_at)]
 
-    def _traverse(self, pkt: Packet, route: Optional[list[DirectedLink]],
-                  acquired_at: list[int]):
+    def _traverse(self, pkt: Packet, route: Optional[list[DirectedLink]]):
         cur = self.topology.cached_route(pkt.src_nic, pkt.dst_nic, pkt.channel)
         if cur != route:
             # A fault of this instant re-routed the send after send()
             # published it: move the registration to the route taken.
-            self._unpublish(route, acquired_at)
+            self._unpublish(route)
             route = cur
-            self._publish(route, acquired_at)
+            self._publish(route)
         try:
             if route is None:
                 self.stats.dropped_noroute += 1
@@ -521,9 +469,9 @@ class Network:
                                         src=pkt.src_nic, reason="noroute")
                 return
             nbytes = pkt.wire_bytes(self.cfg.packet_header_bytes)
-            yield from self._run_route(pkt, route, nbytes, 0, acquired_at, [])
+            yield from self._run_route(pkt, route, nbytes, 0, [], [])
         finally:
-            self._unpublish(route, acquired_at)
+            self._unpublish(route)
 
     def _run_route(self, pkt: Packet, route: list[DirectedLink], nbytes: int,
                    start: int, acquired_at: list[int], held: list[DirectedLink]):

@@ -17,10 +17,10 @@ indexed by an integer row id, a few hundred bytes per endpoint instead of
 a few KB.  :class:`EndpointState` survives as a thin ``__slots__``
 flyweight *view* over one row — every scalar attribute is a property that
 reads/writes its column — so the AM/segdriver/firmware call sites are
-unchanged.  Replacement policies and observability gauges index the
-columns directly (by row id, via ``EndpointTable.frame_rows``) and never
-materialize per-candidate objects; the fleet sweep
-(:mod:`repro.scale.fleet`) drives tables with no views at all.
+unchanged.  Replacement policies index the columns directly (by row id,
+via ``EndpointTable.frame_rows``) and never materialize per-candidate
+objects; the fleet sweep (:mod:`repro.scale.fleet`) drives tables with
+no views at all.
 
 Invariants shared by the three agents:
 
@@ -103,7 +103,7 @@ class EndpointTable:
     INT_COLS = ("ep_id", "res", "frame", "gen", "flags", "inflight",
                 "deficit", "bulk_req", "bulk_rep", "ring_used", "tenant_id")
     #: 64-bit columns: timestamps + folded per-endpoint stats counters
-    LONG_COLS = ("last_active", "loaded_at", "evicted_at",
+    LONG_COLS = ("last_active", "evicted_at",
                  "st_enqueued", "st_delivered_in", "st_consumed",
                  "st_ring_full", "st_recv_drops")
 
@@ -144,7 +144,6 @@ class EndpointTable:
         self.ring_used.append(0)
         self.tenant_id.append(-1)
         self.last_active.append(0)
-        self.loaded_at.append(0)
         self.evicted_at.append(-1)
         self.st_enqueued.append(0)
         self.st_delivered_in.append(0)
@@ -375,8 +374,6 @@ class EndpointState:
     service_deficit = _col_prop("deficit")
     #: last service time, for LRU replacement
     last_active_ns = _col_prop("last_active")
-    #: when this endpoint last became resident
-    loaded_at_ns = _col_prop("loaded_at")
     #: when this endpoint was last unloaded, -1 once residency is
     #: re-requested; a re-request within ``thrash_bounce_us`` of this
     #: stamp scores the eviction as a bounce (thrash, §6.4)

@@ -94,8 +94,8 @@ class Nic:
         #: all endpoints the driver has registered on this node
         self.endpoints: dict[int, EndpointState] = {}
         #: struct-of-arrays backing store for this NIC's endpoint state;
-        #: registered endpoints are adopted into it so policies and
-        #: gauges index columns instead of walking objects (DESIGN.md §15)
+        #: registered endpoints are adopted into it so policies index
+        #: columns instead of walking objects (DESIGN.md §15)
         self.table = EndpointTable(node=nic_id, frames=cfg.endpoint_frames)
         #: the scarce resource: endpoint frames in NI SRAM (Section 4.1)
         self.frames: list[Optional[EndpointState]] = [None] * cfg.endpoint_frames
@@ -189,8 +189,10 @@ class Nic:
 
     # ===================================================== driver-facing API
     def driver_request(self, op: DriverOp):
-        """Queue a driver->NI operation; completion triggers ``op.done``."""
-        op.clock = self.clock.tick()
+        """Queue a driver->NI operation; completion triggers ``op.done``.
+
+        ``op.clock`` keeps the driver's Lamport stamp; the firmware merges
+        it when it handles the op."""
         self._driver_q.append(op)
         self._work.set()
         return op.done
@@ -953,11 +955,6 @@ class Nic:
     def _resolve_delivered(self, msg: Message) -> None:
         msg.state = MessageState.DELIVERED
         msg.delivered_ns = self.sim.now
-        tr = self.sim.trace
-        if tr.enabled and msg.enqueued_ns is not None:
-            tr.metrics.histogram("msg_rtt_ns", node=self.nic_id).observe(
-                self.sim.now - msg.enqueued_ns
-            )
         self._finish_inflight(msg)
         msg.resolve(True)
 
@@ -1076,7 +1073,6 @@ class Nic:
                                 dur_ns=self.sim.now - load_start)
         ep.frame = frame
         ep.residency = Residency.ONNIC_RW
-        ep.loaded_at_ns = self.sim.now
         ep.referenced = True  # fresh loads start with a second chance
         ep.mr_requested = False
         ep.transition = False

@@ -16,8 +16,8 @@ Instrumentation sites are written as::
 
 so with tracing off (the default nil sink) the cost is one attribute
 load and a falsy check, and with tracing on the only work is appending a
-record and bumping counters — :meth:`emit` never advances simulated
-time, never reads an RNG stream, and never schedules a callback.
+record — :meth:`emit` never advances simulated time, never reads an RNG
+stream, and never schedules a callback.
 Enabling tracing therefore cannot change simulated time or event order;
 ``tests/test_obs_determinism.py`` locks this in.
 """
@@ -28,13 +28,12 @@ from typing import Any, Callable, Optional
 
 from ..sim.core import Simulator
 from .events import TraceEvent
-from .metrics import MetricRegistry
 
 __all__ = ["TraceBus"]
 
 
 class TraceBus:
-    """Collects trace events and aggregates per-kind/per-node metrics."""
+    """Collects trace events; :meth:`counts` and :meth:`select` total them."""
 
     enabled = True
 
@@ -44,7 +43,6 @@ class TraceBus:
         self.capacity = capacity
         self.events: list[TraceEvent] = []
         self.dropped = 0
-        self.metrics = MetricRegistry()
         self._subscribers: list[Callable[[TraceEvent], None]] = []
 
     # ------------------------------------------------------------ lifecycle
@@ -70,14 +68,6 @@ class TraceBus:
         if self.capacity is not None and len(self.events) > self.capacity:
             del self.events[0 : len(self.events) - self.capacity]
             self.dropped += 1
-        self.metrics.counter("events." + kind, node=node).inc()
-        if kind == "net.drop":
-            # Per-reason visibility (net.drop.loss/linkdown/noroute/
-            # dead_nic) so fabric drops are distinguishable without
-            # re-scanning the event list.
-            reason = args.get("reason")
-            if reason is not None:
-                self.metrics.counter(f"net.drop.{reason}", node=node).inc()
         for fn in self._subscribers:
             fn(ev)
 
@@ -92,59 +82,6 @@ class TraceBus:
                 pass
 
         return cancel
-
-    def publish_network(self, network) -> None:
-        """Snapshot fabric counters into the metric registry.
-
-        Publishes the per-reason drop totals from ``network.stats`` and
-        the express-path hit/fallback counters from ``network.express``
-        (which are kept out of ``NetworkStats`` so that structure stays
-        identical across express/full-fidelity modes).  Call after a run;
-        reading counters perturbs nothing.
-        """
-        m = self.metrics
-        s = network.stats
-        for reason in ("loss", "linkdown", "noroute", "dead_nic"):
-            c = m.counter(f"net.drop.{reason}.total")
-            c.value = getattr(s, f"dropped_{reason}")
-        x = network.express
-        m.counter("net.express.hits").value = x.hits()
-        m.counter("net.express.commits").value = x.commits
-        m.counter("net.express.loopback").value = x.loopback
-        m.counter("net.express.delivered").value = x.delivered
-        m.counter("net.express.revoked").value = x.revoked
-        m.counter("net.express.fallback.busy").value = x.fallback_busy
-        m.counter("net.express.fallback.active").value = x.fallback_active
-        m.counter("net.express.revoked.ahead").value = x.revoked_ahead
-        m.counter("net.express.revoked.race").value = x.revoked_race
-        m.counter("net.express.fallback.active.ahead").value = x.fallback_ahead
-        m.counter("net.express.fallback.active.race").value = x.fallback_race
-        m.counter("net.express.reenabled").value = x.reenabled
-
-    def publish_tenants(self, registry) -> None:
-        """Snapshot per-tenant isolation counters into the metric registry.
-
-        ``registry`` is a :class:`repro.tenant.TenantRegistry`.  Publishes
-        each tenant's service/throttle/eviction counters plus two gauges:
-        resident frames currently held and the total send-service deficit
-        carried by its endpoints (rate-limit debt the weighted rotation
-        still owes).  Call after a run; like :meth:`publish_network`, the
-        counters are plain integers kept on both traced and untraced
-        paths, so reading them perturbs nothing.
-        """
-        m = self.metrics
-        for tenant in registry:
-            labels = {"tenant": tenant.name}
-            s = tenant.stats
-            m.counter("tenant.msgs_serviced", **labels).value = s.msgs_serviced
-            m.counter("tenant.throttled", **labels).value = s.throttled
-            m.counter("tenant.evictions.suffered", **labels).value = s.evictions_suffered
-            m.counter("tenant.evictions.caused", **labels).value = s.evictions_caused
-            m.counter("tenant.reservation_vetoes", **labels).value = s.reservation_vetoes
-            m.counter("tenant.quota_self_evictions", **labels).value = s.quota_self_evictions
-            m.gauge("tenant.frames_held", **labels).set(tenant.frames_held())
-            m.gauge("tenant.service_deficit", **labels).set(
-                sum(ep.service_deficit for ep in tenant.endpoints))
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:

@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON and flat metrics snapshots.
+"""Exporter: Chrome ``trace_event`` JSON.
 
 ``to_chrome_trace`` produces the JSON object format understood by
 ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev): each node
@@ -6,20 +6,16 @@ becomes a *process*, each emitting subsystem a *thread*, instantaneous
 events render as instants and events carrying a ``dur_ns`` argument as
 complete ("X") slices.  Timestamps are microseconds as the format
 requires; sub-microsecond resolution survives as fractional ``ts``.
-
-``metrics_snapshot`` flattens the bus's aggregated metrics (plus event
-totals) into the plain dict shape :mod:`repro.bench.reporting` tables
-consume.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from .bus import TraceBus
 
-__all__ = ["to_chrome_trace", "write_chrome_trace", "metrics_snapshot"]
+__all__ = ["to_chrome_trace", "write_chrome_trace"]
 
 #: stable thread ids per emitted component so Perfetto rows don't reorder
 #: run-to-run; a component outside this table gets the next free id
@@ -90,11 +86,3 @@ def write_chrome_trace(bus: TraceBus, path: str, label: str = "repro") -> str:
         json.dump(to_chrome_trace(bus, label=label), fh)
     return path
 
-
-def metrics_snapshot(bus: TraceBus, node: Optional[int] = None) -> dict[str, float]:
-    """Flat metrics dict (reporting-friendly), optionally one node's slice."""
-    flat = bus.metrics.flat()
-    if node is None:
-        return flat
-    tag = f"node={node}"
-    return {k: v for k, v in flat.items() if tag in k}

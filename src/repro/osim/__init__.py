@@ -1,6 +1,5 @@
 """Operating-system resource management: threads, the endpoint segment driver."""
 
-from .clock import LamportClock
 from .process import UserProcess
 from .segdriver import DriverStats, SegmentDriver
 from .threads import CondVar, Mutex, Thread
@@ -8,7 +7,6 @@ from .threads import CondVar, Mutex, Thread
 __all__ = [
     "CondVar",
     "DriverStats",
-    "LamportClock",
     "Mutex",
     "SegmentDriver",
     "Thread",

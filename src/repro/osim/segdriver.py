@@ -28,8 +28,8 @@ Key mechanisms reproduced here:
   evictions (the victim re-requested residency within
   ``thrash_bounce_us`` of being unloaded — the eviction bought nothing)
   per NIC; its evictions-per-remap and thrash ratios quantify how close
-  the node is to the Section 6.4 page-thrash regime and are surfaced
-  through :mod:`repro.obs` metrics.
+  the node is to the Section 6.4 page-thrash regime; ``snapshot()``
+  reports them, and a traced run marks each onset with ``drv.thrash``.
 * **A proxy kernel thread** performs operations on behalf of the NI: the
   arrival of a message for a non-resident endpoint generates a
   software-initiated page fault through the same driver mechanisms.
@@ -616,27 +616,14 @@ class SegmentDriver:
                 rt.stats.evictions_caused += 1
 
     def _observe_residency(self) -> None:
-        """Surface scoreboard counters through repro.obs (observer-only)."""
+        """Trace the scoreboard's thrash flag as it rises (observer-only)."""
         flagged = self.scoreboard.thrashing()
         was_flagged = self._thrash_flagged
         self._thrash_flagged = flagged
         tr = self.sim.trace
-        if not tr.enabled:
-            return
-        sb = self.scoreboard
-        node = self.nic.nic_id
-        m = tr.metrics
-        m.gauge("residency.thrash_score", node=node, policy=self.policy.name).set(
-            sb.thrash_score
-        )
-        m.gauge("residency.eviction_remap_ratio", node=node, policy=self.policy.name).set(
-            sb.eviction_remap_ratio
-        )
-        m.gauge("residency.resident", node=node).set(
-            self.nic.table.resident_count()
-        )
-        if flagged and not was_flagged:
-            tr.emit("drv.thrash", node, policy=self.policy.name,
+        if flagged and not was_flagged and tr.enabled:
+            sb = self.scoreboard
+            tr.emit("drv.thrash", self.nic.nic_id, policy=self.policy.name,
                     pressure=round(sb.recent_pressure(), 3),
                     thrash_score=round(sb.thrash_score, 3))
 

@@ -203,7 +203,7 @@ class _NiSim:
         """One macro tick; returns messages served this tick."""
         t = self.table
         res, flags, ring = t.res, t.flags, t.ring_used
-        la, loaded, evicted = t.last_active, t.loaded_at, t.evicted_at
+        la, evicted = t.last_active, t.evicted_at
         now = tick_idx * self.tick_ns
         rng = self.rng
         hot = self.hot
@@ -263,7 +263,6 @@ class _NiSim:
             frame_rows[frame] = r
             t.frame[r] = frame
             res[r] = RES_ONNIC_RW
-            loaded[r] = now
             flags[r] |= F_REFERENCED
             self.remaps += 1
             # the backlog drains as soon as residency lands

@@ -154,9 +154,6 @@ def test_transient_flap_rearms_express():
     assert net1.express.commits == 2
     assert net1.express.reenabled == 1
     assert net1.express_active
-    bus = TraceBus(sim1)  # unattached: publishing only reads counters
-    bus.publish_network(net1)
-    assert bus.metrics.counter("net.express.reenabled").value == 1
 
     sim2, net2, _ = make_net(8, express=False)
     flap(net2, sim2)
@@ -224,7 +221,6 @@ def test_fault_before_first_step_moves_slow_route_registration():
     sim.run()
     assert len(delivered) == 1
     assert all(link.slow_refs == 0 for link in net.topology.all_links)
-    assert not net._slow_live
 
 
 def test_direct_up_flip_disables_express():
@@ -445,15 +441,13 @@ def test_per_reason_drop_counters_on_bus():
     net.send(Packet(0, 3, PacketType.DATA))  # dead NIC
     net.send(Packet(0, 6, PacketType.DATA))  # no handler attached
     sim.run()
-    reasons = [ev.get("reason") for ev in bus.select("net.drop")]
-    assert reasons == ["loss", "noroute", "dead_nic", "dead_nic"]
-    assert bus.metrics.counter("net.drop.loss", node=0).value == 1
-    assert bus.metrics.counter("net.drop.noroute", node=5).value == 1
-    assert net.stats.dropped_dead_nic == 2
-
-    bus.publish_network(net)
-    assert bus.metrics.counter("net.drop.dead_nic.total").value == 2
-    assert bus.metrics.counter("net.drop.noroute.total").value == 1
+    # each drop is attributed to a node: the sender for a loss, the
+    # destination otherwise
+    reasons = [(ev.node, ev.get("reason")) for ev in bus.select("net.drop")]
+    assert reasons == [(0, "loss"), (5, "noroute"), (3, "dead_nic"), (6, "dead_nic")]
+    s = net.stats
+    assert (s.dropped_loss, s.dropped_noroute, s.dropped_dead_nic,
+            s.dropped_linkdown) == (1, 1, 2, 0)
 
 
 def test_chaos_checker_audits_drop_accounting():
@@ -489,30 +483,28 @@ def test_call_after_fires_and_cancels(factory):
 
 
 # ------------------------------------------- what a revocation collided with
-def test_revocation_and_fallback_split_ahead_from_race():
-    """Each conflict revocation and ``fallback_active`` is classed by
-    whether the thing it hit is already ahead on the shared link; the
-    split is bookkeeping only, so both modes still agree."""
+def test_revocation_then_fallback_behind_the_replayed_wormhole():
+    """A send that collides with a committed flight revokes it and then
+    falls back behind the replayed wormhole, whether the flight's head is
+    ahead of it on the shared link or racing it; both modes agree."""
     _, net, _ = make_net(8)
     hop = net._hop_ns
     # 0->5 crosses a spine and reaches leaf1->host5 (its link 3) at
     # 3 hops; 4->5 reaches that link (its link 1) one hop after sending
     race = [(0, 0, 5, 4096), (hop // 2, 4, 5, 64)]
     ahead = [(0, 0, 5, 4096), (2 * hop + 1, 4, 5, 64)]
-    for sends, want in ((race, (0, 1)), (ahead, (1, 0))):
+    for sends in (race, ahead):
         (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
         x = n1.express
-        assert (x.revoked_ahead, x.revoked_race) == want
         assert x.revoked == 1
         assert log1 == log2 and link_ledger(n1) == link_ledger(n2)
         # the new send then falls back behind the replayed wormhole,
         # which holds 0->5's link 2 and reaches link 3 at 3 hops
-        assert x.fallback_active == x.fallback_ahead + x.fallback_race == 1
-        assert x.fallback_ahead == (1 if sends is ahead else 0)
-        assert not n1._slow_live
-    # a third send onto the link the replayed wormhole now holds: ahead
+        assert x.fallback_active == 1
+        assert all(link.slow_refs == 0 for link in n1.topology.all_links)
+    # a third send onto the link the replayed wormhole now holds
     sends = ahead + [(3 * hop + 10, 6, 5, 64)]
     (s1, n1, log1), (s2, n2, log2) = both_modes(sends)
     x = n1.express
-    assert x.fallback_active == x.fallback_ahead == 2
+    assert x.fallback_active == 2
     assert log1 == log2 and link_ledger(n1) == link_ledger(n2)

@@ -6,8 +6,8 @@ messages for endpoints that stay unreachable past the declare-dead timer
 come back to the sender and invoke the undeliverable handler.  These
 tests drive both sides of that line through the :class:`FaultInjector`,
 and check that injected faults land on the same :class:`TraceBus`
-timeline as the transport events they perturb (the injector's old ad-hoc
-``self.log`` list stays for back-compat, but the bus is the real record).
+timeline as the transport events they perturb: the ``fault.inject``
+events are the injector's only record.
 """
 
 from repro.am import parallel_vnet
@@ -124,13 +124,14 @@ def test_dead_endpoint_returns_to_sender_while_loss_stays_masked():
 
 def test_crash_reboot_cycle_restores_reachability():
     cluster = Cluster(ClusterConfig(num_hosts=4))
+    bus = cluster.enable_tracing()
     cluster.crash_node(2)
     assert 2 in cluster.network._dead_nics
     cluster.reboot_node(2)
     assert 2 not in cluster.network._dead_nics
-    # the injector's legacy log kept both entries (back-compat surface)
-    notes = [entry[1] for entry in cluster.faults.log]
-    assert notes == ["crash node2", "reboot node2"]
+    # the bus records both injections, attributed to the node they hit
+    notes = [(ev.node, ev.get("what")) for ev in bus.select("fault.inject")]
+    assert notes == [(2, "crash node2"), (2, "reboot node2")]
 
 
 def test_crashed_nic_sends_nothing():
@@ -233,8 +234,9 @@ def test_fault_injections_share_the_trace_bus_timeline():
     # one bus, one monotonic record
     all_ts = [e.ts for e in bus.events]
     assert all_ts == sorted(all_ts)
-    # the injector's list log still mirrors what hit the bus (back-compat)
-    assert len(cluster.faults.log) == len(faults)
+    assert [f.get("what") for f in faults] == [
+        "loss=0.1", "hostlink1 down", "hostlink1 up",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,17 @@ def test_lamport_clock_orders_driver_nic_events():
     assert merged == stamps[-1] + 11
 
 
+def test_nic_merges_the_driver_stamp_of_a_driver_op():
+    """An op arrives stamped by the driver's clock; the NI must merge that
+    stamp, not one of its own (section 4.3's logical clocks)."""
+    cluster = Cluster(ClusterConfig(num_hosts=2))
+    node = cluster.node(0)
+    node.driver.clock.time = 1000
+    cluster.run_process(node.driver.alloc_endpoint(tag=1), "alloc")
+    assert node.driver.clock.time == 1001  # the alloc op carried 1001
+    assert node.nic.clock.time > 1001
+
+
 # ------------------------------------------------------- endpoint state misc
 def test_endpoint_state_counts_and_repr():
     from repro.nic import EndpointState

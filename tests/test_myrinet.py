@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.myrinet import FatTreeTopology, FaultInjector, Network, Packet, PacketType
+from repro.obs import TraceBus
 from repro.sim import Simulator, us
 
 
@@ -217,11 +218,13 @@ def test_fault_injector_validates_probability():
 
 def test_fault_schedule_at():
     sim, net, _ = make_net(8)
+    bus = TraceBus.attach(sim)
     inj = FaultInjector(sim, net)
     inj.at(us(100), inj.crash_node, 3)
     sim.run()
     assert 3 in net._dead_nics
-    assert inj.log[-1][0] == us(100)
+    [ev] = bus.select("fault.inject")
+    assert (ev.ts, ev.get("what")) == (us(100), "crash node3")
 
 
 def test_packet_through_down_then_restored_spine():

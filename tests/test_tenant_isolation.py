@@ -276,8 +276,11 @@ def test_storm_interference_replays_bit_exactly():
     tripped = check_isolation(r1.bus.events, wl, tight)
     assert any(v.invariant == "ISO.p99" for v in tripped)
 
-    # per-tenant counters surface through the obs metric registry
-    r1.bus.publish_tenants(wl.registry)
-    flat = r1.bus.metrics.flat()
-    assert "tenant.msgs_serviced{tenant=noisy}" in flat
-    assert "tenant.frames_held{tenant=quiet}" in flat
+    # per-tenant counters live on each tenant's stats: the quiet tenant
+    # sent every ping and pong it was answered for, lost no frame to the
+    # noisy one, and ends holding both of its endpoints resident
+    quiet, noisy = wl.quiet, wl.noisy
+    assert quiet.stats.msgs_serviced >= 2 * wl.quiet_answered
+    assert quiet.stats.evictions_suffered == noisy.stats.evictions_caused == 0
+    assert quiet.frames_held() == len(quiet.endpoints) == 2
+    assert noisy.frames_held() <= len(noisy.endpoints)
