@@ -15,6 +15,14 @@ then *settles* — polls until its transport state is idle (credits home,
 no in-flight messages, nothing pending) or a give-up deadline passes —
 so the run ends quiescent without ever hanging on a lost peer.
 
+Every shape is one traffic generator run inside one sender-thread
+skeleton (:meth:`ChaosWorkload._sender_body`), and every wait is
+:func:`~repro.am.endpoint.poll_until` with a sleep as its idle step
+(:func:`_poll_wait`), the one poll-then-idle loop (DESIGN §16).  Two
+loops stay hand-written: :meth:`ChaosWorkload._drain_loop` polls
+*before* its first check (its exit predicate reads what that poll
+handled), and the streaming forwarder sends inside its loop.
+
 A workload exposes uniform attack surfaces for the schedule resolver:
 ``procs`` (kill/pause targets; index 0 is the server/observer side and
 is never killed by generated schedules) and ``eviction_targets``
@@ -23,9 +31,9 @@ is never killed by generated schedules) and ``eviction_targets``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
-from ..am.endpoint import Endpoint
+from ..am.endpoint import Endpoint, poll_until
 from ..am.errors import EndpointFreedError
 from ..am.vnet import parallel_vnet, star_vnet
 from ..osim.threads import Thread
@@ -43,6 +51,25 @@ __all__ = ["ChaosWorkload", "PairwiseWorkload", "CollectiveWorkload",
 
 #: poll backoff while idle (ns) — short enough to see stop flags promptly
 _IDLE_NS = 20_000
+
+
+def _poll_wait(thr: Thread, ep: Endpoint, ready: Callable[[], object],
+               deadline: Optional[int] = None) -> Generator:
+    """:func:`poll_until` ``ready()`` (or ``deadline``), sleeping
+    ``_IDLE_NS`` after each empty poll."""
+    return poll_until(thr, ready, ep, idle=lambda: thr.sleep(_IDLE_NS),
+                      limit=8, deadline=deadline)
+
+
+def _quiescent(ep: Endpoint) -> bool:
+    """Nothing pending, in flight or queued to send on ``ep``."""
+    return not ep.has_pending() and ep.state.inflight == 0 \
+        and not ep.state.send_ring
+
+
+def _resolved(ep: Endpoint) -> int:
+    """Requests ``ep`` sent that came back: replied to or returned."""
+    return ep.stats.replies_handled + ep.stats.undeliverable
 
 
 class ChaosWorkload:
@@ -83,6 +110,43 @@ class ChaosWorkload:
     def all_threads(self) -> list[Thread]:
         return self.sender_threads + self.receiver_threads
 
+    # -- shared builds --------------------------------------------------------
+    def _adopt(self, node: "Node", name: str, ep: Endpoint) -> None:
+        """Start process ``name`` on ``node`` owning ``ep``: a kill/pause
+        target, and ``ep`` an eviction target."""
+        proc = node.start_process(name=name)
+        proc.adopt_endpoint(ep.state)
+        self.procs.append(proc)
+        self.eviction_targets.append((node, ep.state))
+
+    def _build_ranks(self, cluster: "Cluster", names: Sequence[str]) -> Generator:
+        """An all-pairs virtual network with rank r on node r, owned by
+        process ``names[r]``."""
+        self.cluster = cluster
+        self.vnet = yield from parallel_vnet(cluster, list(range(len(names))))
+        for rank, name in enumerate(names):
+            self._adopt(cluster.node(rank), name, self.vnet[rank])
+
+    def _build_star(self, cluster: "Cluster", n: int, server: str,
+                    client: str) -> Generator:
+        """A star virtual network: one shared server endpoint on node 0
+        (process ``server``), client i on node 1+i (process
+        ``client.format(i)``)."""
+        self.cluster = cluster
+        nodes = [1 + i for i in range(n)]
+        self.server_eps, self.client_eps = yield from star_vnet(
+            cluster, 0, nodes, shared_server_ep=True)
+        self._adopt(cluster.node(0), server, self.server_eps[0])
+        for i, cep in enumerate(self.client_eps):
+            self._adopt(cluster.node(nodes[i]), client.format(i), cep)
+
+    @staticmethod
+    def _spawn(threads: list[Thread], proc: "UserProcess", body, name: str) -> None:
+        """Spawn ``body`` on ``proc`` into ``threads``, unless a fault
+        killed ``proc`` before the scenario started."""
+        if not proc.terminated:
+            threads.append(proc.spawn_thread(body, name=name))
+
     # -- quota completion ---------------------------------------------------
     # Senders signal when their send quota is finished (or their process
     # died trying); afterwards they linger, draining stragglers, until the
@@ -122,14 +186,15 @@ class ChaosWorkload:
         the shipped request handler (default :meth:`_on_request`).
         """
         cfg = ep.cfg
+        sim = ep.node.sim
         need = max(1, -(-nbytes // cfg.mtu_bytes)) if nbytes > cfg.small_payload_max_bytes else 1
-        deadline = ep.node.sim.now + self.give_up_ns
-        while ep.credits_available(index) < need:
-            processed = yield from ep.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.sleep(_IDLE_NS)
-            if ep.node.sim.now >= deadline:
-                return False
+        deadline = sim.now + self.give_up_ns
+        # the give-up test comes first: the window is re-checked only
+        # after an idle step that left the deadline ahead
+        yield from _poll_wait(thr, ep, lambda: sim.now >= deadline
+                              or ep.credits_available(index) >= need)
+        if sim.now >= deadline:
+            return False
         yield from ep.request(thr, index,
                               self._on_request if handler is None else handler,
                               nbytes=nbytes)
@@ -138,44 +203,39 @@ class ChaosWorkload:
 
     def _settle(self, thr: Thread, ep: Endpoint, indices: list[int]) -> Generator:
         """Poll until the endpoint's transport state is idle or give-up."""
-        cfg = ep.cfg
-        deadline = ep.node.sim.now + self.give_up_ns
-        while ep.node.sim.now < deadline:
-            idle = (ep.state.inflight == 0 and not ep.state.send_ring
-                    and not ep.has_pending()
-                    and all(ep.credits_available(i) >= cfg.user_credits for i in indices))
-            if idle:
-                return
-            processed = yield from ep.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.sleep(_IDLE_NS)
+        sim = ep.node.sim
+        credits = ep.cfg.user_credits
+        deadline = sim.now + self.give_up_ns
+        yield from _poll_wait(thr, ep, lambda: sim.now >= deadline or (
+            _quiescent(ep)
+            and all(ep.credits_available(i) >= credits for i in indices)))
 
-    def _drain_loop(self, thr: Thread, ep: Endpoint) -> Generator:
-        """Poll until the stop flag is up and the endpoint is idle."""
+    def _drain_loop(self, thr: Thread, ep: Endpoint,
+                    done: Optional[Callable[[int], bool]] = None) -> Generator:
+        """Poll until ``done(processed)`` holds after a poll (default: the
+        stop flag is up and the endpoint is quiescent)."""
+        if done is None:
+            def done(processed: int) -> bool:
+                return self._stop["flag"] and _quiescent(ep)
         while True:
             processed = yield from ep.poll(thr, limit=16)
-            if self._stop["flag"] and not ep.has_pending() \
-                    and ep.state.inflight == 0 and not ep.state.send_ring:
+            if done(processed):
                 return
             if processed == 0:
                 yield from thr.sleep(_IDLE_NS)
 
-    def _sender_body(self, ep: Endpoint, index: int, count: int,
-                     nbytes: int) -> Generator:
+    def _sender_body(self, ep: Endpoint, indices: list[int],
+                     traffic: Callable[[Thread], Generator],
+                     drain: Optional[Callable[[Thread], Generator]] = None):
+        """A sender thread: run ``traffic(thr)``, settle on ``indices``,
+        mark the quota done, then linger in ``drain(thr)`` (default
+        :meth:`_drain_loop`).  A killed process is a clean exit."""
         def body(thr: Thread) -> Generator:
             ep.undeliverable_handler = self._on_returned
             try:
                 try:
-                    for _ in range(count):
-                        ok = yield from self._guarded_request(thr, ep, index, nbytes=nbytes)
-                        if not ok:
-                            # The credit window stayed shut for a whole
-                            # give-up period: the peer took our requests and
-                            # died before replying, so those credits are gone
-                            # for good.  Abandon the rest of the quota —
-                            # retrying would just wait give_up_ns per message.
-                            break
-                    yield from self._settle(thr, ep, [index])
+                    yield from traffic(thr)
+                    yield from self._settle(thr, ep, indices)
                 except EndpointFreedError:
                     return  # our process was killed mid-traffic: clean exit
             finally:
@@ -184,10 +244,28 @@ class ChaosWorkload:
                 # Linger: late returns/replies (a crashed peer rebooting
                 # after our settle deadline) must still be drained, or the
                 # run ends with undrained queues.
-                yield from self._drain_loop(thr, ep)
+                if drain is None:
+                    yield from self._drain_loop(thr, ep)
+                else:
+                    yield from drain(thr)
             except EndpointFreedError:
                 return
         return body
+
+    def _quota_body(self, ep: Endpoint, index: int, count: int, nbytes: int,
+                    handler=None):
+        """A sender of ``count`` requests to translation ``index``."""
+        def traffic(thr: Thread) -> Generator:
+            for _ in range(count):
+                ok = yield from self._guarded_request(thr, ep, index, nbytes, handler)
+                if not ok:
+                    # The credit window stayed shut for a whole give-up
+                    # period: the peer took our requests and died before
+                    # replying, so those credits are gone for good.
+                    # Abandon the rest of the quota — retrying would just
+                    # wait give_up_ns per message.
+                    break
+        return self._sender_body(ep, [index], traffic)
 
     def _receiver_body(self, ep: Endpoint) -> Generator:
         def body(thr: Thread) -> Generator:
@@ -211,28 +289,16 @@ class PairwiseWorkload(ChaosWorkload):
         self.vnet = None
 
     def build(self, cluster: "Cluster") -> Generator:
-        self.cluster = cluster
-        self.vnet = yield from parallel_vnet(cluster, list(range(self.ranks)))
-        for rank in range(self.ranks):
-            ep = self.vnet[rank]
-            node = cluster.node(rank)
-            proc = node.start_process(name=f"pair{rank}")
-            proc.adopt_endpoint(ep.state)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, ep.state))
+        return self._build_ranks(cluster, [f"pair{r}" for r in range(self.ranks)])
 
     def start(self) -> None:
-        for rank in range(self.ranks):
-            proc = self.procs[rank]
-            if proc.terminated:
-                continue
+        for rank, proc in enumerate(self.procs):
             ep = self.vnet[rank]
             peer = (rank + 1) % self.ranks
-            self.sender_threads.append(proc.spawn_thread(
-                self._sender_body(ep, peer, self.requests, self.payload),
-                name=f"pair{rank}.send"))
-            self.receiver_threads.append(proc.spawn_thread(
-                self._receiver_body(ep), name=f"pair{rank}.recv"))
+            self._spawn(self.sender_threads, proc, self._quota_body(
+                ep, peer, self.requests, self.payload), f"pair{rank}.send")
+            self._spawn(self.receiver_threads, proc, self._receiver_body(ep),
+                        f"pair{rank}.recv")
 
 
 class CollectiveWorkload(PairwiseWorkload):
@@ -295,13 +361,9 @@ class CollectiveWorkload(PairwiseWorkload):
 
     def start(self) -> None:
         super().start()
-        for rank in range(self.ranks):
-            proc = self.procs[rank]
-            if proc.terminated:
-                continue
-            self.sender_threads.append(proc.spawn_thread(
-                self._collective_body(self.vnet[rank], rank),
-                name=f"coll{rank}"))
+        for rank, proc in enumerate(self.procs):
+            self._spawn(self.sender_threads, proc,
+                        self._collective_body(self.vnet[rank], rank), f"coll{rank}")
 
 
 class BulkWorkload(ChaosWorkload):
@@ -316,24 +378,14 @@ class BulkWorkload(ChaosWorkload):
         self.vnet = None
 
     def build(self, cluster: "Cluster") -> Generator:
-        self.cluster = cluster
-        self.vnet = yield from parallel_vnet(cluster, [0, 1])
-        for rank, role in ((0, "sink"), (1, "src")):
-            node = cluster.node(rank)
-            proc = node.start_process(name=f"bulk.{role}")
-            proc.adopt_endpoint(self.vnet[rank].state)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, self.vnet[rank].state))
+        return self._build_ranks(cluster, ["bulk.sink", "bulk.src"])
 
     def start(self) -> None:
         sink_proc, src_proc = self.procs
-        if not src_proc.terminated:
-            self.sender_threads.append(src_proc.spawn_thread(
-                self._sender_body(self.vnet[1], 0, self.requests, self.payload),
-                name="bulk.send"))
-        if not sink_proc.terminated:
-            self.receiver_threads.append(sink_proc.spawn_thread(
-                self._receiver_body(self.vnet[0]), name="bulk.recv"))
+        self._spawn(self.sender_threads, src_proc, self._quota_body(
+            self.vnet[1], 0, self.requests, self.payload), "bulk.send")
+        self._spawn(self.receiver_threads, sink_proc,
+                    self._receiver_body(self.vnet[0]), "bulk.recv")
 
 
 class ClientServerWorkload(ChaosWorkload):
@@ -349,34 +401,14 @@ class ClientServerWorkload(ChaosWorkload):
         self.client_eps: list[Endpoint] = []
 
     def build(self, cluster: "Cluster") -> Generator:
-        self.cluster = cluster
-        client_nodes = [1 + i for i in range(self.clients)]
-        servers, clients = yield from star_vnet(
-            cluster, 0, client_nodes, shared_server_ep=True)
-        self.server_eps, self.client_eps = servers, clients
-        sproc = cluster.node(0).start_process(name="server")
-        sproc.adopt_endpoint(servers[0].state)
-        self.procs.append(sproc)
-        self.eviction_targets.append((cluster.node(0), servers[0].state))
-        for i, cep in enumerate(clients):
-            node = cluster.node(client_nodes[i])
-            proc = node.start_process(name=f"client{i}")
-            proc.adopt_endpoint(cep.state)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, cep.state))
+        return self._build_star(cluster, self.clients, "server", "client{}")
 
     def start(self) -> None:
-        sproc = self.procs[0]
-        if not sproc.terminated:
-            self.receiver_threads.append(sproc.spawn_thread(
-                self._receiver_body(self.server_eps[0]), name="server.poll"))
+        self._spawn(self.receiver_threads, self.procs[0],
+                    self._receiver_body(self.server_eps[0]), "server.poll")
         for i, cep in enumerate(self.client_eps):
-            proc = self.procs[1 + i]
-            if proc.terminated:
-                continue
-            self.sender_threads.append(proc.spawn_thread(
-                self._sender_body(cep, 0, self.requests, self.payload),
-                name=f"client{i}.send"))
+            self._spawn(self.sender_threads, self.procs[1 + i], self._quota_body(
+                cep, 0, self.requests, self.payload), f"client{i}.send")
 
 
 class IncastWorkload(ChaosWorkload):
@@ -402,76 +434,39 @@ class IncastWorkload(ChaosWorkload):
         return self.senders + 1
 
     def build(self, cluster: "Cluster") -> Generator:
-        self.cluster = cluster
-        nodes = [1 + i for i in range(self.senders)]
-        servers, clients = yield from star_vnet(cluster, 0, nodes,
-                                                shared_server_ep=True)
-        self.server_eps, self.client_eps = servers, clients
-        sproc = cluster.node(0).start_process(name="incast.server")
-        sproc.adopt_endpoint(servers[0].state)
-        self.procs.append(sproc)
-        self.eviction_targets.append((cluster.node(0), servers[0].state))
-        for i, cep in enumerate(clients):
-            node = cluster.node(nodes[i])
-            proc = node.start_process(name=f"incast{i}")
-            proc.adopt_endpoint(cep.state)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, cep.state))
+        return self._build_star(cluster, self.senders, "incast.server", "incast{}")
 
     def start(self) -> None:
         self._t0 = self.cluster.sim.now
-        sproc = self.procs[0]
-        if not sproc.terminated:
-            self.receiver_threads.append(sproc.spawn_thread(
-                self._receiver_body(self.server_eps[0]), name="incast.server"))
+        self._spawn(self.receiver_threads, self.procs[0],
+                    self._receiver_body(self.server_eps[0]), "incast.server")
         for i, cep in enumerate(self.client_eps):
-            proc = self.procs[1 + i]
-            if proc.terminated:
-                continue
-            self.sender_threads.append(proc.spawn_thread(
-                self._burst_body(cep), name=f"incast{i}.send"))
+            self._spawn(self.sender_threads, self.procs[1 + i],
+                        self._burst_body(cep), f"incast{i}.send")
 
     def _burst_body(self, ep):
-        def body(thr):
-            sim = ep.node.sim
-            ep.undeliverable_handler = self._on_returned
-            try:
-                try:
-                    for r in range(self.rounds):
-                        # all senders aim at the same absolute round start
-                        target = self._t0 + r * self.period_ns
-                        if sim.now < target:
-                            yield from thr.sleep(target - sim.now)
-                        t_start = sim.now
-                        base = ep.stats.replies_handled + ep.stats.undeliverable
-                        fired = 0
-                        for _ in range(self.burst):
-                            ok = yield from self._guarded_request(
-                                thr, ep, 0, nbytes=self.payload)
-                            if not ok:
-                                break
-                            fired += 1
-                        # fan-in: wait until every fired request resolved
-                        # (reply or return), or the give-up deadline
-                        deadline = sim.now + self.give_up_ns
-                        while (ep.stats.replies_handled
-                               + ep.stats.undeliverable) < base + fired:
-                            if sim.now >= deadline:
-                                break
-                            processed = yield from ep.poll(thr, limit=8)
-                            if processed == 0:
-                                yield from thr.sleep(_IDLE_NS)
-                        self.round_latencies_ns.append(sim.now - t_start)
-                    yield from self._settle(thr, ep, [0])
-                except EndpointFreedError:
-                    return
-            finally:
-                self._mark_sender_done()
-            try:
-                yield from self._drain_loop(thr, ep)
-            except EndpointFreedError:
-                return
-        return body
+        sim = ep.node.sim
+
+        def traffic(thr):
+            for r in range(self.rounds):
+                # all senders aim at the same absolute round start
+                target = self._t0 + r * self.period_ns
+                if sim.now < target:
+                    yield from thr.sleep(target - sim.now)
+                t_start = sim.now
+                want = _resolved(ep)
+                for _ in range(self.burst):
+                    ok = yield from self._guarded_request(
+                        thr, ep, 0, nbytes=self.payload)
+                    if not ok:
+                        break
+                    want += 1
+                # fan-in: wait until every fired request resolved (reply
+                # or return), or the give-up deadline
+                yield from _poll_wait(thr, ep, lambda: _resolved(ep) >= want,
+                                      deadline=sim.now + self.give_up_ns)
+                self.round_latencies_ns.append(sim.now - t_start)
+        return self._sender_body(ep, [0], traffic)
 
     def bench_latencies_ns(self) -> list[int]:
         return sorted(self.round_latencies_ns)
@@ -497,70 +492,33 @@ class FanoutWorkload(ChaosWorkload):
         return self.workers + 1
 
     def build(self, cluster: "Cluster") -> Generator:
-        self.cluster = cluster
-        nodes = [1 + i for i in range(self.workers)]
         # the star's "server" endpoint is our root: its translation i
         # names worker i, and every worker maps index 0 back to the root
-        servers, clients = yield from star_vnet(cluster, 0, nodes,
-                                                shared_server_ep=True)
-        self.server_eps, self.client_eps = servers, clients
-        rproc = cluster.node(0).start_process(name="fanout.root")
-        rproc.adopt_endpoint(servers[0].state)
-        self.procs.append(rproc)
-        self.eviction_targets.append((cluster.node(0), servers[0].state))
-        for i, cep in enumerate(clients):
-            node = cluster.node(nodes[i])
-            proc = node.start_process(name=f"fanout.w{i}")
-            proc.adopt_endpoint(cep.state)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, cep.state))
+        return self._build_star(cluster, self.workers, "fanout.root", "fanout.w{}")
 
     def start(self) -> None:
-        rproc = self.procs[0]
-        if not rproc.terminated:
-            self.sender_threads.append(rproc.spawn_thread(
-                self._root_body(self.server_eps[0]), name="fanout.root"))
+        self._spawn(self.sender_threads, self.procs[0],
+                    self._root_body(self.server_eps[0]), "fanout.root")
         for i, cep in enumerate(self.client_eps):
-            proc = self.procs[1 + i]
-            if proc.terminated:
-                continue
-            self.receiver_threads.append(proc.spawn_thread(
-                self._receiver_body(cep), name=f"fanout.w{i}"))
+            self._spawn(self.receiver_threads, self.procs[1 + i],
+                        self._receiver_body(cep), f"fanout.w{i}")
 
     def _root_body(self, ep):
-        def body(thr):
-            sim = ep.node.sim
-            ep.undeliverable_handler = self._on_returned
-            try:
-                try:
-                    for _ in range(self.rounds):
-                        t_start = sim.now
-                        base = ep.stats.replies_handled + ep.stats.undeliverable
-                        fired = 0
-                        for w in range(self.workers):
-                            ok = yield from self._guarded_request(
-                                thr, ep, w, nbytes=self.payload)
-                            if ok:
-                                fired += 1
-                        deadline = sim.now + self.give_up_ns
-                        while (ep.stats.replies_handled
-                               + ep.stats.undeliverable) < base + fired:
-                            if sim.now >= deadline:
-                                break
-                            processed = yield from ep.poll(thr, limit=8)
-                            if processed == 0:
-                                yield from thr.sleep(_IDLE_NS)
-                        self.round_latencies_ns.append(sim.now - t_start)
-                    yield from self._settle(thr, ep, list(range(self.workers)))
-                except EndpointFreedError:
-                    return
-            finally:
-                self._mark_sender_done()
-            try:
-                yield from self._drain_loop(thr, ep)
-            except EndpointFreedError:
-                return
-        return body
+        sim = ep.node.sim
+
+        def traffic(thr):
+            for _ in range(self.rounds):
+                t_start = sim.now
+                want = _resolved(ep)
+                for w in range(self.workers):
+                    ok = yield from self._guarded_request(
+                        thr, ep, w, nbytes=self.payload)
+                    if ok:
+                        want += 1
+                yield from _poll_wait(thr, ep, lambda: _resolved(ep) >= want,
+                                      deadline=sim.now + self.give_up_ns)
+                self.round_latencies_ns.append(sim.now - t_start)
+        return self._sender_body(ep, list(range(self.workers)), traffic)
 
     def bench_latencies_ns(self) -> list[int]:
         return sorted(self.round_latencies_ns)
@@ -592,16 +550,7 @@ class StreamingWorkload(ChaosWorkload):
         return self.stages
 
     def build(self, cluster: "Cluster") -> Generator:
-        self.cluster = cluster
-        self.vnet = yield from parallel_vnet(cluster,
-                                             list(range(self.stages)))
-        for rank in range(self.stages):
-            ep = self.vnet[rank]
-            node = cluster.node(rank)
-            proc = node.start_process(name=f"stream{rank}")
-            proc.adopt_endpoint(ep.state)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, ep.state))
+        return self._build_ranks(cluster, [f"stream{r}" for r in range(self.stages)])
 
     def _hop_handler(self, dest_rank: int) -> Callable:
         if dest_rank == 0:
@@ -614,84 +563,44 @@ class StreamingWorkload(ChaosWorkload):
         return handler
 
     def start(self) -> None:
-        sink_proc = self.procs[0]
-        if not sink_proc.terminated:
-            self.receiver_threads.append(sink_proc.spawn_thread(
-                self._receiver_body(self.vnet[0]), name="stream.sink"))
+        self._spawn(self.receiver_threads, self.procs[0],
+                    self._receiver_body(self.vnet[0]), "stream.sink")
         for rank in range(1, self.stages - 1):
-            proc = self.procs[rank]
-            if proc.terminated:
-                continue
-            self.sender_threads.append(proc.spawn_thread(
-                self._forward_body(self.vnet[rank], rank),
-                name=f"stream{rank}.fwd"))
+            self._spawn(self.sender_threads, self.procs[rank],
+                        self._forward_body(self.vnet[rank], rank), f"stream{rank}.fwd")
         src = self.stages - 1
-        if not self.procs[src].terminated:
-            self.sender_threads.append(self.procs[src].spawn_thread(
-                self._source_body(self.vnet[src], src), name="stream.src"))
-
-    def _source_body(self, ep, rank: int):
-        def body(thr):
-            ep.undeliverable_handler = self._on_returned
-            handler = self._hop_handler(rank - 1)
-            try:
-                try:
-                    for _ in range(self.messages):
-                        ok = yield from self._guarded_request(
-                            thr, ep, rank - 1, nbytes=self.payload,
-                            handler=handler)
-                        if not ok:
-                            break
-                    yield from self._settle(thr, ep, [rank - 1])
-                except EndpointFreedError:
-                    return
-            finally:
-                self._mark_sender_done()
-            try:
-                yield from self._drain_loop(thr, ep)
-            except EndpointFreedError:
-                return
-        return body
+        self._spawn(self.sender_threads, self.procs[src], self._quota_body(
+            self.vnet[src], src - 1, self.messages, self.payload,
+            self._hop_handler(src - 1)), "stream.src")
 
     def _forward_body(self, ep, rank: int):
-        def body(thr):
-            sim = ep.node.sim
-            ep.undeliverable_handler = self._on_returned
-            handler = self._hop_handler(rank - 1)
+        sim = ep.node.sim
+        handler = self._hop_handler(rank - 1)
+
+        def traffic(thr):
             forwarded = 0
             last_progress = sim.now
-            try:
-                try:
-                    while forwarded < self.messages:
-                        if ep.stats.requests_handled > forwarded:
-                            ok = yield from self._guarded_request(
-                                thr, ep, rank - 1, nbytes=self.payload,
-                                handler=handler)
-                            if not ok:
-                                break
-                            forwarded += 1
-                            last_progress = sim.now
-                            continue
-                        processed = yield from ep.poll(thr, limit=8)
-                        if processed:
-                            last_progress = sim.now
-                            continue
-                        # no arrivals, nothing forwarded: the upstream may
-                        # be dead — give up after a quiet give-up window
-                        if self._stop["flag"] \
-                                or sim.now - last_progress >= self.give_up_ns:
-                            break
-                        yield from thr.sleep(_IDLE_NS)
-                    yield from self._settle(thr, ep, [rank - 1])
-                except EndpointFreedError:
-                    return
-            finally:
-                self._mark_sender_done()
-            try:
-                yield from self._drain_loop(thr, ep)
-            except EndpointFreedError:
-                return
-        return body
+            while forwarded < self.messages:
+                if ep.stats.requests_handled > forwarded:
+                    ok = yield from self._guarded_request(
+                        thr, ep, rank - 1, nbytes=self.payload,
+                        handler=handler)
+                    if not ok:
+                        break
+                    forwarded += 1
+                    last_progress = sim.now
+                    continue
+                processed = yield from ep.poll(thr, limit=8)
+                if processed:
+                    last_progress = sim.now
+                    continue
+                # no arrivals, nothing forwarded: the upstream may be
+                # dead — give up after a quiet give-up window
+                if self._stop["flag"] \
+                        or sim.now - last_progress >= self.give_up_ns:
+                    break
+                yield from thr.sleep(_IDLE_NS)
+        return self._sender_body(ep, [rank - 1], traffic)
 
     def bench_latencies_ns(self) -> list[int]:
         """Sink inter-arrival gaps — the pipeline's steady-state period."""

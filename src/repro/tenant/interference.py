@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..am.errors import EndpointFreedError
 from ..am.vnet import parallel_vnet
-from ..chaos.workloads import _IDLE_NS, WORKLOADS, ChaosWorkload
+from ..chaos.workloads import WORKLOADS, ChaosWorkload, _poll_wait, _quiescent, _resolved
 from .core import Tenant, TenantRegistry
 
 __all__ = ["InterferenceWorkload"]
@@ -102,31 +101,21 @@ class InterferenceWorkload(ChaosWorkload):
             ("sink", 1, self.noisy_vnet[0], self.noisy),
         )
         for role, node_id, ep, tenant in roles:
-            node = cluster.node(node_id)
-            proc = node.start_process(name=f"tenant.{role}")
-            proc.adopt_endpoint(ep.state)
+            self._adopt(cluster.node(node_id), f"tenant.{role}", ep)
             tenant.adopt(ep)
-            self.procs.append(proc)
-            self.eviction_targets.append((node, ep.state))
         self.registry.validate_against(cluster.cfg.endpoint_frames)
 
     def start(self) -> None:
         ping_p, pong_p, src2_p, src3_p, sink_p = self.procs
-        if not ping_p.terminated:
-            self.sender_threads.append(ping_p.spawn_thread(
-                self._ping_body(self.quiet_vnet[0]), name="tenant.ping"))
-        if not pong_p.terminated:
-            self.receiver_threads.append(pong_p.spawn_thread(
-                self._receiver_body(self.quiet_vnet[1]), name="tenant.pong"))
+        self._spawn(self.sender_threads, ping_p,
+                    self._ping_body(self.quiet_vnet[0]), "tenant.ping")
+        self._spawn(self.receiver_threads, pong_p,
+                    self._receiver_body(self.quiet_vnet[1]), "tenant.pong")
         for proc, rank in ((src2_p, 1), (src3_p, 2)):
-            if proc.terminated:
-                continue
-            self.sender_threads.append(proc.spawn_thread(
-                self._bulk_body(self.noisy_vnet[rank]),
-                name=f"tenant.src{rank + 1}"))
-        if not sink_p.terminated:
-            self.receiver_threads.append(sink_p.spawn_thread(
-                self._receiver_body(self.noisy_vnet[0]), name="tenant.sink"))
+            self._spawn(self.sender_threads, proc,
+                        self._bulk_body(self.noisy_vnet[rank]), f"tenant.src{rank + 1}")
+        self._spawn(self.receiver_threads, sink_p,
+                    self._receiver_body(self.noisy_vnet[0]), "tenant.sink")
 
     def _bulk_body(self, ep):
         """Noisy source: blast transfers for a *time budget*, not a quota.
@@ -136,102 +125,75 @@ class InterferenceWorkload(ChaosWorkload):
         a real noisy neighbor blasts for the duration of the scenario
         and then stops.  ``transfers`` still caps the total.
         """
-        def body(thr):
-            sim = ep.node.sim
-            ep.undeliverable_handler = self._on_returned
+        sim = ep.node.sim
+        fired = 0
+
+        def traffic(thr):
+            nonlocal fired
             t_deadline = sim.now + self.noisy_deadline_ns
-            fired = 0
-            try:
-                try:
-                    for _ in range(self.transfers):
-                        if sim.now >= t_deadline:
-                            break
-                        ok = yield from self._guarded_request(
-                            thr, ep, 0, nbytes=self.bulk_payload)
-                        if not ok:
-                            break
-                        fired += 1
-                    yield from self._settle(thr, ep, [0])
-                except EndpointFreedError:
-                    return
-            finally:
-                self._mark_sender_done()
-            try:
-                # Unlike the generic drain loop, keep polling after the
-                # stop flag until every fired transfer resolved AND the
-                # endpoint has been quiet for a linger window: a
-                # rate-limited sink trickles its last (possibly
-                # duplicate) replies out one bucket interval at a time
-                # long after traffic stopped, and exiting between two
-                # trickles would leave them undrained (a Q violation).
-                bucket = self.noisy.bucket
-                linger = max(1_000_000,
-                             3 * bucket.interval_ns if bucket else 0)
-                deadline = None
-                last_arrival = sim.now
-                while True:
-                    processed = yield from ep.poll(thr, limit=16)
-                    if processed:
-                        last_arrival = sim.now
-                    if self._stop["flag"]:
-                        if deadline is None:
-                            deadline = sim.now + self.give_up_ns
-                        resolved = (ep.stats.replies_handled
-                                    + ep.stats.undeliverable) >= fired
-                        if (resolved and not ep.has_pending()
-                                and ep.state.inflight == 0
-                                and not ep.state.send_ring
-                                and sim.now - last_arrival >= linger) \
-                                or sim.now >= deadline:
-                            return
-                    if processed == 0:
-                        yield from thr.sleep(_IDLE_NS)
-            except EndpointFreedError:
-                return
-        return body
+            for _ in range(self.transfers):
+                if sim.now >= t_deadline:
+                    break
+                ok = yield from self._guarded_request(
+                    thr, ep, 0, nbytes=self.bulk_payload)
+                if not ok:
+                    break
+                fired += 1
+
+        def linger(thr):
+            # Unlike the default drain, keep polling after the stop flag
+            # until every fired transfer resolved AND the endpoint has
+            # been quiet for a linger window: a rate-limited sink
+            # trickles its last (possibly duplicate) replies out one
+            # bucket interval at a time long after traffic stopped, and
+            # exiting between two trickles would leave them undrained
+            # (a Q violation).
+            bucket = self.noisy.bucket
+            window = max(1_000_000, 3 * bucket.interval_ns if bucket else 0)
+            deadline = None
+            last_arrival = sim.now
+
+            def done(processed):
+                nonlocal deadline, last_arrival
+                if processed:
+                    last_arrival = sim.now
+                if not self._stop["flag"]:
+                    return False
+                if deadline is None:
+                    deadline = sim.now + self.give_up_ns
+                return (_resolved(ep) >= fired and _quiescent(ep)
+                        and sim.now - last_arrival >= window) \
+                    or sim.now >= deadline
+            yield from self._drain_loop(thr, ep, done)
+
+        return self._sender_body(ep, [0], traffic, linger)
 
     def _ping_body(self, ep):
-        def body(thr):
-            sim = ep.node.sim
-            ep.undeliverable_handler = self._on_returned
+        sim = ep.node.sim
+
+        def traffic(thr):
             t_start = sim.now
-            try:
-                try:
-                    for i in range(self.pings):
-                        # fixed probe cadence: one RTT sample per period
-                        target = t_start + i * self.ping_period_ns
-                        if sim.now < target:
-                            yield from thr.sleep(target - sim.now)
-                        t0 = sim.now
-                        base_rep = ep.stats.replies_handled
-                        base_ret = ep.stats.undeliverable
-                        ok = yield from self._guarded_request(
-                            thr, ep, 1, nbytes=self.payload)
-                        if not ok:
-                            continue
-                        deadline = sim.now + self.give_up_ns
-                        while (ep.stats.replies_handled == base_rep
-                               and ep.stats.undeliverable == base_ret):
-                            if sim.now >= deadline:
-                                break
-                            processed = yield from ep.poll(thr, limit=8)
-                            if processed == 0:
-                                yield from thr.sleep(_IDLE_NS)
-                        if ep.stats.replies_handled > base_rep:
-                            self.quiet_answered += 1
-                            self.rtt_ns.append(sim.now - t0)
-                        elif ep.stats.undeliverable > base_ret:
-                            self.quiet_returned += 1
-                    yield from self._settle(thr, ep, [1])
-                except EndpointFreedError:
-                    return
-            finally:
-                self._mark_sender_done()
-            try:
-                yield from self._drain_loop(thr, ep)
-            except EndpointFreedError:
-                return
-        return body
+            for i in range(self.pings):
+                # fixed probe cadence: one RTT sample per period
+                target = t_start + i * self.ping_period_ns
+                if sim.now < target:
+                    yield from thr.sleep(target - sim.now)
+                t0 = sim.now
+                base_rep = ep.stats.replies_handled
+                base_ret = ep.stats.undeliverable
+                ok = yield from self._guarded_request(
+                    thr, ep, 1, nbytes=self.payload)
+                if not ok:
+                    continue
+                yield from _poll_wait(
+                    thr, ep, lambda: _resolved(ep) > base_rep + base_ret,
+                    deadline=sim.now + self.give_up_ns)
+                if ep.stats.replies_handled > base_rep:
+                    self.quiet_answered += 1
+                    self.rtt_ns.append(sim.now - t0)
+                elif ep.stats.undeliverable > base_ret:
+                    self.quiet_returned += 1
+        return self._sender_body(ep, [1], traffic)
 
     def bench_latencies_ns(self) -> list[int]:
         return sorted(self.rtt_ns)
