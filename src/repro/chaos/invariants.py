@@ -286,18 +286,20 @@ def check_isolation(events: Iterable["TraceEvent"], workload,
       the storm was scoped to the noisy fault domain, so a quiet-node
       ``fault.inject`` means the scoping itself leaked.
     * **ISO.contract** — the quiet tenant's delivery contract (I1–I3),
-      checked over *its own* event partition only.  The noisy tenant's
-      faults legitimately produce returns and re-deliveries on noisy
-      nodes; none of that may surface as a violation attributed to the
-      quiet tenant.
+      checked over *its own* messages only: those a quiet-tenant
+      endpoint sent (by the ``ep`` of their ``am.request``/``am.reply``),
+      with all their events on any node.  The noisy tenant's faults
+      legitimately produce returns and re-deliveries, and its sink on a
+      quiet node replies to noisy nodes; none of that may surface as a
+      violation attributed to the quiet tenant.
     * **ISO.p99** — the quiet tenant's observed p99 RTT must stay within
       ``max_p99_inflation`` of the fault-free baseline.
     * **ISO.goodput** — answered probes must meet the goodput floor and
       may never be zero.
 
     ``workload`` is an :class:`repro.tenant.interference.InterferenceWorkload`
-    (anything with ``quiet_nodes``, ``pings``, ``quiet_answered`` and
-    ``bench_latencies_ns()`` works).
+    (anything with ``quiet_nodes``, a ``quiet`` tenant, ``pings``,
+    ``quiet_answered`` and ``bench_latencies_ns()`` works).
     """
     out: list[Violation] = []
     events = list(events)
@@ -310,7 +312,13 @@ def check_isolation(events: Iterable["TraceEvent"], workload,
                 f"fault {ev.get('action')!r} injected on quiet-tenant "
                 f"node {ev.node} despite noisy-scoped storm", ts=ev.ts))
 
-    quiet_events = [ev for ev in events if ev.node in quiet_nodes]
+    quiet_eps = {(st.node, st.ep_id) for st in workload.quiet.endpoints}
+    quiet_msgs = {ev.get("msg") for ev in events
+                  if ev.kind in ("am.request", "am.reply")
+                  and ev.node in quiet_nodes
+                  and (ev.node, ev.get("ep")) in quiet_eps}
+    quiet_events = [ev for ev in events if ev.get("msg") in quiet_msgs
+                    or (ev.kind == "fault.inject" and ev.node in quiet_nodes)]
     for v in DeliveryChecker(quiet_events).check():
         out.append(Violation("ISO.contract." + v.invariant, v.detail,
                              v.msg_id, v.ts))

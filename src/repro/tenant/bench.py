@@ -15,7 +15,11 @@ whole promise:
   may not surface contract violations in the quiet tenant's partition,
   and may not inflate the quiet p99 beyond the SLO bound;
 * **goodput floor** — the quiet tenant's answered-probe count never hits
-  zero in any cell (graceful degradation, never starvation).
+  zero in any cell (graceful degradation, never starvation);
+* **noisy traffic** — the noisy tenant services messages in every storm
+  cell, so the storm meets real noisy traffic: the storm starts
+  ``_STORM_SHIFT_NS`` into the run, after the noisy sources' endpoints
+  are resident.
 
 Every cell runs through :func:`repro.chaos.run_modes`, once on every
 (kernel, express path, spin elision) mode; a mode disagreement is a
@@ -41,6 +45,7 @@ times, so every observable reproduces bit for bit on the same tree.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from ..bench.harness import Suite, register
@@ -66,24 +71,31 @@ POLICIES: dict[str, dict] = {
 
 _DURATION_NS = 20_000_000
 _NUM_HOSTS = 4
+#: the scoped storm starts this late: the noisy sources' endpoints page
+#: in and first send at about 3.1 ms, and a storm from time zero kills
+#: or pauses them before they carry any traffic
+_STORM_SHIFT_NS = 4_000_000
 
 
 def _storm_scenario(seed: int, wl: InterferenceWorkload,
                     profile: str) -> Scenario:
-    """A tenant_storm scoped to the noisy tenant's fault domain."""
+    """A tenant_storm scoped to the noisy tenant's fault domain, in the
+    last ``_DURATION_NS - _STORM_SHIFT_NS`` of the run."""
     gen = ScheduleGenerator(
         seed,
         num_hosts=_NUM_HOSTS,
         num_spines=1,
         num_procs=len(wl.noisy_proc_pool) + 3,
         num_eps=5,
-        duration_ns=_DURATION_NS,
+        duration_ns=_DURATION_NS - _STORM_SHIFT_NS,
         profile=profile,
         host_pool=wl.noisy_host_pool,
         proc_pool=wl.noisy_proc_pool,
         ep_pool=wl.noisy_ep_pool,
     )
-    return gen.generate("tenant_storm")
+    storm = gen.generate("tenant_storm")
+    return replace(storm, duration_ns=_DURATION_NS, actions=[
+        replace(a, at_ns=a.at_ns + _STORM_SHIFT_NS) for a in storm.actions])
 
 
 def _quiet_percentiles(wl: InterferenceWorkload) -> tuple[int, int]:
@@ -178,7 +190,14 @@ def _goodput_floor(cells: dict) -> list[str]:
             if c["observables"]["quiet"]["answered"] == 0]
 
 
+def _noisy_traffic(cells: dict) -> list[str]:
+    return [f"{key}: the noisy tenant serviced no message"
+            for key, c in cells.items()
+            if "slo" in c["observables"]
+            and c["observables"]["tenants"]["noisy"]["msgs_serviced"] == 0]
+
+
 TENANT = register(Suite(
     "tenant", _cells,
     smoke={"seeds": (11,), "policies": ("baseline", "rate2k")},
-    gates=(_contract, _isolation, _goodput_floor)))
+    gates=(_contract, _isolation, _goodput_floor, _noisy_traffic)))

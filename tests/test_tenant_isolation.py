@@ -6,6 +6,8 @@ regression that must replay bit-exactly (the failure message carries
 everything needed to reproduce a divergence).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos.invariants import IsolationSLO, check_isolation
@@ -13,6 +15,7 @@ from repro.chaos.runner import run_chaos
 from repro.cluster import Cluster, ClusterConfig
 from repro.myrinet import Network
 from repro.nic import DriverOp, EndpointState, Message, MsgKind, Nic
+from repro.obs.events import TraceEvent
 from repro.sim import Event, Simulator, ms, us
 from repro.tenant import Tenant, TenantRegistry, TenantSpec, TokenBucket
 from repro.tenant.bench import _storm_scenario
@@ -284,3 +287,39 @@ def test_storm_interference_replays_bit_exactly():
     assert quiet.stats.evictions_suffered == noisy.stats.evictions_caused == 0
     assert quiet.frames_held() == len(quiet.endpoints) == 2
     assert noisy.frames_held() <= len(noisy.endpoints)
+
+    # the storm meets real noisy traffic: the sources on nodes 2 and 3
+    # put packets on the wire and the noisy tenant serviced messages
+    assert noisy.stats.msgs_serviced > 0
+    for node in sorted(wl.noisy_nodes):
+        assert r1.bus.select("pkt.tx", node=node), f"node {node} sent nothing"
+
+
+def _ev(ts, kind, node, **args):
+    return TraceEvent(ts, kind, node, args)
+
+
+def test_isolation_partitions_by_sending_tenant_not_node():
+    """The noisy sink on quiet node 1 replies to a source on noisy node 3:
+    that reply is accepted on a quiet node but delivered on a noisy one,
+    and belongs to the noisy tenant, so the quiet contract ignores it.
+    The quiet ping's request and reply are audited wherever they go."""
+    quiet_eps = [SimpleNamespace(node=0, ep_id=1), SimpleNamespace(node=1, ep_id=1)]
+    wl = SimpleNamespace(quiet_nodes=frozenset((0, 1)),
+                         quiet=SimpleNamespace(endpoints=quiet_eps),
+                         pings=1, quiet_answered=1,
+                         bench_latencies_ns=lambda: [100])
+    slo = IsolationSLO(baseline_p99_ns=100)
+    events = [
+        _ev(10, "am.request", 0, msg=1, ep=1),  # quiet ping
+        _ev(20, "msg.deliver", 1, msg=1, peer=0),
+        _ev(30, "am.reply", 1, msg=2, ep=1),  # quiet pong
+        _ev(40, "msg.deliver", 0, msg=2, peer=1),
+        _ev(50, "am.reply", 1, msg=3, ep=2),  # noisy sink's credit reply
+        _ev(60, "msg.deliver", 3, msg=3, peer=1),
+    ]
+    assert check_isolation(events, wl, slo) == []
+
+    # the quiet tenant's own unresolved message is still caught
+    lost = check_isolation(events[:1] + events[2:], wl, slo)
+    assert [(v.invariant, v.msg_id) for v in lost] == [("ISO.contract.I1.unresolved", 1)]
