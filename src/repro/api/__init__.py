@@ -13,14 +13,14 @@ exit:
 ...     ep0, ep1 = s.endpoints
 ...     # spawn threads, exchange messages, s.run(...)
 
-How simulated time executes is an *engine* (:func:`resolve_kernel`):
-``Session(engine="reference")`` replays on the pre-optimization
-ordering oracle instead of the default ``"sequential"`` kernel.  The
-same name threads through every benchmark suite via :func:`run_bench`,
-the Python face of ``python -m repro bench <suite>``.
+How simulated time executes is an *engine*, named by the one
+``ClusterConfig.engine`` field: ``Session(engine="reference")`` (a
+config override, like any other field) replays on the pre-optimization
+ordering oracle instead of the default ``"sequential"`` kernel.
+:func:`run_bench` is the Python face of ``python -m repro bench <suite>``.
 
-:class:`Cluster` here is the builder's cluster plus context management,
-for callers that want the machine without a pre-built virtual network.
+:class:`Cluster` is :class:`repro.cluster.Cluster`, the machine without
+a pre-built virtual network; as a context manager it tears itself down.
 The stable types — :class:`Endpoint`, :class:`Bundle`,
 :class:`VirtualNetwork`, :class:`NameService`, the error hierarchy under
 :class:`AmError`/:class:`SimError` — are re-exported so applications
@@ -36,11 +36,10 @@ from ..am.endpoint import AmStats, Endpoint, Token
 from ..am.errors import AmError, BadTranslationError, EndpointFreedError
 from ..am.names import NameService
 from ..am.vnet import VirtualNetwork, new_endpoint, parallel_vnet, star_vnet
-from ..cluster.builder import Cluster as _BuilderCluster
-from ..cluster.builder import Node
+from ..cluster.builder import Cluster, Node
 from ..cluster.config import ClusterConfig
 from ..osim.segdriver import REPLACEMENT_POLICIES, ResidencyScoreboard
-from ..sim import ENGINE_NAMES, EngineError, resolve_kernel
+from ..sim import ENGINE_NAMES, resolve_kernel
 from ..sim.core import Interrupted, SimError
 from ..tenant import Tenant, TenantRegistry, TenantSpec
 
@@ -49,7 +48,6 @@ __all__ = [
     "Session",
     # engine surface
     "ENGINE_NAMES",
-    "EngineError",
     "resolve_kernel",
     "run_bench",
     "describe",
@@ -77,23 +75,20 @@ __all__ = [
 ]
 
 
-def run_bench(name: str, *, engine: Optional[str] = None, **opts) -> dict:
+def run_bench(name: str, **opts) -> dict:
     """Run a registered benchmark suite and return its BENCH document.
 
     ``name`` is any suite of :func:`repro.bench.harness.suites`
     (``collectives``, ``chaos``, ``calib``, ``scale``, ``fleet``,
-    ``tenant``); ``engine`` is an engine name (:data:`ENGINE_NAMES`).
-    ``smoke=True`` selects the reduced matrix with every cell run twice;
-    every other keyword is a suite parameter.
+    ``tenant``).  ``smoke=True`` selects the reduced matrix with every
+    cell run twice; every other keyword is a suite parameter.
     """
     from ..bench import harness
 
     if name not in harness.suites():
         raise AmError(
             f"unknown bench {name!r}; registered: {sorted(harness.suites())}")
-    if engine is not None:
-        resolve_kernel(engine)  # reject an unknown name before any cell runs
-    return harness.run(name, engine=engine, **opts)
+    return harness.run(name, **opts)
 
 
 def describe() -> dict:
@@ -106,39 +101,6 @@ def describe() -> dict:
         "benches": sorted(suites()),
         "replacement_policies": sorted(REPLACEMENT_POLICIES),
     }
-
-
-class Cluster(_BuilderCluster):
-    """A context-managed cluster of simulated workstations.
-
-    Identical to :class:`repro.cluster.builder.Cluster` plus ``with``
-    support: on exit, every endpoint still registered with a live node's
-    segment driver is freed (idempotently — endpoints already freed by a
-    session or by hand are skipped by the driver).
-    """
-
-    def __enter__(self) -> "Cluster":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.shutdown()
-        return False
-
-    def shutdown(self) -> None:
-        """Free every still-registered endpoint on live nodes, then unplug
-        every NIC from the fabric so no rx handler outlives the cluster."""
-
-        def teardown() -> Generator:
-            for node in self.nodes:
-                if not node.nic.alive:
-                    continue
-                for ep_state in list(node.driver.endpoints.values()):
-                    yield from node.driver.free_endpoint(ep_state)
-
-        self.sim.run_process(teardown(), name="api.shutdown")
-        for node in self.nodes:
-            if self.network.attached(node.nic.nic_id):
-                self.network.detach(node.nic.nic_id)
 
 
 class Session:
@@ -156,14 +118,13 @@ class Session:
         ``.endpoints`` is their concatenation.  ``shared_server_ep``
         selects the OneVN (shared) vs per-client configuration.
 
-    ``engine=`` names the event kernel (:data:`ENGINE_NAMES`; ``None``
-    consults the config); the resolved name is exposed as ``.engine``.
-
     Pass ``cluster=`` to join an existing machine (the session then
     frees only its own endpoints on close and leaves the cluster up);
-    otherwise a cluster is built from ``cfg``/``**overrides`` and torn
-    down with the session.  Closing is idempotent: each endpoint is
-    freed exactly once no matter how often ``close()`` runs.
+    otherwise a cluster is built from ``cfg``/``**overrides`` (the
+    kernel too: ``engine="reference"``) and torn down with the session.
+    A joined cluster is already built, so ``cluster=`` takes no ``cfg=``
+    or override.  Closing is idempotent: each endpoint is freed exactly
+    once no matter how often ``close()`` runs.
     """
 
     def __init__(
@@ -171,24 +132,20 @@ class Session:
         nodes: Optional[Sequence[int]] = None,
         star: Optional[tuple[int, Sequence[int]]] = None,
         *,
-        cluster: Optional[_BuilderCluster] = None,
+        cluster: Optional[Cluster] = None,
         cfg: Optional[ClusterConfig] = None,
-        engine: Optional[str] = None,
         shared_server_ep: bool = True,
         name: str = "session",
         **overrides,
     ):
         if (nodes is None) == (star is None):
             raise AmError("Session needs exactly one of nodes=... or star=(server, clients)")
+        if cluster is not None and (cfg is not None or overrides):
+            raise AmError("Session(cluster=...) joins a built cluster; it "
+                          "takes no cfg= or config override")
         self.name = name
         self._owns_cluster = cluster is None
-        if cluster is not None:
-            self.cluster = cluster
-            self.engine = engine or cluster.engine
-            resolve_kernel(self.engine)  # reject an unknown name
-        else:
-            self.cluster = _BuilderCluster(cfg, engine=engine, **overrides)
-            self.engine = self.cluster.engine
+        self.cluster = cluster if cluster is not None else Cluster(cfg, **overrides)
         self.sim = self.cluster.sim
         self.cfg = self.cluster.cfg
         self.vnet: Optional[VirtualNetwork] = None
@@ -235,9 +192,7 @@ class Session:
 
         self.sim.run_process(teardown(), name=f"{self.name}.teardown")
         if self._owns_cluster:
-            # Freeing the remaining (non-session) endpoints matches
-            # Cluster.shutdown(); the driver skips already-freed ones.
-            Cluster.shutdown(self.cluster)  # type: ignore[arg-type]
+            self.cluster.shutdown()
 
     # ------------------------------------------------------------ conveniences
     def bundle(self) -> Bundle:
@@ -254,7 +209,3 @@ class Session:
 
     def run_process(self, gen: Generator, name: str = "", until: Optional[int] = None):
         return self.cluster.run_process(gen, name=name, until=until)
-
-    def run_bench(self, name: str, **opts):
-        """Run a registered bench under this session's engine."""
-        return run_bench(name, engine=self.engine, **opts)

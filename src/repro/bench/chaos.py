@@ -12,8 +12,8 @@ Each cell runs through :func:`repro.chaos.run_modes`: once on every
 (kernel, express path, spin elision) mode.  A mode that disagrees with
 another adds an ``M.mode`` violation, so the delivery-contract gate is
 also the one mode-equivalence oracle.  The observables are the default
-mode's (the suite's engine, sequential unless given, with the express
-path and spin elision on).
+mode's (the sequential kernel with the express path and spin elision
+on).
 
 Run through the harness::
 
@@ -43,12 +43,12 @@ _WORKLOADS = ("pairwise", "bulk", "client_server", "collective", "incast",
               "rpc_fanout", "streaming")
 
 
-def _run(scenario, workload: str, num_hosts: int, engine,
+def _run(scenario, workload: str, num_hosts: int,
          trace_dir: Optional[str]) -> dict:
     trace_path = trace_dir and os.path.join(
         trace_dir, f"chaos-{scenario.name}-{workload}-s{scenario.seed}-"
         f"{scenario.profile}.json")
-    r = run_modes(scenario, workload, num_hosts=num_hosts, engine=engine,
+    r = run_modes(scenario, workload, num_hosts=num_hosts,
                   trace_path=trace_path)
     return {"observables": {
         "digest": r.digest, "sim_ns": r.sim_ns, "events": r.events,
@@ -62,7 +62,7 @@ def _run(scenario, workload: str, num_hosts: int, engine,
     }}
 
 
-def _cells(engine=None, seeds: Sequence[int] = (1, 2, 3, 4, 5),
+def _cells(seeds: Sequence[int] = (1, 2, 3, 4, 5),
            scenarios: Sequence[str] = SCENARIO_FAMILIES,
            workloads: Sequence[str] = _WORKLOADS, profile: str = "rough",
            num_hosts: int = 8, duration_ns: int = 20_000_000,
@@ -78,7 +78,7 @@ def _cells(engine=None, seeds: Sequence[int] = (1, 2, 3, 4, 5),
             for wl in workloads:
                 cells.append((f"{scenario.name}/{wl}/s{seed}",
                               lambda s=scenario, wl=wl: _run(
-                                  s, wl, num_hosts, engine, trace_dir)))
+                                  s, wl, num_hosts, trace_dir)))
     return cells
 
 

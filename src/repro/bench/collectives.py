@@ -41,18 +41,18 @@ GATE_SIZE = 128
 BCAST_BYTES = 1024
 
 
-def run_cell(size: int, strategy: str, engine=None,
+def run_cell(size: int, strategy: str,
              cfg: Optional[ClusterConfig] = None) -> dict:
     """One (size, strategy) cell: op makespans, semantics and a digest
     over every rank's (op, start, end, result) record."""
-    from ..api import Cluster
+    from ..cluster.builder import Cluster
     from ..lib.mpi import build_world
 
     cfg = (cfg or ClusterConfig()).with_(
         num_hosts=size, collective_strategy=strategy)
     spans: dict[int, list] = {}
     t0 = time.perf_counter()
-    with Cluster(cfg, engine=engine) as cl:
+    with Cluster(cfg) as cl:
         world = cl.run_process(build_world(cl, list(range(size))), "coll")
 
         def main_body(thr, comm):
@@ -106,11 +106,10 @@ def run_cell(size: int, strategy: str, engine=None,
     }
 
 
-def _cells(engine=None, sizes: Sequence[int] = SIZES,
+def _cells(sizes: Sequence[int] = SIZES,
            strategies: Sequence[str] = STRATEGIES):
     return [(f"{strategy}@{size}",
-             lambda size=size, strategy=strategy: run_cell(size, strategy,
-                                                           engine))
+             lambda size=size, strategy=strategy: run_cell(size, strategy))
             for size in sizes for strategy in strategies]
 
 

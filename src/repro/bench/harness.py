@@ -4,10 +4,10 @@ A suite declares *what* to measure; this module owns *how*: the cell
 loop, the determinism gate, the failure collector and the BENCH file
 format.  A suite is
 
-* ``cells(engine=None, **params)`` — an ordered list of ``(key, thunk)``
-  pairs.  A thunk runs one cell and returns ``{"observables": ...,
-  "measured": ...}``.  Only ``observables`` is digested, so wall-clock
-  figures (``measured``) never enter a digest.  A thunk may read what an
+* ``cells(**params)`` — an ordered list of ``(key, thunk)`` pairs.  A
+  thunk runs one cell and returns ``{"observables": ..., "measured":
+  ...}``.  Only ``observables`` is digested, so wall-clock figures
+  (``measured``) never enter a digest.  A thunk may read what an
   earlier thunk of the same list left in a shared closure (a fit over
   every sweep cell, a storm judged against its calm baseline);
 * ``smoke`` — the parameter overrides of the reduced CI matrix;
@@ -46,8 +46,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-__all__ = ["SCHEMA", "Suite", "register", "suites", "digest", "run",
-           "validate", "cli"]
+__all__ = ["SCHEMA", "Suite", "register", "suites", "digest",
+           "timeline_digest", "run", "validate", "cli"]
 
 SCHEMA = 2
 
@@ -69,6 +69,14 @@ def digest(*parts) -> str:
     for part in parts:
         h.update(repr(part).encode())
     return h.hexdigest()
+
+
+def timeline_digest(events) -> str:
+    """The canonical digest over normalized ``(ts, kind, node, args)``
+    trace event records — the bit-identity witness of a traced run."""
+    return digest(*((ev.ts, ev.kind, ev.node,
+                     sorted(ev.args.items()) if ev.args else [])
+                    for ev in events))
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,7 @@ def _normalized(value):
     return json.loads(json.dumps(value))
 
 
-def run(name: str, *, engine=None, smoke: bool = False, progress=None,
-        **params) -> dict:
+def run(name: str, *, smoke: bool = False, progress=None, **params) -> dict:
     """Run suite ``name`` and return its BENCH document.
 
     ``smoke`` applies the suite's reduced matrix (explicit ``params``
@@ -118,7 +125,7 @@ def run(name: str, *, engine=None, smoke: bool = False, progress=None,
     params = {**(suite.smoke if smoke else {}), **params}
     cells: dict[str, dict] = {}
     failures: list[str] = []
-    for key, thunk in suite.cells(engine=engine, **params):
+    for key, thunk in suite.cells(**params):
         try:
             out = thunk()
             obs = _normalized(out["observables"])

@@ -42,8 +42,7 @@ from typing import Sequence
 from ..am.vnet import parallel_vnet
 from ..bench.harness import Suite, digest, register
 from ..bench.logp import overheads
-from ..chaos.runner import reset_global_ids
-from ..cluster.builder import Cluster
+from ..cluster.builder import Cluster, reset_global_ids
 from ..cluster.config import ClusterConfig
 from ..obs import message_spans
 from ..sim.core import ms
@@ -137,12 +136,11 @@ def default_cells(smoke: bool) -> list[CalibCell]:
     return cells
 
 
-def run_cell(cell: CalibCell, *, seed: int = 1999,
-             engine=None) -> CalibCellResult:
+def run_cell(cell: CalibCell, *, seed: int = 1999) -> CalibCellResult:
     """Execute one cell deterministically and reduce it to observations."""
     reset_global_ids()
     cfg = ClusterConfig(num_hosts=TOPOLOGIES[cell.topology], seed=seed)
-    cluster = Cluster(cfg, engine=engine)
+    cluster = Cluster(cfg)
     sim = cluster.sim
     a, b = cell.pair
     res = CalibCellResult(
@@ -265,13 +263,13 @@ def fit_cells(results: Sequence[CalibCellResult], *, seed: int = 1999,
 
 
 # ------------------------------------------------------------------ suite
-def _cells(engine=None, small: bool = False, seed: int = 1999,
+def _cells(small: bool = False, seed: int = 1999,
            tolerance: float = 0.10):
     """Sweep cells, then the fit over all of them."""
     runs: dict[str, CalibCellResult] = {}
 
     def sweep(cell):
-        runs[cell.label] = res = run_cell(cell, seed=seed, engine=engine)
+        runs[cell.label] = res = run_cell(cell, seed=seed)
         return {"observables": res.to_dict(),
                 "measured": {"wall_s": round(res.wall_s, 4)}}
 

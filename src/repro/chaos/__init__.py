@@ -32,8 +32,7 @@ Quick start::
 
 from .invariants import (DeliveryChecker, IsolationSLO, Violation,
                          check_isolation, check_quiescence)
-from .runner import (MODES, ChaosReport, chaos_config, reset_global_ids,
-                     run_chaos, run_modes, timeline_digest)
+from .runner import MODES, ChaosReport, chaos_config, run_chaos, run_modes
 from .schedule import (PROFILES, SCENARIO_FAMILIES, FaultAction, Scenario,
                        ScheduleGenerator, calm_scenario)
 from .workloads import (WORKLOADS, BulkWorkload, ChaosWorkload,
@@ -48,5 +47,4 @@ __all__ = [
     "DeliveryChecker", "Violation", "check_quiescence",
     "IsolationSLO", "check_isolation",
     "ChaosReport", "MODES", "chaos_config", "run_chaos", "run_modes",
-    "reset_global_ids", "timeline_digest",
 ]

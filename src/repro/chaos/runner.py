@@ -12,11 +12,12 @@ a chaos failure found in CI replays locally.  Two things make that true:
 * every run gets a *fresh* :class:`~repro.cluster.builder.Cluster` with
   its own seeded RNG streams, and
 * the module-global id counters (message ids, packet transmit ids, bulk
-  transfer ids, thread ids) are rewound first — they are cosmetic
+  transfer ids, thread ids) are rewound first
+  (:func:`~repro.cluster.builder.reset_global_ids`) — they are cosmetic
   labels, but they appear in trace events, so a previous run in the same
   process would otherwise shift the digest.
 
-The timeline digest is the canonical digest over the normalized events;
+The timeline digest is :func:`~repro.bench.harness.timeline_digest`;
 ``tests/test_chaos_determinism.py`` pins the bit-identical guarantee.
 
 ``run_modes(scenario, workload)`` is the mode-equivalence oracle: it
@@ -44,8 +45,8 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Generator, Optional
 
-from ..bench.harness import digest
-from ..cluster.builder import Cluster
+from ..bench.harness import timeline_digest
+from ..cluster.builder import Cluster, reset_global_ids
 from ..cluster.config import ClusterConfig
 from ..sim import ENGINE_NAMES
 from ..sim.core import AllOf, SimError
@@ -54,24 +55,10 @@ from .invariants import (DeliveryChecker, Violation, check_drop_accounting,
 from .schedule import FaultAction, Scenario
 from .workloads import ChaosWorkload, make_workload
 
-__all__ = ["ChaosReport", "MODES", "chaos_config", "run_chaos", "run_modes",
-           "reset_global_ids", "timeline_digest"]
+__all__ = ["ChaosReport", "MODES", "chaos_config", "run_chaos", "run_modes"]
 
 #: every (engine, express path, spin elision) combination a chaos cell runs on
 MODES = tuple(itertools.product(ENGINE_NAMES, (True, False), (True, False)))
-
-
-def reset_global_ids() -> None:
-    """Rewind the cosmetic module-global id counters (see module doc)."""
-    from ..am import endpoint as am_endpoint
-    from ..myrinet import packet as myrinet_packet
-    from ..nic import message as nic_message
-    from ..osim import threads as osim_threads
-
-    nic_message._msg_ids = itertools.count(1)
-    myrinet_packet._packet_ids = itertools.count(1)
-    am_endpoint._transfer_ids = itertools.count(1)
-    osim_threads._thread_ids = itertools.count(1)
 
 
 def chaos_config(seed: int, num_hosts: int = 8, **overrides) -> ClusterConfig:
@@ -94,14 +81,6 @@ def chaos_config(seed: int, num_hosts: int = 8, **overrides) -> ClusterConfig:
     )
     base.update(overrides)
     return ClusterConfig().with_(**base)
-
-
-def timeline_digest(events) -> str:
-    """The canonical digest over normalized ``(ts, kind, node, args)``
-    event records — the bit-identity witness."""
-    return digest(*((ev.ts, ev.kind, ev.node,
-                     sorted(ev.args.items()) if ev.args else [])
-                    for ev in events))
 
 
 @dataclass
@@ -221,7 +200,6 @@ def run_chaos(
     num_hosts: int = 8,
     trace_path: Optional[str] = None,
     keep: bool = False,
-    engine=None,
     **workload_kwargs,
 ) -> ChaosReport:
     """Execute one (scenario, workload) chaos run and audit it.
@@ -230,14 +208,14 @@ def run_chaos(
     Chrome trace JSON (always exported when ``trace_path`` is set and
     the run fails; never otherwise).  ``keep=True`` attaches the live
     ``cluster``/``bus``/``workload`` to the report for tests.
-    ``engine`` names the event kernel (:func:`repro.sim.resolve_kernel`);
-    :func:`run_modes` runs one cell on every kernel.
+    The event kernel is ``cfg.engine``; :func:`run_modes` runs one cell
+    on every kernel.
     """
     scenario.validate()
     reset_global_ids()
     if cfg is None:
         cfg = chaos_config(scenario.seed, num_hosts=num_hosts)
-    cluster = Cluster(cfg, engine=engine)
+    cluster = Cluster(cfg)
     bus = cluster.enable_tracing()
     wl = workload if isinstance(workload, ChaosWorkload) \
         else make_workload(workload, **workload_kwargs)
@@ -374,15 +352,15 @@ def run_modes(
     workload: str | Callable[[], ChaosWorkload],
     *,
     num_hosts: int = 8,
-    engine=None,
     trace_path: Optional[str] = None,
 ) -> ChaosReport:
     """Run one chaos cell on every mode in :data:`MODES` and cross-check.
 
     ``workload`` is a registry name or a zero-argument factory, so every
     mode gets a fresh instance.  Every mode runs on :func:`chaos_config`
-    with ``express_path`` and ``spin_elision`` set per mode.  Returns the
-    default mode's report (``engine``, express and elision on) as
+    with ``engine``, ``express_path`` and ``spin_elision`` set per mode.
+    Returns the default mode's report (the config's engine, express and
+    elision on) as
     ``run_chaos(keep=True)`` leaves it, with one ``M.mode`` violation
     appended per pair of modes, differing in one setting, that disagree
     (see the module doc for what each pair compares).
@@ -390,13 +368,14 @@ def run_modes(
     failure, and both modes' timelines next to it on a disagreement.
     """
     cfg = chaos_config(scenario.seed, num_hosts=num_hosts)
-    default = (engine or cfg.engine, True, True)
+    default = (cfg.engine, True, True)
     runs: dict[tuple[str, bool, bool], ChaosReport] = {}
     for mode in MODES:
         wl = make_workload(workload) if isinstance(workload, str) else workload()
         runs[mode] = run_chaos(scenario, wl,
-                               cfg=cfg.with_(express_path=mode[1], spin_elision=mode[2]),
-                               engine=mode[0], keep=True,
+                               cfg=cfg.with_(engine=mode[0], express_path=mode[1],
+                                             spin_elision=mode[2]),
+                               keep=True,
                                trace_path=trace_path if mode == default else None)
     diffs = [(a, b, _first_difference(runs[a], runs[b]))
              for a, b in itertools.combinations(MODES, 2)

@@ -3,11 +3,14 @@
 ``Cluster(cfg)`` builds the whole machine of Section 2 — one
 :class:`Node` (CPU + NIC + segment driver) per host, a fat-tree
 :class:`~repro.myrinet.network.Network`, and a fault injector — on a
-single deterministic simulator.
+single deterministic simulator, the kernel that ``cfg.engine`` names.
+Used as a context manager, it frees every endpoint and unplugs every
+NIC on exit.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Generator, Optional
 
 from ..hw.host import Cpu
@@ -21,7 +24,24 @@ from ..sim.core import Simulator
 from ..sim.rng import RngStreams
 from .config import ClusterConfig
 
-__all__ = ["Node", "Cluster"]
+__all__ = ["Node", "Cluster", "reset_global_ids"]
+
+
+def reset_global_ids() -> None:
+    """Rewind the module-global id counters (message, packet, bulk
+    transfer and thread ids).  They are cosmetic labels, but they appear
+    in trace events, so a run that must replay bit-identically in a
+    process that already ran another calls this before building its
+    cluster."""
+    from ..am import endpoint as am_endpoint
+    from ..myrinet import packet as myrinet_packet
+    from ..nic import message as nic_message
+    from ..osim import threads as osim_threads
+
+    nic_message._msg_ids = itertools.count(1)
+    myrinet_packet._packet_ids = itertools.count(1)
+    am_endpoint._transfer_ids = itertools.count(1)
+    osim_threads._thread_ids = itertools.count(1)
 
 
 class Node:
@@ -48,27 +68,42 @@ class Node:
 class Cluster:
     """The full machine: nodes + fabric + faults, on one simulator."""
 
-    def __init__(
-        self,
-        cfg: Optional[ClusterConfig] = None,
-        *,
-        engine=None,
-        **overrides,
-    ):
+    def __init__(self, cfg: Optional[ClusterConfig] = None, **overrides):
         if cfg is None:
             cfg = ClusterConfig()
         if overrides:
             cfg = cfg.with_(**overrides)
         cfg.validate()
         self.cfg = cfg
-        #: the engine name (:func:`repro.sim.resolve_kernel`): ``engine=``,
-        #: or ``cfg.engine`` when None
-        self.engine = engine or cfg.engine
-        self.sim = resolve_kernel(self.engine)()
+        self.sim = resolve_kernel(cfg.engine)()
         self.rngs = RngStreams(cfg.seed)
         self.network = Network(self.sim, cfg, self.rngs)
         self.nodes = [Node(self.sim, cfg, i, self.network, self.rngs) for i in range(cfg.num_hosts)]
         self.faults = FaultInjector(self.sim, self.network)
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.shutdown()
+        return False
+
+    def shutdown(self) -> None:
+        """Free every still-registered endpoint on live nodes (the driver
+        skips endpoints already freed), then unplug every NIC from the
+        fabric so no rx handler outlives the cluster."""
+
+        def teardown() -> Generator:
+            for node in self.nodes:
+                if not node.nic.alive:
+                    continue
+                for ep_state in list(node.driver.endpoints.values()):
+                    yield from node.driver.free_endpoint(ep_state)
+
+        self.sim.run_process(teardown(), name="cluster.shutdown")
+        for node in self.nodes:
+            if self.network.attached(node.nic.nic_id):
+                self.network.detach(node.nic.nic_id)
 
     def node(self, i: int) -> Node:
         return self.nodes[i]

@@ -282,8 +282,9 @@ class ClusterConfig:
     spin_elision: bool = True
 
     # --------------------------------------------------------------- engine
-    #: which event kernel executes the model — resolved through
-    #: :func:`repro.sim.resolve_kernel`.  "sequential" is the optimized
+    #: which event kernel executes the model — the one place a kernel is
+    #: named; ``Cluster`` looks it up with :func:`repro.sim.resolve_kernel`
+    #: after :meth:`validate`.  "sequential" is the optimized
     #: single-heap kernel, "reference" the pre-optimization ordering
     #: oracle (see DESIGN.md §13).
     engine: str = "sequential"

@@ -374,14 +374,14 @@ def _run(fcfg: Optional[FleetCellConfig], arrival: str, seed: int) -> dict:
     return {"observables": obs, "measured": measured}
 
 
-def _cells(engine=None, policies: Sequence[str] = DEFAULT_FLEET_POLICIES,
+def _cells(policies: Sequence[str] = DEFAULT_FLEET_POLICIES,
            ratios: Sequence[int] = DEFAULT_FLEET_RATIOS,
            hosts_list: Sequence[int] = (64,), nis_per_host: int = 2,
            frames: int = 8, arrival: str = "diurnal", ticks: int = 192,
            seed: int = 1999, memcheck: bool = True):
     """The (hosts × policy × ratio) grid plus the memcheck cell.  The
     macro-model runs the residency components directly, not the event
-    kernel, so ``engine`` is accepted and ignored."""
+    kernel."""
     cells = []
     for hosts in hosts_list:
         for policy in policies:

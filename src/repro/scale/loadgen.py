@@ -35,9 +35,8 @@ from ..am.bundle import Bundle
 from ..am.endpoint import poll_until
 from ..am.vnet import new_endpoint
 from ..apps.clientserver import SWEEP_IDLE_NS
-from ..bench.harness import digest
-from ..chaos import reset_global_ids, timeline_digest
-from ..cluster.builder import Cluster
+from ..bench.harness import digest, timeline_digest
+from ..cluster.builder import Cluster, reset_global_ids
 from ..cluster.config import ClusterConfig
 from ..myrinet.packet import NackReason
 from ..sim.core import ms, us
@@ -220,8 +219,7 @@ class ScaleCellResult:
         return d
 
 
-def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
-             engine=None) -> ScaleCellResult:
+def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False) -> ScaleCellResult:
     """Run one overcommit cell; returns its :class:`ScaleCellResult`.
 
     ``trace=True`` additionally attaches a :class:`repro.obs.TraceBus`
@@ -230,7 +228,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False,
     """
     reset_global_ids()
     wall0 = time.perf_counter()
-    cluster = Cluster(ccfg.cluster_config(), engine=engine)
+    cluster = Cluster(ccfg.cluster_config())
     bus = cluster.enable_tracing() if trace else None
     sim = cluster.sim
     cfg = cluster.cfg

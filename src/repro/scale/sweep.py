@@ -32,12 +32,12 @@ DEFAULT_POLICIES = ("random", "lru", "clock", "active-preference")
 DEFAULT_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def _run(ccfg: ScaleCellConfig, engine) -> dict:
-    obs = run_cell(ccfg, engine=engine).to_dict()
+def _run(ccfg: ScaleCellConfig) -> dict:
+    obs = run_cell(ccfg).to_dict()
     return {"observables": obs, "measured": {"wall_s": obs.pop("wall_s")}}
 
 
-def _cells(engine=None, policies: Sequence[str] = DEFAULT_POLICIES,
+def _cells(policies: Sequence[str] = DEFAULT_POLICIES,
            ratios: Sequence[int] = DEFAULT_RATIOS, frames: int = 8,
            duration_ms: float = 60.0, warmup_ms: float = 30.0,
            seed: int = 1999, client_nodes: int = 8):
@@ -49,7 +49,7 @@ def _cells(engine=None, policies: Sequence[str] = DEFAULT_POLICIES,
                 client_nodes=client_nodes, duration_ms=duration_ms,
                 warmup_ms=warmup_ms, seed=seed)
             cells.append((f"{policy}@{ratio}:1",
-                          lambda ccfg=ccfg: _run(ccfg, engine)))
+                          lambda ccfg=ccfg: _run(ccfg)))
     return cells
 
 

@@ -1,8 +1,7 @@
 """Discrete-event simulation kernel used by the whole reproduction.
 
-How simulated time executes is an *engine*, named by every harness
-(Session/Cluster, chaos, scale, calib, tenant) rather than constructed by
-hand:
+How simulated time executes is an *engine*, named by the one
+``ClusterConfig.engine`` field rather than constructed by hand:
 
 ``"sequential"``
     the optimized pooled-entry kernel (:class:`Simulator`) — the default;
@@ -10,11 +9,9 @@ hand:
     the pre-optimization kernel kept as an executable ordering oracle
     (:class:`ReferenceSimulator`).
 
-:func:`resolve_kernel` maps a name, or ``None`` (fall back to
-``cfg.engine``), to the kernel class.
+:func:`resolve_kernel` maps a name to its kernel class; a name is
+checked once, by ``ClusterConfig.validate``.
 """
-
-from typing import Optional
 
 from .core import (
     AllOf,
@@ -39,7 +36,6 @@ from .rng import RngStreams
 
 __all__ = [
     "ENGINE_NAMES",
-    "EngineError",
     "resolve_kernel",
     "AllOf",
     "AnyOf",
@@ -69,15 +65,6 @@ _KERNELS = {"sequential": Simulator, "reference": ReferenceSimulator}
 ENGINE_NAMES = tuple(_KERNELS)
 
 
-class EngineError(RuntimeError):
-    """An engine spec names no registered kernel."""
-
-
-def resolve_kernel(spec: Optional[str], cfg=None) -> type:
-    """The kernel class for engine ``spec``; ``None`` consults
-    ``cfg.engine`` (default sequential)."""
-    if spec is None:
-        spec = getattr(cfg, "engine", None) or "sequential"
-    if spec not in ENGINE_NAMES:
-        raise EngineError(f"unknown engine {spec!r}; registered: {list(ENGINE_NAMES)}")
-    return _KERNELS[spec]
+def resolve_kernel(name: str) -> type:
+    """The kernel class registered under ``name`` (one of :data:`ENGINE_NAMES`)."""
+    return _KERNELS[name]

@@ -103,7 +103,7 @@ def _quiet_percentiles(wl: InterferenceWorkload) -> tuple[int, int]:
     return percentile_ns(lats, 50), percentile_ns(lats, 99)
 
 
-def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
+def _traced(policy: str, seed: int, storm: bool, profile: str,
             baseline_p99: dict, max_p99_inflation: float,
             min_goodput_frac: float) -> dict:
     """One calm or storm cell, run on every mode (the observables are
@@ -115,8 +115,7 @@ def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
 
     scenario = _storm_scenario(seed, workload(), profile) if storm \
         else calm_scenario(seed, _DURATION_NS)
-    report = run_modes(scenario, workload, num_hosts=_NUM_HOSTS,
-                       engine=engine)
+    report = run_modes(scenario, workload, num_hosts=_NUM_HOSTS)
     wl = report.wl  # type: ignore[attr-defined]
     p50, p99 = _quiet_percentiles(wl)
     obs = {
@@ -155,7 +154,7 @@ def _traced(policy: str, seed: int, storm: bool, profile: str, engine,
     return {"observables": obs}
 
 
-def _cells(engine=None, seeds: Sequence[int] = (11, 23),
+def _cells(seeds: Sequence[int] = (11, 23),
            policies: Sequence[str] = tuple(POLICIES), profile: str = "brutal",
            max_p99_inflation: float = 3.0, min_goodput_frac: float = 0.5):
     """Per (policy, seed): a fault-free *calm* cell establishing the
@@ -168,7 +167,7 @@ def _cells(engine=None, seeds: Sequence[int] = (11, 23),
             for storm in (False, True):
                 cells.append((f"{policy}/{'storm' if storm else 'calm'}/s{seed}",
                               lambda policy=policy, seed=seed, storm=storm:
-                              _traced(policy, seed, storm, profile, engine,
+                              _traced(policy, seed, storm, profile,
                                       baseline_p99, max_p99_inflation,
                                       min_goodput_frac)))
     return cells

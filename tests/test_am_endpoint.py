@@ -5,7 +5,7 @@ import pytest
 from repro.am import BadTranslationError, Bundle, parallel_vnet, star_vnet, new_endpoint
 from repro.am.endpoint import BLOCK_NS, poll_until
 from repro.am.errors import EndpointFreedError
-from repro.chaos import reset_global_ids
+from repro.cluster import reset_global_ids
 from repro.cluster import Cluster, ClusterConfig
 from repro.nic import Residency
 from repro.nic.message import Message, MsgKind

@@ -1,9 +1,11 @@
-"""The engine map: resolution, Session threading, bench registry.
+"""The engine map: one switch, one Cluster, bench registry.
 
 ``repro.api`` is the stable surface; these tests pin the contract —
-every harness reaches its kernel through :func:`resolve_kernel`, a
-Session accepts any engine name, :func:`run_bench` fronts every harness
-suite under one name, and the ``python -m repro bench`` CLI dispatches.
+``ClusterConfig.engine`` is the only way to pick a kernel (a Cluster or
+Session takes it as a config override), an unknown name fails in
+``validate()``, there is one context-managed :class:`Cluster`,
+:func:`run_bench` fronts every harness suite under one name, and the
+``python -m repro bench`` CLI dispatches.
 """
 
 import json
@@ -11,8 +13,11 @@ import warnings
 
 import pytest
 
-from repro.api import (ENGINE_NAMES, AmError, ClusterConfig, EngineError,
+import repro
+from repro.am import new_endpoint
+from repro.api import (ENGINE_NAMES, AmError, Cluster, ClusterConfig,
                        Session, describe, resolve_kernel, run_bench)
+from repro.nic.endpoint_state import Residency
 from repro.sim import ReferenceSimulator, Simulator
 
 
@@ -23,38 +28,50 @@ def test_resolve_kernel_by_name():
     assert resolve_kernel("reference") is ReferenceSimulator
 
 
-def test_resolve_kernel_none_consults_config():
-    assert resolve_kernel(None) is Simulator
-    cfg = ClusterConfig(engine="reference")
-    assert resolve_kernel(None, cfg) is ReferenceSimulator
+def test_unknown_engine_fails_in_validate():
+    for name in ("quantum", "sharded", 42, None):
+        with pytest.raises(ValueError, match="unknown engine"):
+            ClusterConfig(engine=name).validate()
+        with pytest.raises(ValueError, match="unknown engine"):
+            Cluster(ClusterConfig(num_hosts=4), engine=name)
+        with pytest.raises(ValueError, match="unknown engine"):
+            Session(nodes=[0, 1], num_hosts=4, engine=name)
 
 
-def test_resolve_kernel_rejects_unknowns():
-    for spec in ("quantum", "sharded", 42):
-        with pytest.raises(EngineError, match="unknown engine"):
-            resolve_kernel(spec)
-    with pytest.raises(EngineError, match="unknown engine"):
-        Session(nodes=[0, 1], num_hosts=4, engine="sharded")
-    with pytest.raises(EngineError, match="unknown engine"):
-        run_bench("chaos", engine="sharded")
-    with pytest.raises(ValueError, match="unknown engine"):
-        ClusterConfig(engine="sharded").validate()
+# ------------------------------------------------------ clusters, sessions
+def test_cluster_engine_override():
+    assert type(Cluster(ClusterConfig(num_hosts=2)).sim) is Simulator
+    cluster = Cluster(ClusterConfig(num_hosts=2), engine="reference")
+    assert cluster.cfg.engine == "reference"
+    assert type(cluster.sim) is ReferenceSimulator
 
 
-# --------------------------------------------------------------- sessions
 def test_session_engine_matrix():
     with Session(nodes=[0, 1], num_hosts=4) as s:
-        assert s.engine == s.cluster.engine == "sequential"
+        assert s.cfg.engine == "sequential"
         assert type(s.sim) is Simulator
     with Session(nodes=[0, 1], num_hosts=4, engine="reference") as s:
-        assert s.engine == s.cluster.engine == "reference"
+        assert s.cfg.engine == "reference"
         assert type(s.sim) is ReferenceSimulator
 
 
 def test_session_engine_via_config_field():
     with Session(nodes=[0, 1], num_hosts=4,
                  cfg=ClusterConfig(num_hosts=4, engine="reference")) as s:
-        assert s.engine == "reference"
+        assert s.cfg.engine == "reference"
+        assert type(s.sim) is ReferenceSimulator
+
+
+def test_one_cluster_class_tears_itself_down():
+    assert Cluster is repro.Cluster
+    with repro.Cluster(ClusterConfig(num_hosts=4)) as cluster:
+        eps = [cluster.run_process(
+            new_endpoint(cluster.node(n), rngs=cluster.rngs), f"e{n}")
+            for n in (0, 1, 1)]
+    assert all(ep.state.residency is Residency.FREED for ep in eps)
+    assert all(node.driver.endpoints == {} for node in cluster.nodes)
+    assert not any(cluster.network.attached(node.nic.nic_id)
+                   for node in cluster.nodes)
 
 
 # ---------------------------------------------------------- bench registry
@@ -69,17 +86,6 @@ def test_describe_lists_the_surface():
 def test_run_bench_unknown_name_raises():
     with pytest.raises(AmError, match="unknown bench"):
         run_bench("nope")
-
-
-def test_session_run_bench_uses_session_engine(monkeypatch):
-    from repro.bench import harness
-
-    seen = {}
-    monkeypatch.setattr(harness, "run",
-                        lambda name, **kw: seen.update(name=name, **kw))
-    with Session(nodes=[0, 1], num_hosts=4, engine="reference") as s:
-        s.run_bench("chaos", seeds=(1,))
-    assert seen == {"name": "chaos", "engine": "reference", "seeds": (1,)}
 
 
 def test_new_paths_are_warning_clean():

@@ -14,9 +14,8 @@ import pytest
 
 from repro.am import new_endpoint, parallel_vnet
 from repro.api import AmError, Cluster, Session
-from repro.chaos import reset_global_ids, timeline_digest
-from repro.cluster import Cluster as BuilderCluster
-from repro.cluster import ClusterConfig
+from repro.bench.harness import timeline_digest
+from repro.cluster import ClusterConfig, reset_global_ids
 from repro.nic.endpoint_state import Residency
 
 
@@ -54,7 +53,7 @@ def test_session_star_topology():
 
 
 def test_session_joining_existing_cluster_leaves_it_up():
-    cluster = BuilderCluster(ClusterConfig(num_hosts=4))
+    cluster = Cluster(ClusterConfig(num_hosts=4))
     outside = cluster.run_process(
         new_endpoint(cluster.node(2), rngs=cluster.rngs), "outside")
     with Session(nodes=[0, 1], cluster=cluster) as s:
@@ -73,6 +72,17 @@ def test_session_argument_validation():
         Session(nodes=[0, 1], star=(0, [1]), num_hosts=4)
 
 
+def test_session_joining_a_cluster_takes_no_config():
+    # a joined cluster is already built: a config or override given
+    # beside it would be ignored, so it is refused instead
+    cluster = Cluster(ClusterConfig(num_hosts=4))
+    for kwargs in ({"num_hosts": 8}, {"engine": "reference"},
+                   {"cfg": ClusterConfig(num_hosts=4)}):
+        with pytest.raises(AmError, match="cluster="):
+            Session(nodes=[0, 1], cluster=cluster, **kwargs)
+    assert cluster.node(0).driver.endpoints == {}
+
+
 def test_cluster_context_manager_frees_everything():
     with Cluster(ClusterConfig(num_hosts=4)) as cluster:
         ep = cluster.run_process(
@@ -89,7 +99,7 @@ def _pingpong_digest(build):
     that differs between the old and new call paths.
     """
     reset_global_ids()
-    cluster = BuilderCluster(ClusterConfig(num_hosts=4, seed=7))
+    cluster = Cluster(ClusterConfig(num_hosts=4, seed=7))
     bus = cluster.enable_tracing()
     sim = cluster.sim
     ep0, ep1 = build(cluster)

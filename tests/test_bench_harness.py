@@ -24,8 +24,7 @@ def fake(monkeypatch):
     """Register a throwaway suite for one test."""
 
     def install(cells, **kw):
-        suite = Suite("fake", lambda engine=None, **params: cells(**params),
-                      **kw)
+        suite = Suite("fake", cells, **kw)
         monkeypatch.setitem(harness._REGISTRY, "fake", suite)
         return suite
 

@@ -30,7 +30,7 @@ from repro.bench import chaos as chaos_bench
 from repro.chaos import runner
 from repro.cluster import Cluster, ClusterConfig
 from repro.myrinet import Network, Packet, PacketType
-from repro.sim import ReferenceSimulator
+from repro.sim import ReferenceSimulator, Simulator
 from repro.tenant.interference import InterferenceWorkload
 
 
@@ -120,9 +120,11 @@ def _spy_modes(monkeypatch, after=None):
     seen = []
     real = runner.run_chaos
 
-    def spy(scenario, wl, *, cfg, engine, **kw):
-        report = real(scenario, wl, cfg=cfg, engine=engine, **kw)
-        mode = (engine, cfg.express_path, cfg.spin_elision)
+    def spy(scenario, wl, *, cfg, **kw):
+        report = real(scenario, wl, cfg=cfg, **kw)
+        mode = (cfg.engine, cfg.express_path, cfg.spin_elision)
+        kernel = {"sequential": Simulator, "reference": ReferenceSimulator}
+        assert type(report.cluster.sim) is kernel[cfg.engine], mode
         if after is not None:
             after(mode, report)
         seen.append((mode, report.cluster.network.express))

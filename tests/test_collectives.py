@@ -37,13 +37,13 @@ ENGINES = ("sequential", "reference")
 OPS = ("barrier", "bcast", "reduce")
 
 
-def run_world(nranks, main, *, strategy="firmware", engine=None,
-              nodes=None, until_ms=3_000, **cfg_kw):
+def run_world(nranks, main, *, strategy="firmware", nodes=None,
+              until_ms=3_000, **cfg_kw):
     """Build a cluster + MPI world, spawn ``main`` per rank, run to done."""
     nodes = list(range(nranks)) if nodes is None else list(nodes)
     cfg = ClusterConfig(num_hosts=max(2, max(nodes) + 1),
                         collective_strategy=strategy, **cfg_kw)
-    cluster = Cluster(cfg, engine=engine)
+    cluster = Cluster(cfg)
     world = cluster.run_process(build_world(cluster, nodes), "mpi")
     threads = world.spawn(main)
     cluster.run(until=cluster.sim.now + ms(until_ms))

@@ -80,13 +80,19 @@ def test_wrr_budget_matches_paper():
     assert cfg.wrr_max_ns == 4_000_000  # ~4 ms (Section 5.2)
 
 
-def test_cluster_build_does_not_import_the_facade():
-    # a fresh interpreter: the test session has imported repro.api already
-    code = ("import sys\n"
-            "from repro.cluster import Cluster, ClusterConfig\n"
-            "Cluster(ClusterConfig(num_hosts=16)).cfg.validate()\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('repro.api', 'repro.tenant'))))")
+@pytest.mark.parametrize("code, forbidden", [
+    ("from repro.cluster import Cluster, ClusterConfig\n"
+     "Cluster(ClusterConfig(num_hosts=16)).cfg.validate()",
+     ("repro.api", "repro.tenant")),
+    ("import repro.calib.sweep", ("repro.chaos",)),
+    ("import repro.scale.loadgen", ("repro.chaos",)),
+    ("from repro.bench.collectives import run_cell\n"
+     "run_cell(4, 'firmware')", ("repro.api",)),
+], ids=["cluster-build", "calib-sweep", "scale-loadgen", "collectives-cell"])
+def test_import_guard(code, forbidden):
+    # a fresh interpreter: the test session has imported everything already
+    code += ("\nimport sys\n"
+             f"print(sorted(m for m in sys.modules if m.startswith({forbidden!r})))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -312,7 +312,7 @@ def _bulk_stream_run(crash_at=None, reboot_at=None, seed=23):
     """One traced cross-leaf bulk stream 0 -> 4; optionally crash/reboot
     the *sender* node at absolute sim times. Returns (events, done)."""
     from repro.am.errors import EndpointFreedError
-    from repro.chaos import reset_global_ids
+    from repro.cluster import reset_global_ids
 
     reset_global_ids()  # msg ids must match between paired runs
     cluster = Cluster(ClusterConfig(num_hosts=8, seed=seed, dead_timeout_ms=8.0))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.am import parallel_vnet
-from repro.chaos import reset_global_ids
+from repro.cluster import reset_global_ids
 from repro.cluster import Cluster, ClusterConfig
 from repro.hw import Cpu
 from repro.osim import CondVar, Mutex, Thread

@@ -10,7 +10,7 @@ where every shell comes from the free list: after a short warmup,
 import pytest
 
 from repro.am.vnet import parallel_vnet
-from repro.chaos import reset_global_ids
+from repro.cluster import reset_global_ids
 from repro.cluster.builder import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.myrinet.packet import Packet, PacketType, pool_stats, reset_pool_stats
