@@ -5,11 +5,11 @@ factor of 2.21 while total per-packet overhead stays the same; Os grows
 and Or shrinks under AM; GAM's parameters are the 1st-generation baseline.
 """
 
-from repro.bench.logp import PAPER_AM, PAPER_GAM, measure_am, measure_gam
+from repro.bench.logp import PAPER_AM, PAPER_GAM
 
 
-def test_fig3_am_logp(once, benchmark):
-    am = once(measure_am)
+def test_fig3_am_logp(once, benchmark, figure):
+    am = once(figure, "fig3/am")
     benchmark.extra_info.update(
         os_us=am.os_us, or_us=am.or_us, l_us=am.l_us, g_us=am.g_us, rtt_us=am.rtt_us
     )
@@ -19,8 +19,8 @@ def test_fig3_am_logp(once, benchmark):
     assert abs(am.g_us - PAPER_AM["g_us"]) < 1.5
 
 
-def test_fig3_gam_logp(once, benchmark):
-    gam = once(measure_gam)
+def test_fig3_gam_logp(once, benchmark, figure):
+    gam = once(figure, "fig3/gam")
     benchmark.extra_info.update(
         os_us=gam.os_us, or_us=gam.or_us, l_us=gam.l_us, g_us=gam.g_us
     )
@@ -30,11 +30,11 @@ def test_fig3_gam_logp(once, benchmark):
     assert abs(gam.g_us - PAPER_GAM["g_us"]) < 1.0
 
 
-def test_fig3_virtualization_ratios(once, benchmark):
+def test_fig3_virtualization_ratios(once, benchmark, figure):
     """The paper's headline Figure 3 relationships."""
 
     def both():
-        return measure_am(), measure_gam()
+        return figure("fig3/am"), figure("fig3/gam")
 
     am, gam = once(both)
     gap_ratio = am.g_us / gam.g_us

@@ -7,17 +7,18 @@ for n >= 128 fits 0.1112 n + 61.02 us.
 
 import numpy as np
 
-from repro.bench.bandwidth import (
-    half_power_point,
-    measure_am_bandwidth,
-    measure_am_rtt,
-    measure_gam_bandwidth,
-)
+from repro.bench.bandwidth import BandwidthPoint, BandwidthResult
 from repro.cluster import ClusterConfig
 
 
-def test_fig4_am_bandwidth_curve(once, benchmark):
-    result = once(measure_am_bandwidth, sizes=[512, 2048, 8192], count=80)
+def bandwidth(figure, key):
+    """The bandwidth curve of one ``figures`` cell."""
+    return BandwidthResult(key, [BandwidthPoint(n, mb_s)
+                                 for n, mb_s in figure(key).points])
+
+
+def test_fig4_am_bandwidth_curve(once, benchmark, figure):
+    result = once(bandwidth, figure, "fig4/am_bw@80")
     peak = result.at(8192)
     cfg = ClusterConfig()
     benchmark.extra_info.update(mb_s_8k=peak, fraction=peak / cfg.sbus_write_mb_s)
@@ -27,18 +28,18 @@ def test_fig4_am_bandwidth_curve(once, benchmark):
     assert result.at(512) < result.at(2048) < peak
 
 
-def test_fig4_gam_bandwidth(once, benchmark):
-    result = once(measure_gam_bandwidth, sizes=[8192], count=80)
+def test_fig4_gam_bandwidth(once, benchmark, figure):
+    result = once(bandwidth, figure, "fig4/gam_bw@80")
     peak = result.at(8192)
     benchmark.extra_info["mb_s_8k"] = peak
     assert 34.0 <= peak <= 41.0             # paper: 38
 
 
-def test_fig4_am_beats_gam_at_8k(once, benchmark):
+def test_fig4_am_beats_gam_at_8k(once, benchmark, figure):
     def both():
         return (
-            measure_am_bandwidth(sizes=[8192], count=60).at(8192),
-            measure_gam_bandwidth(sizes=[8192], count=60).at(8192),
+            bandwidth(figure, "fig4/am_bw@80").at(8192),
+            bandwidth(figure, "fig4/gam_bw@80").at(8192),
         )
 
     am, gam = once(both)
@@ -46,15 +47,14 @@ def test_fig4_am_beats_gam_at_8k(once, benchmark):
     assert am > gam  # pipelined descriptor processing wins (Section 6.1)
 
 
-def test_fig4_half_power_point(once, benchmark):
-    result = once(measure_am_bandwidth, count=80)
-    n_half = half_power_point(result)
+def test_fig4_half_power_point(once, benchmark, figure):
+    n_half = once(figure, "fig4/am_bw@80").n_half
     benchmark.extra_info["n_half"] = n_half
     assert 250 <= n_half <= 800             # paper: ~540
 
 
-def test_fig4_rtt_linear_fit(once, benchmark):
-    rtt = once(measure_am_rtt, reps=8)
+def test_fig4_rtt_linear_fit(once, benchmark, figure):
+    rtt = once(figure, "fig4/rtt").rtt_us
     xs = np.array([n for n, _ in rtt], dtype=float)
     ys = np.array([t for _, t in rtt], dtype=float)
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -14,39 +14,27 @@ Paper shapes asserted here:
 
 import pytest
 
-from repro.apps.clientserver import ContentionConfig, run_contention
-
 PEAK_MSGS_S = 78_000.0
 
 
-def run(nclients, mode, frames, **kw):
-    return run_contention(
-        ContentionConfig(
-            nclients=nclients, mode=mode, frames=frames,
-            duration_ms=kw.pop("duration_ms", 80.0),
-            warmup_ms=kw.pop("warmup_ms", 70.0), **kw,
-        )
-    )
-
-
-def test_fig6_single_client_reaches_peak(once, benchmark):
-    r = once(run, 1, "one_vn", 8)
+def test_fig6_single_client_reaches_peak(once, benchmark, figure):
+    r = once(figure, "fig6/one_vn@1")
     benchmark.extra_info["msgs_s"] = r.aggregate_msgs_s
     assert 0.85 * PEAK_MSGS_S <= r.aggregate_msgs_s <= PEAK_MSGS_S
     assert r.overrun_nacks == 0  # credits prevent overrun at one window
 
 
-def test_fig6_proportional_share(once, benchmark):
-    r = once(run, 4, "one_vn", 8)
+def test_fig6_proportional_share(once, benchmark, figure):
+    r = once(figure, "fig6/one_vn@4")
     mean = r.aggregate_msgs_s / 4
     benchmark.extra_info["per_client"] = r.per_client_msgs_s
     for per in r.per_client_msgs_s:
         assert abs(per - mean) / mean < 0.15  # Figure 6a
 
 
-def test_fig6_overruns_begin_past_one_window(once, benchmark):
+def test_fig6_overruns_begin_past_one_window(once, benchmark, figure):
     def pair():
-        return run(1, "one_vn", 8), run(3, "one_vn", 8)
+        return figure("fig6/one_vn@1"), figure("fig6/one_vn@3")
 
     one, three = once(pair)
     benchmark.extra_info.update(over1=one.overrun_nacks, over3=three.overrun_nacks)
@@ -54,7 +42,7 @@ def test_fig6_overruns_begin_past_one_window(once, benchmark):
     assert three.overrun_nacks > 100  # the lightweight mechanism no longer prevents them
 
 
-def test_fig6_sustained_under_heavy_overrun(once, benchmark):
+def test_fig6_sustained_under_heavy_overrun(once, benchmark, figure):
     """Past the credit window the link protocols retransmit (Figure 6b).
 
     The paper measures a 75K->60K aggregate drop at 3 clients; in our
@@ -66,7 +54,7 @@ def test_fig6_sustained_under_heavy_overrun(once, benchmark):
     """
 
     def pair():
-        return run(2, "one_vn", 8), run(8, "one_vn", 8, duration_ms=100.0)
+        return figure("fig6/one_vn@2"), figure("fig6/one_vn@8")
 
     light, heavy = once(pair)
     benchmark.extra_info.update(
@@ -78,10 +66,10 @@ def test_fig6_sustained_under_heavy_overrun(once, benchmark):
     assert heavy.aggregate_msgs_s >= 0.55 * light.aggregate_msgs_s
 
 
-def test_fig6_st8_remapping_regime(once, benchmark):
+def test_fig6_st8_remapping_regime(once, benchmark, figure):
     """>8 clients on 8 frames: on-the-fly re-mapping at 200-300/s while a
     large fraction of peak is still delivered (Section 6.4.1)."""
-    r = once(run, 10, "st", 8, duration_ms=150.0)
+    r = once(figure, "fig6/st@10x8")
     benchmark.extra_info.update(
         msgs_s=r.aggregate_msgs_s, remaps_s=r.remaps_per_s
     )
@@ -89,19 +77,19 @@ def test_fig6_st8_remapping_regime(once, benchmark):
     assert r.aggregate_msgs_s >= 0.4 * PEAK_MSGS_S  # paper: 50-75%
 
 
-def test_fig6_st96_no_remapping(once, benchmark):
-    r = once(run, 10, "st", 96)
+def test_fig6_st96_no_remapping(once, benchmark, figure):
+    r = once(figure, "fig6/st@10x96")
     benchmark.extra_info["msgs_s"] = r.aggregate_msgs_s
     assert r.remaps_per_s == 0               # 96 frames: no overcommit
     assert r.not_resident_nacks == 0
     assert r.aggregate_msgs_s >= 0.75 * PEAK_MSGS_S
 
 
-def test_fig6_mt_resilient_to_frames(once, benchmark):
+def test_fig6_mt_resilient_to_frames(once, benchmark, figure):
     """MT performance is resilient to the number of server frames (§6.4)."""
 
     def pair():
-        return run(10, "mt", 8, duration_ms=100.0), run(10, "mt", 96, duration_ms=100.0)
+        return figure("fig6/mt@10x8"), figure("fig6/mt@10x96")
 
     mt8, mt96 = once(pair)
     benchmark.extra_info.update(mt8=mt8.aggregate_msgs_s, mt96=mt96.aggregate_msgs_s)

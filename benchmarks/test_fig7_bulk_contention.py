@@ -11,29 +11,17 @@ Paper shapes asserted here:
 
 import pytest
 
-from repro.apps.clientserver import ContentionConfig, run_contention
-
 PEAK_MB_S = 44.0  # the Figure 4 delivered ceiling
 
 
-def run(nclients, mode, frames, **kw):
-    return run_contention(
-        ContentionConfig(
-            nclients=nclients, msg_bytes=8192, mode=mode, frames=frames,
-            duration_ms=kw.pop("duration_ms", 120.0),
-            warmup_ms=kw.pop("warmup_ms", 80.0), **kw,
-        )
-    )
-
-
-def test_fig7_onevn_aggregate_ceiling(once, benchmark):
-    r = once(run, 4, "one_vn", 8)
+def test_fig7_onevn_aggregate_ceiling(once, benchmark, figure):
+    r = once(figure, "fig7/one_vn@4")
     benchmark.extra_info["mb_s"] = r.aggregate_mb_s
     assert 36.0 <= r.aggregate_mb_s <= 47.0  # paper: ~42.8
 
 
-def test_fig7_onevn_proportional(once, benchmark):
-    r = once(run, 4, "one_vn", 8)
+def test_fig7_onevn_proportional(once, benchmark, figure):
+    r = once(figure, "fig7/one_vn@4")
     mean = sum(r.per_client_msgs_s) / 4
     benchmark.extra_info["per_client"] = r.per_client_msgs_s
     # bulk shares are coarser than small-message shares (a single 8 KB
@@ -43,9 +31,9 @@ def test_fig7_onevn_proportional(once, benchmark):
         assert 0.4 * mean <= per <= 2.2 * mean
 
 
-def test_fig7_st96_matches_or_beats_onevn(once, benchmark):
+def test_fig7_st96_matches_or_beats_onevn(once, benchmark, figure):
     def pair():
-        return run(4, "one_vn", 8), run(4, "st", 96)
+        return figure("fig7/one_vn@4"), figure("fig7/st@4x96")
 
     onevn, st96 = once(pair)
     benchmark.extra_info.update(onevn=onevn.aggregate_mb_s, st96=st96.aggregate_mb_s)
@@ -53,14 +41,14 @@ def test_fig7_st96_matches_or_beats_onevn(once, benchmark):
     assert st96.aggregate_mb_s >= 0.95 * onevn.aggregate_mb_s
 
 
-def test_fig7_st8_survives_overcommit(once, benchmark):
-    r = once(run, 10, "st", 8, duration_ms=200.0)
+def test_fig7_st8_survives_overcommit(once, benchmark, figure):
+    r = once(figure, "fig7/st@10x8")
     benchmark.extra_info.update(mb_s=r.aggregate_mb_s, remaps_s=r.remaps_per_s)
     assert r.remaps_per_s > 10           # re-mapping active
     assert r.aggregate_mb_s >= 0.3 * PEAK_MB_S  # degrades, does not collapse
 
 
-def test_fig7_mt8_survives_overcommit(once, benchmark):
-    r = once(run, 10, "mt", 8, duration_ms=200.0)
+def test_fig7_mt8_survives_overcommit(once, benchmark, figure):
+    r = once(figure, "fig7/mt@10x8")
     benchmark.extra_info.update(mb_s=r.aggregate_mb_s, remaps_s=r.remaps_per_s)
     assert r.aggregate_mb_s >= 0.3 * PEAK_MB_S

@@ -5,31 +5,27 @@ of running them in sequence; communication time stays nearly constant;
 with load imbalance, time-sharing improves throughput by up to 20%.
 """
 
-from repro.apps.timeshare import TimeshareConfig, run_timeshare
 
-
-def test_sec63_balanced_within_15_percent(once, benchmark):
-    r = once(run_timeshare, TimeshareConfig(nnodes=8, napps=2, iterations=20))
+def test_sec63_balanced_within_15_percent(once, benchmark, figure):
+    r = once(figure, "sec63/balanced")
     benchmark.extra_info.update(slowdown=r.slowdown, comm_ratio=r.comm_ratio)
     # paper: within 15% of sequential
     assert r.slowdown <= 1.2
     assert r.slowdown >= 0.85
 
 
-def test_sec63_comm_time_nearly_constant(once, benchmark):
-    r = once(run_timeshare, TimeshareConfig(nnodes=8, napps=2, iterations=20))
+def test_sec63_comm_time_nearly_constant(once, benchmark, figure):
+    r = once(figure, "sec63/balanced")
     benchmark.extra_info["comm_ratio"] = r.comm_ratio
     assert 0.6 <= r.comm_ratio <= 1.6  # paper: "nearly constant"
 
 
-def test_sec63_imbalance_improves_throughput(once, benchmark):
+def test_sec63_imbalance_improves_throughput(once, benchmark, figure):
     """Load imbalance lets time-sharing fill idle cycles (up to +20%)."""
 
     def both():
-        bal = run_timeshare(TimeshareConfig(nnodes=8, napps=2, iterations=20))
-        imb = run_timeshare(
-            TimeshareConfig(nnodes=8, napps=2, iterations=20, imbalance=0.8)
-        )
+        bal = figure("sec63/balanced")
+        imb = figure("sec63/imbalanced")
         return bal, imb
 
     bal, imb = once(both)

@@ -79,9 +79,9 @@ def run_bench(name: str, **opts) -> dict:
     """Run a registered benchmark suite and return its BENCH document.
 
     ``name`` is any suite of :func:`repro.bench.harness.suites`
-    (``collectives``, ``chaos``, ``calib``, ``scale``, ``fleet``,
-    ``tenant``).  ``smoke=True`` selects the reduced matrix with every
-    cell run twice; every other keyword is a suite parameter.
+    (``collectives``, ``chaos``, ``figures``, ``calib``, ``scale``,
+    ``fleet``, ``tenant``).  ``smoke=True`` selects the reduced matrix
+    with every cell run twice; every other keyword is a suite parameter.
     """
     from ..bench import harness
 

@@ -1,5 +1,1 @@
-"""Benchmark harnesses regenerating the paper's tables and figures."""
-
-from .reporting import format_series, format_table, print_table
-
-__all__ = ["format_series", "format_table", "print_table"]
+"""Benchmark suites regenerating the paper's tables and figures."""

@@ -9,7 +9,6 @@ point N1/2 of ~540 bytes; the first-generation interface managed only
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,15 +17,11 @@ from ..am.vnet import parallel_vnet
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
 from ..sim.core import ms
-from .reporting import format_table
 
 __all__ = ["BandwidthPoint", "BandwidthResult", "measure_am_bandwidth",
-           "measure_gam_bandwidth", "measure_am_rtt", "half_power_point", "main"]
+           "measure_gam_bandwidth", "measure_am_rtt", "half_power_point"]
 
 SIZES = [128, 256, 512, 1024, 2048, 4096, 8192]
-PAPER_AM_8K = 43.9
-PAPER_GAM_8K = 38.0
-PAPER_SBUS_WRITE = 46.8
 
 
 @dataclass
@@ -186,29 +181,3 @@ def half_power_point(result: BandwidthResult) -> float:
             return x0 + (target - y0) * (x1 - x0) / (y1 - y0)
         prev = p
     return float(result.points[0].nbytes)
-
-
-def main(fast: bool = False) -> None:
-    count = 60 if fast else 120
-    am = measure_am_bandwidth(count=count)
-    gam = measure_gam_bandwidth(count=count)
-    cfg = ClusterConfig()
-    rows = []
-    for p_am, p_gam in zip(am.points, gam.points):
-        rows.append([p_am.nbytes, p_am.mb_s, p_gam.mb_s])
-    print(format_table(["size (B)", "AM MB/s", "GAM MB/s"], rows,
-                       title="Figure 4: delivered bandwidth"))
-    print(f"\n AM @8KB   = {am.at(8192):.1f} MB/s (paper: {PAPER_AM_8K})")
-    print(f" GAM @8KB  = {gam.at(8192):.1f} MB/s (paper: {PAPER_GAM_8K})")
-    print(f" SBus write ceiling = {cfg.sbus_write_mb_s} MB/s; delivered fraction "
-          f"{am.at(8192) / cfg.sbus_write_mb_s * 100:.0f}% (paper: 93%)")
-    print(f" N1/2      = {half_power_point(am):.0f} B (paper: ~540)")
-    rtt = measure_am_rtt(reps=10 if fast else 30)
-    print("\n RTT(n):", ", ".join(f"{n}B:{t:.1f}us" for n, t in rtt))
-    slope, intercept = statistics.linear_regression(
-        [float(n) for n, _ in rtt], [t for _, t in rtt])
-    print(f" RTT fit: {slope:.4f}*n + {intercept:.2f} us  (paper: 0.1112*n + 61.02 us)")
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,8 @@ Observables are normalized through JSON before digesting, so every
 digest in a committed file can be recomputed from the file alone
 (:func:`validate`).
 
-Run any suite with::
+Run any suite (``collectives``, ``chaos``, ``figures``, ``calib``,
+``scale``, ``fleet``, ``tenant``) with::
 
     PYTHONPATH=src python -m repro bench <suite> [--smoke] [--out PATH]
 
@@ -52,7 +53,7 @@ __all__ = ["SCHEMA", "Suite", "register", "suites", "digest",
 SCHEMA = 2
 
 #: modules whose import registers the in-tree suites
-_SUITE_MODULES = ("bench.collectives", "bench.chaos",
+_SUITE_MODULES = ("bench.collectives", "bench.chaos", "bench.figures",
                   "calib.sweep", "scale.sweep", "scale.fleet", "tenant.bench")
 
 _REGISTRY: dict[str, "Suite"] = {}

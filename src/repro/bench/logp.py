@@ -28,11 +28,9 @@ from ..am.vnet import parallel_vnet
 from ..cluster.builder import Cluster
 from ..cluster.config import ClusterConfig
 from ..obs import PhaseStats, phase_breakdown
-from ..sim.core import ms, us
-from .reporting import format_table
+from ..sim.core import ms
 
-__all__ = ["LogPResult", "overheads", "measure_am", "measure_gam", "compare",
-           "phase_table", "main"]
+__all__ = ["LogPResult", "overheads", "measure_am", "measure_gam"]
 
 PAPER_AM = dict(os_us=2.4, or_us=2.4, l_us=7.25, g_us=12.8)
 PAPER_GAM = dict(os_us=1.6, or_us=3.2, l_us=5.0, g_us=5.8)
@@ -155,7 +153,8 @@ def measure_am(
     With ``trace=True`` a :class:`~repro.obs.TraceBus` rides along
     (observer-only: the measured numbers are bit-identical either way)
     and the result's ``phases`` carries the span attribution of where
-    each microsecond went (see :func:`phase_table`).
+    each microsecond went (committed in the ``fig3/am`` cell of
+    :mod:`repro.bench.figures`).
     """
     cluster = Cluster(cfg or ClusterConfig(num_hosts=4))
     sim = cluster.sim
@@ -219,67 +218,3 @@ def measure_gam(cfg: Optional[ClusterConfig] = None, pingpongs: int = 200, flood
         lambda body: cluster.node(1).spawn_thread(body, "receiver"),
         sim, pingpongs, flood_msgs,
     )
-
-
-def phase_table(result: LogPResult) -> str:
-    """Per-phase cost table from the trace spans (Figure 3 companion)."""
-    if not result.phases:
-        return ""
-    legend = {
-        "send": "host enqueue -> wire (Os + NI send svc)",
-        "wire": "fabric transit (cut-through + stalls)",
-        "recv": "NI receive -> endpoint (incl. errcheck)",
-        "ack": "delivery -> sender retires channel",
-        "total": "enqueue -> positively acknowledged",
-    }
-    rows = [
-        [phase, legend[phase], st.count, st.mean_us, st.max_us]
-        for phase, st in result.phases.items()
-    ]
-    return format_table(
-        ["phase", "what", "msgs", "mean us", "max us"],
-        rows,
-        title=f"LogP span breakdown ({result.layer}): where the microseconds go",
-    )
-
-
-def compare(cfg: Optional[ClusterConfig] = None) -> tuple[LogPResult, LogPResult, str]:
-    """Run both layers and format the Figure 3 table.
-
-    The AM run carries a trace bus (observer-only), so the report ends
-    with the per-phase cost table attributing Os/L/gap time to spans.
-    """
-    am = measure_am(cfg, trace=True)
-    gam = measure_gam(cfg)
-    rows = [
-        ["Os (us)", gam.os_us, am.os_us, PAPER_GAM["os_us"], PAPER_AM["os_us"]],
-        ["Or (us)", gam.or_us, am.or_us, PAPER_GAM["or_us"], PAPER_AM["or_us"]],
-        ["L  (us)", gam.l_us, am.l_us, PAPER_GAM["l_us"], PAPER_AM["l_us"]],
-        ["g  (us)", gam.g_us, am.g_us, PAPER_GAM["g_us"], PAPER_AM["g_us"]],
-        ["RTT(us)", gam.rtt_us, am.rtt_us, 19.6, 24.1],
-        ["Os+Or", gam.total_overhead_us, am.total_overhead_us, 4.8, 4.8],
-    ]
-    table = format_table(
-        ["LogP param", "GAM meas", "AM meas", "GAM paper", "AM paper"],
-        rows,
-        title="Figure 3: LogP performance characterization",
-    )
-    derived = (
-        f"\n gap ratio AM/GAM      = {am.g_us / gam.g_us:.2f}  (paper: 2.21)"
-        f"\n RTT ratio AM/GAM      = {am.rtt_us / gam.rtt_us:.2f}  (paper: 1.23)"
-        f"\n overhead ratio AM/GAM = {am.total_overhead_us / gam.total_overhead_us:.2f}  (paper: 1.00)"
-    )
-    report = table + derived
-    spans = phase_table(am)
-    if spans:
-        report += "\n\n" + spans
-    return am, gam, report
-
-
-def main() -> None:
-    _, _, report = compare()
-    print(report)
-
-
-if __name__ == "__main__":
-    main()

@@ -23,8 +23,7 @@ on the bus.
 from .bus import TraceBus
 from .events import KINDS, TraceEvent
 from .export import to_chrome_trace, write_chrome_trace
-from .logp import (MessageSpan, PhaseStats, breakdown_rows, message_spans,
-                   phase_breakdown)
+from .logp import MessageSpan, PhaseStats, message_spans, phase_breakdown
 
 __all__ = [
     "TraceBus",
@@ -33,7 +32,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "phase_breakdown",
-    "breakdown_rows",
     "PhaseStats",
     "MessageSpan",
     "message_spans",

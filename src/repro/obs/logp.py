@@ -26,8 +26,7 @@ from typing import Optional
 
 from .bus import TraceBus
 
-__all__ = ["MessageSpan", "message_spans", "PhaseStats", "phase_breakdown",
-           "breakdown_rows"]
+__all__ = ["MessageSpan", "message_spans", "PhaseStats", "phase_breakdown"]
 
 PHASES = ("send", "wire", "recv", "ack", "total")
 
@@ -174,11 +173,3 @@ def phase_breakdown(bus: TraceBus) -> dict[str, PhaseStats]:
         stats["ack"].add(sp.ack_ns)
         stats["total"].add(sp.total_ns)
     return stats
-
-
-def breakdown_rows(bus: TraceBus) -> list[list]:
-    """Table rows (phase, messages, mean us, max us) for reporting."""
-    rows = []
-    for phase, st in phase_breakdown(bus).items():
-        rows.append([phase, st.count, st.mean_us, st.max_us])
-    return rows

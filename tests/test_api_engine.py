@@ -78,8 +78,8 @@ def test_one_cluster_class_tears_itself_down():
 def test_describe_lists_the_surface():
     d = describe()
     assert d["engines"] == list(ENGINE_NAMES)
-    assert d["benches"] == ["calib", "chaos", "collectives", "fleet", "scale",
-                            "tenant"]
+    assert d["benches"] == ["calib", "chaos", "collectives", "figures",
+                            "fleet", "scale", "tenant"]
     assert "lru" in d["replacement_policies"]
 
 

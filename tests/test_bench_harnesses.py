@@ -7,22 +7,7 @@ from repro.bench.bandwidth import (
     measure_am_bandwidth,
 )
 from repro.bench.logp import LogPResult, measure_am, measure_gam
-from repro.bench.reporting import format_series, format_table
 from repro.cluster import ClusterConfig
-
-
-# ----------------------------------------------------------------- reporting
-def test_format_table_alignment():
-    out = format_table(["a", "bbb"], [[1, 2.5], [30, 4.0]], title="T")
-    lines = out.splitlines()
-    assert lines[0] == "T"
-    assert "a" in lines[1] and "bbb" in lines[1]
-    assert "2.50" in out  # floats at 2 decimals
-
-
-def test_format_series():
-    out = format_series("x", [1, 2], [3.0, 4.5], unit="MB/s")
-    assert out == "x [MB/s]: 1:3.0, 2:4.5"
 
 
 # ---------------------------------------------------------------------- LogP
