@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ..nic.endpoint_state import F_SHARED, RES_FREED, RES_ONNIC_RW
 from ..osim.threads import Thread
 from .endpoint import Endpoint, two_phase_wait
+from .errors import EndpointFreedError
 
 __all__ = ["Bundle"]
 
@@ -55,18 +57,42 @@ class Bundle:
         large bundle of resident endpoints is expensive to sweep — the
         ST-96 effect of Section 6.4.  The sweep's touch costs are charged
         as one lump-sum computation up front (one kernel event instead of
-        one per endpoint), then each endpoint is drained in rotation
-        order.
+        one per endpoint), then each endpoint with work is drained in
+        rotation order, and the rotation advances by one.
+
+        Each member's touch is computed as :meth:`Endpoint.poll` computes
+        it, off the endpoint table's residency and flag columns, and the
+        one-slice compute is inlined (``Thread.compute`` when the touch
+        does not fit the open slice or the thread is paused).  A sweep
+        that finds no work anywhere builds no drain generator.
         """
-        if not self.endpoints:
+        eps = self.endpoints
+        if not eps:
             return 0
         touch = 0
-        for ep in self.endpoints:
-            ep._check_alive()
+        for ep in eps:
+            st = ep.state
+            table, row = st.table, st.row
+            res = table.res[row]
+            if res == RES_FREED:
+                raise EndpointFreedError(f"endpoint {ep.name} freed")
             ep._stats.polls += 1
-            touch += ep._poll_touch_ns() + ep._lock_cost()  # _sweep_ns(), inlined: hot path
-        yield from thr.compute(touch)
-        return (yield from self._drain(thr, limit))
+            cfg = ep.cfg
+            touch += cfg.poll_resident_ns if res == RES_ONNIC_RW else cfg.poll_host_ns
+            if table.flags[row] & F_SHARED:
+                touch += cfg.shared_ep_lock_ns
+        cpu = thr.cpu
+        if touch > 0 and cpu.open(thr, touch):
+            yield touch
+            cpu.close(thr, touch)
+        else:
+            yield from thr.compute(touch)
+        for ep in eps:
+            st = ep.state
+            if st.recv_requests or st.recv_replies or st.returned:
+                return (yield from self._drain(thr, limit))
+        self._next = (self._next + 1) % len(eps)
+        return 0
 
     poll = poll_all  # as a poll_until target
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from ..nic.endpoint_state import EndpointState, Residency
+from ..nic.endpoint_state import F_SHARED, RES_FREED, RES_ONNIC_RW, EndpointState, Residency
 from ..nic.message import Message, MsgKind
 from ..osim.threads import CondVar, Thread
 from ..sim.core import AnyOf
@@ -422,22 +422,22 @@ class Endpoint:
         polling many resident endpoints in uncacheable NI memory is
         expensive (Section 6.4's ST-96 observation).
         """
-        # _check_alive/_poll_touch_ns/_lock_cost inlined: poll is the
-        # hottest endpoint entry point and the helpers cost more than the
-        # arithmetic (costs charged are identical)
+        # _check_alive/_poll_touch_ns/_lock_cost inlined, off the table's
+        # columns: poll is the hottest endpoint entry point and the
+        # helpers cost more than the arithmetic (costs charged are identical)
         st = self.state
         cfg = self.cfg
-        residency = st.residency
-        if residency is Residency.FREED:
+        table, row = st.table, st.row
+        res = table.res[row]
+        if res == RES_FREED:
             raise EndpointFreedError(f"endpoint {self.name} freed")
         self._stats.polls += 1
-        cost = (cfg.poll_resident_ns if residency is Residency.ONNIC_RW
-                else cfg.poll_host_ns)
-        if st.shared:
+        cost = cfg.poll_resident_ns if res == RES_ONNIC_RW else cfg.poll_host_ns
+        if table.flags[row] & F_SHARED:
             cost += cfg.shared_ep_lock_ns
         cpu = thr.cpu
         if cpu.open(thr, cost):  # Thread.compute's one-slice case, inlined
-            yield thr.sim.timeout(cost)
+            yield cost
             cpu.close(thr, cost)
         else:
             yield from thr.compute(cost)

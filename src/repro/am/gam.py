@@ -111,7 +111,7 @@ class GamNic:
 
     def _send(self, msg: _GamMsg):
         cfg = self.cfg
-        yield self.sim.timeout(self.meter.cost_ns("send", cfg.gam_ni_send_instr))
+        yield self.meter.cost_ns("send", cfg.gam_ni_send_instr)
         if msg.is_bulk and msg.nbytes > 0:
             # No pipelining: the dispatch loop blocks on the staging DMA.
             yield from self.sbus.transfer(msg.nbytes, SbusDma.READ)
@@ -125,19 +125,19 @@ class GamNic:
             body=msg.body,
         )
         self.network.send(pkt)
-        yield self.sim.timeout(self.meter.cost_ns("send_post", cfg.gam_ni_send_post_instr))
+        yield self.meter.cost_ns("send_post", cfg.gam_ni_send_post_instr)
 
     def _recv(self, pkt: Packet):
         cfg = self.cfg
-        yield self.sim.timeout(self.meter.cost_ns("recv", cfg.gam_ni_recv_instr))
+        yield self.meter.cost_ns("recv", cfg.gam_ni_recv_instr)
         if pkt.is_bulk and pkt.payload_bytes > 0:
             # Store-and-forward penalty + blocking DMA to host memory.
-            yield self.sim.timeout(round(cfg.gam_bulk_extra_us * 1_000))
+            yield round(cfg.gam_bulk_extra_us * 1_000)
             yield from self.sbus.transfer(pkt.payload_bytes, SbusDma.WRITE)
         self.recv_q.append(
             _GamMsg(pkt.src_nic, pkt.is_reply, pkt.payload_bytes, pkt.is_bulk, pkt.body)
         )
-        yield self.sim.timeout(self.meter.cost_ns("recv_post", cfg.gam_ni_recv_post_instr))
+        yield self.meter.cost_ns("recv_post", cfg.gam_ni_recv_post_instr)
 
 
 class GamEndpoint:

@@ -167,9 +167,14 @@ class Cpu:
     def open(self, owner: Any, ns: int) -> bool:
         """Open a slice of ``ns`` if ``owner`` holds the lease, is not
         paused, and ``ns`` fits ``max_slice_ns`` and its quantum; the
-        caller yields ``ns`` and then :meth:`close`\\ s it."""
+        caller yields ``ns`` and then :meth:`close`\\ s it.
+
+        The pause check reads a :class:`~repro.osim.threads.Thread`'s
+        pause event straight off the owner (no ``paused`` property call
+        per slice); a plain-object owner (kernel work) has none."""
         if (self._holder is not owner or ns > self.max_slice_ns
-                or ns > self._expiry - self.sim.now or getattr(owner, "paused", False)):
+                or ns > self._expiry - self.sim.now
+                or getattr(owner, "_pause_ev", None) is not None):
             return False
         self._in_slice = True
         return True
@@ -231,10 +236,10 @@ class Cpu:
                 switch_ns = yield from self._acquire(owner, priority)
                 self._in_slice = True
                 if switch_ns:
-                    yield self.sim.timeout(switch_ns)
+                    yield switch_ns
                     self._busy_ns += switch_ns
                 slice_ns = min(slice_ns, max(1, self._expiry - self.sim.now))
-            yield self.sim.timeout(slice_ns)
+            yield slice_ns
             self.close(owner, slice_ns, priority)
             remaining -= slice_ns
 

@@ -90,7 +90,7 @@ class SbusDma:
         grant = Event(self.sim, name=f"{self.name}.grant")
         duration = self._admit(nbytes, direction, None, grant)
         yield grant
-        yield self.sim.timeout(duration)
+        yield duration
         self._account(nbytes, direction, duration)
         self.release()
 

@@ -393,12 +393,12 @@ class Network:
         held = [route[m]]
         try:
             if m < len(route) - 1:
-                # The wormhole would be mid-hop: inside the timeout begun
+                # The wormhole would be mid-hop: inside the hop wait begun
                 # when link m was acquired, which ends as link m + 1's
                 # acquisition would begin.
                 wake = fl.acquire[m + 1]
                 if wake > self.sim.now:
-                    yield self.sim.timeout(wake - self.sim.now)
+                    yield wake - self.sim.now
             yield from self._run_route(fl.pkt, route, fl.nbytes, m + 1,
                                        acquired_at, held)
         finally:
@@ -437,7 +437,7 @@ class Network:
 
     # ------------------------------------------------------ wormhole path
     def _traverse_loopback(self, pkt: Packet):
-        yield self.sim.timeout(self.loopback_ns)
+        yield self.loopback_ns
         pending = self._deliver(pkt)
         if pending is not None:
             yield pending
@@ -511,12 +511,12 @@ class Network:
                 sim.schedule(free_at - sim.now, prev.release)
                 held.remove(prev)
             if i < len(route) - 1:
-                yield sim.timeout(hop_ns)
+                yield hop_ns
 
         last = route[-1]
         tail_at = acquired_at[-1] + last.wire_ns(nbytes)
         if tail_at > sim.now:
-            yield sim.timeout(tail_at - sim.now)
+            yield tail_at - sim.now
         if not last.up:
             fail_cleanup()
             return

@@ -224,8 +224,8 @@ class CollectiveEngine:
                   value),
         )
 
-    def _charge(self, label: str, instr: int):
-        return self.nic.sim.timeout(self.nic.meter.cost_ns(label, instr))
+    def _charge(self, label: str, instr: int) -> int:
+        return self.nic.meter.cost_ns(label, instr)
 
     # ----------------------------------------------------- host initiation
     def host_initiate(self, kind: str, coll_id: int, members: tuple,

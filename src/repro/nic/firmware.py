@@ -466,11 +466,11 @@ class Nic:
             ep.tenant.stats.msgs_serviced += 1
         msg.state = MessageState.BOUND
         ep.inflight += 1
-        yield self.sim.timeout(self.meter.cost_ns("send", cfg.ni_send_instr))
+        yield self.meter.cost_ns("send", cfg.ni_send_instr)
         self._transmit(ch, msg)
         # post-send bookkeeping happens off the latency path but still
         # occupies the firmware (it contributes to the gap, §6.1)
-        yield self.sim.timeout(self.meter.cost_ns("send_post", cfg.ni_send_post_instr))
+        yield self.meter.cost_ns("send_post", cfg.ni_send_post_instr)
 
     # ========================================================== transmission
     def _free_channel(self, peer: int) -> Optional[int]:
@@ -643,7 +643,7 @@ class Nic:
         if msg.consecutive_retrans > self.cfg.max_consecutive_retrans:
             yield from self._unbind(ch, msg)
             return
-        yield self.sim.timeout(self.meter.cost_ns("retrans", self.cfg.ni_send_instr))
+        yield self.meter.cost_ns("retrans", self.cfg.ni_send_instr)
         self._transmit(ch, msg, retrans=True)
 
     def _unbind(self, ch: TxChannel, msg: Message):
@@ -659,7 +659,7 @@ class Nic:
         jitter = 0.5 + self.rng.random()
         deadline = self.sim.now + max(1_000, round(self.cfg.rebind_delay_us * 1_000 * jitter))
         heapq.heappush(self._unbound, (deadline, next(self._tie), msg))
-        yield self.sim.timeout(self.meter.cost_ns("unbind", self.cfg.ni_poll_ep_instr * 4))
+        yield self.meter.cost_ns("unbind", self.cfg.ni_poll_ep_instr * 4)
         self._feed_channel(ch)
         self._work.set()
 
@@ -683,7 +683,7 @@ class Nic:
         if self.sim.trace.enabled:
             self.sim.trace.emit("chan.rebind", self.nic_id, msg=msg.msg_id,
                                 peer=msg.dst_node, ch=ch.index)
-        yield self.sim.timeout(self.meter.cost_ns("rebind", self.cfg.ni_send_instr))
+        yield self.meter.cost_ns("rebind", self.cfg.ni_send_instr)
         self._transmit(ch, msg, retrans=True)
 
     def _feed_channel(self, ch: TxChannel) -> None:
@@ -698,7 +698,7 @@ class Nic:
             self.stats.crc_drops += 1
             if self.sim.trace.enabled:
                 self.sim.trace.emit("pkt.crc_drop", self.nic_id, msg=pkt.msg_id, peer=pkt.src_nic)
-            yield self.sim.timeout(self.meter.cost_ns("crc_drop", cfg.ni_poll_ep_instr))
+            yield self.meter.cost_ns("crc_drop", cfg.ni_poll_ep_instr)
             if pkt.kind is not PacketType.DATA:
                 pkt.recycle()
             return
@@ -719,10 +719,8 @@ class Nic:
         # Receive processing plus the defensive error checking added by
         # virtualization (§6.1): metered separately, slept as one event —
         # nothing observes the boundary between the two costs.
-        yield self.sim.timeout(
-            self.meter.cost_ns("recv", cfg.ni_recv_instr)
-            + self.meter.cost_ns("errcheck", cfg.ni_errcheck_instr)
-        )
+        yield (self.meter.cost_ns("recv", cfg.ni_recv_instr)
+               + self.meter.cost_ns("errcheck", cfg.ni_errcheck_instr))
         self.stats.data_recv += 1
         self.stats.bytes_recv += pkt.payload_bytes
         if self.sim.trace.enabled:
@@ -795,9 +793,7 @@ class Nic:
         else:
             ep.bulk_reserved_req = max(0, ep.bulk_reserved_req - 1)
         self._rx_inflight.discard(pkt.msg_id)
-        yield self.sim.timeout(
-            self.meter.cost_ns("bulk_complete", self.cfg.ni_bulk_complete_instr)
-        )
+        yield self.meter.cost_ns("bulk_complete", self.cfg.ni_bulk_complete_instr)
         if self.alive and ep.resident:
             yield from self._finish_delivery(ep, peer, pkt)
         self.sbus.release()
@@ -835,7 +831,7 @@ class Nic:
             self._notify_driver("event", ep, detail="recv")
 
     def _send_ack(self, pkt: Packet):
-        yield self.sim.timeout(self.meter.cost_ns("ack_gen", self.cfg.ni_ack_gen_instr))
+        yield self.meter.cost_ns("ack_gen", self.cfg.ni_ack_gen_instr)
         self.stats.acks_sent += 1
         if self.sim.trace.enabled:
             self.sim.trace.emit("ack.tx", self.nic_id, msg=pkt.msg_id, peer=pkt.src_nic)
@@ -852,7 +848,7 @@ class Nic:
         )
 
     def _send_nack(self, pkt: Packet, reason: NackReason):
-        yield self.sim.timeout(self.meter.cost_ns("nack_gen", self.cfg.ni_ack_gen_instr))
+        yield self.meter.cost_ns("nack_gen", self.cfg.ni_ack_gen_instr)
         self.stats.count_nack(reason)
         if self.sim.trace.enabled:
             self.sim.trace.emit("nack.tx", self.nic_id, msg=pkt.msg_id,
@@ -883,7 +879,7 @@ class Nic:
         return ch
 
     def _handle_ack(self, pkt: Packet):
-        yield self.sim.timeout(self.meter.cost_ns("ack_proc", self.cfg.ni_ack_proc_instr))
+        yield self.meter.cost_ns("ack_proc", self.cfg.ni_ack_proc_instr)
         self.stats.acks_recv += 1
         if self.sim.trace.enabled:
             self.sim.trace.emit("ack.rx", self.nic_id, msg=pkt.msg_id, peer=pkt.src_nic,
@@ -907,7 +903,7 @@ class Nic:
 
     def _handle_nack(self, pkt: Packet):
         cfg = self.cfg
-        yield self.sim.timeout(self.meter.cost_ns("nack_proc", cfg.ni_nack_proc_instr))
+        yield self.meter.cost_ns("nack_proc", cfg.ni_nack_proc_instr)
         self.stats.nacks_recv += 1
         if self.sim.trace.enabled:
             self.sim.trace.emit("nack.rx", self.nic_id, msg=pkt.msg_id, peer=pkt.src_nic,
@@ -1008,7 +1004,7 @@ class Nic:
         self.stats.driver_ops += 1
         if self.sim.trace.enabled:
             self.sim.trace.emit("drv.op", self.nic_id, op=op.op, ep=op.ep.ep_id)
-        yield self.sim.timeout(self.meter.cost_ns("driver_op", cfg.ni_driver_op_instr))
+        yield self.meter.cost_ns("driver_op", cfg.ni_driver_op_instr)
         if op.op == "alloc":
             # Registration binds the endpoint's row into this NIC's
             # table (no-op when the driver already built it there).

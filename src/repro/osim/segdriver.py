@@ -416,7 +416,7 @@ class SegmentDriver:
             self.stats.pageins += 1
             if self.sim.trace.enabled:
                 self.sim.trace.emit("ep.pagein", self.nic.nic_id, ep=ep.ep_id)
-            yield self.sim.timeout(us(self.cfg.disk_pagein_us))
+            yield us(self.cfg.disk_pagein_us)
             ep.residency = Residency.ONHOST_RO
         if ep.residency is Residency.ONHOST_RO:
             self.stats.write_faults += 1
@@ -479,7 +479,7 @@ class SegmentDriver:
                 yield from self._kwait(self._remap_owner, self._remap_gate.wait())
                 # Periodic servicing (Section 4.2): the thread wakes and
                 # scans; model the wake-to-scan delay.
-                yield from self._kwait(self._remap_owner, self.sim.timeout(us(cfg.remap_scan_period_us)))
+                yield from self._kwait(self._remap_owner, us(cfg.remap_scan_period_us))
                 continue
             ep = self._remap_q.popleft()
             if ep.resident or ep.transition or ep.residency is Residency.FREED:
@@ -493,7 +493,7 @@ class SegmentDriver:
         remap_start = self.sim.now
         yield from self.cpu.compute(us(cfg.remap_driver_overhead_us / 2), owner=self._remap_owner, priority=1)
         # off-CPU synchronization latency of the re-mapping (§4.2)
-        yield from self._kwait(self._remap_owner, self.sim.timeout(us(cfg.remap_sync_latency_us)))
+        yield from self._kwait(self._remap_owner, us(cfg.remap_sync_latency_us))
         frame = self.nic.free_frame_index()
         evicted = False
         if frame is None:

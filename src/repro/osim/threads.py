@@ -116,7 +116,7 @@ class Thread:
             return
         cpu = self.cpu
         if cpu.open(self, ns):  # the one-slice case: no Cpu.compute frame
-            yield self.sim.timeout(ns)
+            yield ns
             cpu.close(self, ns)
             return
         yield from cpu.compute(ns, owner=self)
@@ -141,7 +141,7 @@ class Thread:
 
     def sleep(self, ns: int) -> Generator:
         """Block off-CPU for ``ns``."""
-        yield from self.block(self.sim.timeout(ns))
+        yield from self.block(ns)
 
     def interrupt(self, cause: Any = None) -> None:
         self.proc.interrupt(cause)

@@ -8,8 +8,12 @@ bit-for-bit.
 
 A process advances by yielding *waitables*:
 
-``yield Timeout(sim, delay_ns)``
-    resume ``delay_ns`` later.
+``yield delay_ns``
+    an exact ``int``: resume ``delay_ns`` later (a cost charge; the
+    cheapest wait, since nothing is allocated for it).
+``yield Timeout(sim, delay_ns, value)``
+    resume ``delay_ns`` later; the yield expression evaluates to
+    ``value`` (also a combinator child, see :meth:`Simulator.timeout`).
 ``yield event``
     resume when the :class:`Event` is triggered; the yield expression
     evaluates to the event's value.
@@ -35,7 +39,7 @@ allocation identity.  That freedom is what the fast paths exploit:
   but also says *when* an entry was drawn: spin elision
   (:mod:`repro.am.elision`) places a fast-forwarded spin's wake as if it
   had been drawn at the virtual boundary before it;
-* entries created internally (``_post``, the process timeout fast path)
+* entries created internally (``_post``, the process wait fast path)
   are recycled through ``Simulator._entry_pool`` once dispatched, so
   steady-state scheduling allocates nothing;
 * every cancel goes through :meth:`Simulator.cancel`, which counts the
@@ -44,16 +48,12 @@ allocation identity.  That freedom is what the fast paths exploit:
   (asyncio's rule for canceled timers), so parks that are armed and
   canceled by the thousand do not grow it.  ``(when, seq)`` keys are
   unique, so the rebuild cannot change dispatch order;
-* ``Simulator.timeout()`` hands out :class:`Timeout` objects from a
-  free list; the process wait fast path returns them the moment their
-  ``(delay, value)`` pair has been copied into a heap entry.  A pooled
-  timeout is therefore *single-use*: yield it once, then call
-  ``sim.timeout`` again (every call site in the tree does exactly this);
 * ``Process._resume`` dispatches on the yielded object's exact class:
-  ``Timeout`` and ``Event`` waits bypass ``_subscribe`` entirely — no
-  handle objects, no cancel closures — while any other waitable falls
-  back to the generic ``_subscribe`` protocol, so the extension point
-  is unchanged.
+  ``int``, ``Timeout`` and ``Event`` waits bypass ``_subscribe`` entirely
+  — no handle objects, no cancel closures — while any other waitable
+  falls back to the generic ``_subscribe`` protocol, so the extension
+  point is unchanged.  An int wait is a pooled heap entry and nothing
+  else, which is why every internal cost charge yields its ns directly.
 
 Every fast path preserves the exact (when, seq)-relative ordering of the
 straight-line implementation (kept as :mod:`repro.sim.reference`);
@@ -238,15 +238,10 @@ class Event:
 
 
 class Timeout:
-    """Waitable that fires ``delay`` nanoseconds after it is waited on.
+    """Waitable that fires ``delay`` nanoseconds after it is waited on,
+    with ``value``.  A bare delay needs no object: ``yield delay_ns``."""
 
-    Instances handed out by :meth:`Simulator.timeout` come from a free
-    list and are recycled the moment a process wait consumes them —
-    treat them as single-use (yield once, or hand to one combinator).
-    Directly constructed instances are never pooled.
-    """
-
-    __slots__ = ("sim", "delay", "value", "_pooled")
+    __slots__ = ("sim", "delay", "value")
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
@@ -254,7 +249,6 @@ class Timeout:
         self.sim = sim
         self.delay = int(delay)
         self.value = value
-        self._pooled = False
 
     def _subscribe(self, cb: Callable[[Any, Optional[BaseException]], None]) -> Callable[[], None]:
         handle = self.sim.schedule(self.delay, cb, self.value, None)
@@ -349,7 +343,10 @@ class AllOf:
 
 
 def _as_waitable(sim: "Simulator", obj: Any) -> Any:
-    """Normalize a yielded object to something with ``_subscribe``."""
+    """Normalize a yielded object to something with ``_subscribe``
+    (an exact ``int`` is a delay: a fresh :class:`Timeout`)."""
+    if obj.__class__ is int:
+        return Timeout(sim, obj)
     if isinstance(obj, Process):
         return obj.done
     if hasattr(obj, "_subscribe"):
@@ -433,42 +430,48 @@ class Process:
             sim._current = None
         # -- fast-path dispatch on the yielded waitable's exact class ------
         cls = target.__class__
-        if cls is Timeout:
+        if cls is int:
+            if target < 0:
+                self._finish_fail(SimError(f"negative timeout: {target}"))
+                return
+            delay = target
+            args = _NO_VALUE_ARGS
+        elif cls is Timeout:
+            delay = target.delay
             tvalue = target.value
             args = _NO_VALUE_ARGS if tvalue is None else (tvalue, None)
-            pool = sim._entry_pool
-            now = sim.now
-            if pool:
-                entry = pool.pop()
-                entry[0] = now + target.delay
-                entry[1] = (now << SEQ_SHIFT) | next(sim._seq)
-                entry[2] = args
-                entry[3] = self._resume
-            else:
-                entry = [now + target.delay, (now << SEQ_SHIFT) | next(sim._seq), args,
-                         self._resume, True]
-            _heappush(sim._heap, entry)
-            self._cancel_wait = entry
-            if target._pooled:
-                target._pooled = False
-                sim._timeout_pool.append(target)
+        else:
+            if cls is Process:
+                target = target.done
+                cls = Event
+            if cls is Event:
+                if target._done:
+                    sim._post(self._resume, target._value, target._exc)
+                else:
+                    target._waiters.append(self._resume)
+                    self._cancel_wait = target
+                return
+            try:
+                waitable = _as_waitable(sim, target)
+            except SimError as err:
+                self._finish_fail(err)
+                return
+            self._cancel_wait = waitable._subscribe(self._resume)
             return
-        if cls is Process:
-            target = target.done
-            cls = Event
-        if cls is Event:
-            if target._done:
-                sim._post(self._resume, target._value, target._exc)
-            else:
-                target._waiters.append(self._resume)
-                self._cancel_wait = target
-            return
-        try:
-            waitable = _as_waitable(sim, target)
-        except SimError as err:
-            self._finish_fail(err)
-            return
-        self._cancel_wait = waitable._subscribe(self._resume)
+        # a delay: one pooled heap entry, drawn as Timeout._subscribe would
+        pool = sim._entry_pool
+        now = sim.now
+        if pool:
+            entry = pool.pop()
+            entry[0] = now + delay
+            entry[1] = (now << SEQ_SHIFT) | next(sim._seq)
+            entry[2] = args
+            entry[3] = self._resume
+        else:
+            entry = [now + delay, (now << SEQ_SHIFT) | next(sim._seq), args,
+                     self._resume, True]
+        _heappush(sim._heap, entry)
+        self._cancel_wait = entry
 
     def _finish_ok(self, value: Any) -> None:
         self._finished = True
@@ -521,8 +524,6 @@ class Simulator:
         self._entry_pool: list[list] = []
         #: entries canceled through :meth:`cancel` still in the heap
         self._dead = 0
-        #: recycled Timeout objects handed out by :meth:`timeout`
-        self._timeout_pool: list[Timeout] = []
         #: observer-only trace sink (see repro.obs); nil by default
         self.trace: Any = NULL_TRACE
 
@@ -650,21 +651,10 @@ class Simulator:
         return Event(self, name=name)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """A single-use timeout from the free list (see :class:`Timeout`)."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimError(f"negative timeout: {delay}")
-            t = pool.pop()
-            t.delay = int(delay)
-            t.value = value
-            t._pooled = True
-            return t
-        t = Timeout(self, delay, value)
-        t._pooled = True
-        return t
+        """A :class:`Timeout`: for a value wait or a combinator child (a
+        bare delay is ``yield delay``, which allocates nothing)."""
+        return Timeout(self, delay, value)
 
-    #: alias: the zero-allocation sleep path is just a pooled timeout
     sleep = timeout
 
     def any_of(self, waitables: Iterable[Any]) -> AnyOf:

@@ -2,9 +2,10 @@
 
 :class:`ReferenceSimulator` / :class:`ReferenceProcess` preserve the
 pre-optimization event loop exactly: every ``schedule`` allocates a fresh
-4-slot heap entry, every ``timeout`` a fresh :class:`Timeout`, and every
-process wait goes through the generic ``_as_waitable(...)._subscribe``
-protocol — no free lists, no class-dispatch shortcuts.
+4-slot heap entry, every int wait (``yield delay_ns``) a fresh
+:class:`~repro.sim.core.Timeout`, and every process wait goes through the
+generic ``_as_waitable(...)._subscribe`` protocol — no free lists, no
+class-dispatch shortcuts.
 
 Both kernels run the *same* library code (firmware, AM layer, chaos
 runner), so running one scenario on each and comparing timeline digests
@@ -26,7 +27,6 @@ from .core import (
     Process,
     SimError,
     Simulator,
-    Timeout,
     _as_waitable,
     _Handle,
 )
@@ -77,7 +77,7 @@ class ReferenceProcess(Process):
 
 
 class ReferenceSimulator(Simulator):
-    """Event loop with per-event allocation (no entry or timeout pools)."""
+    """Event loop with per-event allocation (no entry pool)."""
 
     def schedule(self, delay: int, fn: Callable, *args: Any) -> _Handle:
         if delay < 0:
@@ -112,11 +112,6 @@ class ReferenceSimulator(Simulator):
         self._nprocesses += 1
         self._post(proc._resume, None, None)
         return proc
-
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    sleep = timeout
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)

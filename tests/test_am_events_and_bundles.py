@@ -4,6 +4,8 @@ import pytest
 
 from repro.am import Bundle, EndpointFreedError, parallel_vnet, new_endpoint
 from repro.cluster import Cluster, ClusterConfig
+from repro.nic.endpoint_state import Residency
+from repro.nic.message import Message, MsgKind
 from repro.sim import ms, us
 
 
@@ -113,6 +115,112 @@ def test_bundle_wait_any_wakes_for_any_member():
     cluster.node(1).start_process().spawn_thread(sender)
     cluster.run(until=cluster.sim.now + ms(1_000))
     assert t.finished and t.result == "ep_b"
+
+
+def _swept_bundle(cluster):
+    """A node-0 bundle of a resident, an on-host and a shared on-host
+    endpoint, plus the touch one sweep over it costs."""
+    node = cluster.node(0)
+    eps = [cluster.run_process(new_endpoint(node, rngs=cluster.rngs), f"e{i}") for i in range(3)]
+    eps[0].state.residency = Residency.ONNIC_RW
+    eps[2].set_shared(True)
+    assert [ep.state.residency for ep in eps[1:]] == [Residency.ONHOST_RO] * 2
+    return Bundle(eps), 800 + 80 + (80 + 400)
+
+
+def _queue_reply(ep, handler):
+    """Put a reply straight into ``ep``'s receive queue, as a delivery would."""
+    st = ep.state
+    st.recv_replies.append(Message(
+        src_node=1, src_ep=0, dst_node=st.node, dst_ep=st.ep_id, key=st.tag,
+        kind=MsgKind.REPLY, payload_bytes=0, is_bulk=False, body=(handler, (), {})))
+
+
+def test_bundle_sweep_charges_its_touch_as_one_slice_and_rotates_once():
+    """One ``poll_all`` charges every member's touch (800 ns resident,
+    80 ns on-host, +400 ns lock when shared) as one CPU slice, counts a
+    poll on every member and advances the rotation by one, whether or
+    not a member had work; a freed member raises before any charge."""
+    cluster = build(2)
+    sim = cluster.sim
+    cpu = cluster.node(0).cpu
+    bundle, touch = _swept_bundle(cluster)
+    eps = bundle.endpoints
+    assert touch == bundle._sweep_ns()
+    slices = []
+    close = cpu.close
+
+    def counting_close(owner, ns, priority=0):
+        slices.append(ns)
+        close(owner, ns, priority)
+
+    cpu.close = counting_close
+    got = []
+    sweeps = []
+
+    def service(thr):
+        yield from thr.compute(1_000)  # take the CPU
+        for work in (False, True, False, False):
+            if work:
+                _queue_reply(eps[2], lambda token: got.append(sim.now))
+            polls = [ep.stats.polls for ep in eps]
+            rotation = bundle._next
+            slices.clear()
+            t0 = sim.now
+            n = yield from bundle.poll_all(thr)
+            sweeps.append((n, slices[0], len(slices), sim.now - t0,
+                           [ep.stats.polls - p for ep, p in zip(eps, polls)],
+                           (bundle._next - rotation) % len(eps)))
+        yield from cluster.node(0).driver.free_endpoint(eps[1].state)
+        t0 = sim.now
+        try:
+            yield from bundle.poll_all(thr)
+        except EndpointFreedError:
+            return sim.now - t0
+
+    t = cluster.node(0).start_process().spawn_thread(service)
+    cluster.run(until=sim.now + ms(5))
+    empty = (0, touch, 1, touch, [1, 1, 1], 1)
+    assert sweeps[0] == sweeps[2] == sweeps[3] == empty
+    n, first, nslices, _, polls, rotated = sweeps[1]
+    assert (n, first, polls, rotated) == (1, touch, [1, 1, 1], 1)
+    assert nslices > 1 and len(got) == 1  # the drain computed after the touch
+    assert t.finished and t.result == 0  # raised, nothing charged
+
+
+def test_paused_thread_sweep_waits_at_the_pause_gate():
+    """A sweep begun while its thread is paused charges no CPU until the
+    thread is resumed: it parks at the pause gate first."""
+    cluster = build(2)
+    sim = cluster.sim
+    bundle, touch = _swept_bundle(cluster)
+    spans = []
+    box = {}
+
+    def service(thr):
+        yield from thr.compute(1_000)  # take the CPU
+        for _ in range(6):
+            t0, cpu0 = sim.now, thr.cpu_ns
+            yield from bundle.poll_all(thr)
+            spans.append((t0, sim.now, thr.cpu_ns - cpu0))
+
+    t = cluster.node(0).start_process().spawn_thread(service)
+    pause_at, resume_at = sim.now + 1_000 + touch + touch // 2, sim.now + us(50)
+
+    def chaos():
+        yield sim.timeout(pause_at - sim.now)
+        t.pause()
+        box["paused"] = sim.now
+        yield sim.timeout(resume_at - sim.now)
+        t.resume()
+
+    sim.spawn(chaos())
+    cluster.run(until=sim.now + ms(5))
+    assert box["paused"] == pause_at
+    assert len(spans) == 6 and all(cpu_ns == touch for _, _, cpu_ns in spans)
+    parked = [s for s in spans if s[0] >= pause_at]
+    assert parked and parked[0][1] >= resume_at + touch  # waited out the pause
+    assert all(end - start == touch for start, end, _ in spans if start < pause_at)
 
 
 def test_bundle_remove_and_empty_wait_rejected():

@@ -268,7 +268,7 @@ def test_yield_garbage_fails_process():
     sim = Simulator()
 
     def bad():
-        yield 12345
+        yield "12345"
 
     def parent():
         try:

@@ -1,51 +1,21 @@
 """Kernel hot-path invariants: pooling, typed dispatch, interruption.
 
-The optimized kernel recycles heap entries and Timeout objects so the
-steady-state sleep/timeout path allocates nothing.  The determinism
-contract is *ordering + integer time* — never allocation identity — so
-these tests pin down the places where reuse could leak into semantics:
-interrupt during a pooled sleep, combinators over pooled timeouts, and
-the reference kernel dispatching the exact same event sequence.
+The optimized kernel recycles heap entries, and an int wait (``yield
+delay_ns``) allocates nothing else, so the steady-state sleep path
+allocates nothing.  The determinism contract is *ordering + integer
+time* — never allocation identity — so these tests pin down the places
+where reuse could leak into semantics: interrupt during a pooled sleep,
+int waits against Timeout waits, and the reference kernel dispatching
+the exact same event sequence.
 """
 
 import pytest
 
 from repro.sim import (AllOf, AnyOf, Gate, GateTimeout, Interrupted, ReferenceSimulator,
-                       SimError, Simulator, Timeout)
+                       SimError, Simulator)
 
 
-# ---------------------------------------------------------------- free lists
-def test_timeout_free_list_recycles_identity():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        t1 = sim.timeout(5)
-        seen.append(t1)
-        yield t1
-        # t1 was recycled the moment the wait consumed it: the next
-        # timeout from the pool is the same object, re-armed
-        t2 = sim.timeout(7)
-        seen.append(t2)
-        yield t2
-
-    sim.run_process(proc())
-    assert seen[0] is seen[1]
-    assert sim.now == 12
-
-
-def test_directly_constructed_timeout_is_never_pooled():
-    sim = Simulator()
-
-    def proc():
-        t = Timeout(sim, 5)
-        yield t
-        assert t not in sim._timeout_pool
-
-    sim.run_process(proc())
-    assert sim.now == 5
-
-
+# ----------------------------------------------------------------- entry pool
 def test_entry_pool_stays_bounded_in_steady_state():
     sim = Simulator()
 
@@ -57,7 +27,6 @@ def test_entry_pool_stays_bounded_in_steady_state():
     assert sim.now == 600
     # 200 sleeps + wakeups cycle through a handful of pooled objects
     assert len(sim._entry_pool) <= 4
-    assert len(sim._timeout_pool) <= 2
 
 
 def test_sleep_is_the_timeout_alias():
@@ -74,10 +43,123 @@ def test_sleep_is_the_timeout_alias():
 def test_negative_timeout_raises_on_both_pool_paths():
     sim = Simulator()
     with pytest.raises(SimError):
-        sim.timeout(-1)  # fresh-construction path
-    sim._timeout_pool.append(Timeout(sim, 1))
-    with pytest.raises(SimError):
-        sim.timeout(-1)  # pool-hit path
+        sim.timeout(-1)
+
+
+# ------------------------------------------------------------------ int waits
+def _sleepers(sim, as_timeout):
+    """Three processes sleeping in lockstep with same-instant ties; each
+    wait is a bare int or a Timeout of the same delay."""
+    order = []
+
+    def wait(ns):
+        return sim.timeout(ns) if as_timeout else ns
+
+    def proc(name, delays):
+        for d in delays:
+            yield wait(d)
+            order.append((sim.now, name))
+
+    sim.spawn(proc("a", (5, 5, 0, 10)), name="a")
+    sim.spawn(proc("b", (10, 0, 5, 5)), name="b")
+    sim.spawn(proc("c", (0, 10, 10, 0)), name="c")
+    sim.run()
+    return order, sim.now, sim.events_dispatched
+
+
+def test_int_wait_dispatches_as_a_timeout_on_both_kernels():
+    runs = [_sleepers(kernel(), as_timeout)
+            for kernel in (Simulator, ReferenceSimulator) for as_timeout in (False, True)]
+    assert all(r == runs[0] for r in runs)
+    assert runs[0][1] == 20 and len(runs[0][0]) == 12
+
+
+@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
+def test_interrupt_during_int_sleep_cancels_its_entry(kernel):
+    sim = kernel()
+    log = []
+
+    def sleeper():
+        try:
+            yield 1_000
+        except Interrupted as i:
+            log.append(("interrupted", sim.now, i.cause))
+        yield 5
+        log.append(("done", sim.now))
+
+    p = sim.spawn(sleeper(), name="sleeper")
+
+    def poker():
+        yield 10
+        entry = p._cancel_wait if kernel is Simulator else None
+        p.interrupt("poke")
+        if entry is not None:
+            assert entry[3] is None and sim._dead == 1  # canceled in place
+
+    sim.spawn(poker(), name="poker")
+    sim.run()
+    # the canceled 1,000 ns entry never resumed the sleeper a second time
+    assert log == [("interrupted", 10, "poke"), ("done", 15)]
+    assert sim.now == 15
+
+
+@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
+@pytest.mark.parametrize("garbage", [-1, True, 1.5])
+def test_negative_bool_and_float_yields_fail_the_process(kernel, garbage):
+    sim = kernel()
+
+    def bad():
+        yield garbage
+
+    def parent():
+        try:
+            yield sim.spawn(bad())
+        except SimError as err:
+            return str(err)
+
+    msg = sim.run_process(parent())
+    assert msg is not None and (("negative" in msg) if garbage == -1 else ("cannot wait" in msg))
+    assert sim.now == 0
+
+
+#: modules whose cost charges run once per packet, poll or slice
+HOT_MODULES = ("nic/firmware.py", "nic/collective.py", "osim/threads.py",
+               "osim/segdriver.py", "hw/host.py", "hw/sbus.py", "am/endpoint.py",
+               "am/bundle.py", "am/gam.py", "myrinet/network.py")
+
+
+def _valueless_timeouts(source):
+    """Line numbers of ``<...>sim.timeout(x)``/``sleep(x)`` calls without a
+    value: each allocates a Timeout where ``yield x`` allocates nothing."""
+    import ast
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("timeout", "sleep")):
+            continue
+        recv = node.func.value
+        on_sim = ((isinstance(recv, ast.Name) and recv.id == "sim")
+                  or (isinstance(recv, ast.Attribute) and recv.attr == "sim"))
+        if on_sim and len(node.args) < 2 and not node.keywords:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_hot_modules_charge_costs_as_int_waits():
+    from pathlib import Path
+
+    import repro
+
+    assert _valueless_timeouts(
+        "def f(self, sim, thr):\n"
+        "    yield self.sim.timeout(5)\n"
+        "    yield sim.sleep(n)\n"
+        "    yield sim.timeout(5, 'v')\n"
+        "    yield from thr.sleep(5)\n") == [2, 3]
+    root = Path(repro.__file__).parent
+    found = {m: _valueless_timeouts((root / m).read_text()) for m in HOT_MODULES}
+    assert found == {m: [] for m in HOT_MODULES}
 
 
 # -------------------------------------------------------------- interruption
@@ -130,7 +212,6 @@ def test_repeated_interrupts_do_not_grow_the_pools():
     n0 = len(sim._entry_pool)
     assert n0 >= 50
     assert all(e[2] is None and e[3] is None for e in sim._entry_pool)
-    assert len(sim._timeout_pool) <= 2
 
     # Steady state: further scheduling reuses the pool instead of growing it.
     def more():
