@@ -108,7 +108,7 @@ class Cluster:
     def node(self, i: int) -> Node:
         return self.nodes[i]
 
-    def enable_tracing(self, capacity: Optional[int] = None):
+    def enable_tracing(self):
         """Attach a :class:`repro.obs.TraceBus` to this cluster's simulator.
 
         Observer-only: enabling tracing never changes simulated time or
@@ -116,7 +116,7 @@ class Cluster:
         """
         from ..obs import TraceBus
 
-        return TraceBus.attach(self.sim, capacity=capacity)
+        return TraceBus.attach(self.sim)
 
     def run(self, until: Optional[int] = None) -> int:
         return self.sim.run(until=until)

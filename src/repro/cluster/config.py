@@ -252,9 +252,6 @@ class ClusterConfig:
     #: "active-preference" (deprioritize endpoints with queued sends or a
     #: pending make-resident request)
     replacement_policy: str = "random"
-    #: sliding window (in remaps) of the residency scoreboard's thrash
-    #: detector
-    thrash_window: int = 64
     #: an eviction counts as *bounced* (wasted — the Section 6.4 thrash
     #: signature) if the victim re-requests residency within this window
     thrash_bounce_us: float = 1000.0
@@ -356,8 +353,6 @@ class ClusterConfig:
                 f"unknown replacement policy {self.replacement_policy!r}; "
                 f"registered: {sorted(REPLACEMENT_POLICIES)}"
             )
-        if self.thrash_window < 1:
-            raise ValueError("thrash_window must be >= 1")
         if self.thrash_bounce_us < 0:
             raise ValueError("thrash_bounce_us must be >= 0")
         if not (0.0 <= self.packet_loss_prob <= 1.0):

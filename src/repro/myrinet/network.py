@@ -21,11 +21,9 @@ known at send time.  ``Network.send`` therefore commits an **express
 flight** — one pooled callback at the precomputed tail-arrival time —
 whenever all of the following hold:
 
-* ``cfg.express_path`` is on and the path is currently armed: any
-  fault injection, or any direct flip of a link/switch ``up``
-  attribute, disarms it and demotes committed flights.  Once every link
-  and switch is back up and :data:`EXPRESS_REARM_QUIET_NS` has elapsed
-  since the most recent fault event, the next send re-arms the path;
+* ``cfg.express_path`` is on and the path is still armed: the first
+  fault injection, or direct flip of a link/switch ``up`` attribute,
+  disarms it for the rest of the run and demotes committed flights;
 * no wormhole process is in flight *on any link of this route*
   (per-link ``slow_refs`` — a slow packet crossing a disjoint part of
   the fabric does not force a fallback), and every link on the
@@ -62,14 +60,7 @@ from .link import DirectedLink
 from .packet import Packet
 from .topology import FatTreeTopology
 
-__all__ = ["Network", "NetworkStats", "ExpressStats", "EXPRESS_REARM_QUIET_NS"]
-
-#: quiet period after the most recent fault injection (or direct
-#: link/switch flip) before the express path re-arms, provided every link
-#: and switch is back up.  Re-arming is sound because loss/corruption are
-#: applied before the express attempt and route caching degrades to
-#: per-send recomputation once the fabric has ever been reconfigured.
-EXPRESS_REARM_QUIET_NS = 200_000
+__all__ = ["Network", "NetworkStats", "ExpressStats"]
 
 
 @dataclass
@@ -102,8 +93,6 @@ class ExpressStats:
     #: sends that fell back because a wormhole process was in flight on
     #: a link of *this* route
     fallback_active: int = 0
-    #: times the path re-armed after a quiet period following a fault
-    reenabled: int = 0
 
     def hits(self) -> int:
         return self.commits + self.loopback
@@ -155,14 +144,8 @@ class Network:
         #: per-hop head advance: cut-through + cable + header serialization
         self._hop_ns = (cfg.switch_latency_ns + cfg.cable_latency_ns
                         + round(cfg.packet_header_bytes * cfg.link_byte_ns))
-        #: express engages while armed; faults disarm it and a healthy,
-        #: quiet fabric re-arms it later
-        self._express_configured = bool(cfg.express_path)
-        self._express_enabled = self._express_configured
-        #: earliest time the path may re-arm (None = nothing pending)
-        self._rearm_at: Optional[int] = None
-        #: id()s of links/switches currently administratively down
-        self._down: set[int] = set()
+        #: express engages until the first fault disarms it for good
+        self._express_enabled = bool(cfg.express_path)
         self._flights: list[_ExpressFlight] = []
         # Observe every administrative state flip, however it happens.
         for sw in self.topology.switches:
@@ -210,16 +193,10 @@ class Network:
         return self._express_enabled
 
     def on_fault(self) -> None:
-        """Any fault injection disarms the express path and demotes
-        committed flights to wormhole processes (conservative: the
-        equivalence argument then holds trivially for everything after
-        the injection).  The disarm is hysteretic rather than sticky: a
-        quiet period of :data:`EXPRESS_REARM_QUIET_NS` after the *latest*
-        fault, with every link and switch back up, re-arms the path on
-        the next send — so one transient flap does not demote the
-        remainder of a long run."""
-        if self._express_configured:
-            self._rearm_at = self.sim.now + EXPRESS_REARM_QUIET_NS
+        """Any fault injection disarms the express path for the rest of
+        the run and demotes committed flights to wormhole processes
+        (conservative: the equivalence argument then holds trivially for
+        everything after the injection)."""
         if self._express_enabled:
             self._express_enabled = False
             while self._flights:
@@ -230,24 +207,7 @@ class Network:
         # ``.up`` directly): cached routes are stale and every committed
         # flight's timeline is suspect.
         self.topology.mark_dirty()
-        if obj.up:
-            self._down.discard(id(obj))
-        else:
-            self._down.add(id(obj))
         self.on_fault()
-
-    def _express_ready(self) -> bool:
-        """Whether a send made now may commit an express flight.
-
-        Re-arms a disarmed path first once its quiet window has passed
-        on a healthy fabric.  Tracing plays no part: the fabric emits
-        the same ``net.*`` records on both paths."""
-        if (self._rearm_at is not None and not self._down
-                and self.sim.now >= self._rearm_at):
-            self._express_enabled = True
-            self._rearm_at = None
-            self.express.reenabled += 1
-        return self._express_enabled
 
     # ------------------------------------------------------------- sending
     def send(self, pkt: Packet) -> None:
@@ -269,7 +229,9 @@ class Network:
             return
         if self.cfg.packet_corrupt_prob and self.rng.random() < self.cfg.packet_corrupt_prob:
             pkt.corrupted = True
-        express = self._express_ready()
+        # Tracing plays no part: the fabric emits the same ``net.*``
+        # records on both paths.
+        express = self._express_enabled
         sim = self.sim
         if pkt.src_nic == pkt.dst_nic:
             if express:

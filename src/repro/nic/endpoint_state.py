@@ -24,6 +24,10 @@ no views at all.
 
 Invariants shared by the three agents:
 
+* a view's row lives in the table of the NIC it registers on
+  (``SegmentDriver.alloc_endpoint`` passes ``table=nic.table``); there is
+  no standalone view, so the NIC binds ``frame_rows`` to ``ep.row``
+  directly;
 * a row's scalar state has exactly one home (its column slot); a view is
   never a cache, so concurrent mutation through different views of the
   same row is always coherent;
@@ -94,9 +98,7 @@ class EndpointTable:
 
     Rows are append-only (``add_row``); a freed endpoint keeps its row in
     the FREED state rather than compacting, so row ids stay stable for
-    the lifetime of the table.  ``adopt`` migrates a row created in
-    another table (an :class:`EndpointState` constructed standalone) into
-    this one, preserving every column value.
+    the lifetime of the table.
     """
 
     #: machine-int columns
@@ -153,30 +155,6 @@ class EndpointTable:
         self.tenant_ref.append(None)
         self.views.append(None)
         return row
-
-    def adopt(self, ep: "EndpointState") -> int:
-        """Migrate ``ep``'s row into this table (no-op if already here).
-
-        Registration with a NIC binds a standalone endpoint to the NIC's
-        table so frame bookkeeping and policy scans see one coherent
-        column set.
-        """
-        if ep.table is self:
-            return ep.row
-        src, i = ep.table, ep.row
-        j = self.add_row(src.ep_id[i])
-        for name in self.INT_COLS + self.LONG_COLS:
-            getattr(self, name)[j] = getattr(src, name)[i]
-        self.tenant_ref[j] = src.tenant_ref[i]
-        self.views[j] = ep
-        src.views[i] = None
-        ep.table = self
-        ep.row = j
-        ep.send_ring.table = self
-        ep.send_ring.row = j
-        ep.stats.table = self
-        ep.stats.row = j
-        return j
 
     # ----------------------------------------------------------- frames
     def ensure_frames(self, n: int) -> None:
@@ -279,10 +257,7 @@ class EndpointStats:
 
     __slots__ = ("table", "row")
 
-    def __init__(self, table: Optional[EndpointTable] = None, row: int = 0):
-        if table is None:  # standalone stats: private single-row table
-            table = EndpointTable()
-            row = table.add_row(0)
+    def __init__(self, table: EndpointTable, row: int):
         self.table = table
         self.row = row
 
@@ -306,9 +281,8 @@ class EndpointState:
     scalar state lives in the table's columns (each attribute below a
     property), only the things a table column cannot hold — the message
     deques, the translation dict, the event callback — live on the view.
-    Constructed standalone (``table=None``) it owns a private single-row
-    table, so unit tests and callers outside a NIC see the old interface
-    unchanged.
+    Construction appends the endpoint's row to ``table``, which is the
+    table of the NIC the endpoint registers on.
     """
 
     __slots__ = ("table", "row", "node", "ep_id", "tag", "translation",
@@ -323,11 +297,9 @@ class EndpointState:
         *,
         send_ring_depth: int,
         recv_queue_depth: int,
+        table: EndpointTable,
         tag: int = 0,
-        table: Optional[EndpointTable] = None,
     ):
-        if table is None:
-            table = EndpointTable(node=node)
         self.table = table
         self.row = table.add_row(ep_id)
         self.node = node

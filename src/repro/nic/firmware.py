@@ -94,8 +94,8 @@ class Nic:
         #: all endpoints the driver has registered on this node
         self.endpoints: dict[int, EndpointState] = {}
         #: struct-of-arrays backing store for this NIC's endpoint state;
-        #: registered endpoints are adopted into it so policies index
-        #: columns instead of walking objects (DESIGN.md §15)
+        #: every endpoint registered here has its row in it, so policies
+        #: index columns instead of walking objects (DESIGN.md §15)
         self.table = EndpointTable(node=nic_id, frames=cfg.endpoint_frames)
         #: the scarce resource: endpoint frames in NI SRAM (Section 4.1)
         self.frames: list[Optional[EndpointState]] = [None] * cfg.endpoint_frames
@@ -202,9 +202,6 @@ class Nic:
             if occupant is None:
                 return i
         return None
-
-    def resident_endpoints(self) -> list[EndpointState]:
-        return [ep for ep in self.frames if ep is not None]
 
     def resize_frames(self, n: int) -> None:
         """Grow the SRAM frame set (harness hook; never shrinks)."""
@@ -1006,9 +1003,6 @@ class Nic:
             self.sim.trace.emit("drv.op", self.nic_id, op=op.op, ep=op.ep.ep_id)
         yield self.meter.cost_ns("driver_op", cfg.ni_driver_op_instr)
         if op.op == "alloc":
-            # Registration binds the endpoint's row into this NIC's
-            # table (no-op when the driver already built it there).
-            self.table.adopt(op.ep)
             self.endpoints[op.ep.ep_id] = op.ep
             op.done.trigger(None)
         elif op.op == "free":
@@ -1043,7 +1037,7 @@ class Nic:
             op.done.fail(RuntimeError(f"frame {frame} not free for load"))
             return
         self.frames[frame] = ep  # reserve before the DMA
-        self.table.frame_rows[frame] = self.table.adopt(ep)
+        self.table.frame_rows[frame] = ep.row
         self.sbus.start(self.cfg.frame_bytes, SbusDma.READ, self._load_done, op, self.sim.now)
 
     def _load_done(self, op: DriverOp, load_start: int) -> None:

@@ -16,15 +16,16 @@ Instrumentation sites are written as::
 
 so with tracing off (the default nil sink) the cost is one attribute
 load and a falsy check, and with tracing on the only work is appending a
-record — :meth:`emit` never advances simulated time, never reads an RNG
-stream, and never schedules a callback.
+record to :attr:`TraceBus.events`, which keeps every event of the run —
+:meth:`emit` never advances simulated time, never reads an RNG stream,
+and never schedules a callback.
 Enabling tracing therefore cannot change simulated time or event order;
 ``tests/test_obs_determinism.py`` locks this in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..sim.core import Simulator
 from .events import TraceEvent
@@ -37,19 +38,15 @@ class TraceBus:
 
     enabled = True
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        #: drop-oldest ring bound; None keeps everything
-        self.capacity = capacity
         self.events: list[TraceEvent] = []
-        self.dropped = 0
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
-    def attach(cls, sim: Simulator, capacity: Optional[int] = None) -> "TraceBus":
+    def attach(cls, sim: Simulator) -> "TraceBus":
         """Install a bus on ``sim``, replacing the nil sink (or a prior bus)."""
-        bus = cls(sim, capacity=capacity)
+        bus = cls(sim)
         sim.trace = bus
         return bus
 
@@ -63,25 +60,7 @@ class TraceBus:
     # ----------------------------------------------------------------- emit
     def emit(self, kind: str, node: int = -1, **args: Any) -> None:
         """Record one event at the current simulated time (observer-only)."""
-        ev = TraceEvent(self.sim.now, kind, node, args or None)
-        self.events.append(ev)
-        if self.capacity is not None and len(self.events) > self.capacity:
-            del self.events[0 : len(self.events) - self.capacity]
-            self.dropped += 1
-        for fn in self._subscribers:
-            fn(ev)
-
-    def subscribe(self, fn: Callable[[TraceEvent], None]) -> Callable[[], None]:
-        """Live-stream events to ``fn``; returns an unsubscribe callable."""
-        self._subscribers.append(fn)
-
-        def cancel() -> None:
-            try:
-                self._subscribers.remove(fn)
-            except ValueError:
-                pass
-
-        return cancel
+        self.events.append(TraceEvent(self.sim.now, kind, node, args or None))
 
     # -------------------------------------------------------------- queries
     def __len__(self) -> int:

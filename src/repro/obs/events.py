@@ -32,8 +32,8 @@ from typing import Any, Optional
 
 __all__ = ["TraceEvent", "KINDS"]
 
-#: the canonical event vocabulary (instrumentation may extend it; the
-#: exporter treats unknown kinds uniformly)
+#: the event vocabulary: exactly the kinds ``src/repro`` emits
+#: (``tests/test_obs.py`` checks every ``.emit(...)`` literal against it)
 KINDS = (
     "pkt.tx", "pkt.retransmit", "pkt.rx", "pkt.crc_drop",
     "ack.tx", "ack.rx", "nack.tx", "nack.rx",
@@ -42,10 +42,12 @@ KINDS = (
     "timer.arm", "timer.fire",
     "ep.load", "ep.unload", "ep.evict", "ep.writefault",
     "ep.pagein", "ep.pageout",
-    "drv.op", "drv.proxy_fault", "drv.remap", "drv.thrash",
+    "drv.op", "drv.proxy_fault", "drv.remap",
     "am.request", "am.reply", "am.undeliverable",
     "net.deliver", "net.drop",
     "thr.block", "thr.wake",
+    "coll.up", "coll.fwd_up", "coll.down", "coll.complete",
+    "tenant.veto",
     "fault.inject",
 )
 

@@ -75,8 +75,7 @@ def to_chrome_trace(bus: TraceBus, label: str = "repro") -> dict[str, Any]:
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ns",
-        "otherData": {"source": label, "sim_now_ns": bus.sim.now,
-                      "dropped_events": bus.dropped},
+        "otherData": {"source": label, "sim_now_ns": bus.sim.now},
     }
 
 

@@ -28,8 +28,8 @@ Key mechanisms reproduced here:
   evictions (the victim re-requested residency within
   ``thrash_bounce_us`` of being unloaded — the eviction bought nothing)
   per NIC; its evictions-per-remap and thrash ratios quantify how close
-  the node is to the Section 6.4 page-thrash regime; ``snapshot()``
-  reports them, and a traced run marks each onset with ``drv.thrash``.
+  the node is to the Section 6.4 page-thrash regime, and
+  ``snapshot()`` reports them.
 * **A proxy kernel thread** performs operations on behalf of the NI: the
   arrival of a message for a non-resident endpoint generates a
   software-initiated page fault through the same driver mechanisms.
@@ -89,16 +89,6 @@ class DriverStats:
     pageouts: int = 0
     events_delivered: int = 0
     stale_notifies: int = 0
-
-    def remap_rate(self, elapsed_ns: int) -> float:
-        """Re-mappings per second over ``elapsed_ns`` (cf. §6.4.1's 200-300/s).
-
-        Guarded against ``elapsed_ns <= 0`` (a zero-length measurement
-        window must read as "no rate", not raise ZeroDivisionError).
-        """
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.remaps / (elapsed_ns / 1e9)
 
 
 # ===================================================== replacement policies
@@ -224,7 +214,7 @@ class ActivePreferencePolicy(VictimPolicy):
 
 # ====================================================== residency scoreboard
 class ResidencyScoreboard:
-    """Per-NIC residency health: remap/eviction accounting + thrash detection.
+    """Per-NIC residency health: remap/eviction accounting and thrash ratios.
 
     *Thrash* here is the Section 6.4 page-thrash regime: evictions whose
     victim promptly re-requests residency, so the re-mapping machinery
@@ -241,26 +231,17 @@ class ResidencyScoreboard:
         instantly) or a client re-targeted it before the eviction could
         pay for itself.  This is the policy-sensitive metric — evicting
         hot endpoints bounces, evicting idle ones does not.
-
-    A sliding window over the last ``window`` remaps drives
-    :meth:`thrashing`, the hook a control loop (or dashboard) would key
-    off; the window state updates unconditionally but only observation
-    reads it, so tracing on/off cannot perturb behaviour.
     """
 
-    def __init__(self, window: int = 64):
-        self.window = window
+    def __init__(self):
         self.remaps = 0
         self.evictions = 0
         self.forced_evictions = 0
         self.bounced_evictions = 0
         self.per_ep_evictions: dict[int, int] = {}
-        #: 1 per remap that required an eviction, else 0 (sliding window)
-        self._recent: Deque[int] = deque(maxlen=window)
 
-    def record_remap(self, evicted: bool) -> None:
+    def record_remap(self) -> None:
         self.remaps += 1
-        self._recent.append(1 if evicted else 0)
 
     def record_eviction(self, ep: EndpointState, *, forced: bool = False) -> None:
         self.evictions += 1
@@ -280,16 +261,6 @@ class ResidencyScoreboard:
     def thrash_score(self) -> float:
         return self.bounced_evictions / max(1, self.remaps)
 
-    def recent_pressure(self) -> float:
-        """Fraction of the last ``window`` remaps that had to evict."""
-        if not self._recent:
-            return 0.0
-        return sum(self._recent) / len(self._recent)
-
-    def thrashing(self, threshold: float = 0.75) -> bool:
-        """True once a full window of remaps mostly required evictions."""
-        return len(self._recent) == self.window and self.recent_pressure() >= threshold
-
     def snapshot(self) -> dict[str, float]:
         """Flat dict for reporting/JSON (deterministic key order)."""
         return {
@@ -299,7 +270,6 @@ class ResidencyScoreboard:
             "bounced_evictions": self.bounced_evictions,
             "eviction_remap_ratio": self.eviction_remap_ratio,
             "thrash_score": self.thrash_score,
-            "recent_pressure": self.recent_pressure(),
             "max_ep_evictions": max(self.per_ep_evictions.values(), default=0),
         }
 
@@ -330,10 +300,8 @@ class SegmentDriver:
                 f"registered: {sorted(REPLACEMENT_POLICIES)}"
             ) from None
         self.policy = policy_cls(nic.table, self.rng)
-        self.scoreboard = ResidencyScoreboard(window=cfg.thrash_window)
+        self.scoreboard = ResidencyScoreboard()
         self._bounce_ns = us(cfg.thrash_bounce_us)
-        #: last thrashing() state, for edge-triggered drv.thrash events
-        self._thrash_flagged = False
 
         self.endpoints: dict[int, EndpointState] = {}
         self._next_ep_id = 1
@@ -495,7 +463,6 @@ class SegmentDriver:
         # off-CPU synchronization latency of the re-mapping (§4.2)
         yield from self._kwait(self._remap_owner, us(cfg.remap_sync_latency_us))
         frame = self.nic.free_frame_index()
-        evicted = False
         if frame is None:
             victim = self._choose_victim(ep)
             if victim is None:
@@ -505,7 +472,6 @@ class SegmentDriver:
                 self.sim.schedule(us(cfg.remap_scan_period_us), self.request_remap, ep)
                 return
             yield from self._unload(victim, self._remap_owner)
-            evicted = True
             self.stats.evictions += 1
             self.scoreboard.record_eviction(victim)
             self._attribute_eviction(ep, victim)
@@ -535,9 +501,8 @@ class SegmentDriver:
             return
         self.stats.loads += 1
         self.stats.remaps += 1
-        self.scoreboard.record_remap(evicted=evicted)
+        self.scoreboard.record_remap()
         yield from self.cpu.compute(us(cfg.remap_driver_overhead_us / 2), owner=self._remap_owner, priority=1)
-        self._observe_residency()
         if self.sim.trace.enabled:
             self.sim.trace.emit("drv.remap", self.nic.nic_id, ep=ep.ep_id,
                                 dur_ns=self.sim.now - remap_start)
@@ -614,18 +579,6 @@ class SegmentDriver:
                 rt.stats.quota_self_evictions += 1
             else:
                 rt.stats.evictions_caused += 1
-
-    def _observe_residency(self) -> None:
-        """Trace the scoreboard's thrash flag as it rises (observer-only)."""
-        flagged = self.scoreboard.thrashing()
-        was_flagged = self._thrash_flagged
-        self._thrash_flagged = flagged
-        tr = self.sim.trace
-        if flagged and not was_flagged and tr.enabled:
-            sb = self.scoreboard
-            tr.emit("drv.thrash", self.nic.nic_id, policy=self.policy.name,
-                    pressure=round(sb.recent_pressure(), 3),
-                    thrash_score=round(sb.thrash_score, 3))
 
     def force_evict(self, ep: EndpointState) -> bool:
         """Forcibly unload a resident endpoint (chaos adversary: eviction

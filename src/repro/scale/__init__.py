@@ -34,6 +34,7 @@ bit-identical timeline digest) on every run.
 """
 
 from .fleet import (
+    ARRIVAL_MODELS,
     DEFAULT_FLEET_POLICIES,
     DEFAULT_FLEET_RATIOS,
     FleetCellConfig,
@@ -41,12 +42,11 @@ from .fleet import (
     run_fleet_cell,
     run_memcheck,
 )
-from .loadgen import ARRIVAL_MODELS, ArrivalModel, ScaleCellConfig, ScaleCellResult, run_cell
+from .loadgen import ScaleCellConfig, ScaleCellResult, run_cell
 from .sweep import DEFAULT_POLICIES, DEFAULT_RATIOS
 
 __all__ = [
     "ARRIVAL_MODELS",
-    "ArrivalModel",
     "DEFAULT_FLEET_POLICIES",
     "DEFAULT_FLEET_RATIOS",
     "DEFAULT_POLICIES",

@@ -24,7 +24,7 @@ directly on the production residency components:
 * the remap engine is serial and rate-limited to the paper's measured
   200–300 re-mappings/s per NI (§6.4.1), so overcommit pressure shows up
   as deferred work, exactly as on the real driver;
-* arrival shapes come from :data:`repro.scale.loadgen.ARRIVAL_MODELS`
+* arrival shapes come from :data:`ARRIVAL_MODELS`
   (`uniform` / `diurnal` / `bursty`) with per-host phase spreading, and
   each NI's active ("hot") endpoint set churns every tick so policies
   face a moving working set.
@@ -45,6 +45,7 @@ Run through the harness::
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import tracemalloc
@@ -60,10 +61,10 @@ from ..nic.endpoint_state import (
     EndpointTable,
 )
 from ..osim.segdriver import REPLACEMENT_POLICIES
-from .loadgen import ARRIVAL_MODELS
 from .sweep import zero_goodput
 
 __all__ = [
+    "ARRIVAL_MODELS",
     "DEFAULT_FLEET_POLICIES",
     "DEFAULT_FLEET_RATIOS",
     "FleetCellConfig",
@@ -71,6 +72,62 @@ __all__ = [
     "run_fleet_cell",
     "run_memcheck",
 ]
+
+# ======================================================== arrival models
+# Each model gives one host's per-tick arrival intensity in ``[0, 1]``.
+# ``phase`` in ``[0, 1)`` desynchronizes hosts: real fleets are spread
+# across timezones and load balancers, so the diurnal peak of one host
+# lands in another's trough.  ``intensity`` must be a pure function of
+# ``(tick, phase)`` — the fleet digest gate depends on it.
+class UniformArrival:
+    """Flat load: every tick at peak intensity (the §6.4 cell shape)."""
+
+    def intensity(self, tick: int, phase: float) -> float:
+        return 1.0
+
+
+class DiurnalArrival:
+    """Sinusoidal day/night cycle with a non-zero trough.
+
+    One period is ``period_ticks``; the trough keeps a fleet-wide
+    baseline of background traffic (monitoring, retries) so goodput must
+    never reach zero even at night.
+    """
+
+    def __init__(self, period_ticks: int = 96, trough: float = 0.15):
+        self.period_ticks = period_ticks
+        self.trough = trough
+
+    def intensity(self, tick: int, phase: float) -> float:
+        x = math.sin(2.0 * math.pi * (tick / self.period_ticks + phase))
+        return self.trough + (1.0 - self.trough) * 0.5 * (1.0 + x)
+
+
+class BurstyArrival:
+    """On-off square wave: short synchronized bursts over a quiet floor.
+
+    The hard case for replacement: a burst re-touches a cold working set
+    all at once, so a policy that evicted the wrong endpoints during the
+    quiet phase pays the whole remap bill at the burst edge.
+    """
+
+    def __init__(self, period_ticks: int = 24, duty: float = 0.25,
+                 idle: float = 0.05):
+        self.period_ticks = period_ticks
+        self.duty = duty
+        self.idle = idle
+
+    def intensity(self, tick: int, phase: float) -> float:
+        pos = (tick + int(phase * self.period_ticks)) % self.period_ticks
+        return 1.0 if pos < self.duty * self.period_ticks else self.idle
+
+
+#: fleet arrival-shape models by ``FleetCellConfig.arrival`` name
+ARRIVAL_MODELS = {
+    "uniform": UniformArrival,
+    "diurnal": DiurnalArrival,
+    "bursty": BurstyArrival,
+}
 
 DEFAULT_FLEET_POLICIES = ("random", "lru", "clock", "active-preference")
 DEFAULT_FLEET_RATIOS = (4, 16, 64)

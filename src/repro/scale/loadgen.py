@@ -26,7 +26,6 @@ the same digest bit for bit, which ``--smoke`` and ``tests/test_scale_policies.p
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,88 +44,7 @@ __all__ = [
     "ScaleCellConfig",
     "ScaleCellResult",
     "run_cell",
-    "ArrivalModel",
-    "ARRIVAL_MODELS",
-    "register_arrival",
 ]
-
-
-# ======================================================== arrival models
-#: registry of fleet arrival-shape models, keyed by name; filled by
-#: :func:`register_arrival` and consumed by :mod:`repro.scale.fleet`.
-ARRIVAL_MODELS: dict[str, type] = {}
-
-
-def register_arrival(name: str):
-    """Class decorator: register an :class:`ArrivalModel` under ``name``."""
-
-    def deco(cls):
-        cls.name = name
-        ARRIVAL_MODELS[name] = cls
-        return cls
-
-    return deco
-
-
-class ArrivalModel:
-    """Per-tick arrival intensity in ``[0, 1]`` for one host.
-
-    ``phase`` in ``[0, 1)`` desynchronizes hosts: real fleets are spread
-    across timezones and load balancers, so the diurnal peak of one host
-    lands in another's trough.  Implementations must be pure functions of
-    ``(tick, phase)`` — the fleet digest gate depends on it.
-    """
-
-    name = "?"
-
-    def intensity(self, tick: int, phase: float) -> float:
-        raise NotImplementedError
-
-
-@register_arrival("uniform")
-class UniformArrival(ArrivalModel):
-    """Flat load: every tick at peak intensity (the §6.4 cell shape)."""
-
-    def intensity(self, tick: int, phase: float) -> float:
-        return 1.0
-
-
-@register_arrival("diurnal")
-class DiurnalArrival(ArrivalModel):
-    """Sinusoidal day/night cycle with a non-zero trough.
-
-    One period is ``period_ticks``; the trough keeps a fleet-wide
-    baseline of background traffic (monitoring, retries) so goodput must
-    never reach zero even at night.
-    """
-
-    def __init__(self, period_ticks: int = 96, trough: float = 0.15):
-        self.period_ticks = period_ticks
-        self.trough = trough
-
-    def intensity(self, tick: int, phase: float) -> float:
-        x = math.sin(2.0 * math.pi * (tick / self.period_ticks + phase))
-        return self.trough + (1.0 - self.trough) * 0.5 * (1.0 + x)
-
-
-@register_arrival("bursty")
-class BurstyArrival(ArrivalModel):
-    """On-off square wave: short synchronized bursts over a quiet floor.
-
-    The hard case for replacement: a burst re-touches a cold working set
-    all at once, so a policy that evicted the wrong endpoints during the
-    quiet phase pays the whole remap bill at the burst edge.
-    """
-
-    def __init__(self, period_ticks: int = 24, duty: float = 0.25,
-                 idle: float = 0.05):
-        self.period_ticks = period_ticks
-        self.duty = duty
-        self.idle = idle
-
-    def intensity(self, tick: int, phase: float) -> float:
-        pos = (tick + int(phase * self.period_ticks)) % self.period_ticks
-        return 1.0 if pos < self.duty * self.period_ticks else self.idle
 
 
 @dataclass

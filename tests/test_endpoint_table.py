@@ -33,7 +33,7 @@ from repro.nic.endpoint_state import (
 from repro.scale import ScaleCellConfig, run_cell
 
 
-def make_ep(table=None, ep_id=0, **kw):
+def make_ep(table, ep_id=0, **kw):
     kw.setdefault("send_ring_depth", 4)
     kw.setdefault("recv_queue_depth", 4)
     return EndpointState(node=0, ep_id=ep_id, table=table, **kw)
@@ -107,8 +107,8 @@ def test_stats_live_in_columns():
     ep.stats.consumed += 1
     assert table.st_enqueued[ep.row] == 3
     assert table.st_consumed[ep.row] == 1
-    # standalone stats (no endpoint) still work, on a private table
-    s = EndpointStats()
+    # a stats view needs no endpoint, only a row
+    s = EndpointStats(table, table.add_row(0))
     s.send_ring_full += 2
     assert s.send_ring_full == 2
 
@@ -131,27 +131,23 @@ def test_send_ring_mirrors_ring_used_column():
     assert ep.send_ring_free() == ep.send_ring_depth
 
 
-def test_adopt_migrates_row_between_tables():
-    """Tests (and the AM layer) build endpoints standalone, then hand
-    them to a NIC: ``adopt`` must move the whole row, rebind the
-    flyweight, and be idempotent."""
-    ep = make_ep(None, ep_id=3)  # private single-row table
-    private = ep.table
-    ep.generation = 4
-    ep.stats.enqueued = 11
-    ep.send_ring.append("x")
-
+def test_endpoints_share_the_table_they_are_built_on():
+    """Each endpoint appends its row to the table it is built on (a
+    NIC's table in every real run); its send ring and stats views write
+    that same row."""
     nic_table = EndpointTable(node=1, frames=4)
-    row = nic_table.adopt(ep)
-    assert ep.table is nic_table and ep.row == row
-    assert nic_table.views[row] is ep
-    assert nic_table.ep_id[row] == 3
-    assert nic_table.gen[row] == 4
-    assert nic_table.st_enqueued[row] == 11
-    assert nic_table.ring_used[row] == 1
-    assert ep.send_ring.table is nic_table
-    assert private.views[0] is None  # old row detached
-    assert nic_table.adopt(ep) == row  # idempotent
+    a = make_ep(nic_table, ep_id=3)
+    b = make_ep(nic_table, ep_id=4)
+    assert (a.row, b.row) == (0, 1) and len(nic_table) == 2
+    for ep in (a, b):
+        assert ep.table is ep.send_ring.table is ep.stats.table is nic_table
+        assert nic_table.views[ep.row] is ep
+    b.stats.enqueued = 11
+    b.send_ring.append("x")
+    assert nic_table.ep_id[b.row] == 4
+    assert nic_table.st_enqueued[b.row] == 11
+    assert nic_table.ring_used[b.row] == 1
+    assert nic_table.st_enqueued[a.row] == nic_table.ring_used[a.row] == 0
 
 
 def test_frame_rows_mirror_and_resident_count():

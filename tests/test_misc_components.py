@@ -114,9 +114,10 @@ def test_nic_merges_the_driver_stamp_of_a_driver_op():
 
 # ------------------------------------------------------- endpoint state misc
 def test_endpoint_state_counts_and_repr():
-    from repro.nic import EndpointState
+    from repro.nic.endpoint_state import EndpointState, EndpointTable
 
-    ep = EndpointState(0, 1, send_ring_depth=4, recv_queue_depth=2, tag=9)
+    ep = EndpointState(0, 1, send_ring_depth=4, recv_queue_depth=2, tag=9,
+                       table=EndpointTable())
     assert ep.send_ring_free() == 4
     assert ep.recv_room(False) and ep.recv_room(True)
     assert ep.total_queued() == 0
@@ -127,9 +128,10 @@ def test_endpoint_state_counts_and_repr():
 
 
 def test_translation_table_rejects_negative_index():
-    from repro.nic import EndpointState
+    from repro.nic.endpoint_state import EndpointState, EndpointTable
 
-    ep = EndpointState(0, 1, send_ring_depth=4, recv_queue_depth=2)
+    ep = EndpointState(0, 1, send_ring_depth=4, recv_queue_depth=2,
+                       table=EndpointTable())
     with pytest.raises(ValueError):
         ep.map_translation(-1, 0, 0, 0)
     ep.map_translation(3, 1, 2, 99)

@@ -18,7 +18,8 @@ def build(n=4, **kw):
 
 def add_ep(sim, nic, cfg, ep_id, tag, frame=None):
     ep = EndpointState(nic.nic_id, ep_id, send_ring_depth=cfg.send_ring_depth,
-                       recv_queue_depth=cfg.recv_queue_depth, tag=tag)
+                       recv_queue_depth=cfg.recv_queue_depth, tag=tag,
+                       table=nic.table)
     nic.driver_request(DriverOp("alloc", ep, Event(sim)))
     nic.driver_request(DriverOp("load", ep, Event(sim),
                                 frame=frame if frame is not None else nic.free_frame_index()))
@@ -93,7 +94,8 @@ def test_driver_op_progresses_under_receive_flood():
     sim.run(until=ms(3))
     # now ask the flooded NI to load a second endpoint
     c = EndpointState(1, 2, send_ring_depth=cfg.send_ring_depth,
-                      recv_queue_depth=cfg.recv_queue_depth, tag=33)
+                      recv_queue_depth=cfg.recv_queue_depth, tag=33,
+                      table=nics[1].table)
     nics[1].driver_request(DriverOp("alloc", c, Event(sim)))
     done = Event(sim, "load2")
     nics[1].driver_request(DriverOp("load", c, done, frame=nics[1].free_frame_index()))
@@ -161,7 +163,8 @@ def test_make_resident_notify_deduplicated():
     sim, cfg, net, nics = build()
     a = add_ep(sim, nics[0], cfg, 1, 10)
     b = EndpointState(1, 1, send_ring_depth=cfg.send_ring_depth,
-                      recv_queue_depth=cfg.recv_queue_depth, tag=20)
+                      recv_queue_depth=cfg.recv_queue_depth, tag=20,
+                      table=nics[1].table)
     nics[1].driver_request(DriverOp("alloc", b, Event(sim)))  # never loaded
     sim.run(until=ms(1))
     for _ in range(20):

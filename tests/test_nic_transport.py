@@ -28,6 +28,7 @@ def add_ep(sim, nic, cfg, ep_id, tag, load=True, frame=None):
         send_ring_depth=cfg.send_ring_depth,
         recv_queue_depth=cfg.recv_queue_depth,
         tag=tag,
+        table=nic.table,
     )
     nic.driver_request(DriverOp("alloc", ep, Event(sim)))
     if load:
@@ -392,15 +393,7 @@ def test_alltoall_channel_lists_end_at_the_highest_channel_used():
     from repro.lib.mpi import build_world
 
     cluster = Cluster(ClusterConfig(num_hosts=16))
-    bus = cluster.enable_tracing(capacity=1)
-    highest = {}
-
-    def on_event(ev):
-        if ev.kind in ("pkt.tx", "pkt.retransmit"):
-            key = (ev.node, ev.args["peer"])
-            highest[key] = max(highest.get(key, -1), ev.args["ch"])
-
-    bus.subscribe(on_event)
+    bus = cluster.enable_tracing()
     world = cluster.run_process(build_world(cluster, list(range(16))), "mpi")
 
     def main(thr, comm):
@@ -409,6 +402,11 @@ def test_alltoall_channel_lists_end_at_the_highest_channel_used():
     threads = world.spawn(main)
     cluster.run(until=cluster.sim.now + ms(3_000))
     assert all(t.finished for t in threads)
+    highest = {}
+    for ev in bus.select("pkt."):
+        if ev.kind in ("pkt.tx", "pkt.retransmit"):
+            key = (ev.node, ev.args["peer"])
+            highest[key] = max(highest.get(key, -1), ev.args["ch"])
     lengths = {(n, peer): len(chans)
                for n in range(16)
                for peer, chans in cluster.node(n).nic._tx_channels.items()}

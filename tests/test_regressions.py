@@ -92,7 +92,8 @@ def test_wrr_blocked_waiters_keep_their_place():
 
     def add(nic, ep_id, tag, frame):
         ep = EndpointState(nic.nic_id, ep_id, send_ring_depth=cfg.send_ring_depth,
-                           recv_queue_depth=cfg.recv_queue_depth, tag=tag)
+                           recv_queue_depth=cfg.recv_queue_depth, tag=tag,
+                           table=nic.table)
         nic.driver_request(DriverOp("alloc", ep, Event(sim)))
         nic.driver_request(DriverOp("load", ep, Event(sim), frame=frame))
         return ep
@@ -155,7 +156,8 @@ def test_bulk_timer_does_not_duplicate_healthy_transfer():
 
     def add(nic, tag):
         ep = EndpointState(nic.nic_id, 1, send_ring_depth=cfg.send_ring_depth,
-                           recv_queue_depth=cfg.recv_queue_depth, tag=tag)
+                           recv_queue_depth=cfg.recv_queue_depth, tag=tag,
+                           table=nic.table)
         nic.driver_request(DriverOp("alloc", ep, Event(sim)))
         nic.driver_request(DriverOp("load", ep, Event(sim), frame=0))
         return ep

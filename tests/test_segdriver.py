@@ -174,14 +174,6 @@ def test_stale_notify_discarded_after_free():
     assert msg.state is MessageState.RETURNED
 
 
-def test_remap_rate_stat():
-    cluster = build()
-    drv = cluster.node(0).driver
-    drv.stats.remaps = 250
-    assert drv.stats.remap_rate(int(1e9)) == 250.0
-    assert drv.stats.remap_rate(0) == 0.0
-
-
 def test_sync_fault_ablation_blocks_until_resident():
     """enable_onhost_rw=False: the §6.4.1 pre-fix behaviour."""
     cluster = build(enable_onhost_rw=False)
@@ -337,8 +329,6 @@ def test_slow_refault_is_not_a_bounce():
 def test_new_residency_knobs_validate():
     import pytest
 
-    with pytest.raises(ValueError, match="thrash_window"):
-        ClusterConfig(thrash_window=0).validate()
     with pytest.raises(ValueError, match="thrash_bounce_us"):
         ClusterConfig(thrash_bounce_us=-0.5).validate()
     with pytest.raises(ValueError, match="unknown replacement policy"):

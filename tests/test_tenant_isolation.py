@@ -33,7 +33,8 @@ def build_nics(n=2, **kw):
 
 def add_ep(sim, nic, cfg, ep_id, tag, frame=0):
     ep = EndpointState(nic.nic_id, ep_id, send_ring_depth=cfg.send_ring_depth,
-                       recv_queue_depth=cfg.recv_queue_depth, tag=tag)
+                       recv_queue_depth=cfg.recv_queue_depth, tag=tag,
+                       table=nic.table)
     nic.driver_request(DriverOp("alloc", ep, Event(sim)))
     nic.driver_request(DriverOp("load", ep, Event(sim), frame=frame))
     return ep
