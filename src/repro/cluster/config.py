@@ -252,9 +252,6 @@ class ClusterConfig:
     #: "active-preference" (deprioritize endpoints with queued sends or a
     #: pending make-resident request)
     replacement_policy: str = "random"
-    #: an eviction counts as *bounced* (wasted — the Section 6.4 thrash
-    #: signature) if the victim re-requests residency within this window
-    thrash_bounce_us: float = 1000.0
     #: §6.4.1 ablation: with False, a write fault blocks the faulting
     #: thread synchronously until the endpoint is resident
     enable_onhost_rw: bool = True
@@ -353,8 +350,6 @@ class ClusterConfig:
                 f"unknown replacement policy {self.replacement_policy!r}; "
                 f"registered: {sorted(REPLACEMENT_POLICIES)}"
             )
-        if self.thrash_bounce_us < 0:
-            raise ValueError("thrash_bounce_us must be >= 0")
         if not (0.0 <= self.packet_loss_prob <= 1.0):
             raise ValueError("packet_loss_prob must be a probability")
         if not (0.0 <= self.packet_corrupt_prob <= 1.0):

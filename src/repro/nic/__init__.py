@@ -2,14 +2,13 @@
 
 from .channels import RxPeerState, TxChannel, backoff_ns
 from .driver_port import DriverOp, LamportClock, NicNotify
-from .endpoint_state import EndpointState, EndpointStats, Residency, TranslationEntry
+from .endpoint_state import EndpointState, Residency, TranslationEntry
 from .firmware import Nic, NicStats
 from .message import Message, MessageState, MsgKind, next_msg_id
 
 __all__ = [
     "DriverOp",
     "EndpointState",
-    "EndpointStats",
     "LamportClock",
     "Message",
     "MessageState",

@@ -13,10 +13,12 @@ Memory layout (DESIGN.md §15).  The ROADMAP's fleet-scale target
 (10^5–10^6 endpoints per run) is memory-impossible with one fat Python
 object per endpoint, so the scalar state lives in an
 :class:`EndpointTable`: parallel ``array('i')``/``array('q')`` columns
-indexed by an integer row id, a few hundred bytes per endpoint instead of
-a few KB.  :class:`EndpointState` survives as a thin ``__slots__``
-flyweight *view* over one row — every scalar attribute is a property that
-reads/writes its column — so the AM/segdriver/firmware call sites are
+indexed by an integer row id, tens of bytes per endpoint instead of a
+few KB.  The table holds only what a replacement policy, the segment
+driver or the fleet macro-model reads per row.  :class:`EndpointState`
+survives as a thin ``__slots__`` flyweight *view* over one row — each
+column is a property that reads/writes it, and the counters only the
+view reads are plain slots — so the AM/segdriver/firmware call sites are
 unchanged.  Replacement policies index the columns directly (by row id,
 via ``EndpointTable.frame_rows``) and never materialize per-candidate
 objects; the fleet sweep (:mod:`repro.scale.fleet`) drives tables with
@@ -28,11 +30,11 @@ Invariants shared by the three agents:
   (``SegmentDriver.alloc_endpoint`` passes ``table=nic.table``); there is
   no standalone view, so the NIC binds ``frame_rows`` to ``ep.row``
   directly;
-* a row's scalar state has exactly one home (its column slot); a view is
-  never a cache, so concurrent mutation through different views of the
-  same row is always coherent;
-* ``frame_rows[f]`` mirrors ``Nic.frames[f]`` — ``-1`` iff the frame is
-  empty, else the row id of the (possibly still loading) occupant;
+* a column value has exactly one home (its column slot); a view never
+  caches one, so the policies and the view always agree;
+* ``frame_rows[f]`` is the NIC's only frame map — ``-1`` iff the frame
+  is empty, else the row id of the (possibly still loading) occupant,
+  whose view is ``views[row]``;
 * ``ring_used[row]`` mirrors ``len(view.send_ring)`` whenever a view
   exists (the send ring itself is a deque of in-flight ``Message``
   objects; the column carries only its occupancy, which is all the
@@ -54,7 +56,6 @@ __all__ = [
     "Residency",
     "TranslationEntry",
     "EndpointState",
-    "EndpointStats",
     "EndpointTable",
 ]
 
@@ -101,13 +102,11 @@ class EndpointTable:
     the lifetime of the table.
     """
 
-    #: machine-int columns
-    INT_COLS = ("ep_id", "res", "frame", "gen", "flags", "inflight",
-                "deficit", "bulk_req", "bulk_rep", "ring_used", "tenant_id")
-    #: 64-bit columns: timestamps + folded per-endpoint stats counters
-    LONG_COLS = ("last_active", "evicted_at",
-                 "st_enqueued", "st_delivered_in", "st_consumed",
-                 "st_ring_full", "st_recv_drops")
+    #: machine-int columns: exactly what a victim policy, the segment
+    #: driver or the fleet macro-model reads per row
+    INT_COLS = ("ep_id", "res", "frame", "flags", "inflight", "ring_used")
+    #: 64-bit timestamp columns
+    LONG_COLS = ("last_active", "evicted_at")
 
     __slots__ = ("node", "frame_rows", "tenant_ref", "views") \
         + INT_COLS + LONG_COLS
@@ -118,7 +117,7 @@ class EndpointTable:
             setattr(self, name, array("i"))
         for name in self.LONG_COLS:
             setattr(self, name, array("q"))
-        #: frame slot -> occupying row id (-1 = empty); mirrors Nic.frames
+        #: frame slot -> occupying row id (-1 = empty): the frame map
         self.frame_rows = array("i", bytes(0)) if frames == 0 else \
             array("i", [-1] * frames)
         #: row -> tenant object (None = untenanted); object refs cannot
@@ -137,27 +136,18 @@ class EndpointTable:
         self.ep_id.append(ep_id)
         self.res.append(RES_ONHOST_RO)
         self.frame.append(-1)
-        self.gen.append(0)
         self.flags.append(0)
         self.inflight.append(0)
-        self.deficit.append(0)
-        self.bulk_req.append(0)
-        self.bulk_rep.append(0)
         self.ring_used.append(0)
-        self.tenant_id.append(-1)
         self.last_active.append(0)
         self.evicted_at.append(-1)
-        self.st_enqueued.append(0)
-        self.st_delivered_in.append(0)
-        self.st_consumed.append(0)
-        self.st_ring_full.append(0)
-        self.st_recv_drops.append(0)
         self.tenant_ref.append(None)
         self.views.append(None)
         return row
 
     # ----------------------------------------------------------- frames
     def ensure_frames(self, n: int) -> None:
+        """Grow the frame map to ``n`` frames (never shrinks)."""
         while len(self.frame_rows) < n:
             self.frame_rows.append(-1)
 
@@ -252,28 +242,6 @@ class _SendRing(deque):
         self.table.ring_used[self.row] -= 1
 
 
-class EndpointStats:
-    """Flyweight view over the per-endpoint stats columns."""
-
-    __slots__ = ("table", "row")
-
-    def __init__(self, table: EndpointTable, row: int):
-        self.table = table
-        self.row = row
-
-    enqueued = _col_prop("st_enqueued")
-    delivered_in = _col_prop("st_delivered_in")
-    consumed = _col_prop("st_consumed")
-    send_ring_full = _col_prop("st_ring_full")
-    recv_drops = _col_prop("st_recv_drops")
-
-    def __repr__(self) -> str:
-        return (f"EndpointStats(enqueued={self.enqueued}, "
-                f"delivered_in={self.delivered_in}, consumed={self.consumed}, "
-                f"send_ring_full={self.send_ring_full}, "
-                f"recv_drops={self.recv_drops})")
-
-
 class EndpointState:
     """Queues + residency + protection state of one endpoint.
 
@@ -288,7 +256,8 @@ class EndpointState:
     __slots__ = ("table", "row", "node", "ep_id", "tag", "translation",
                  "send_ring_depth", "recv_queue_depth", "send_ring",
                  "recv_requests", "recv_replies", "returned",
-                 "event_mask", "event_callback", "stats", "waiter")
+                 "event_mask", "event_callback", "waiter", "generation",
+                 "bulk_reserved_req", "bulk_reserved_rep", "service_deficit")
 
     def __init__(
         self,
@@ -327,27 +296,26 @@ class EndpointState:
         #: the host spin waiting on this endpoint (:mod:`repro.am.elision`);
         #: every change a spin predicate can read calls ``signal()`` on it
         self.waiter: Any = None
+        #: generation bumped on free; stale NI->driver notifications about
+        #: a previous endpoint with the same id are discarded (§4.3 races)
+        self.generation = 0
+        #: receive-queue slots reserved by in-flight bulk DMAs
+        self.bulk_reserved_req = 0
+        self.bulk_reserved_rep = 0
+        #: deficit carried between NI service visits when tenant rate
+        #: limiting cut a visit short of its weighted quantum (messages)
+        self.service_deficit = 0
 
-        self.stats = EndpointStats(table, self.row)
         table.views[self.row] = self
 
     # ------------------------------------------------------ column views
-    #: generation bumped on free; stale NI->driver notifications about a
-    #: previous endpoint with the same id are discarded (§4.3 races)
-    generation = _col_prop("gen")
     #: messages from this endpoint bound into the NI/network, not yet
     #: resolved; must drain to zero before unload (quiescence, §5.3)
     inflight = _col_prop("inflight")
-    #: receive-queue slots reserved by in-flight bulk DMAs
-    bulk_reserved_req = _col_prop("bulk_req")
-    bulk_reserved_rep = _col_prop("bulk_rep")
-    #: deficit carried between NI service visits when tenant rate
-    #: limiting cut a visit short of its weighted quantum (messages)
-    service_deficit = _col_prop("deficit")
     #: last service time, for LRU replacement
     last_active_ns = _col_prop("last_active")
     #: when this endpoint was last unloaded, -1 once residency is
-    #: re-requested; a re-request within ``thrash_bounce_us`` of this
+    #: re-requested; a re-request within ``BOUNCE_NS`` of this
     #: stamp scores the eviction as a bounce (thrash, §6.4)
     evicted_at_ns = _col_prop("evicted_at")
 

@@ -95,10 +95,10 @@ class Nic:
         self.endpoints: dict[int, EndpointState] = {}
         #: struct-of-arrays backing store for this NIC's endpoint state;
         #: every endpoint registered here has its row in it, so policies
-        #: index columns instead of walking objects (DESIGN.md §15)
+        #: index columns instead of walking objects (DESIGN.md §15).  Its
+        #: ``frame_rows`` is the scarce resource: the endpoint frames in
+        #: NI SRAM (Section 4.1), each the row of its occupant or -1
         self.table = EndpointTable(node=nic_id, frames=cfg.endpoint_frames)
-        #: the scarce resource: endpoint frames in NI SRAM (Section 4.1)
-        self.frames: list[Optional[EndpointState]] = [None] * cfg.endpoint_frames
 
         #: receive staging FIFO: bounded; a full FIFO backpressures the
         #: wire (the delivering packet holds its last link until a slot
@@ -162,12 +162,10 @@ class Nic:
         Host-side time is charged by the caller; this only mutates state.
         """
         if ep.send_ring_free() <= 0:
-            ep.stats.send_ring_full += 1
             return False
         msg.enqueued_ns = self.sim.now
         msg.state = MessageState.PENDING
         ep.send_ring.append(msg)
-        ep.stats.enqueued += 1
         if ep.resident and not ep.quiescing:
             self._enqueue_rotation(ep)
             self._work.set()
@@ -177,7 +175,6 @@ class Nic:
         """Pop one arrived message (host cost charged by the caller)."""
         q = ep.recv_replies if replies else ep.recv_requests
         if q:
-            ep.stats.consumed += 1
             return q.popleft()
         return None
 
@@ -198,16 +195,16 @@ class Nic:
         return op.done
 
     def free_frame_index(self) -> Optional[int]:
-        for i, occupant in enumerate(self.frames):
-            if occupant is None:
+        for i, row in enumerate(self.table.frame_rows):
+            if row < 0:
                 return i
         return None
 
-    def resize_frames(self, n: int) -> None:
-        """Grow the SRAM frame set (harness hook; never shrinks)."""
-        while len(self.frames) < n:
-            self.frames.append(None)
-        self.table.ensure_frames(n)
+    def _vacate(self, ep: EndpointState, frame: Optional[int]) -> None:
+        """Empty ``frame`` if ``ep``'s row occupies it."""
+        frame_rows = self.table.frame_rows
+        if frame is not None and frame_rows[frame] == ep.row:
+            frame_rows[frame] = -1
 
     # ========================================================== fault hooks
     def crash(self) -> None:
@@ -629,7 +626,7 @@ class Nic:
                                 msg=msg.msg_id if msg else None)
         if msg is None:
             return
-        if self.sim.now - (msg.first_tx_ns or self.sim.now) >= self.cfg.dead_timeout_ns:
+        if self.sim.now - msg.first_tx_ns >= self.cfg.dead_timeout_ns:
             # Prolonged absence of acknowledgments: unrecoverable transport
             # condition; return the message to its sender (§3.2, §5.1).
             ch.outstanding = None
@@ -664,7 +661,7 @@ class Nic:
         """An unbound message's retry deadline arrived: reacquire a channel."""
         if msg.state is not MessageState.UNBOUND:
             return
-        if self.sim.now - (msg.first_tx_ns or 0) >= self.cfg.dead_timeout_ns:
+        if self.sim.now - msg.first_tx_ns >= self.cfg.dead_timeout_ns:
             self._unbound_by_id.pop(msg.msg_id, None)
             self._resolve_returned(msg, "timeout")
             return
@@ -755,7 +752,6 @@ class Nic:
             self.stats.dup_reacks += 1
             return
         if not ep.recv_room(pkt.is_reply):
-            ep.stats.recv_drops += 1
             yield from self._send_nack(pkt, NackReason.RECV_OVERRUN)
             return
         if pkt.is_bulk and pkt.payload_bytes > 0:
@@ -817,7 +813,6 @@ class Nic:
             ep.waiter.signal()
         peer.record_delivery(pkt.msg_id)
         ep.referenced = True  # receive activity counts for clock replacement
-        ep.stats.delivered_in += 1
         self.stats.deliveries += 1
         tr = self.sim.trace
         if tr.enabled:
@@ -1017,9 +1012,7 @@ class Nic:
             while ep.send_ring:
                 self._resolve_returned(ep.send_ring.popleft(), "endpoint_freed")
             self.endpoints.pop(ep.ep_id, None)
-            if ep.frame is not None and self.frames[ep.frame] is ep:
-                self.frames[ep.frame] = None
-                self.table.frame_rows[ep.frame] = -1
+            self._vacate(ep, ep.frame)
             op.done.trigger(None)
         elif op.op == "load":
             self._start_load(op)
@@ -1033,11 +1026,11 @@ class Nic:
     def _start_load(self, op: DriverOp) -> None:
         """Move an endpoint image from host memory into an NI frame."""
         ep, frame = op.ep, op.frame
-        if frame is None or self.frames[frame] is not None:
+        frame_rows = self.table.frame_rows
+        if frame is None or frame_rows[frame] >= 0:
             op.done.fail(RuntimeError(f"frame {frame} not free for load"))
             return
-        self.frames[frame] = ep  # reserve before the DMA
-        self.table.frame_rows[frame] = ep.row
+        frame_rows[frame] = ep.row  # reserve before the DMA
         self.sbus.start(self.cfg.frame_bytes, SbusDma.READ, self._load_done, op, self.sim.now)
 
     def _load_done(self, op: DriverOp, load_start: int) -> None:
@@ -1051,9 +1044,7 @@ class Nic:
             # not release the reservation).  Completing the load would
             # resurrect a freed endpoint into a frame — release the
             # reservation instead and report completion.
-            if self.frames[frame] is ep:
-                self.frames[frame] = None
-                self.table.frame_rows[frame] = -1
+            self._vacate(ep, frame)
             ep.transition = False
             self._work.set()
             op.done.trigger(None)
@@ -1090,9 +1081,7 @@ class Nic:
         if self.sim.trace.enabled:
             self.sim.trace.emit("ep.unload", self.nic_id, ep=ep.ep_id, frame=ep.frame,
                                 dur_ns=self.sim.now - unload_start)
-        if ep.frame is not None and self.frames[ep.frame] is ep:
-            self.frames[ep.frame] = None
-            self.table.frame_rows[ep.frame] = -1
+        self._vacate(ep, ep.frame)
         ep.frame = None
         ep.residency = Residency.ONHOST_RO
         ep.quiescing = False

@@ -2,12 +2,11 @@
 
 from .process import UserProcess
 from .segdriver import DriverStats, SegmentDriver
-from .threads import CondVar, Mutex, Thread
+from .threads import CondVar, Thread
 
 __all__ = [
     "CondVar",
     "DriverStats",
-    "Mutex",
     "SegmentDriver",
     "Thread",
     "UserProcess",

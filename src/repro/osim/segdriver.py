@@ -24,12 +24,12 @@ Key mechanisms reproduced here:
   thrash — they fault straight back in, Section 6.4).  As in the paper,
   a freshly loaded endpoint has no protection window: every eligible
   resident endpoint is a candidate.
-* **A residency scoreboard** tracks remaps, evictions and *bounced*
-  evictions (the victim re-requested residency within
-  ``thrash_bounce_us`` of being unloaded — the eviction bought nothing)
-  per NIC; its evictions-per-remap and thrash ratios quantify how close
-  the node is to the Section 6.4 page-thrash regime, and
-  ``snapshot()`` reports them.
+* **A residency scoreboard** counts forced and *bounced* evictions (the
+  victim re-requested residency within :data:`BOUNCE_NS` of being
+  unloaded — the eviction bought nothing) per NIC and reads remaps and
+  evictions off :class:`DriverStats`; its evictions-per-remap and thrash
+  ratios quantify how close the node is to the Section 6.4 page-thrash
+  regime, and ``snapshot()`` reports them.
 * **A proxy kernel thread** performs operations on behalf of the NI: the
   arrival of a message for a non-resident endpoint generates a
   software-initiated page fault through the same driver mechanisms.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 from ..cluster.config import ClusterConfig
 from ..hw.host import Cpu
@@ -71,8 +71,11 @@ __all__ = [
     "ResidencyScoreboard",
     "VictimPolicy",
     "REPLACEMENT_POLICIES",
-    "register_policy",
 ]
+
+#: an eviction counts as *bounced* (wasted — the Section 6.4 thrash
+#: signature) if the victim re-requests residency within this window
+BOUNCE_NS = us(1_000)
 
 
 @dataclass
@@ -92,23 +95,6 @@ class DriverStats:
 
 
 # ===================================================== replacement policies
-#: registry of victim-selection policies, keyed by the
-#: ``ClusterConfig.replacement_policy`` name.  Filled by
-#: :func:`register_policy`; ``ClusterConfig.validate`` checks against it.
-REPLACEMENT_POLICIES: dict[str, Callable[..., "VictimPolicy"]] = {}
-
-
-def register_policy(name: str):
-    """Class decorator: register a :class:`VictimPolicy` under ``name``."""
-
-    def deco(cls):
-        cls.name = name
-        REPLACEMENT_POLICIES[name] = cls
-        return cls
-
-    return deco
-
-
 class VictimPolicy:
     """Chooses which resident endpoint to evict when all frames are full.
 
@@ -122,8 +108,6 @@ class VictimPolicy:
     them; the caller never passes an empty list.
     """
 
-    name = "?"
-
     def __init__(self, table: EndpointTable, rng):
         self.table = table
         self.rng = rng
@@ -132,7 +116,6 @@ class VictimPolicy:
         raise NotImplementedError
 
 
-@register_policy("random")
 class RandomPolicy(VictimPolicy):
     """The paper's choice (Section 4.1): uniformly random victim."""
 
@@ -140,7 +123,6 @@ class RandomPolicy(VictimPolicy):
         return self.rng.choice(candidates)
 
 
-@register_policy("lru")
 class LruPolicy(VictimPolicy):
     """Strict least-recently-active, tie-broken on ``ep_id``.
 
@@ -154,7 +136,6 @@ class LruPolicy(VictimPolicy):
         return min(candidates, key=lambda r: (la[r], eid[r]))
 
 
-@register_policy("clock")
 class ClockPolicy(VictimPolicy):
     """Second-chance clock sweep over the NI frame array.
 
@@ -189,7 +170,6 @@ class ClockPolicy(VictimPolicy):
         return min(candidates, key=lambda r: (la[r], eid[r]))
 
 
-@register_policy("active-preference")
 class ActivePreferencePolicy(VictimPolicy):
     """Prefer idle victims (paper-faithful reading of Section 6.4).
 
@@ -212,9 +192,20 @@ class ActivePreferencePolicy(VictimPolicy):
         return min(candidates, key=rank)
 
 
+#: victim-selection policies, keyed by the
+#: ``ClusterConfig.replacement_policy`` name; ``ClusterConfig.validate``
+#: checks the name against it
+REPLACEMENT_POLICIES: dict[str, type[VictimPolicy]] = {
+    "random": RandomPolicy,
+    "lru": LruPolicy,
+    "clock": ClockPolicy,
+    "active-preference": ActivePreferencePolicy,
+}
+
+
 # ====================================================== residency scoreboard
 class ResidencyScoreboard:
-    """Per-NIC residency health: remap/eviction accounting and thrash ratios.
+    """Per-NIC residency health: bounced/forced evictions and thrash ratios.
 
     *Thrash* here is the Section 6.4 page-thrash regime: evictions whose
     victim promptly re-requests residency, so the re-mapping machinery
@@ -226,32 +217,28 @@ class ResidencyScoreboard:
     ``thrash_score``
         *bounced* evictions per re-mapping — the fraction of re-mapping
         work that was wasted.  An eviction bounces when the victim
-        re-requests residency within ``thrash_bounce_us`` of being
+        re-requests residency within :data:`BOUNCE_NS` of being
         unloaded: either it still had queued sends (it faults back in
         instantly) or a client re-targeted it before the eviction could
         pay for itself.  This is the policy-sensitive metric — evicting
         hot endpoints bounces, evicting idle ones does not.
+
+    Remaps and evictions have one home, the driver's
+    :class:`DriverStats`; the scoreboard reads them from there.
     """
 
-    def __init__(self):
-        self.remaps = 0
-        self.evictions = 0
+    def __init__(self, stats: DriverStats):
+        self.stats = stats
         self.forced_evictions = 0
         self.bounced_evictions = 0
-        self.per_ep_evictions: dict[int, int] = {}
 
-    def record_remap(self) -> None:
-        self.remaps += 1
+    @property
+    def remaps(self) -> int:
+        return self.stats.remaps
 
-    def record_eviction(self, ep: EndpointState, *, forced: bool = False) -> None:
-        self.evictions += 1
-        if forced:
-            self.forced_evictions += 1
-        self.per_ep_evictions[ep.ep_id] = self.per_ep_evictions.get(ep.ep_id, 0) + 1
-
-    def record_bounce(self, ep: EndpointState) -> None:
-        """The evicted ``ep`` re-requested residency inside the bounce window."""
-        self.bounced_evictions += 1
+    @property
+    def evictions(self) -> int:
+        return self.stats.evictions
 
     @property
     def eviction_remap_ratio(self) -> float:
@@ -270,7 +257,6 @@ class ResidencyScoreboard:
             "bounced_evictions": self.bounced_evictions,
             "eviction_remap_ratio": self.eviction_remap_ratio,
             "thrash_score": self.thrash_score,
-            "max_ep_evictions": max(self.per_ep_evictions.values(), default=0),
         }
 
 
@@ -292,16 +278,8 @@ class SegmentDriver:
         self.rng = (rngs or RngStreams(cfg.seed)).stream(f"driver{nic.nic_id}")
         self.clock = LamportClock()
         self.stats = DriverStats()
-        try:
-            policy_cls = REPLACEMENT_POLICIES[cfg.replacement_policy]
-        except KeyError:
-            raise ValueError(
-                f"unknown replacement policy {cfg.replacement_policy!r}; "
-                f"registered: {sorted(REPLACEMENT_POLICIES)}"
-            ) from None
-        self.policy = policy_cls(nic.table, self.rng)
-        self.scoreboard = ResidencyScoreboard()
-        self._bounce_ns = us(cfg.thrash_bounce_us)
+        self.policy = REPLACEMENT_POLICIES[cfg.replacement_policy](nic.table, self.rng)
+        self.scoreboard = ResidencyScoreboard(self.stats)
 
         self.endpoints: dict[int, EndpointState] = {}
         self._next_ep_id = 1
@@ -433,8 +411,8 @@ class SegmentDriver:
                 # First residency request since the last eviction: if it
                 # comes inside the bounce window, that eviction was thrash
                 # (Section 6.4 — the victim fell straight back in).
-                if self.sim.now - ep.evicted_at_ns <= self._bounce_ns:
-                    self.scoreboard.record_bounce(ep)
+                if self.sim.now - ep.evicted_at_ns <= BOUNCE_NS:
+                    self.scoreboard.bounced_evictions += 1
                 ep.evicted_at_ns = -1
             self._remap_q.append(ep)
             self._remap_gate.set()
@@ -473,7 +451,6 @@ class SegmentDriver:
                 return
             yield from self._unload(victim, self._remap_owner)
             self.stats.evictions += 1
-            self.scoreboard.record_eviction(victim)
             self._attribute_eviction(ep, victim)
             if self.sim.trace.enabled:
                 self.sim.trace.emit("ep.evict", self.nic.nic_id, ep=victim.ep_id,
@@ -501,7 +478,6 @@ class SegmentDriver:
             return
         self.stats.loads += 1
         self.stats.remaps += 1
-        self.scoreboard.record_remap()
         yield from self.cpu.compute(us(cfg.remap_driver_overhead_us / 2), owner=self._remap_owner, priority=1)
         if self.sim.trace.enabled:
             self.sim.trace.emit("drv.remap", self.nic.nic_id, ep=ep.ep_id,
@@ -595,7 +571,7 @@ class SegmentDriver:
         def evictor():
             yield from self._unload(ep, object())
             self.stats.evictions += 1
-            self.scoreboard.record_eviction(ep, forced=True)
+            self.scoreboard.forced_evictions += 1
             if self.sim.trace.enabled:
                 self.sim.trace.emit("ep.evict", self.nic.nic_id, ep=ep.ep_id,
                                     forced=True)

@@ -4,11 +4,11 @@ The programming interface deliberately reuses standard thread
 synchronization instead of inventing an event model: endpoints sensitize
 condition variables to state transitions and threads wait on them.  This
 module provides the simulated equivalents — :class:`Thread` (a body
-generator bound to a host CPU), :class:`Mutex` and :class:`CondVar`.
+generator bound to a host CPU) and :class:`CondVar`.
 
 A thread body is a generator function receiving the :class:`Thread`; it
 consumes CPU with ``yield from thr.compute(ns)`` and blocks with
-``yield event`` / ``yield from cv.wait_with(mutex)``.
+``yield event`` / ``yield cv.wait()``.
 
 The thread's :class:`~repro.hw.host.Cpu` opens, charges and closes its
 slices, and aborts the open one when the thread finishes or is
@@ -22,9 +22,9 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator, Optional
 
 from ..hw.host import Cpu
-from ..sim.core import Event, Interrupted, SimError, Simulator
+from ..sim.core import Event, Interrupted, Simulator
 
-__all__ = ["Thread", "Mutex", "CondVar"]
+__all__ = ["Thread", "CondVar"]
 
 _thread_ids = itertools.count(1)
 
@@ -150,39 +150,6 @@ class Thread:
         return f"<Thread {self.name}>"
 
 
-class Mutex:
-    """FIFO mutex with owner tracking."""
-
-    def __init__(self, sim: Simulator, name: str = "mutex"):
-        self.sim = sim
-        self.name = name
-        self._owner: Optional[Thread] = None
-        self._waiters: Deque[tuple[Event, Thread]] = deque()
-
-    @property
-    def locked(self) -> bool:
-        return self._owner is not None
-
-    def acquire(self, thread: Thread) -> Event:
-        ev = Event(self.sim, name=f"{self.name}.acq")
-        if self._owner is None:
-            self._owner = thread
-            ev.trigger(None)
-        else:
-            self._waiters.append((ev, thread))
-        return ev
-
-    def release(self, thread: Thread) -> None:
-        if self._owner is not thread:
-            raise SimError(f"{thread} releasing {self.name} owned by {self._owner}")
-        if self._waiters:
-            ev, nxt = self._waiters.popleft()
-            self._owner = nxt
-            ev.trigger(None)
-        else:
-            self._owner = None
-
-
 class CondVar:
     """Condition variable; signals wake waiters in FIFO order."""
 
@@ -196,17 +163,10 @@ class CondVar:
         return len(self._waiters)
 
     def wait(self) -> Event:
-        """Bare wait (no mutex): yield the returned event."""
+        """Wait for the next signal: yield the returned event."""
         ev = Event(self.sim, name=f"{self.name}.wait")
         self._waiters.append(ev)
         return ev
-
-    def wait_with(self, mutex: Mutex, thread: Thread) -> Generator:
-        """Atomically release ``mutex``, wait, and reacquire."""
-        ev = self.wait()
-        mutex.release(thread)
-        yield from thread.block(ev)
-        yield mutex.acquire(thread)
 
     def signal(self, value: Any = None) -> None:
         if self._waiters:

@@ -157,9 +157,7 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False) -> ScaleCellResult:
     # server NI is the only node under residency pressure (module doc).
     per_node = -(-ccfg.nclients // n_client_nodes)
     for node_id in range(1, cfg.num_hosts):
-        nic = cluster.node(node_id).nic
-        if per_node > len(nic.frames):
-            nic.resize_frames(per_node)
+        cluster.node(node_id).nic.table.ensure_frames(per_node)
 
     def setup():
         servers, clients = [], []
@@ -230,7 +228,6 @@ def run_cell(ccfg: ScaleCellConfig, *, trace: bool = False) -> ScaleCellResult:
     snap_r = [c.stats.replies_handled for c in clients]
     snap_u = [c.stats.undeliverable for c in clients]
     sb0 = server_node.driver.scoreboard.snapshot()
-    snap_remaps = server_node.driver.stats.remaps
     snap_cpu = server_node.cpu.busy_ns
     nic = server_node.nic
     snap_notres = nic.stats.nacks_sent.get(NackReason.NOT_RESIDENT, 0)

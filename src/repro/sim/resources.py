@@ -2,7 +2,7 @@
 
 These are deliberately small: a counted FIFO :class:`Resource`, a FIFO
 :class:`Store` (bounded or unbounded), and a level-triggered :class:`Gate`.
-Higher layers (OS mutexes, condition variables, NIC work queues) are built
+Higher layers (condition variables, NIC work queues) are built
 from these.
 """
 

@@ -1,8 +1,9 @@
 """The struct-of-arrays endpoint store (DESIGN.md §15).
 
-``EndpointTable`` keeps every per-endpoint scalar in parallel
-``array('i')``/``array('q')`` columns indexed by integer row, with
-``EndpointState`` surviving as a thin flyweight view.  These tests pin
+``EndpointTable`` keeps the per-endpoint scalars a victim policy, the
+segment driver or the fleet reads in parallel ``array('i')``/``array('q')``
+columns indexed by integer row, with ``EndpointState`` surviving as a
+thin flyweight view.  These tests pin
 the three properties the refactor must hold:
 
 * **Layout** — no instance ``__dict__`` anywhere on the per-endpoint
@@ -25,12 +26,12 @@ from repro.cluster import ClusterConfig
 from repro.nic.endpoint_state import (
     F_REFERENCED,
     EndpointState,
-    EndpointStats,
     EndpointTable,
     Residency,
     TranslationEntry,
 )
 from repro.scale import ScaleCellConfig, run_cell
+from repro.scale.fleet import MEMCHECK_CELL, FleetCellConfig
 
 
 def make_ep(table, ep_id=0, **kw):
@@ -43,8 +44,7 @@ def make_ep(table, ep_id=0, **kw):
 def test_no_dict_on_per_endpoint_path():
     table = EndpointTable(node=0, frames=2)
     ep = make_ep(table)
-    for obj in (ep, ep.stats, table,
-                TranslationEntry(dst_node=0, dst_ep=0, key=1)):
+    for obj in (ep, table, TranslationEntry(dst_node=0, dst_ep=0, key=1)):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     with pytest.raises(AttributeError):
         ep.not_a_slot = 1
@@ -65,6 +65,19 @@ def test_memory_footprint_per_row():
     assert cols / len(table) < 256
 
 
+def test_fleet_acceptance_table_bytes_per_row():
+    """One NI of the fleet's 10^5-endpoint acceptance cell, built as the
+    fleet builds it: the table holds only the columns a policy, the
+    driver or the fleet reads, so it stays at ≈62 B per endpoint (the
+    table with the view-only and stats columns took ≈127 B)."""
+    fcfg = FleetCellConfig(**MEMCHECK_CELL)
+    table = EndpointTable(node=0, frames=fcfg.endpoint_frames)
+    for i in range(fcfg.endpoints_per_ni):
+        table.add_row(i)
+    assert len(table) == 784
+    assert table.bytes_per_row() <= 62.0
+
+
 def test_translation_entry_slots():
     te = TranslationEntry(dst_node=3, dst_ep=16, key=4)
     assert (te.dst_node, te.dst_ep, te.key) == (3, 16, 4)
@@ -81,17 +94,17 @@ def test_flyweight_and_columns_are_same_storage():
     assert table.ep_id[row] == 7
 
     ep.residency = Residency.ONNIC_RW
-    ep.generation = 5
+    ep.inflight = 5
     ep.last_active_ns = 123_456
     ep.referenced = True
-    assert table.gen[row] == 5
+    assert table.inflight[row] == 5
     assert table.last_active[row] == 123_456
     assert table.flags[row] & F_REFERENCED
     assert ep.resident
 
-    table.gen[row] = 9
+    table.inflight[row] = 9
     table.flags[row] &= ~F_REFERENCED
-    assert ep.generation == 9
+    assert ep.inflight == 9
     assert not ep.referenced
 
     ep.frame = 1
@@ -100,17 +113,18 @@ def test_flyweight_and_columns_are_same_storage():
     assert table.frame[row] == -1
 
 
-def test_stats_live_in_columns():
+def test_view_only_counters_are_slots_not_columns():
+    """What only the view reads lives on the view, not in the table."""
     table = EndpointTable(node=0, frames=2)
     ep = make_ep(table)
-    ep.stats.enqueued += 3
-    ep.stats.consumed += 1
-    assert table.st_enqueued[ep.row] == 3
-    assert table.st_consumed[ep.row] == 1
-    # a stats view needs no endpoint, only a row
-    s = EndpointStats(table, table.add_row(0))
-    s.send_ring_full += 2
-    assert s.send_ring_full == 2
+    for attr in ("generation", "service_deficit",
+                 "bulk_reserved_req", "bulk_reserved_rep"):
+        assert getattr(ep, attr) == 0
+        setattr(ep, attr, 3)
+        assert getattr(ep, attr) == 3
+    assert set(table.INT_COLS + table.LONG_COLS) == {
+        "ep_id", "res", "frame", "flags", "inflight", "ring_used",
+        "last_active", "evicted_at"}
 
 
 def test_send_ring_mirrors_ring_used_column():
@@ -133,21 +147,18 @@ def test_send_ring_mirrors_ring_used_column():
 
 def test_endpoints_share_the_table_they_are_built_on():
     """Each endpoint appends its row to the table it is built on (a
-    NIC's table in every real run); its send ring and stats views write
-    that same row."""
+    NIC's table in every real run); its send ring writes that same row."""
     nic_table = EndpointTable(node=1, frames=4)
     a = make_ep(nic_table, ep_id=3)
     b = make_ep(nic_table, ep_id=4)
     assert (a.row, b.row) == (0, 1) and len(nic_table) == 2
     for ep in (a, b):
-        assert ep.table is ep.send_ring.table is ep.stats.table is nic_table
+        assert ep.table is ep.send_ring.table is nic_table
         assert nic_table.views[ep.row] is ep
-    b.stats.enqueued = 11
     b.send_ring.append("x")
     assert nic_table.ep_id[b.row] == 4
-    assert nic_table.st_enqueued[b.row] == 11
     assert nic_table.ring_used[b.row] == 1
-    assert nic_table.st_enqueued[a.row] == nic_table.ring_used[a.row] == 0
+    assert nic_table.ring_used[a.row] == 0
 
 
 def test_frame_rows_mirror_and_resident_count():

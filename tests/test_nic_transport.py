@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.myrinet import NackReason, Network
-from repro.nic import DriverOp, EndpointState, Message, MessageState, MsgKind, Nic
+from repro.nic import DriverOp, EndpointState, Message, MessageState, MsgKind, Nic, Residency
 from repro.sim import Event, Simulator, ms, us
 
 
@@ -181,6 +181,30 @@ def test_dead_receiver_returns_to_sender_after_timeout():
     assert msg.state is MessageState.RETURNED
     assert msg.return_reason == "timeout"
     assert len(a.returned) == 1
+
+
+def test_first_transmission_at_time_zero_times_out_on_the_timer_path():
+    """A message first put on the wire at t=0 ages like any other: its
+    first retransmission timer past ``dead_timeout`` returns it."""
+    sim, cfg, net, nics = build(n=2, ni_send_instr=0, packet_loss_prob=1.0,
+                                dead_timeout_ms=5.0, max_consecutive_retrans=1000)
+    nic = nics[0]
+    # Resident before the clock starts (no load DMA), so the send at
+    # t=0 reaches the wire at t=0.
+    a = EndpointState(0, 1, send_ring_depth=cfg.send_ring_depth,
+                      recv_queue_depth=cfg.recv_queue_depth, tag=10,
+                      table=nic.table)
+    nic.endpoints[a.ep_id] = a
+    a.residency, a.frame = Residency.ONNIC_RW, 0
+    nic.table.frame_rows[0] = a.row
+    msg = mk_msg((0, 1), (1, 1), key=20)
+    assert nic.host_enqueue_send(a, msg)
+    sim.run(until=ms(30))
+    assert msg.first_tx_ns == 0
+    assert msg.state is MessageState.RETURNED
+    assert msg.return_reason == "timeout"
+    assert nic.stats.unbinds == 0  # returned by the timer, not a rebind
+    assert list(a.returned) == [msg]
 
 
 def test_channel_unbind_after_bounded_retransmissions():

@@ -1,4 +1,4 @@
-"""Unit tests for simulated threads, mutexes, and condition variables."""
+"""Unit tests for simulated threads and condition variables."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.am import parallel_vnet
 from repro.cluster import reset_global_ids
 from repro.cluster import Cluster, ClusterConfig
 from repro.hw import Cpu
-from repro.osim import CondVar, Mutex, Thread
-from repro.sim import SimError, Simulator, ms, us
+from repro.osim import CondVar, Thread
+from repro.sim import Simulator, ms, us
 
 
 def make():
@@ -62,42 +62,6 @@ def test_thread_sleep_releases_cpu():
     assert ("worker", 5_000) in log  # worker ran during the sleep
 
 
-def test_mutex_mutual_exclusion():
-    sim, cpu = make()
-    holder = []
-
-    def body(thr, mtx):
-        yield mtx.acquire(thr)
-        holder.append(thr.name)
-        assert len(holder) == 1
-        yield from thr.sleep(1_000)
-        holder.remove(thr.name)
-        mtx.release(thr)
-
-    mtx = Mutex(sim)
-    Thread(sim, cpu, lambda t: body(t, mtx), name="a")
-    Thread(sim, cpu, lambda t: body(t, mtx), name="b")
-    sim.run()
-    assert holder == []
-
-
-def test_mutex_release_by_non_owner_raises():
-    sim, cpu = make()
-    mtx = Mutex(sim)
-
-    def a(thr):
-        yield mtx.acquire(thr)
-
-    def b(thr):
-        yield from thr.sleep(10)
-        mtx.release(thr)
-
-    Thread(sim, cpu, a, name="a")
-    Thread(sim, cpu, b, name="b")
-    with pytest.raises(SimError):
-        sim.run()
-
-
 def test_condvar_signal_wakes_one_fifo():
     sim, cpu = make()
     woke = []
@@ -140,32 +104,6 @@ def test_condvar_broadcast_wakes_all():
     Thread(sim, cpu, caster)
     sim.run()
     assert sorted(woke) == ["a", "b", "c"]
-
-
-def test_condvar_wait_with_mutex_reacquires():
-    sim, cpu = make()
-    mtx = Mutex(sim)
-    cv = CondVar(sim)
-    log = []
-
-    def consumer(thr):
-        yield mtx.acquire(thr)
-        yield from cv.wait_with(mtx, thr)
-        log.append(("consumer-owns", mtx._owner is thr))
-        mtx.release(thr)
-
-    def producer(thr):
-        yield from thr.sleep(10)
-        yield mtx.acquire(thr)  # possible: consumer released it in wait
-        log.append("producer-in")
-        cv.signal()
-        mtx.release(thr)
-
-    Thread(sim, cpu, consumer, name="c")
-    Thread(sim, cpu, producer, name="p")
-    sim.run()
-    assert "producer-in" in log
-    assert ("consumer-owns", True) in log
 
 
 def test_thread_interrupt():

@@ -71,14 +71,27 @@ def spy_on_victims(drv):
     return chosen
 
 
+def frame_occupants(nic):
+    """The endpoint views occupying ``nic``'s frames (loads included)."""
+    t = nic.table
+    return [t.views[r] for r in t.frame_rows if r >= 0]
+
+
 def assert_frame_invariants(nic, frames=FRAMES):
+    t = nic.table
     resident = [ep for ep in nic.endpoints.values() if ep.residency is Residency.ONNIC_RW]
     assert len(resident) <= frames
     for ep in resident:
         assert ep.frame is not None
-        assert nic.frames[ep.frame] is ep
-    occupied = [f for f in nic.frames if f is not None]
-    assert len(set(id(f) for f in occupied)) == len(occupied)
+        assert t.frame_rows[ep.frame] == ep.row
+        assert t.views[ep.row] is ep
+    occupied = [r for r in t.frame_rows if r >= 0]
+    assert len(set(occupied)) == len(occupied)
+    # a loaded occupant's own frame is the one it occupies (a reserved
+    # frame of a load still in flight has no ep.frame yet)
+    for f, r in enumerate(t.frame_rows):
+        if r >= 0 and t.views[r].frame is not None:
+            assert t.views[r].frame == f
 
 
 class Exerciser:
@@ -184,8 +197,8 @@ class Exerciser:
                 f"lost wakeup: wait_resident(ep{ep.ep_id}) never triggered "
                 f"(residency={ep.residency})"
             )
-        for ep in self.nic.frames:
-            assert ep is None or ep.residency is not Residency.FREED, (
+        for ep in frame_occupants(self.nic):
+            assert ep.residency is not Residency.FREED, (
                 f"freed ep{ep.ep_id} resurrected into a frame"
             )
         for ep_id, ep in self.nic.endpoints.items():
@@ -253,7 +266,7 @@ def test_free_during_inflight_load_does_not_resurrect():
     cluster.run(until=sim.now + ms(50))
 
     assert ep.residency is Residency.FREED
-    assert all(f is not ep for f in nic.frames), "freed endpoint occupies a frame"
+    assert all(f is not ep for f in frame_occupants(nic)), "freed endpoint occupies a frame"
     assert nic.free_frame_index() is not None
     assert ep.ep_id not in nic.endpoints
 

@@ -198,11 +198,11 @@ def resident_pair(cluster, drv):
 
 
 def test_policy_registry_exposes_all_policies():
-    from repro.osim.segdriver import REPLACEMENT_POLICIES
+    from repro.osim.segdriver import REPLACEMENT_POLICIES, VictimPolicy
 
     assert set(REPLACEMENT_POLICIES) >= {"random", "lru", "clock", "active-preference"}
-    for name, cls in REPLACEMENT_POLICIES.items():
-        assert cls.name == name
+    for cls in REPLACEMENT_POLICIES.values():
+        assert issubclass(cls, VictimPolicy)
 
 
 def test_unknown_policy_rejected():
@@ -265,19 +265,19 @@ def test_scoreboard_counts_remaps_and_evictions():
     assert sb.eviction_remap_ratio == pytest.approx(1 / 3)
     snap = sb.snapshot()
     assert snap["remaps"] == 3 and snap["evictions"] == 1
-    assert snap["max_ep_evictions"] == 1
 
 
 def test_eviction_bounce_scored_on_prompt_refault():
-    """An evict->refault inside thrash_bounce_us counts as thrash."""
-    cluster = build(endpoint_frames=2, thrash_bounce_us=10_000.0)
+    """An evict->refault inside the bounce window counts as thrash."""
+    cluster = build(endpoint_frames=2)
     drv = cluster.node(0).driver
     ep = alloc(cluster, 0)
     cluster.run_process(drv.write_fault(ep), "f")
     cluster.run(until=cluster.sim.now + ms(20))
     assert ep.resident
     assert drv.force_evict(ep)
-    cluster.run(until=cluster.sim.now + ms(5))
+    while ep.evicted_at_ns < 0:  # step until the unload lands
+        cluster.run(until=cluster.sim.now + us(10))
     assert not ep.resident
     drv.request_remap(ep)  # immediately re-requested: a bounce
     assert drv.scoreboard.bounced_evictions == 1
@@ -315,7 +315,7 @@ def test_only_the_remap_thread_releases_its_cpu_lease(monkeypatch):
 
 
 def test_slow_refault_is_not_a_bounce():
-    cluster = build(endpoint_frames=2, thrash_bounce_us=1_000.0)
+    cluster = build(endpoint_frames=2)
     drv = cluster.node(0).driver
     ep = alloc(cluster, 0)
     cluster.run_process(drv.write_fault(ep), "f")
@@ -329,8 +329,6 @@ def test_slow_refault_is_not_a_bounce():
 def test_new_residency_knobs_validate():
     import pytest
 
-    with pytest.raises(ValueError, match="thrash_bounce_us"):
-        ClusterConfig(thrash_bounce_us=-0.5).validate()
     with pytest.raises(ValueError, match="unknown replacement policy"):
         ClusterConfig(replacement_policy="fifo").validate()
 
